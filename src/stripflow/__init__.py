@@ -25,10 +25,9 @@ from .geometry import (InterfaceProfile, TransformedCoefficients, coefficients,
 from .model import (CoercivityReport, DecayGenerator, FrozenCoefficients,
                     MultiplierDecayReport, coercivity_probe_59,
                     decay_generator, halfplane_dirichlet_solve,
-                    halfplane_inhomogeneous_solve, multiplier_profiles,
-                    transverse_semigroup)
+                    multiplier_profiles, transverse_semigroup)
 from .strip import (DiscreteStripOperator, StripField, assemble,
-                    coercivity_probe_33, solve_K, solve_S)
+                    coercivity_probe_33, solve_K)
 from .dtn import (AdmissibilityReport, DtNApplication, DtNOperator,
                   FrozenOperatorSet, LocalizationReport, SectorReport,
                   admissibility, dtn_apply, dtn_derivative, frozen_set,
@@ -56,11 +55,10 @@ __all__ = [
     "map_inverse", "pushforward", "coefficients", "ellipticity_floor",
     # half-plane model
     "FrozenCoefficients", "DecayGenerator", "decay_generator",
-    "transverse_semigroup", "halfplane_dirichlet_solve",
-    "halfplane_inhomogeneous_solve", "multiplier_profiles",
+    "transverse_semigroup", "halfplane_dirichlet_solve", "multiplier_profiles",
     "MultiplierDecayReport", "coercivity_probe_59", "CoercivityReport",
     # strip solver
-    "DiscreteStripOperator", "StripField", "assemble", "solve_K", "solve_S",
+    "DiscreteStripOperator", "StripField", "assemble", "solve_K",
     "coercivity_probe_33",
     # interface operator
     "DtNOperator", "DtNApplication", "FrozenOperatorSet", "SectorReport",

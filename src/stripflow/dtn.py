@@ -44,21 +44,41 @@ def _as_direction(profile, psi):
     return psi
 
 
+def _coefficient_derivatives(beta, w, gx, gxx, ps, ps_x, ps_xx):
+    """Chain rule for the directional derivatives of a12, a22, a2.
+
+    The coefficients depend on the height w = nu + g through
+    y_phys = beta * w; perturbing g along psi (samples or symbols ps with
+    their x-derivatives ps_x, ps_xx) moves them by (da12, da22, da2).
+    All arguments broadcast against each other.
+    """
+    da12 = beta * (ps_x / w - gx * ps / w ** 2)
+    da22 = (2.0 * beta ** 2 * gx * ps_x / w ** 2
+            - 2.0 * (1.0 + beta ** 2 * gx ** 2) * ps / w ** 3)
+    da2 = (4.0 * beta * gx * ps_x / w ** 2
+           - 4.0 * beta * gx ** 2 * ps / w ** 3
+           - beta * ps_xx / w + beta * gxx * ps / w ** 2)
+    return da12, da22, da2
+
+
 class DtNOperator:
     """One assembled operator serving O(g), dO(g) and their diagnostics.
 
-    The Dirichlet solve (K), the source solve (S) and the boundary read-out
-    all share a single discrete operator and preconditioner, so repeated
-    derivative applications (e.g. inside an implicit time step) reuse the
-    factorized mode blocks.
+    Everything about a profile follows from the single Dirichlet solve
+    v = K(g) g, cached by upsilon(): the readout O(g), the W1 margin, the
+    admissibility report and the frozen symbols.  The Dirichlet solve (K),
+    the source solve (S) and the boundary read-out all share one discrete
+    operator and preconditioner, so repeated derivative applications (e.g.
+    inside an implicit time step) reuse the factorized mode blocks.
     """
 
     def __init__(self, profile, A, mu, ny=33, rtol=1e-11):
         self.profile = profile
-        self.A = A
         self.mu = float(mu)
         self.rtol = rtol
-        self.op = assemble(profile, A, mu, ny=ny, bc0="dirichlet")
+        self.op = assemble(profile, A, mu, ny=ny)
+        # A is coerced once, from the matrix the strip operator holds
+        self.A = SectorialOperator(self.op.A_mat)
         self.coeffs = self.op.coeffs
         self._upsilon = None
 
@@ -77,45 +97,20 @@ class DtNOperator:
 
     # -- derivative pieces ---------------------------------------------------
 
-    def _coefficient_derivatives(self, psi):
-        """Directional derivatives of a12, a22, a2 along the perturbation psi."""
-        p = self.profile
-        beta = self.coeffs.beta[None, :, None]
-        w = (p.nu + p.g)[:, None, :]
-        gx = p.g_x[:, None, :]
-        gxx = p.g_xx[:, None, :]
-        ps = psi[:, None, :]
-        ps_x = spectral_derivative(psi, p.L, 1, axis=0)[:, None, :]
-        ps_xx = spectral_derivative(psi, p.L, 2, axis=0)[:, None, :]
-        da12 = beta * (ps_x / w - gx * ps / w ** 2)
-        da22 = (2.0 * beta ** 2 * gx * ps_x / w ** 2
-                - 2.0 * (1.0 + beta ** 2 * gx ** 2) * ps / w ** 3)
-        da2 = (4.0 * beta * gx * ps_x / w ** 2
-               - 4.0 * beta * gx ** 2 * ps / w ** 3
-               - beta * ps_xx / w + beta * gxx * ps / w ** 2)
-        return da12, da22, da2
-
-    def interior_derivative_source(self, psi, split=False):
+    def interior_derivative_source(self, psi):
         """dB(g)[psi, v]: the interior source produced by perturbing B along psi.
 
-        The derivative of the (constant) coupling operator is zero, so the
-        hook that would carry dA[psi] v contributes nothing here.  With
-        split=True the four summands are returned separately (the grouping
-        used by the frozen third-piece parts).
+        The coupling operator A is constant, so it contributes no term.
         """
+        p = self.profile
         ups = self.upsilon()
-        da12, da22, da2 = self._coefficient_derivatives(psi)
-        v_x = ups.dx(1)
-        v_xy = np.einsum("jl,xlc->xjc", self.op.Dy, v_x)
-        v_yy = ups.dy(2)
-        v_y = ups.dy(1)
-        g1 = -2.0 * da12 * v_xy
-        g2 = -da22 * v_yy
-        g3 = np.zeros_like(g1)          # dA(g) hook: constant A
-        g4 = da2 * v_y
-        if split:
-            return g1, g2, g3, g4
-        return g1 + g2 + g3 + g4
+        da12, da22, da2 = _coefficient_derivatives(
+            self.coeffs.beta[None, :, None], (p.nu + p.g)[:, None, :],
+            p.g_x[:, None, :], p.g_xx[:, None, :], psi[:, None, :],
+            spectral_derivative(psi, p.L, 1, axis=0)[:, None, :],
+            spectral_derivative(psi, p.L, 2, axis=0)[:, None, :])
+        v_xy = np.einsum("jl,xlc->xjc", self.op.Dy, ups.dx(1))
+        return -2.0 * da12 * v_xy - da22 * ups.dy(2) + da2 * ups.dy(1)
 
     def boundary_derivative(self, psi):
         """dB0(g)[psi, v]: perturbation of the oblique boundary read-out."""
@@ -141,6 +136,133 @@ class DtNOperator:
     def derivative(self, psi):
         t1, t2, t3 = self.derivative_terms(psi)
         return t1 + t2 + t3
+
+    # -- reports on the solved field -----------------------------------------
+
+    def margin(self):
+        """Pointwise Re[w_g + k_g] on the interface, with the two summands.
+
+        w_g is the boundary weight of the solved field, k_g the ellipticity
+        ratio alpha(g)/a22(g) at y = 0; positivity of the infimum is the gate
+        for parabolic well-posedness of the interface motion.
+        """
+        p = self.profile
+        w_g = self.upsilon().dy_trace0() / (p.nu + p.g)
+        c = self.coeffs
+        k_g = np.real(c.alpha_floor[:, 0, :] / c.a22[:, 0, :])
+        return np.real(w_g) + k_g, w_g, k_g
+
+    def admissibility(self, alpha=0.5):
+        """Membership tests for the evolution's well-posedness neighborhoods.
+
+        The primary gate combines the boundary weight of the solved field
+        with the coefficient ratio:  margin = inf over nodes and components
+        of Re[w_g + k_g] with w_g = (d/dy K(g)g)|_{y=0} / (nu+g) and
+        k_g = alpha(g)/a22(g) at the boundary.  The interface-neighborhood
+        test (normal derivative of the full-datum solution against the
+        curvature-type bound k_f) is evaluated on the unshifted problem and
+        reported; it is a report, not a gate — with the far-field datum
+        outside ker(A) the inequality can fail even at the trivial profile,
+        so only the margin gates the stepper.
+        """
+        p = self.profile
+        total, w_g, k_g = self.margin()
+        margin = float(np.min(total))
+        arg = np.unravel_index(np.argmin(total), total.shape)
+
+        # interface-neighborhood check on the full boundary datum nu*1 + g,
+        # solved without the spectral shift (the neighborhood is defined by
+        # the plain problem)
+        op0 = self.op if self.mu == 0.0 else assemble(p, self.A, 0.0,
+                                                      ny=self.op.ny)
+        u_f = op0.solve(psi0=(p.nu + p.g), rtol=self.rtol)
+        dyu_phys = -u_f.dy_trace0() / p.h[:, None]
+        k_f = p.h ** 2 / ((1.0 + p.h + p.h_x ** 2) * (1.0 + p.h_x ** 2))
+        vnu_gap = float(np.min(k_f[:, None] - np.real(dyu_phys)))
+
+        evaluator = InterpNormEvaluator(self.A,
+                                        InterpolationNormSpec(theta=alpha))
+        w_norm_max = float(np.max(evaluator.of_values(w_g)))
+        return AdmissibilityReport(
+            in_W1=bool(margin > 0), margin=margin,
+            in_Vnu=bool(vnu_gap > 0 and np.min(p.h) > 0),
+            vnu_gap=vnu_gap, kg_min=float(np.min(k_g)),
+            w_norm_max=w_norm_max, margin_argmin=float(p.x[arg[0]]))
+
+    def frozen_set(self, x0):
+        """Freeze the derivative pieces at the boundary point (x0, 0).
+
+        x0 must be a grid node.  For m > 1 the frozen principal coefficients
+        must be equal across components at that node (otherwise the scalar
+        a12/a22 reduction behind the exact-root algebra does not apply, and
+        we refuse rather than silently commit the non-commuting error).
+        """
+        p = self.profile
+        i0 = int(np.argmin(np.abs(p.x - x0)))
+        if abs(p.x[i0] - x0) > 1e-9 * p.L:
+            raise ValueError(f"freeze point {x0} is not a grid node "
+                             f"(nearest: {p.x[i0]:.12g})")
+        x0 = float(p.x[i0])
+
+        w_vec = p.nu + p.g[i0]
+        gx_vec = p.g_x[i0]
+        for name, vec in (("nu+g", w_vec), ("g_x", gx_vec)):
+            spread = np.max(np.abs(vec - vec[0]))
+            if spread > 1e-10 * (1.0 + np.max(np.abs(vec))):
+                raise ValueError(
+                    f"components of {name} differ at the freeze point "
+                    f"(spread {spread:.3e}); frozen analysis needs equal "
+                    f"components")
+        if abs(np.imag(w_vec[0])) > 1e-10 or abs(np.imag(gx_vec[0])) > 1e-10:
+            raise ValueError("freeze point carries complex geometry values")
+        h0 = float(np.real(w_vec[0]))
+        gx0 = float(np.real(gx_vec[0]))
+        gxx0 = complex(p.g_xx[i0][0])
+
+        fc = FrozenCoefficients(a12=gx0 / h0, a22=(1.0 + gx0 ** 2) / h0 ** 2,
+                                A=self.A, mu=self.mu)
+        b10_0 = -gx0
+        b20_0 = -(1.0 + gx0 ** 2) / h0
+
+        ups = self.upsilon()
+        tr_x = spectral_derivative(ups.trace0(), p.L, 1, axis=0)
+        c1 = tr_x[i0]          # trace of d/dx of v at the freeze point
+        c2 = ups.dy_trace0()[i0]
+
+        # y-profiles of the solved field's derivatives above the freeze
+        # point; the third piece needs them resolved in depth, not just
+        # their traces, or the cancellation against the boundary piece is
+        # lost
+        Dy = ups.Dy
+        vxy_prof = Dy @ spectral_derivative(ups.values, p.L, 1, axis=0)[i0]
+        vy_prof = Dy @ ups.values[i0]
+        vyy_prof = Dy @ vy_prof
+
+        lam1 = (1.0 + gx0 ** 2) / h0 ** 2
+        lam2 = -2.0 * gx0 / h0
+
+        ks = torus_wavenumbers(p.L, p.nx)
+        # the frozen interior source of the third piece, one y-profile per
+        # wavenumber: the chain rule with psi = e^{ikx} at the freeze node
+        ik = 1j * ks[:, None, None]
+        da12, da22, da2 = _coefficient_derivatives(
+            (1.0 - ups.y)[None, :, None], h0, gx0, gxx0, 1.0, ik, ik ** 2)
+        src = -2.0 * da12 * vxy_prof - da22 * vyy_prof + da2 * vy_prof
+        eyem = np.eye(p.m)
+        sym10 = np.empty((p.nx, p.m, p.m), dtype=complex)
+        sym20 = np.empty_like(sym10)
+        sym30 = np.empty_like(sym10)
+        for ki, k in enumerate(ks):
+            sym10[ki] = (1j * b10_0 * k * eyem
+                         + b20_0 * strip_trace_gradient_map(fc, k))
+            sym20[ki] = np.diag(-1j * k * c1 + (lam1 + 1j * k * lam2) * c2)
+            # column c of the symbol answers a source in component c alone
+            cols = np.einsum("yc,cd->cyd", src[ki], eyem)
+            sym30[ki] = -b20_0 * strip_profile_response(fc, k, cols, Dy).T
+        return FrozenOperatorSet(
+            x0=x0, node_index=i0, k_grid=ks, sym10=sym10, sym20=sym20,
+            sym30=sym30, sym0=sym10 + sym20 + sym30, w0=c2 / h0, fc=fc,
+            L=p.L, mu=self.mu)
 
 
 def dtn_apply(profile, A, mu_solve, ny=33, rtol=1e-11):
@@ -170,7 +292,6 @@ class FrozenOperatorSet:
     sym10: np.ndarray
     sym20: np.ndarray
     sym30: np.ndarray
-    sym30_parts: np.ndarray       # (4, nk, m, m)
     sym0: np.ndarray
     w0: np.ndarray                # frozen boundary weight w_g(x0, 0)
     fc: FrozenCoefficients
@@ -206,95 +327,10 @@ class FrozenOperatorSet:
         return ifft(out, axis=0)
 
 
-def frozen_set(profile, A, x0, mu, ny=33, upsilon=None, rtol=1e-11):
-    """Freeze the derivative pieces at the boundary point (x0, 0).
-
-    x0 must be a grid node.  For m > 1 the frozen principal coefficients
-    must be equal across components at that node (otherwise the scalar
-    a12/a22 reduction behind the exact-root algebra does not apply, and we
-    refuse rather than silently commit the non-commuting error).
-    """
-    p = profile
-    i0 = int(np.argmin(np.abs(p.x - x0)))
-    if abs(p.x[i0] - x0) > 1e-9 * p.L:
-        raise ValueError(f"freeze point {x0} is not a grid node "
-                         f"(nearest: {p.x[i0]:.12g})")
-    x0 = float(p.x[i0])
-
-    w_vec = p.nu + p.g[i0]
-    gx_vec = p.g_x[i0]
-    gxx_vec = p.g_xx[i0]
-    for name, vec in (("nu+g", w_vec), ("g_x", gx_vec)):
-        spread = np.max(np.abs(vec - vec[0]))
-        if spread > 1e-10 * (1.0 + np.max(np.abs(vec))):
-            raise ValueError(
-                f"components of {name} differ at the freeze point "
-                f"(spread {spread:.3e}); frozen analysis needs equal components")
-    if abs(np.imag(w_vec[0])) > 1e-10 or abs(np.imag(gx_vec[0])) > 1e-10:
-        raise ValueError("freeze point carries complex geometry values")
-    h0 = float(np.real(w_vec[0]))
-    gx0 = float(np.real(gx_vec[0]))
-    gxx0 = complex(gxx_vec[0])
-
-    fc = FrozenCoefficients(a12=gx0 / h0, a22=(1.0 + gx0 ** 2) / h0 ** 2,
-                            A=A if isinstance(A, SectorialOperator)
-                            else SectorialOperator(A), mu=mu)
-    b10_0 = -gx0
-    b20_0 = -(1.0 + gx0 ** 2) / h0
-
-    if upsilon is None:
-        op = assemble(p, A, mu, ny=ny, bc0="dirichlet")
-        upsilon = op.solve(psi0=p.g, rtol=rtol)
-    tr_x = spectral_derivative(upsilon.trace0(), p.L, 1, axis=0)
-    dy0 = upsilon.dy_trace0()
-    c1 = tr_x[i0]          # trace of d/dx of v at the freeze point
-    c2 = dy0[i0]
-
-    # y-profiles of the solved field's derivatives above the freeze point;
-    # the third piece needs them resolved in depth, not just their traces,
-    # or the cancellation against the boundary piece is lost
-    Dy = upsilon.Dy
-    vx_prof = spectral_derivative(upsilon.values, p.L, 1, axis=0)[i0]
-    vxy_prof = Dy @ vx_prof
-    vy_prof = Dy @ upsilon.values[i0]
-    vyy_prof = Dy @ vy_prof
-    beta = (1.0 - upsilon.y)[:, None]
-
-    lam1 = (1.0 + gx0 ** 2) / h0 ** 2
-    lam2 = -2.0 * gx0 / h0
-
-    ks = torus_wavenumbers(p.L, p.nx)
-    m = p.m
-    eyem = np.eye(m)
-    sym10 = np.empty((p.nx, m, m), dtype=complex)
-    sym20 = np.empty_like(sym10)
-    parts = np.zeros((4, p.nx, m, m), dtype=complex)
-    active = (0, 1, 3)     # the dA(g) hook (slot 2) vanishes: constant coupling
-    for ki, k in enumerate(ks):
-        grad_map = strip_trace_gradient_map(fc, k)
-        sym10[ki] = 1j * b10_0 * k * eyem + b20_0 * grad_map
-        sym20[ki] = np.diag(-1j * k * c1 + (lam1 + 1j * k * lam2) * c2)
-        ik = 1j * k
-        da12 = beta * (ik / h0 - gx0 / h0 ** 2)
-        da22 = (beta ** 2 * (2.0 * gx0 * ik / h0 ** 2 - 2.0 * gx0 ** 2 / h0 ** 3)
-                - 2.0 / h0 ** 3)
-        da2 = beta * (4.0 * gx0 * ik / h0 ** 2 - 4.0 * gx0 ** 2 / h0 ** 3
-                      + gxx0 / h0 ** 2 + k ** 2 / h0)
-        profiles = {0: -2.0 * da12 * vxy_prof, 1: -da22 * vyy_prof,
-                    3: da2 * vy_prof}
-        cols = np.zeros((len(active) * m, upsilon.y.size, m), dtype=complex)
-        for n, part in enumerate(active):
-            for comp in range(m):
-                cols[n * m + comp, :, comp] = profiles[part][:, comp]
-        wprime0 = strip_profile_response(fc, k, cols, Dy)
-        for n, part in enumerate(active):
-            for comp in range(m):
-                parts[part, ki, :, comp] = -b20_0 * wprime0[n * m + comp]
-    sym30 = parts.sum(axis=0)
-    return FrozenOperatorSet(
-        x0=x0, node_index=i0, k_grid=ks, sym10=sym10, sym20=sym20,
-        sym30=sym30, sym30_parts=parts, sym0=sym10 + sym20 + sym30,
-        w0=c2 / h0, fc=fc, L=p.L, mu=mu)
+def frozen_set(profile, A, x0, mu, ny=33, rtol=1e-11):
+    """Frozen-coefficient models of dO(g) at the grid node x0; see
+    DtNOperator.frozen_set."""
+    return DtNOperator(profile, A, mu, ny=ny, rtol=rtol).frozen_set(x0)
 
 
 # -- sector / admissibility / localization reports ---------------------------
@@ -386,19 +422,6 @@ def sector_report(fset, A, alpha=0.5, mu0=None, n_samples=12, seed=0):
                         passed=bool(all_pass), mu0=float(mu0))
 
 
-def boundary_margin(profile, coeffs, upsilon):
-    """Pointwise Re[w_g + k_g] on the interface, with the two summands.
-
-    w_g is the boundary weight of the solved field, k_g the ellipticity
-    ratio alpha(g)/a22(g) at y = 0; positivity of the infimum is the gate
-    for parabolic well-posedness of the interface motion.
-    """
-    p = profile
-    w_g = upsilon.dy_trace0() / (p.nu + p.g)
-    k_g = np.real(coeffs.alpha_floor[:, 0, :] / coeffs.a22[:, 0, :])
-    return np.real(w_g) + k_g, w_g, k_g
-
-
 @dataclass
 class AdmissibilityReport:
     in_W1: bool
@@ -410,46 +433,10 @@ class AdmissibilityReport:
     margin_argmin: float
 
 
-def admissibility(profile, A, mu=4.0, ny=33, alpha=0.5, rtol=1e-11,
-                  upsilon=None):
-    """Membership tests for the evolution's well-posedness neighborhoods.
-
-    The primary gate combines the boundary weight of the solved field with
-    the coefficient ratio:  margin = inf over nodes and components of
-    Re[w_g + k_g] with w_g = (d/dy K(g)g)|_{y=0} / (nu+g) and
-    k_g = alpha(g)/a22(g) at the boundary.  The interface-neighborhood test
-    (normal derivative of the full-datum solution against the curvature-type
-    bound k_f) is evaluated on the unshifted problem and reported; it is a
-    report, not a gate — with the far-field datum outside ker(A) the
-    inequality can fail even at the trivial profile, so only the margin
-    gates the stepper.
-    """
-    p = profile
-    op = assemble(p, A, mu, ny=ny, bc0="dirichlet")
-    if upsilon is None:
-        upsilon = op.solve(psi0=p.g, rtol=rtol)
-    total, w_g, k_g = boundary_margin(p, op.coeffs, upsilon)
-    margin = float(np.min(total))
-    arg = np.unravel_index(np.argmin(total), total.shape)
-
-    # interface-neighborhood check on the full boundary datum nu*1 + g,
-    # solved without the spectral shift (the neighborhood is defined by the
-    # plain problem)
-    op0 = op if mu == 0.0 else assemble(p, A, 0.0, ny=ny, bc0="dirichlet")
-    u_f = op0.solve(psi0=(p.nu + p.g), rtol=rtol)
-    dyu_phys = -u_f.dy_trace0() / p.h[:, None]
-    k_f = p.h ** 2 / ((1.0 + p.h + p.h_x ** 2) * (1.0 + p.h_x ** 2))
-    vnu_gap = float(np.min(k_f[:, None] - np.real(dyu_phys)))
-
-    evaluator = InterpNormEvaluator(
-        A if isinstance(A, SectorialOperator) else SectorialOperator(A),
-        InterpolationNormSpec(theta=alpha))
-    w_norm_max = float(np.max(evaluator.of_values(w_g)))
-    return AdmissibilityReport(
-        in_W1=bool(margin > 0), margin=margin,
-        in_Vnu=bool(vnu_gap > 0 and np.min(p.h) > 0),
-        vnu_gap=vnu_gap, kg_min=float(np.min(k_g)),
-        w_norm_max=w_norm_max, margin_argmin=float(p.x[arg[0]]))
+def admissibility(profile, A, mu=4.0, ny=33, alpha=0.5, rtol=1e-11):
+    """Well-posedness neighborhood tests of a profile; see
+    DtNOperator.admissibility."""
+    return DtNOperator(profile, A, mu, ny=ny, rtol=rtol).admissibility(alpha)
 
 
 @dataclass
@@ -482,16 +469,13 @@ def localization_residual(profile, A, delta, direction, t=1.0, mu=4.0,
     dtn = DtNOperator(p, A, mu, ny=ny, rtol=rtol)
     t1, t2, t3 = dtn.derivative_terms(direction)
     d_op_t = t1 + t * (t2 + t3)
-    ups = dtn.upsilon()
-    A_op = A if isinstance(A, SectorialOperator) else SectorialOperator(A)
-    evaluator = InterpNormEvaluator(A_op, InterpolationNormSpec(theta=alpha))
+    evaluator = InterpNormEvaluator(dtn.A, InterpolationNormSpec(theta=alpha))
     residuals = np.empty(n_pieces)
     snapped = np.empty(n_pieces)
     for j in range(n_pieces):
         node = p.x[int(np.argmin(np.abs(p.x - centers[j])))]
         snapped[j] = node
-        fset = frozen_set(p, A_op, node, mu, ny=ny, upsilon=ups, rtol=rtol)
-        frozen_val = fset.apply("O0", direction, t=t)
+        frozen_val = dtn.frozen_set(node).apply("O0", direction, t=t)
         diff = SampledFunction(p.L, phis[j][:, None] * (d_op_t - frozen_val))
         residuals[j] = h1alpha_norm(diff, alpha, evaluator=evaluator)
     return LocalizationReport(delta=float(delta), t=float(t), centers=snapped,

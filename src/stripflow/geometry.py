@@ -139,7 +139,7 @@ class TransformedCoefficients:
 
     the free-boundary trace operator (at y_strip = 0) is
 
-        B0 u = b10 u_x + b20 u_y,        b11 = 0 identically,
+        B0 u = b10 u_x + b20 u_y,
 
     and the bottom trace operator (at y_strip = 1) is  B1 u = b21 u_y.
     ``alpha_floor`` is the pointwise ellipticity weight
@@ -151,7 +151,6 @@ class TransformedCoefficients:
     b10: np.ndarray
     b20: np.ndarray
     b21: np.ndarray
-    b11: np.ndarray
     alpha_floor: np.ndarray
     beta: np.ndarray       # 1 - y_strip, shape (ny,)
     w: np.ndarray          # per-component height nu + g, shape (nx, m)
@@ -179,11 +178,10 @@ def coefficients(profile, y_nodes):
     b10 = -profile.g_x
     b20 = -(1.0 + profile.g_x ** 2) / (profile.nu + profile.g)
     b21 = 1.0 / (profile.nu + profile.g)
-    b11 = np.zeros_like(b10)
 
     return TransformedCoefficients(
         a12=a12, a22=a22, a2=a2,
-        b10=b10, b20=b20, b21=b21, b11=b11,
+        b10=b10, b20=b20, b21=b21,
         alpha_floor=alpha, beta=(1.0 - y),
         w=profile.nu + profile.g, w_x=profile.g_x, w_xx=profile.g_xx)
 

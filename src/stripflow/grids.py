@@ -102,20 +102,6 @@ def cheb_lobatto_01(ny):
     return y, -2.0 * D
 
 
-def cheb_quad_weights_01(ny):
-    """Clenshaw-Curtis weights on the ascending [0, 1] Lobatto grid."""
-    n = ny - 1
-    theta = np.pi * np.arange(ny) / n
-    w = np.zeros(ny)
-    v = np.ones(n - 1)
-    for kk in range(1, n // 2 + 1):
-        factor = 2.0 if 2 * kk != n else 1.0
-        v -= factor * np.cos(2.0 * kk * theta[1:-1]) / (4.0 * kk * kk - 1.0)
-    w[1:-1] = 2.0 * v / n
-    w[0] = w[-1] = 1.0 / (n * n - 1.0 + (n % 2))
-    return w[::-1] / 2.0  # reverse to ascending y, scale for interval length 1/2
-
-
 def partition_of_unity(x, L, n_pieces):
     """Smooth periodic partition of unity from raised-cosine bumps.
 

@@ -8,8 +8,7 @@ matrix Lambda(eta, mu) — the unique right-half-plane root of
     -a22 L^2 - 2i a12 eta L + (A + mu^2 + eta^2) = 0.
 
 Everything here is a function of that root: Dirichlet multiplier solves,
-multiplier-norm decay profiles, the inhomogeneous even-reflection splitting,
-and the parameter-graded coercivity probe.
+multiplier-norm decay profiles and the parameter-graded coercivity probe.
 
 Convention note: arrays are reconstructed with numpy's ifft (modes e^{+ikx}),
 under which the decaying transverse exponent for wavenumber k is
@@ -20,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from numpy.fft import fft, ifft, fft2, ifft2
+from numpy.fft import fft, ifft
 
-from .errors import EllipticityError, SolverError, SpectralValidationError
+from .errors import EllipticityError, SpectralValidationError
 from .grids import spectral_tail_fraction, torus_wavenumbers
 from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
 from .operator_core import SectorialOperator, matrix_sqrt
@@ -311,50 +310,6 @@ def default_depth(fc, factor=10.0):
     return factor / np.sqrt(1.0 + fc.mu ** 2 + max(lam_min, 0.0))
 
 
-def halfplane_inhomogeneous_solve(fc, V, psi, L, Y, mu_min=0.5):
-    """Even-reflection splitting for the inhomogeneous half-plane problem.
-
-    V holds source samples on the uniform grid y_j = j Y/(ny-1) (shape
-    (nx, ny, m)); the source is extended evenly across y = 0, the periodic
-    full-space problem is inverted mode-by-mode, and the boundary defect is
-    repaired with a Dirichlet multiplier solve so that the trace equals psi
-    exactly in the discrete transform.
-    """
-    if fc.mu < mu_min:
-        raise SolverError(
-            f"shift mu={fc.mu} below the coercivity threshold mu_min={mu_min}")
-    from .strip import StripField
-    V = np.asarray(V, dtype=complex)
-    if V.ndim == 2:
-        V = V[:, :, None]
-    nx, ny, m = V.shape
-    psi_vals = psi.values if hasattr(psi, "values") else np.asarray(psi, dtype=complex)
-    if psi_vals.ndim == 1:
-        psi_vals = psi_vals[:, None]
-    y = np.linspace(0.0, Y, ny)
-    dy = y[1] - y[0]
-
-    # Even extension across y=0 on the period 2Y (also even about y=Y,
-    # which only affects the already-truncated far field).
-    W = np.concatenate([V, V[:, ny - 2:0:-1, :]], axis=1)
-    n2 = W.shape[1]
-    xi1 = torus_wavenumbers(L, nx)
-    xi2 = 2.0 * np.pi * np.fft.fftfreq(n2, d=dy)
-    What = fft2(W, axes=(0, 1))
-    p = (xi1[:, None] ** 2 + 2.0 * fc.a12 * xi1[:, None] * xi2[None, :]
-         + fc.a22 * xi2[None, :] ** 2)
-    blocks = fc.A.entries[None, :, :] + (
-        (p + fc.mu ** 2).reshape(-1)[:, None, None] * np.eye(m))
-    solved = np.linalg.solve(blocks, What.reshape(-1, m))
-    u1 = ifft2(solved.reshape(nx, n2, m), axes=(0, 1))[:, :ny, :]
-
-    defect = psi_vals - u1[:, 0, :]
-    u2 = halfplane_dirichlet_solve(fc, defect, y, L=L)
-    out = StripField(x=np.arange(nx) * (L / nx), y=y, L=L,
-                     values=u1 + u2.values)
-    return out
-
-
 @dataclass
 class CoercivityRow:
     mu: float
@@ -380,6 +335,26 @@ class CoercivityReport:
         return cls(rows=rows, max_ratio=float(max_ratio), mu_spread=float(spread))
 
 
+def _graded_probe_norms(fields, psi, A, x, y, L, alpha, mu):
+    """The two sides shared by the coercivity probes.
+
+    Returns the six-term mu-graded solution norm of the derivative fields
+    (keys u, ux, uxx, uxy, uyy, au) and the norm of the Dirichlet datum
+    psi: Dirichlet data live in the A-graded second-order trace space,
+    mu-graded x-derivatives plus the coupling-operator part, so the ratio
+    carries the same currencies on both sides.
+    """
+    def xn(arr):
+        return scaled_field_norm(arr, x, y, L, alpha, mu)
+
+    lhs = (mu ** 2 * xn(fields["u"]) + mu * xn(fields["ux"])
+           + 2.0 * xn(fields["uxx"]) + 2.0 * xn(fields["uxy"])
+           + xn(fields["uyy"]) + xn(fields["au"]))
+    data = (graded_trace_norm(psi, L, alpha, mu, order=2)
+            + trace_xnorm(psi @ A.T, L, alpha, mu))
+    return lhs, data
+
+
 def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5, ny=40):
     """Parameter-graded ratio probe for the half-plane Dirichlet estimate.
 
@@ -403,7 +378,7 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5, ny=40):
             Yd = default_depth(fcm)
             y = np.linspace(0.0, Yd, ny)
             fields = {name: np.empty((nx, ny, m), dtype=complex)
-                      for name in ("u", "ux", "uxx", "uy", "uyy", "uxy", "au")}
+                      for name in ("u", "ux", "uxx", "uyy", "uxy", "au")}
             for i, k in enumerate(ks):
                 gen = decay_generator(fcm, -k)
                 stack = _ModeExp(gen.Lambda).at(y)           # (ny, m, m)
@@ -414,22 +389,14 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5, ny=40):
                 fields["u"][i] = uh
                 fields["ux"][i] = 1j * k * uh
                 fields["uxx"][i] = -(k ** 2) * uh
-                fields["uy"][i] = uyh
                 fields["uxy"][i] = 1j * k * uyh
                 fields["uyy"][i] = uyyh
                 fields["au"][i] = np.einsum("ij,yj->yi", A, uh)
             for name in fields:
                 fields[name] = ifft(fields[name], axis=0)
-            x = np.arange(nx) * (L / nx)
-
-            def xn(arr):
-                return scaled_field_norm(arr, x, y, L, alpha, mu)
-
-            lhs = (mu ** 2 * xn(fields["u"]) + mu * xn(fields["ux"])
-                   + 2.0 * xn(fields["uxx"]) + 2.0 * xn(fields["uxy"])
-                   + xn(fields["uyy"]) + xn(fields["au"]))
-            rhs = (graded_trace_norm(vals, L, alpha, mu, order=2)
-                   + trace_xnorm(vals @ A.T, L, alpha, mu))
+            lhs, rhs = _graded_probe_norms(fields, vals, A,
+                                           np.arange(nx) * (L / nx), y, L,
+                                           alpha, mu)
             rows.append(CoercivityRow(mu=float(mu), data_index=data_index,
                                       lhs=float(lhs), rhs=float(rhs),
                                       ratio=float(lhs / rhs)))

@@ -109,15 +109,6 @@ def validate_sectorial(A, lam_samples=None):
                             len(np.atleast_1d(lam_samples)), msg)
 
 
-def require_sectorial(A, lam_samples=None):
-    """validate_sectorial, raising SpectralValidationError on failure."""
-    rep = validate_sectorial(A, lam_samples)
-    if not rep.passed:
-        raise SpectralValidationError(rep.message, witness=rep.witness,
-                                      worst_ratio=rep.worst_ratio)
-    return rep
-
-
 def resolvent(A, lam):
     """(A + lambda)^-1 with an explicit singularity guard."""
     shifted = A.entries + lam * np.eye(A.dim)

@@ -92,20 +92,20 @@ class StripField:
 class DiscreteStripOperator:
     """Collocation form of the flattened operator with boundary rows installed.
 
-    Interior rows carry (B(g) + mu^2); the row at y=0 carries either the
-    Dirichlet trace or the oblique boundary operator b10 d/dx + b20 d/dy,
-    and the row at y=1 always carries b21 d/dy (the transformed bottom
-    Neumann condition).
+    Interior rows carry (B(g) + mu^2); the row at y=0 carries the
+    Dirichlet trace, and the row at y=1 carries b21 d/dy (the transformed
+    bottom Neumann condition).
     """
 
-    def __init__(self, profile, A, mu, ny=33, bc0="dirichlet"):
-        if bc0 not in ("dirichlet", "oblique"):
-            raise ValueError(f"bc0 must be 'dirichlet' or 'oblique', got {bc0!r}")
+    # the y=0 row is always the Dirichlet trace; solver errors and the
+    # benchmark's solve keys name it
+    bc0 = "dirichlet"
+
+    def __init__(self, profile, A, mu, ny=33):
         self.profile = profile
         self.A_mat = A.entries if isinstance(A, SectorialOperator) else \
             np.atleast_2d(np.asarray(A, dtype=complex))
         self.mu = float(mu)
-        self.bc0 = bc0
         self.y, self.Dy = cheb_lobatto_01(ny)
         self.Dy2 = self.Dy @ self.Dy
         self.coeffs = coefficients(profile, self.y)
@@ -142,10 +142,7 @@ class DiscreteStripOperator:
         au = u @ self.A_mat.T
         out = (-u_xx - 2.0 * c.a12 * u_xy - c.a22 * u_yy + c.a2 * u_y
                + au + self.mu ** 2 * u)
-        if self.bc0 == "dirichlet":
-            out[:, 0, :] = u[:, 0, :]
-        else:
-            out[:, 0, :] = c.b10 * u_x[:, 0, :] + c.b20 * u_y[:, 0, :]
+        out[:, 0, :] = u[:, 0, :]
         out[:, -1, :] = c.b21 * u_y[:, -1, :]
         return out
 
@@ -175,9 +172,7 @@ class DiscreteStripOperator:
         a12b = c.a12.mean(axis=0)      # (ny, m)
         a22b = c.a22.mean(axis=0)
         a2b = c.a2.mean(axis=0)
-        b10b = c.b10.mean(axis=0)      # (m,)
-        b20b = c.b20.mean(axis=0)
-        b21b = c.b21.mean(axis=0)
+        b21b = c.b21.mean(axis=0)      # (m,)
         eyeY = np.eye(ny)
         base = np.zeros((nx, ny, m, ny, m), dtype=complex)
         for comp in range(m):
@@ -195,11 +190,7 @@ class DiscreteStripOperator:
         base[:, 0, :, :, :] = 0.0
         base[:, -1, :, :, :] = 0.0
         for comp in range(m):
-            if self.bc0 == "dirichlet":
-                base[:, 0, comp, 0, comp] = 1.0
-            else:
-                base[:, 0, comp, :, comp] = b20b[comp] * self.Dy[0][None, :]
-                base[:, 0, comp, 0, comp] += b10b[comp] * self.ik_odd
+            base[:, 0, comp, 0, comp] = 1.0
             base[:, -1, comp, :, comp] = b21b[comp] * self.Dy[-1][None, :]
         nym = ny * m
         self._minv = np.linalg.inv(base.reshape(nx, nym, nym))
@@ -269,21 +260,15 @@ class DiscreteStripOperator:
         return fld
 
 
-def assemble(profile, A, mu, ny=33, bc0="dirichlet"):
+def assemble(profile, A, mu, ny=33):
     """Build the discrete strip operator (ellipticity is re-audited here)."""
-    return DiscreteStripOperator(profile, A, mu, ny=ny, bc0=bc0)
+    return DiscreteStripOperator(profile, A, mu, ny=ny)
 
 
 def solve_K(profile, A, mu, psi, ny=33, rtol=1e-11):
     """Dirichlet-data solve: (B+mu^2)u = 0, trace(y=0) = psi, bottom flux 0."""
-    op = assemble(profile, A, mu, ny=ny, bc0="dirichlet")
+    op = assemble(profile, A, mu, ny=ny)
     return op.solve(psi0=psi, rtol=rtol)
-
-
-def solve_S(profile, A, mu, F, ny=33, rtol=1e-11):
-    """Source solve: (B+mu^2)w = F, zero trace at y=0, zero bottom flux."""
-    op = assemble(profile, A, mu, ny=ny, bc0="dirichlet")
-    return op.solve(F=F, rtol=rtol)
 
 
 def b0_trace(coeffs, fld):
@@ -291,11 +276,6 @@ def b0_trace(coeffs, fld):
     tr = fld.trace0()
     tr_x = spectral_derivative(tr, fld.L, 1, axis=0)
     return coeffs.b10 * tr_x + coeffs.b20 * fld.dy_trace0()
-
-
-def b1_trace(coeffs, fld):
-    """Bottom read-out at y=1: b21 d/dy of the field."""
-    return coeffs.b21 * fld.dy_trace1()
 
 
 def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
@@ -308,40 +288,29 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
     in mu-scaled Hölder norms against the mu-graded data norms; see
     coercivity_probe_59 for why the grading is the meaningful discrete form.
     """
-    from .model import CoercivityReport, CoercivityRow
+    from .model import CoercivityReport, CoercivityRow, _graded_probe_norms
     from .operator_core import matrix_sqrt
     rows = []
     sqrt_A = None
     for mu in mu_list:
-        op = assemble(profile, A, mu, ny=ny, bc0="dirichlet")
+        op = assemble(profile, A, mu, ny=ny)
         if sqrt_A is None:
             sqrt_A = matrix_sqrt(op.A_mat)
         for data_index, (F, psi0, psi1) in enumerate(ensemble):
             fld = op.solve(F=F, psi0=psi0, psi1=psi1, rtol=rtol)
-            u = fld.values
             u_x = fld.dx(1)
-            u_xx = fld.dx(2)
-            u_y = fld.dy(1)
-            u_yy = fld.dy(2)
-            u_xy = np.einsum("jl,xlc->xjc", op.Dy, u_x)
-            au = u @ op.A_mat.T
-
-            def xn(arr):
-                return scaled_field_norm(arr, fld.x, fld.y, fld.L, alpha, mu)
-
-            lhs = (mu ** 2 * xn(u) + mu * xn(u_x) + 2.0 * xn(u_xx)
-                   + 2.0 * xn(u_xy) + xn(u_yy) + xn(au))
-            rhs = 0.0
-            if F is not None:
-                rhs += xn(np.asarray(F, dtype=complex).reshape(u.shape))
+            fields = {"u": fld.values, "ux": u_x, "uxx": fld.dx(2),
+                      "uxy": np.einsum("jl,xlc->xjc", op.Dy, u_x),
+                      "uyy": fld.dy(2), "au": fld.values @ op.A_mat.T}
             z = np.zeros((profile.nx, profile.m), dtype=complex)
             p0 = z if psi0 is None else np.asarray(psi0, dtype=complex)
             p1 = z if psi1 is None else np.asarray(psi1, dtype=complex)
-            # Dirichlet data live in the A-graded second-order trace space:
-            # mu-graded x-derivatives plus the coupling-operator part, so the
-            # ratio carries the same currencies on both sides.
-            rhs += graded_trace_norm(p0, profile.L, alpha, mu, order=2)
-            rhs += trace_xnorm(p0 @ op.A_mat.T, profile.L, alpha, mu)
+            lhs, rhs = _graded_probe_norms(fields, p0, op.A_mat, fld.x,
+                                           fld.y, fld.L, alpha, mu)
+            if F is not None:
+                rhs += scaled_field_norm(
+                    np.asarray(F, dtype=complex).reshape(fld.values.shape),
+                    fld.x, fld.y, fld.L, alpha, mu)
             weighted_p1 = (profile.nu + profile.g) * (
                 p1 if p1.ndim == 2 else p1[:, None])
             rhs += graded_trace_norm(weighted_p1, profile.L, alpha, mu, order=1)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, torus_x
+from stripflow.dtn import admissibility
 from stripflow.errors import AdmissibilityError
 from stripflow.geometry import InterfaceProfile
 from stripflow.operator_core import SectorialOperator
+from stripflow.strip import DiscreteStripOperator
 from stripflow.stepper import (
     STATUS_BOUNDARY,
     STATUS_COMPLETED,
@@ -71,8 +73,11 @@ def test_step_rejects_bad_profile(A1):
     g = np.full((32, 1), 5.0, dtype=complex)
     p = InterfaceProfile(1.0, L, g)
     cfg = small_cfg()
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError) as exc:
         evolve(p, A4, cfg)
+    # the gate reads the same margin the admissibility report states
+    assert exc.value.margin == admissibility(p, A4, mu=cfg.mu_solve,
+                                             ny=cfg.ny).margin
 
 
 # ----------------------------------------------------------------- evolve
@@ -146,6 +151,25 @@ def test_evolve_boundary_breakdown_stops_early(A1):
     assert traj.status != STATUS_NORM_BLOWUP
     assert traj.diagnostics[-1].status == STATUS_BOUNDARY
     assert len(traj.times) >= 1
+
+
+def test_evolve_solves_initial_profile_once(A1, monkeypatch):
+    """Gate, margin and first step share one K(g)g solve: a run that stops
+    at t = 0 makes exactly one strip solve."""
+    calls = []
+    solve = DiscreteStripOperator.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteStripOperator, "solve", counted)
+    p0 = make_profile(nx=32, amp=1e-3, mode=1)
+    cfg = small_cfg(ny=9, breakdown_norm_cap=1e6, boundary_margin_floor=1e6)
+    traj = evolve(p0, A1, cfg)
+    assert traj.status == STATUS_BOUNDARY
+    assert traj.times == [0.0]
+    assert len(calls) == 1
 
 
 def test_evolve_norm_breakdown(A1):

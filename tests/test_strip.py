@@ -7,7 +7,7 @@ from conftest import make_profile, torus_x
 from stripflow.errors import SolverError
 from stripflow.geometry import coefficients
 from stripflow.operator_core import SectorialOperator
-from stripflow.strip import assemble, b0_trace, b1_trace, solve_K
+from stripflow.strip import assemble, b0_trace, solve_K
 
 L = 16 * np.pi
 
@@ -82,16 +82,6 @@ def test_bottom_neumann_enforced(A1):
     psi = (0.3 * np.cos(2 * np.pi * x / L)).astype(complex)[:, None]
     fld = solve_K(p, A1, 2.0, psi, ny=17)
     assert np.max(np.abs(fld.dy_trace1())) < 1e-9
-
-
-def test_bottom_readout_scaling(A1):
-    # b1 divides the bottom gradient by the local depth; flat depth is nu
-    p = make_profile(nx=32, amp=0.0)
-    c = coefficients(p, np.zeros(1))
-    x = torus_x(32)
-    psi = np.cos(2 * np.pi * x / L).astype(complex)[:, None]
-    fld = solve_K(p, A1, 2.0, psi, ny=17)
-    assert np.allclose(b1_trace(c, fld), fld.dy_trace1(), atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
