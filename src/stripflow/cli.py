@@ -30,7 +30,14 @@ MODES = ("evolve", "diagnose-frozen", "diagnose-coercivity",
 
 
 def _apply_thread_cap(deterministic):
-    """Honor STRIPFLOW_THREADS (and clamp to one thread when deterministic)."""
+    """Honor STRIPFLOW_THREADS (and clamp to one thread when deterministic).
+
+    The cap goes through threadpoolctl when it is installed; without it
+    this is a no-op.  numpy has loaded its BLAS by the time this runs, so
+    setting OMP_NUM_THREADS / OPENBLAS_NUM_THREADS here would change
+    nothing: for single-threaded BLAS without threadpoolctl, the caller
+    sets those variables before starting the process.
+    """
     cap = os.environ.get("STRIPFLOW_THREADS")
     limit = None
     if cap is not None:
@@ -43,14 +50,11 @@ def _apply_thread_cap(deterministic):
         limit = 1
     if limit is None:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(limit))
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=limit)
     except ImportError:
-        pass
+        return
+    threadpoolctl.threadpool_limits(limits=limit)
 
 
 def _build_parser():
@@ -68,7 +72,8 @@ def _build_parser():
     run_p.add_argument("--out", default=None,
                        help="output directory (default: scenario's setting)")
     run_p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded, zeroed wall-clock: "
+                       help="zeroed wall-clock, BLAS capped to one thread "
+                            "through threadpoolctl if installed: "
                             "byte-identical reruns")
     run_p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized diagnostic ensembles")

@@ -23,7 +23,7 @@ from .holder import (InterpNormEvaluator, InterpolationNormSpec,
 from .model import (FrozenCoefficients, strip_profile_response,
                     strip_trace_gradient_map)
 from .operator_core import SectorialOperator
-from .strip import StripField, assemble, b0_trace
+from .strip import StripField, assemble, b0_trace, cheb_apply
 
 
 @dataclass
@@ -109,7 +109,7 @@ class DtNOperator:
             p.g_x[:, None, :], p.g_xx[:, None, :], psi[:, None, :],
             spectral_derivative(psi, p.L, 1, axis=0)[:, None, :],
             spectral_derivative(psi, p.L, 2, axis=0)[:, None, :])
-        v_xy = np.einsum("jl,xlc->xjc", self.op.Dy, ups.dx(1))
+        v_xy = cheb_apply(self.op.Dy, ups.dx(1))
         return -2.0 * da12 * v_xy - da22 * ups.dy(2) + da2 * ups.dy(1)
 
     def boundary_derivative(self, psi):

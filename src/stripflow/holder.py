@@ -82,6 +82,33 @@ def _periodic_distance(x, L):
     return np.minimum(d, L - d)
 
 
+def _pair_norms(values, evaluator=None):
+    """E-norms of all node differences of (..., n, m) samples: (..., n, n).
+
+    The interpolation-norm weights are linear, so they are applied to the n
+    node values once and differenced afterwards; the Euclidean norm is the
+    one-weight case.  Squared norms are accumulated one real component at a
+    time, each a contiguous (..., T, n, n) block, and maximised over the T
+    weights before the single square root.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
+    w = values[..., None, :] if evaluator is None else evaluator.weighted(values)
+    # (..., n, T, m) complex -> (2m, ..., T, n) real components
+    comps = np.ascontiguousarray(
+        np.moveaxis(w.view(np.float64), (-1, -3), (0, -1)))
+    sq = sum(np.square(c[..., :, None] - c[..., None, :]) for c in comps)
+    return np.sqrt(np.max(sq, axis=-3))
+
+
+def _holder_ratios(values, dist, gamma, evaluator=None):
+    """Pair norms over dist**gamma; coincident nodes (the diagonal) read 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = _pair_norms(values, evaluator) / dist ** gamma
+    diag = np.arange(dist.shape[0])
+    ratio[..., diag, diag] = 0.0
+    return ratio
+
+
 def holder_seminorm(f, gamma, evaluator=None):
     """Exact max over node pairs of ||f(x)-f(y)||_E / |x-y|_per^gamma.
 
@@ -91,12 +118,8 @@ def holder_seminorm(f, gamma, evaluator=None):
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     vals = f.values
-    dist = _periodic_distance(f.grid, f.L)
-    diffs = vals[:, None, :] - vals[None, :, :]
-    num = _node_norms(diffs, evaluator)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / dist ** gamma
-    np.fill_diagonal(ratio, 0.0)
+    ratio = _holder_ratios(vals, _periodic_distance(f.grid, f.L), gamma,
+                           evaluator)
     idx = np.unravel_index(np.argmax(ratio), ratio.shape)
     semi = float(ratio[idx])
     sup = float(np.max(_node_norms(vals, evaluator)))
@@ -179,23 +202,10 @@ def scaled_field_norm(values, x, y, L, alpha, mu):
     mu grows even though the elliptic estimates hold uniformly.
     """
     values = np.asarray(values, dtype=complex)
-    node = np.linalg.norm(values, axis=-1)
-    sup = float(np.max(node))
+    sup = float(np.max(np.linalg.norm(values, axis=-1)))
     mu_eff = max(float(mu), 1.0)
-    dx = _periodic_distance(x, L)
-    semi_x = 0.0
-    for j in range(values.shape[1]):
-        diffs = np.linalg.norm(values[:, None, j, :] - values[None, :, j, :], axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = diffs / dx ** alpha
-        np.fill_diagonal(r, 0.0)
-        semi_x = max(semi_x, float(np.max(r)))
-    dy = np.abs(y[:, None] - y[None, :])
-    semi_y = 0.0
-    for i in range(values.shape[0]):
-        diffs = np.linalg.norm(values[i, :, None, :] - values[i, None, :, :], axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = diffs / dy ** alpha
-        np.fill_diagonal(r, 0.0)
-        semi_y = max(semi_y, float(np.max(r)))
-    return sup + (max(semi_x, semi_y)) / mu_eff ** alpha
+    semi_x = np.max(_holder_ratios(np.moveaxis(values, 1, 0),
+                                   _periodic_distance(x, L), alpha))
+    semi_y = np.max(_holder_ratios(values, np.abs(y[:, None] - y[None, :]),
+                                   alpha))
+    return sup + float(max(semi_x, semi_y)) / mu_eff ** alpha

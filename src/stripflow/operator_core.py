@@ -200,12 +200,23 @@ class InterpNormEvaluator:
             stack[i] = (t ** (1.0 - spec.theta)) * (mat @ scipy.linalg.expm(-t * mat))
         self.weights = stack
 
+    def weighted(self, values):
+        """Every weight matrix applied to every vector of an (..., m) array.
+
+        Returns (..., T, m).  The weights are linear, so differences of
+        weighted values are the weighted differences.
+        """
+        return np.tensordot(np.asarray(values, dtype=complex), self.weights,
+                            axes=(-1, -1))
+
     def of_values(self, values):
-        """Norm of every vector in an (..., m) array; returns (...) reals."""
-        values = np.asarray(values, dtype=complex)
-        # (..., m) x (T, m, m) -> (T, ..., m)
-        wu = np.einsum("tij,...j->t...i", self.weights, values)
-        return np.max(np.linalg.norm(wu, axis=-1), axis=0)
+        """Norm of every vector in an (..., m) array; returns (...) reals.
+
+        Squared norms are summed on the real view and maximised over the
+        weights before the single square root.
+        """
+        wu = self.weighted(values).view(np.float64)
+        return np.sqrt(np.max(np.einsum("...k,...k->...", wu, wu), axis=-1))
 
     def of_vector(self, u):
         return float(self.of_values(np.asarray(u, dtype=complex)))

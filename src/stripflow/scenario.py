@@ -13,6 +13,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import shutil
 import tempfile
@@ -51,7 +52,8 @@ def safe_eval(expr, variables=None):
 
     Supports numbers, + - * / ** and the elementary functions; names are
     limited to pi/e/j1 plus caller-provided variables.  Anything else is a
-    scenario error, never an execution.
+    scenario error, never an execution, and so is a power whose exponent
+    exceeds 1000 in magnitude or whose value overflows.
     """
     names = dict(_SAFE_NAMES)
     if variables:
@@ -81,7 +83,58 @@ def safe_eval(expr, variables=None):
                 f"expression {expr!r} references unknown name {node.id!r}")
     env = dict(names)
     env.update(_SAFE_FUNCS)
-    return eval(compile(tree, "<scenario>", "eval"), {"__builtins__": {}}, env)
+    return _evaluate(tree.body, env, expr)
+
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+# no scenario quantity needs a larger power; the bound also keeps a chain
+# like 9**9**9 from building a multi-gigabit integer
+_MAX_EXPONENT = 1000.0
+
+
+def _evaluate(node, env, expr):
+    """Evaluate a tree that safe_eval has checked against its whitelist."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return _UNARY[type(node.op)](_evaluate(node.operand, env, expr))
+    if isinstance(node, ast.Call):
+        return env[node.func.id](*(_evaluate(a, env, expr)
+                                   for a in node.args))
+    left = _evaluate(node.left, env, expr)
+    right = _evaluate(node.right, env, expr)
+    if isinstance(node.op, ast.Pow):
+        return _bounded_pow(left, right, expr)
+    return _BINARY[type(node.op)](left, right)
+
+
+def _bounded_pow(base, exponent, expr):
+    """base ** exponent in floating point, refused when out of range.
+
+    Python integers are promoted to float first, so a large power overflows
+    at once instead of growing an arbitrary-precision integer.
+    """
+    if not np.all(np.abs(exponent) <= _MAX_EXPONENT):
+        raise ScenarioError(
+            f"expression {expr!r} raises to a power beyond "
+            f"{_MAX_EXPONENT:g} in magnitude")
+    try:
+        if isinstance(base, int):
+            base = float(base)
+        if isinstance(exponent, int):
+            exponent = float(exponent)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = base ** exponent
+    except (OverflowError, ZeroDivisionError):
+        out = np.inf
+    if not np.all(np.isfinite(out)):
+        raise ScenarioError(
+            f"expression {expr!r} has a power whose value is out of range")
+    return out
 
 
 def parse_scenario_text(text, path="<string>"):
@@ -549,12 +602,23 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
                   newline="\n") as fh:
             fh.write(manifest.to_json())
             fh.write("\n")
+        # the previous output is renamed aside, not deleted, until the new
+        # one is in place: a crash between the renames loses neither
+        previous = None
         if os.path.isdir(target):
-            shutil.rmtree(target)
-        os.rename(tmp, target)
+            previous = tmp + "-previous"
+            os.rename(target, previous)
+        try:
+            os.rename(tmp, target)
+        except BaseException:
+            if previous is not None:
+                os.rename(previous, target)
+            raise
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    if previous is not None:
+        shutil.rmtree(previous, ignore_errors=True)
     return manifest, status
 
 

@@ -23,6 +23,21 @@ from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
 from .operator_core import SectorialOperator
 
 
+def cheb_apply(D, u):
+    """Contract the real matrix D with the y axis (axis 1) of samples u.
+
+    u has shape (nx, ny, ...); the result has shape (nx, D.shape[0], ...).
+    The contraction runs as one real GEMM of D against the (ny, nx*...)
+    layout with real and imaginary parts side by side.  It is faster and
+    more accurate than an einsum or a per-x batched matvec (``D @ u``
+    broadcast over x); the latter carries enough extra round-off into
+    Dy^2 u to stall the strip solve at large amplitude.
+    """
+    ut = np.ascontiguousarray(np.moveaxis(u, 1, 0), dtype=complex)
+    out = D @ ut.view(np.float64).reshape(ut.shape[0], -1)
+    return np.moveaxis(out.view(complex).reshape((-1,) + ut.shape[1:]), 0, 1)
+
+
 @dataclass
 class StripField:
     """E-valued samples on the tensor grid of the strip.
@@ -69,7 +84,7 @@ class StripField:
             raise ValueError("no differentiation matrix attached to this field")
         out = self.values
         for _ in range(order):
-            out = np.einsum("jl,xlc->xjc", self.Dy, out)
+            out = cheb_apply(self.Dy, out)
         return out
 
     def trace0(self):
@@ -81,12 +96,12 @@ class StripField:
     def dy_trace0(self):
         if self.Dy is None:
             raise ValueError("no differentiation matrix attached to this field")
-        return np.einsum("l,xlc->xc", self.Dy[0], self.values)
+        return cheb_apply(self.Dy[:1], self.values)[:, 0]
 
     def dy_trace1(self):
         if self.Dy is None:
             raise ValueError("no differentiation matrix attached to this field")
-        return np.einsum("l,xlc->xc", self.Dy[-1], self.values)
+        return cheb_apply(self.Dy[-1:], self.values)[:, 0]
 
 
 class DiscreteStripOperator:
@@ -136,9 +151,9 @@ class DiscreteStripOperator:
         uhat = fft(u, axis=0)
         u_x = ifft(uhat * self.ik_odd[:, None, None], axis=0)
         u_xx = ifft(uhat * self.ik2[:, None, None], axis=0)
-        u_y = np.einsum("jl,xlc->xjc", self.Dy, u)
-        u_yy = np.einsum("jl,xlc->xjc", self.Dy2, u)
-        u_xy = np.einsum("jl,xlc->xjc", self.Dy, u_x)
+        u_y = cheb_apply(self.Dy, u)
+        u_yy = cheb_apply(self.Dy2, u)
+        u_xy = cheb_apply(self.Dy, u_x)
         au = u @ self.A_mat.T
         out = (-u_xx - 2.0 * c.a12 * u_xy - c.a22 * u_yy + c.a2 * u_y
                + au + self.mu ** 2 * u)
@@ -200,7 +215,7 @@ class DiscreteStripOperator:
             self._build_preconditioner()
         r = v.reshape(self.shape_full)
         rhat = fft(r, axis=0).reshape(self.nx, self.ny * self.m)
-        z = np.einsum("kab,kb->ka", self._minv, rhat)
+        z = np.matmul(self._minv, rhat[..., None])[..., 0]
         return ifft(z.reshape(self.shape_full), axis=0).ravel()
 
     # -- solve ---------------------------------------------------------------
@@ -213,6 +228,11 @@ class DiscreteStripOperator:
     def solve(self, F=None, psi0=None, psi1=None, rtol=1e-11, restart=160,
               maxiter=10):
         b = self.rhs(F=F, psi0=psi0, psi1=psi1)
+        if not np.all(np.isfinite(b)):
+            raise SolverError(
+                f"strip solve data has {np.count_nonzero(~np.isfinite(b))} "
+                f"non-finite entries (mu={self.mu}, bc0={self.bc0})",
+                iterations=0)
         if not np.any(b):
             fld = StripField(x=self.profile.x, y=self.y, L=self.L,
                              values=np.zeros(self.shape_full, dtype=complex),
@@ -300,7 +320,7 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
             fld = op.solve(F=F, psi0=psi0, psi1=psi1, rtol=rtol)
             u_x = fld.dx(1)
             fields = {"u": fld.values, "ux": u_x, "uxx": fld.dx(2),
-                      "uxy": np.einsum("jl,xlc->xjc", op.Dy, u_x),
+                      "uxy": cheb_apply(op.Dy, u_x),
                       "uyy": fld.dy(2), "au": fld.values @ op.A_mat.T}
             z = np.zeros((profile.nx, profile.m), dtype=complex)
             p0 = z if psi0 is None else np.asarray(psi0, dtype=complex)

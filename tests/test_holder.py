@@ -9,9 +9,11 @@ from stripflow.holder import (
     h2alpha_norm,
     h_alpha_norm,
     holder_seminorm,
+    scaled_field_norm,
     spectral_derivative,
 )
-from stripflow.operator_core import SectorialOperator
+from stripflow.operator_core import (InterpNormEvaluator,
+                                     InterpolationNormSpec, SectorialOperator)
 
 L = 16 * np.pi
 
@@ -114,3 +116,56 @@ def test_coupled_norm_uses_interpolation_grading():
     assert np.isfinite(n) and n > 0
     g = SampledFunction(L, 3.0 * vals.astype(complex))
     assert h1alpha_norm(g, 0.5, A=A) == pytest.approx(3.0 * n, rel=1e-10)
+
+
+def _pair_norm(u, evaluator):
+    if evaluator is None:
+        return np.sqrt(np.sum(np.abs(u) ** 2))
+    return max(np.sqrt(np.sum(np.abs(W @ u) ** 2)) for W in evaluator.weights)
+
+
+def _brute_seminorm(vals, dist, gamma, evaluator=None):
+    """Per-pair loop reference: max ratio and its first maximizing pair."""
+    best, pair = 0.0, (0, 0)
+    n = vals.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                r = _pair_norm(vals[i] - vals[j], evaluator) / dist[i, j] ** gamma
+                if r > best:
+                    best, pair = r, (i, j)
+    return best, pair
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("graded", [False, True])
+def test_pair_kernels_match_per_pair_loop(m, graded):
+    """holder_seminorm and scaled_field_norm against an explicit loop over
+    node pairs, witness pair included."""
+    rng = np.random.default_rng(5 + m)
+    nx, ny = 32, 9
+    A = np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m]
+    evaluator = (InterpNormEvaluator(A, InterpolationNormSpec(theta=0.5))
+                 if graded else None)
+    vals = rng.standard_normal((nx, m)) + 1j * rng.standard_normal((nx, m))
+    f = sampled(vals)
+    rep = holder_seminorm(f, 0.5, evaluator)
+    x = f.grid
+    d = np.abs(x[:, None] - x[None, :])
+    semi, (i, j) = _brute_seminorm(vals, np.minimum(d, L - d), 0.5, evaluator)
+    assert rep.seminorm == pytest.approx(semi, rel=1e-14)
+    assert rep.witness_pair == (x[i], x[j])
+    if graded:
+        return
+    field = (rng.standard_normal((nx, ny, m))
+             + 1j * rng.standard_normal((nx, ny, m)))
+    y = np.linspace(0.0, 1.0, ny) ** 2
+    mu = 3.0
+    semi_x = max(_brute_seminorm(field[:, c], np.minimum(d, L - d), 0.5)[0]
+                 for c in range(ny))
+    semi_y = max(_brute_seminorm(field[r], np.abs(y[:, None] - y[None, :]),
+                                 0.5)[0] for r in range(nx))
+    expected = (np.max(np.linalg.norm(field, axis=-1))
+                + max(semi_x, semi_y) / mu ** 0.5)
+    assert scaled_field_norm(field, x, y, L, 0.5, mu) == pytest.approx(
+        expected, rel=1e-14)

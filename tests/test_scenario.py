@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ def test_safe_eval_rejects_unknown_names():
 def test_safe_eval_rejects_strings():
     with pytest.raises(ScenarioError):
         safe_eval("'sh'", {})
+
+
+@pytest.mark.parametrize("expr", ["9**9**9", "(10**200)**2", "2**-2000"])
+def test_safe_eval_bounds_powers(expr):
+    """A tower of integer powers is refused at once instead of building an
+    arbitrary-precision integer."""
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError, match="power"):
+        safe_eval(expr, {})
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_safe_eval_powers_in_range():
+    assert safe_eval("2**10", {}) == 1024.0
+    assert safe_eval("(-2)**3 + 4**0.5", {}) == -6.0
+    x = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(safe_eval("x**2", {"x": x}), x ** 2)
 
 
 # ------------------------------------------------------------------ parsing
@@ -200,6 +218,32 @@ def test_run_is_atomic_on_failure(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run(scn, out_dir=out)
     assert not os.path.exists(out)
+
+
+def test_failed_replacement_keeps_previous_output(tmp_path, monkeypatch):
+    """If moving the new output into place fails, the previous output
+    directory is still there, unchanged."""
+    import stripflow.scenario as scn_mod
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    out = str(tmp_path / "run_out")
+    run(scn, out_dir=out)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run_out").iterdir()}
+    real_rename = os.rename
+    calls = []
+
+    def flaky_rename(src, dst):
+        calls.append((src, dst))
+        if len(calls) == 2:
+            raise OSError("rename failed")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(scn_mod.os, "rename", flaky_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        run(scn, out_dir=out)
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in (tmp_path / "run_out").iterdir()}
+    assert after == before
+    assert sorted(os.listdir(tmp_path)) == ["case.scn", "run_out"]
 
 
 def test_deterministic_run_zeroes_wall_clock(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_profile, torus_x
 from stripflow.errors import SolverError
-from stripflow.geometry import coefficients
+from stripflow.geometry import InterfaceProfile, coefficients
 from stripflow.operator_core import SectorialOperator
 from stripflow.strip import assemble, b0_trace, solve_K
 
@@ -88,8 +88,22 @@ def test_bottom_neumann_enforced(A1):
 def test_nan_data_raises_not_silently_returns(A1):
     p = make_profile(nx=32, amp=0.1)
     psi = np.full((32, 1), np.nan, dtype=complex)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="non-finite") as info:
         solve_K(p, A1, 4.0, psi, ny=9)
+    assert info.value.iterations == 0
+
+
+def test_large_amplitude_solve_stays_off_roundoff_floor(A1):
+    """At a = 0.5 the preconditioned solve converges in a few dozen
+    iterations; a y-contraction that carries more round-off into Dy^2 u
+    (a per-x batched matvec) stalls the same solve for hundreds."""
+    x = torus_x(128)
+    g = -0.5 * np.exp(np.cos(2 * np.pi * x / L) - 1.0)
+    p = InterfaceProfile(1.0, L, g)
+    op = assemble(p, A1, 0.0, ny=33)
+    op.solve(psi0=p.g)
+    assert op.last_iterations <= 60
+    assert op.last_residual <= 1e-9
 
 
 def test_assemble_exposes_operator_pieces(A1):
