@@ -7,9 +7,14 @@ solution.  Its Fréchet derivative splits into three computable pieces,
     dO(g) psi = B0(g) K(g) psi  +  dB0(g)[psi, v]  -  B0(g) S(g) dB(g)[psi, v],
 
 with v = K(g) g, where dB and dB0 differentiate the transformed coefficient
-fields along psi.  Freezing all coefficients at a boundary point turns each
-piece into a Fourier multiplier (O10, O20, O30); their sum O0 is the frozen
-model of dO and drives the sector/localization diagnostics.
+fields along psi.  K(g) and S(g) solve the same discrete strip problem with
+Dirichlet data and with an interior source, and both the right-hand side
+and the read-out B0 are linear, so the first and third pieces together cost
+one strip solve with data (-dB, psi); only the piecewise report
+(derivative_terms, whose pieces localization weights by t) solves twice.
+Freezing all coefficients at a boundary point turns each piece into a
+Fourier multiplier (O10, O20, O30); their sum O0 is the frozen model of dO
+and drives the sector/localization diagnostics.
 """
 
 from dataclasses import dataclass
@@ -70,6 +75,12 @@ class DtNOperator:
     the source solve (S) and the boundary read-out all share one discrete
     operator and preconditioner, so repeated derivative applications (e.g.
     inside an implicit time step) reuse the factorized mode blocks.
+    derivative() makes one strip solve per direction: K psi and S dB solve
+    the same discrete problem, whose right-hand side is linear in the
+    Dirichlet data and the interior source, and B0 is linear, so their
+    read-outs combine into that of one solve.  derivative_terms() keeps the
+    two solves apart because localization_residual weights the pieces
+    separately (by t).
     """
 
     def __init__(self, profile, A, mu, ny=33, rtol=1e-11):
@@ -125,7 +136,7 @@ class DtNOperator:
                 + ((1.0 + gx ** 2) * psi / w ** 2 - 2.0 * gx * ps_x / w) * tr_y)
 
     def derivative_terms(self, psi):
-        """The three pieces of dO(g) psi, in formula order."""
+        """The three pieces of dO(g) psi, in formula order (two solves)."""
         psi = _as_direction(self.profile, psi)
         k_piece = b0_trace(self.coeffs, self.op.solve(psi0=psi, rtol=self.rtol))
         b0_piece = self.boundary_derivative(psi)
@@ -134,8 +145,12 @@ class DtNOperator:
         return k_piece, b0_piece, s_piece
 
     def derivative(self, psi):
-        t1, t2, t3 = self.derivative_terms(psi)
-        return t1 + t2 + t3
+        """dO(g) psi: B0 K psi - B0 S dB read off one strip solve with data
+        (F, psi0) = (-dB, psi), plus dB0."""
+        psi = _as_direction(self.profile, psi)
+        fld = self.op.solve(F=-self.interior_derivative_source(psi), psi0=psi,
+                            rtol=self.rtol)
+        return b0_trace(self.coeffs, fld) + self.boundary_derivative(psi)
 
     # -- reports on the solved field -----------------------------------------
 

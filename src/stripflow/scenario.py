@@ -52,8 +52,10 @@ def safe_eval(expr, variables=None):
 
     Supports numbers, + - * / ** and the elementary functions; names are
     limited to pi/e/j1 plus caller-provided variables.  Anything else is a
-    scenario error, never an execution, and so is a power whose exponent
-    exceeds 1000 in magnitude or whose value overflows.
+    scenario error, never an execution, and so is a division by zero or a
+    power whose exponent exceeds 1000 in magnitude or whose value
+    overflows.  Other non-finite values (x/0 over an array, log(0)) are
+    returned as they are; the scenario fields refuse them.
     """
     names = dict(_SAFE_NAMES)
     if variables:
@@ -83,7 +85,8 @@ def safe_eval(expr, variables=None):
                 f"expression {expr!r} references unknown name {node.id!r}")
     env = dict(names)
     env.update(_SAFE_FUNCS)
-    return _evaluate(tree.body, env, expr)
+    with np.errstate(all="ignore"):
+        return _evaluate(tree.body, env, expr)
 
 
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -103,13 +106,28 @@ def _evaluate(node, env, expr):
     if isinstance(node, ast.UnaryOp):
         return _UNARY[type(node.op)](_evaluate(node.operand, env, expr))
     if isinstance(node, ast.Call):
-        return env[node.func.id](*(_evaluate(a, env, expr)
-                                   for a in node.args))
+        # every whitelisted function takes one argument; a second one
+        # would be a ufunc's output array, written in place
+        args = [_evaluate(a, env, expr) for a in node.args]
+        if len(args) != 1:
+            raise ScenarioError(f"expression {expr!r} calls {node.func.id} "
+                                f"with {len(args)} arguments, not 1")
+        try:
+            return env[node.func.id](args[0])
+        except TypeError:     # e.g. an integer beyond int64
+            raise ScenarioError(f"expression {expr!r} calls {node.func.id} "
+                                f"on a value it cannot take") from None
     left = _evaluate(node.left, env, expr)
     right = _evaluate(node.right, env, expr)
     if isinstance(node.op, ast.Pow):
         return _bounded_pow(left, right, expr)
-    return _BINARY[type(node.op)](left, right)
+    try:
+        return _BINARY[type(node.op)](left, right)
+    except ZeroDivisionError:
+        raise ScenarioError(f"expression {expr!r} divides by zero") from None
+    except OverflowError:
+        raise ScenarioError(
+            f"expression {expr!r} has a value out of range") from None
 
 
 def _bounded_pow(base, exponent, expr):
@@ -127,8 +145,7 @@ def _bounded_pow(base, exponent, expr):
             base = float(base)
         if isinstance(exponent, int):
             exponent = float(exponent)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = base ** exponent
+        out = base ** exponent
     except (OverflowError, ZeroDivisionError):
         out = np.inf
     if not np.all(np.isfinite(out)):
@@ -177,7 +194,8 @@ def parse_scenario_text(text, path="<string>"):
 def _parse_matrix(raw, path, section, key):
     rows = []
     for chunk in raw.split(";"):
-        vals = [float(safe_eval(v)) for v in chunk.split()]
+        vals = [float(_eval_field(v, path, section, key))
+                for v in chunk.split()]
         if not vals:
             raise ScenarioError("empty matrix row", path=path,
                                 section=section, key=key)
@@ -274,16 +292,26 @@ def _get(sections, section, key, path, default=None, required=True):
     return sec[key]
 
 
+def _eval_field(expr, path, section, key, variables=None):
+    """safe_eval for a scenario field: errors name the field, and a value
+    that is not finite everywhere is refused."""
+    try:
+        val = safe_eval(expr, variables)
+    except ScenarioError as exc:
+        raise ScenarioError(str(exc), path=path, section=section, key=key)
+    if not np.all(np.isfinite(val)):
+        raise ScenarioError(f"{expr!r} is not finite", path=path,
+                            section=section, key=key)
+    return val
+
+
 def _num(sections, section, key, path, default=None, required=True,
          integer=False):
     raw = _get(sections, section, key, path, default=default,
                required=required)
     if raw is None or not isinstance(raw, str):
         return raw
-    try:
-        val = safe_eval(raw)
-    except ScenarioError as exc:
-        raise ScenarioError(str(exc), path=path, section=section, key=key)
+    val = _eval_field(raw, path, section, key)
     if integer:
         ival = int(round(float(np.real(val))))
         if abs(ival - val) > 1e-12:
@@ -311,7 +339,8 @@ def _initial_values(sections, path, m, nx, L, nu, x):
                 path=path, section="initial", key="g0")
         cols = []
         for expr in parts:
-            val = safe_eval(expr, {"x": x, "L": L, "nu": nu})
+            val = _eval_field(expr, path, "initial", "g0",
+                              {"x": x, "L": L, "nu": nu})
             cols.append(np.broadcast_to(np.asarray(val, dtype=complex),
                                         (nx,)).copy())
         return np.stack(cols, axis=1), sec["g0"]
@@ -321,7 +350,8 @@ def _initial_values(sections, path, m, nx, L, nu, x):
     if all(k in sec for k in table_keys):
         cols = []
         for k in table_keys:
-            vals = [complex(safe_eval(v)) for v in sec[k].split()]
+            vals = [complex(_eval_field(v, path, "initial", k))
+                    for v in sec[k].split()]
             if len(vals) != nx:
                 raise ScenarioError(
                     f"table has {len(vals)} entries, expected nx = {nx}",

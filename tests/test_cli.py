@@ -78,6 +78,22 @@ def test_validate_malformed_scenario(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("g0 = 0.001*sin(2*pi*x/L)", "g0 = 1/0"),
+    ("g0 = 0.001*sin(2*pi*x/L)", "g0 = x/0"),
+    ("g0 = 0.001*sin(2*pi*x/L)", "g0 = log(0*x)"),
+    ("g0 = 0.001*sin(2*pi*x/L)", "g0 = exp(1000)*x"),
+    ("nu = 1.0", "nu = 1.0/0"),
+])
+def test_validate_non_finite_arithmetic_exit_code(tmp_path, capsys, old, new):
+    """Arithmetic that divides by zero or leaves the double range is a
+    validation failure (exit 2), not an internal error."""
+    from stripflow import cli
+    path = write(tmp_path, FAST.replace(old, new))
+    assert cli.main(["validate", path]) == 2
+    assert "validation failure" in capsys.readouterr().err
+
+
 def test_run_completes_and_writes(tmp_path):
     path = write(tmp_path, FAST)
     res = invoke("run", path)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_profile, torus_x
 from stripflow.dtn import (
+    DtNOperator,
     admissibility,
     dtn_apply,
     dtn_derivative,
@@ -13,6 +14,7 @@ from stripflow.dtn import (
     localization_residual,
     sector_report,
 )
+from stripflow.strip import DiscreteStripOperator
 
 L = 16 * np.pi
 
@@ -68,6 +70,34 @@ def test_derivative_linear_in_direction(A1):
     d2 = dtn_derivative(p, A1, psi2, ny=17)
     d12 = dtn_derivative(p, A1, 2.0 * psi1 - 0.5 * psi2, ny=17)
     assert np.allclose(d12, 2.0 * d1 - 0.5 * d2, atol=1e-8)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_derivative_is_one_solve_of_the_summed_pieces(A1, A2, monkeypatch, m):
+    """dO(g) psi reads K psi - S dB off one strip solve; it equals the sum of
+    the separately solved pieces."""
+    nx = 64
+    x = torus_x(nx)
+    p = make_profile(nx=nx, amp=0.3, mode=1, m=m)
+    psi = np.cos(4 * np.pi * x / L).astype(complex)[:, None]
+    if m == 2:
+        # unequal components, so the coupling of A2 enters
+        p = p.with_g(p.g * np.array([1.0, 0.5]))
+        psi = np.hstack([psi, np.sin(2 * np.pi * x / L)[:, None]])
+    dtn = DtNOperator(p, A1 if m == 1 else A2, 4.0, ny=17)
+    dtn.upsilon()
+    calls = []
+    solve = DiscreteStripOperator.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteStripOperator, "solve", counted)
+    d = dtn.derivative(psi)
+    assert len(calls) == 1
+    expected = sum(dtn.derivative_terms(psi))
+    assert np.max(np.abs(d - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 def test_derivative_finite_difference_convergence(A1):

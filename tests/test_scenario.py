@@ -89,6 +89,21 @@ def test_safe_eval_bounds_powers(expr):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("expr", ["1/0", "1.0/0", "j1/0", "x/(2-2)"])
+def test_safe_eval_refuses_zero_division(expr):
+    with pytest.raises(ScenarioError, match="divides by zero"):
+        safe_eval(expr, {"x": 1.0})
+
+
+@pytest.mark.parametrize("expr", ["sin()", "exp(1, 2)", "sin(x, x)",
+                                  "sin(100000000000000000000)"])
+def test_safe_eval_refuses_bad_calls(expr):
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ScenarioError, match="calls"):
+        safe_eval(expr, {"x": x})
+    assert np.array_equal(x, np.linspace(0.0, 1.0, 5))
+
+
 def test_safe_eval_powers_in_range():
     assert safe_eval("2**10", {}) == 1024.0
     assert safe_eval("(-2)**3 + 4**0.5", {}) == -6.0
@@ -129,6 +144,29 @@ def test_bad_expression_rejected(tmp_path):
     text = MINIMAL.replace("g0 = 0.001*sin(2*pi*x/L)", "g0 = sin(")
     with pytest.raises(ScenarioError):
         load_scenario(write_scn(tmp_path, text))
+
+
+@pytest.mark.parametrize("key, line", [
+    ("g0", "g0 = x/0"),
+    ("g0", "g0 = log(0*x)"),
+    ("g0", "g0 = exp(1000)*x"),
+    ("nu", "nu = exp(1000)"),
+    ("A", "A = exp(1000)"),
+])
+def test_non_finite_values_rejected(tmp_path, key, line):
+    text = "\n".join(line if raw.startswith(f"{key} = ") else raw
+                     for raw in MINIMAL.splitlines())
+    with pytest.raises(ScenarioError, match="not finite") as exc:
+        load_scenario(write_scn(tmp_path, text))
+    assert exc.value.key == key
+
+
+def test_non_finite_table_entry_rejected(tmp_path):
+    table = " ".join(["0.0"] * 31 + ["exp(1000)"])
+    text = MINIMAL.replace("g0 = 0.001*sin(2*pi*x/L)", f"g0_table = {table}")
+    with pytest.raises(ScenarioError, match="not finite") as exc:
+        load_scenario(write_scn(tmp_path, text))
+    assert (exc.value.section, exc.value.key) == ("initial", "g0_table")
 
 
 def test_non_power_of_two_nx_rejected(tmp_path):

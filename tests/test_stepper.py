@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, torus_x
-from stripflow.dtn import admissibility
-from stripflow.errors import AdmissibilityError
+from stripflow.dtn import DtNOperator, admissibility
+from stripflow.errors import AdmissibilityError, SolverError
 from stripflow.geometry import InterfaceProfile
 from stripflow.operator_core import SectorialOperator
 from stripflow.strip import DiscreteStripOperator
@@ -16,6 +16,7 @@ from stripflow.stepper import (
     STATUS_NORM_BLOWUP,
     EvolutionConfig,
     Trajectory,
+    _step_core,
     detect_breakdown,
     evolve,
     reconstruct,
@@ -78,6 +79,46 @@ def test_step_rejects_bad_profile(A1):
     # the gate reads the same margin the admissibility report states
     assert exc.value.margin == admissibility(p, A4, mu=cfg.mu_solve,
                                              ny=cfg.ny).margin
+
+
+def _counted_derivative(monkeypatch, fake=None):
+    calls = []
+    derivative = DtNOperator.derivative
+
+    def counted(self, psi):
+        calls.append(1)
+        return derivative(self, psi) if fake is None else fake(psi)
+
+    monkeypatch.setattr(DtNOperator, "derivative", counted)
+    return calls
+
+
+def test_step_gate_reuses_the_closing_gmres_residual(A1, monkeypatch):
+    """Every dO application of a step is a GMRES iteration: there is no
+    start-up matvec, and the gate reads the true residual GMRES computed
+    for the returned solution instead of applying dO once more."""
+    p = make_profile(nx=64, amp=1e-3, mode=1)
+    dt, rtol = 0.02, 1e-10
+    dtn = DtNOperator(p, A1, 0.0, ny=17)
+    calls = _counted_derivative(monkeypatch)
+    sol, res, its = _step_core(dtn, dt, rtol)
+    assert its > 0
+    assert len(calls) == its
+    rhs = -dt * dtn.apply().value.values
+    again = sol + dt * dtn.derivative(sol)
+    expected = np.linalg.norm(again - rhs) / np.linalg.norm(rhs)
+    assert res == pytest.approx(expected, rel=1e-6)
+    assert res <= 100.0 * rtol
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_step_gate_refuses_non_finite_derivative(A1, monkeypatch):
+    p = make_profile(nx=32, amp=1e-3, mode=1)
+    dtn = DtNOperator(p, A1, 0.0, ny=9)
+    _counted_derivative(monkeypatch,
+                        fake=lambda psi: np.full(psi.shape, np.nan + 0j))
+    with pytest.raises(SolverError, match="implicit step"):
+        _step_core(dtn, 0.02, 1e-10)
 
 
 # ----------------------------------------------------------------- evolve
