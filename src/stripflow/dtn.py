@@ -74,7 +74,9 @@ class DtNOperator:
     admissibility report and the frozen symbols.  The Dirichlet solve (K),
     the source solve (S) and the boundary read-out all share one discrete
     operator and preconditioner, so repeated derivative applications (e.g.
-    inside an implicit time step) reuse the factorized mode blocks.
+    inside an implicit time step) reuse its one eigendecomposition of the
+    x-averaged operator (the fast diagonalisation in strip, which drops the
+    mixed term because the x-average of a12 vanishes).
     derivative() makes one strip solve per direction: K psi and S dB solve
     the same discrete problem, whose right-hand side is linear in the
     Dirichlet data and the interior source, and B0 is linear, so their

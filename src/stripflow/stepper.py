@@ -12,13 +12,14 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import gmres
 
 from .dtn import DtNOperator
 from .errors import AdmissibilityError, SolverError
 from .geometry import map_inverse
 from .holder import (InterpNormEvaluator, InterpolationNormSpec,
                      SampledFunction, h2alpha_norm)
+from .strip import KeepLastOperator
 
 STATUS_COMPLETED = "Completed"
 STATUS_NORM_BLOWUP = "NormBlowup"
@@ -92,11 +93,10 @@ def _step_core(dtn, dt, rtol):
 
     GMRES starts from zero, so it spends no matvec on an initial residual.
     The gate is the true residual b - A x that GMRES itself computes at the
-    end of its last restart cycle: the last (input, output) pair of the
-    matvec is kept, and when the returned solution equals that input the
-    residual is read off its output.  Only otherwise is (I + dt dO) applied
-    once more.  The returned iteration count is the number of dO
-    applications, the gate's own extra one excluded.
+    end of its last restart cycle, read off the operator's kept last pair
+    (strip.KeepLastOperator); only when the returned solution is not that
+    input is (I + dt dO) applied once more.  The returned iteration count is
+    the number of dO applications, the gate's own extra one excluded.
     """
     p = dtn.profile
     nx, m = p.nx, p.m
@@ -106,24 +106,12 @@ def _step_core(dtn, dt, rtol):
     if rhs_norm < 1e-300:
         return np.zeros((nx, m), dtype=complex), 0.0, 0
 
-    mv_count = [0]
-    last = [None, None]
-
-    def matvec(v):
-        mv_count[0] += 1
-        arr = v.reshape(nx, m)
-        out = (arr + dt * dtn.derivative(arr)).ravel()
-        # GMRES updates its iterate in place, so keep a copy of the input
-        last[:] = v.copy(), out
-        return out
-
-    lin = LinearOperator((nx * m, nx * m), matvec=matvec, dtype=complex)
+    lin = KeepLastOperator(nx * m, lambda v: (
+        v + dt * dtn.derivative(v.reshape(nx, m)).ravel()))
     sol, info = gmres(lin, rhs, rtol=rtol, atol=0.0,
                       restart=min(nx * m, 60), maxiter=3)
-    its = mv_count[0]
-    if last[0] is None or not np.array_equal(last[0], sol):
-        last[1] = matvec(sol)
-    res = np.linalg.norm(last[1] - rhs) / rhs_norm
+    its = lin.count
+    res = lin.true_residual(sol, rhs)
     if not res <= max(100.0 * rtol, 1e-8):     # NaN-safe comparison
         raise SolverError(
             f"implicit step solve did not converge (relative residual {res:.3e})",

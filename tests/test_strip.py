@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from numpy.fft import fft, ifft
 
+import stripflow.strip as strip
 from conftest import make_profile, torus_x
 from stripflow.errors import SolverError
 from stripflow.geometry import InterfaceProfile, coefficients
@@ -110,3 +113,146 @@ def test_assemble_exposes_operator_pieces(A1):
     op = assemble(make_profile(nx=32, amp=0.1), A1, 4.0, ny=9)
     assert op.Dy.shape == (9, 9)
     assert op.A_mat.shape == (1, 1)
+
+
+# (profile, A, mu) cases for the frozen preconditioner, nx = 64
+def _precond_case(name):
+    x = torus_x(64)
+    kx = 2 * np.pi * x / L
+    if name == "m1-large-amplitude":
+        g = -0.5 * np.exp(np.cos(kx) - 1.0)
+        return InterfaceProfile(1.0, L, g), np.array([[1.0]]), 0.0
+    if name == "m2-unequal":
+        g = np.stack([0.1 * np.sin(kx), 0.2 * np.cos(2 * kx)], axis=1)
+        return (InterfaceProfile(1.0, L, g),
+                np.array([[2.0, 0.5], [0.0, 1.0]]), 2.0)
+    if name == "complex-A":
+        return (InterfaceProfile(1.0, L, 0.2 * np.sin(kx)),
+                np.array([[1.0 + 0.5j]]), 2.0)
+    raise ValueError(name)
+
+
+PRECOND_CASES = ("m1-large-amplitude", "m2-unequal", "complex-A")
+
+
+def _dense_frozen_inverse(op):
+    """Per-mode dense inverses of the x-averaged operator, mixed term
+    included, applied to flat (nx*ny*m) vectors."""
+    c = op.coeffs
+    nx, ny, m = op.nx, op.ny, op.m
+    k = 2 * np.pi * np.fft.fftfreq(nx, d=op.L / nx)
+    k_odd = k.copy()
+    k_odd[nx // 2] = 0.0
+    a12, a22, a2 = (f.mean(axis=0) for f in (c.a12, c.a22, c.a2))
+    b21 = c.b21.mean(axis=0)
+    blocks = np.zeros((nx, ny, m, ny, m), dtype=complex)
+    for comp in range(m):
+        for j in range(nx):
+            blk = (-a22[:, comp, None] * op.Dy2 + a2[:, comp, None] * op.Dy
+                   - 2j * k_odd[j] * a12[:, comp, None] * op.Dy
+                   + k[j] ** 2 * np.eye(ny))
+            blocks[j, :, comp, :, comp] = blk
+    for i in range(ny):
+        blocks[:, i, :, i, :] += op.A_mat + op.mu ** 2 * np.eye(m)
+    blocks[:, 0] = 0.0
+    blocks[:, -1] = 0.0
+    for comp in range(m):
+        blocks[:, 0, comp, 0, comp] = 1.0
+        blocks[:, -1, comp, :, comp] = b21[comp] * op.Dy[-1]
+    inv = np.linalg.inv(blocks.reshape(nx, ny * m, ny * m))
+
+    def apply(v):
+        rhat = fft(v.reshape(nx, ny, m), axis=0).reshape(nx, ny * m)
+        z = np.einsum("kab,kb->ka", inv, rhat)
+        return ifft(z.reshape(nx, ny, m), axis=0).ravel()
+    return apply
+
+
+@pytest.mark.parametrize("ny", [9, 17, 33])
+@pytest.mark.parametrize("case", PRECOND_CASES)
+def test_precond_matches_dense_mode_inverse(case, ny):
+    """The fast-diagonalised preconditioner is the inverse of the
+    x-averaged operator: it matches per-mode dense inverses that keep the
+    mixed term it drops."""
+    p, A, mu = _precond_case(case)
+    op = assemble(p, A, mu, ny=ny)
+    rng = np.random.default_rng(ny)
+    v = rng.standard_normal(op.n_dof) + 1j * rng.standard_normal(op.n_dof)
+    want = _dense_frozen_inverse(op)(v)
+    got = op._precond(v)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", PRECOND_CASES)
+def test_x_averaged_mixed_coefficient_vanishes(case):
+    """mean_x a12 = beta mean_x d/dx log w is round-off for a periodic w
+    with Re w > 0, which is why the preconditioner leaves it out."""
+    p, _, _ = _precond_case(case)
+    a12 = coefficients(p, np.linspace(0.0, 1.0, 17)).a12
+    assert np.max(np.abs(a12.mean(axis=0))) <= 1e-14 * np.max(np.abs(a12))
+
+
+def test_precond_stores_no_per_mode_matrices():
+    """Only the 1/(lam + k^2) table has an axis of length nx."""
+    p, A, mu = _precond_case("m2-unequal")
+    op = assemble(p, A, mu, ny=33)
+    op._build_preconditioner()
+    stored = op._minv._asdict()
+    assert stored.pop("scale").shape == (op.nx, op.ny * op.m)
+    for name, arr in stored.items():
+        assert op.nx not in np.shape(arr), name
+
+
+def test_singular_frozen_block_fails_fast():
+    """A coupling that makes the k = 0 mode block of the x-averaged
+    operator singular is refused before GMRES iterates."""
+    nx, ny = 32, 9
+    p = make_profile(nx=nx, amp=0.0)
+    op = assemble(p, np.array([[0.0]]), 0.0, ny=ny)
+    # on the flat strip the k = 0 block acts on x-constant fields; a scalar
+    # A adds A to its interior rows, so A = -lam for a finite generalized
+    # eigenvalue lam of (block, interior rows) makes it singular
+    block = np.stack([op.apply_values(np.broadcast_to(e[None, :, None],
+                                                      (nx, ny, 1)))[0, :, 0]
+                      for e in np.eye(ny)], axis=1)
+    interior = np.diag(np.r_[0.0, np.ones(ny - 2), 0.0])
+    lam = scipy.linalg.eigvals(block, interior)
+    lam = lam[np.isfinite(lam)]
+    lam_min = lam[np.argmin(np.abs(lam))]
+    bad = assemble(p, np.array([[-lam_min]]), 0.0, ny=ny)
+    with pytest.raises(SolverError, match="mu=0.0") as info:
+        bad.solve(psi0=np.ones((nx, 1)))
+    assert info.value.iterations == 0
+
+
+def test_solve_gate_reuses_the_closing_gmres_residual(A1, monkeypatch):
+    """Every operator application of a solve is a GMRES matvec: the gate
+    reads the true residual GMRES computed for the returned solution."""
+    p = make_profile(nx=64, amp=0.15, mode=2)
+    op = assemble(p, A1, 4.0, ny=17)
+    applies = {"inside": 0, "outside": 0}
+    in_gmres = [False]
+    operators = []
+    real_apply, real_gmres = op.apply_values, strip.gmres
+
+    def counting_apply(u):
+        applies["inside" if in_gmres[0] else "outside"] += 1
+        return real_apply(u)
+
+    def tracking_gmres(A, *args, **kwargs):
+        operators.append(A)
+        in_gmres[0] = True
+        try:
+            return real_gmres(A, *args, **kwargs)
+        finally:
+            in_gmres[0] = False
+
+    monkeypatch.setattr(op, "apply_values", counting_apply)
+    monkeypatch.setattr(strip, "gmres", tracking_gmres)
+    psi = (0.3 * np.cos(2 * np.pi * torus_x(64) / L)).astype(complex)[:, None]
+    fld = op.solve(psi0=psi)
+    assert applies["outside"] == 0
+    assert applies["inside"] == operators[-1].count > 0
+    monkeypatch.undo()
+    independent = op.residual_of(fld.values, op.rhs(psi0=psi))
+    assert op.last_residual == pytest.approx(independent, rel=1e-12)
