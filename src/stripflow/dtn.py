@@ -83,9 +83,12 @@ class DtNOperator:
     read-outs combine into that of one solve.  derivative_terms() keeps the
     two solves apart because localization_residual weights the pieces
     separately (by t).
+    upsilon, when given, is K(g) g already solved for this profile with the
+    same A, mu, ny and rtol (a loaded Scenario keeps its t = 0 solve); it
+    seeds the cache.
     """
 
-    def __init__(self, profile, A, mu, ny=33, rtol=1e-11):
+    def __init__(self, profile, A, mu, ny=33, rtol=1e-11, upsilon=None):
         self.profile = profile
         self.mu = float(mu)
         self.rtol = rtol
@@ -93,7 +96,7 @@ class DtNOperator:
         # A is coerced once, from the matrix the strip operator holds
         self.A = SectorialOperator(self.op.A_mat)
         self.coeffs = self.op.coeffs
-        self._upsilon = None
+        self._upsilon = upsilon
 
     def upsilon(self):
         """K(g) g, cached across calls."""
@@ -282,6 +285,21 @@ class DtNOperator:
             L=p.L, mu=self.mu)
 
 
+def operator_for(profile, A, mu, ny=33, rtol=1e-11, dtn=None):
+    """The DtNOperator of profile: dtn when given, else a new one.
+
+    A given dtn must have been built for this profile object with the same
+    mu, ny and rtol, so that its cached K(g)g solve is the one asked for.
+    """
+    if dtn is None:
+        return DtNOperator(profile, A, mu, ny=ny, rtol=rtol)
+    if dtn.profile is not profile or (dtn.mu, dtn.op.ny, dtn.rtol) != (
+            float(mu), ny, rtol):
+        raise ValueError("dtn was not built for this profile with the "
+                         "given mu, ny and rtol")
+    return dtn
+
+
 def dtn_apply(profile, A, mu_solve, ny=33, rtol=1e-11):
     """O(g) = B0(g) K(g) g as a boundary trace function."""
     return DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol).apply()
@@ -344,10 +362,10 @@ class FrozenOperatorSet:
         return ifft(out, axis=0)
 
 
-def frozen_set(profile, A, x0, mu, ny=33, rtol=1e-11):
+def frozen_set(profile, A, x0, mu, ny=33, rtol=1e-11, dtn=None):
     """Frozen-coefficient models of dO(g) at the grid node x0; see
-    DtNOperator.frozen_set."""
-    return DtNOperator(profile, A, mu, ny=ny, rtol=rtol).frozen_set(x0)
+    DtNOperator.frozen_set (dtn as in operator_for)."""
+    return operator_for(profile, A, mu, ny, rtol, dtn).frozen_set(x0)
 
 
 # -- sector / admissibility / localization reports ---------------------------
@@ -450,10 +468,11 @@ class AdmissibilityReport:
     margin_argmin: float
 
 
-def admissibility(profile, A, mu=4.0, ny=33, alpha=0.5, rtol=1e-11):
+def admissibility(profile, A, mu=4.0, ny=33, alpha=0.5, rtol=1e-11,
+                  dtn=None):
     """Well-posedness neighborhood tests of a profile; see
-    DtNOperator.admissibility."""
-    return DtNOperator(profile, A, mu, ny=ny, rtol=rtol).admissibility(alpha)
+    DtNOperator.admissibility (dtn as in operator_for)."""
+    return operator_for(profile, A, mu, ny, rtol, dtn).admissibility(alpha)
 
 
 @dataclass
@@ -466,7 +485,7 @@ class LocalizationReport:
 
 
 def localization_residual(profile, A, delta, direction, t=1.0, mu=4.0,
-                          ny=33, alpha=0.5, rtol=1e-11):
+                          ny=33, alpha=0.5, rtol=1e-11, dtn=None):
     """Patchwise distance between dO_t(g) and its frozen models.
 
     A partition of unity with ~1/delta raised-cosine bumps is laid on the
@@ -478,12 +497,13 @@ def localization_residual(profile, A, delta, direction, t=1.0, mu=4.0,
     exponentially localized, and shrinking delta must shrink the worst
     patch residual (a cutoff inside the nonlocal operator would instead be
     dominated by the commutator with phi_j, which grows as patches shrink).
+    dtn is as in operator_for.
     """
     p = profile
     direction = _as_direction(p, direction)
     n_pieces = max(1, int(round(1.0 / delta)))
     centers, phis = partition_of_unity(p.x, p.L, n_pieces)
-    dtn = DtNOperator(p, A, mu, ny=ny, rtol=rtol)
+    dtn = operator_for(p, A, mu, ny, rtol, dtn)
     t1, t2, t3 = dtn.derivative_terms(direction)
     d_op_t = t1 + t * (t2 + t3)
     evaluator = InterpNormEvaluator(dtn.A, InterpolationNormSpec(theta=alpha))

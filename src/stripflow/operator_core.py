@@ -53,9 +53,6 @@ class SectorialOperator:
     def spectrum(self):
         return np.linalg.eigvals(self.entries)
 
-    def min_real_eig(self):
-        return float(np.min(np.real(self.spectrum())))
-
     def __repr__(self):
         return (f"SectorialOperator(dim={self.dim}, "
                 f"sector_angle={self.sector_angle:.4f}, bound={self.bound})")

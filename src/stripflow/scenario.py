@@ -18,19 +18,20 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__
-from .dtn import frozen_set, localization_residual, sector_report
+from .dtn import (DtNOperator, admissibility, frozen_set,
+                  localization_residual, sector_report)
 from .errors import (DegenerateDomainError, EllipticityError, ScenarioError)
 from .geometry import InterfaceProfile, ellipticity_floor
 from .holder import SampledFunction
 from .model import coercivity_probe_59
 from .operator_core import SectorialOperator, validate_sectorial
 from .stepper import STATUS_COMPLETED, EvolutionConfig, evolve
-from .strip import coercivity_probe_33
+from .strip import StripField, coercivity_probe_33
 
 SECTION_ORDER = ("space", "geometry", "initial", "solve", "time", "output")
 
@@ -230,6 +231,12 @@ class Scenario:
     sectorial_report: object
     ellipticity_report: object
     admissibility_report: object
+    # the initial profile and the K(g)g solve behind admissibility_report;
+    # dtn() rebuilds the cheap operator around them for each run.  Keeping
+    # the operator (~1 MB at m = 2) on every loaded Scenario raised peak RSS
+    # by ~4 MB when several scenarios were alive at once
+    p0: InterfaceProfile = field(repr=False, compare=False)
+    upsilon0: StripField = field(repr=False, compare=False)
     checksum: str = ""
 
     def __post_init__(self):
@@ -238,7 +245,13 @@ class Scenario:
                 self.serialize().encode("utf-8")).hexdigest()
 
     def profile(self):
-        return InterfaceProfile(self.nu, self.L, self.g0, h_floor=self.h_min)
+        return self.p0
+
+    def dtn(self):
+        """The DtNOperator of the initial profile, with the load's K(g)g
+        solve in its cache."""
+        return DtNOperator(self.p0, self.A, self.mu_solve, ny=self.ny,
+                           rtol=self.rtol, upsilon=self.upsilon0)
 
     def serialize(self):
         """Canonical text form; the checksum is taken over these bytes."""
@@ -464,9 +477,9 @@ def load_scenario(path):
             f"ellipticity floor violated: least eigenvalue margin "
             f"{ell_report.margin:.3e} below the closed-form floor",
             path=str(path), section="initial", key="g0")
-    from .dtn import admissibility
+    dtn = DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol)
     adm_report = admissibility(profile, A, mu=mu_solve, ny=ny, alpha=alpha,
-                               rtol=rtol)
+                               rtol=rtol, dtn=dtn)
 
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return Scenario(
@@ -474,7 +487,8 @@ def load_scenario(path):
         alpha=alpha, h_min=h_min, g0=g0, g0_source=g0_source,
         mu_solve=mu_solve, rtol=rtol, config=config, out_dir=out_dir,
         formats=formats, sectorial_report=sec_report,
-        ellipticity_report=ell_report, admissibility_report=adm_report)
+        ellipticity_report=ell_report, admissibility_report=adm_report,
+        p0=profile, upsilon0=dtn.upsilon())
 
 
 # -- persistence ---------------------------------------------------------------
@@ -653,7 +667,7 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
 
 
 def _run_evolve(scn, tmp):
-    traj = evolve(scn.profile(), scn.A, scn.config)
+    traj = evolve(scn.profile(), scn.A, scn.config, dtn=scn.dtn())
     export(traj, tmp)
     extra = {"trajectory_samples": len(traj.times),
              "final_time": float(traj.times[-1]),
@@ -667,7 +681,7 @@ def _run_frozen(scn, tmp):
     profile = scn.profile()
     x0 = scn.admissibility_report.margin_argmin
     fset = frozen_set(profile, scn.A, x0, scn.mu_solve, ny=scn.ny,
-                      rtol=scn.rtol)
+                      rtol=scn.rtol, dtn=scn.dtn())
     report = sector_report(fset, scn.A, alpha=scn.alpha)
     payload = {
         "x0": fset.x0,
@@ -701,7 +715,7 @@ def _run_coercivity(scn, tmp, seed):
     psis = _ensemble(rng, scn.nx, scn.m, scn.L)
     mu_list = (1.0, 2.0, 4.0, 8.0)
     fset = frozen_set(profile, scn.A, scn.admissibility_report.margin_argmin,
-                      scn.mu_solve, ny=scn.ny, rtol=scn.rtol)
+                      scn.mu_solve, ny=scn.ny, rtol=scn.rtol, dtn=scn.dtn())
     half = coercivity_probe_59(fset.fc,
                                [SampledFunction(profile.L, p) for p in psis],
                                mu_list, alpha=scn.alpha)
@@ -734,9 +748,10 @@ def _run_localization(scn, tmp):
         [np.cos(2 * np.pi * x / scn.L) for _ in range(scn.m)], axis=1
     ).astype(complex)
     deltas = (1.0, 0.5, 0.25)
+    dtn = scn.dtn()
     reports = [localization_residual(profile, scn.A, d, direction,
                                      mu=scn.mu_solve, ny=scn.ny,
-                                     alpha=scn.alpha, rtol=scn.rtol)
+                                     alpha=scn.alpha, rtol=scn.rtol, dtn=dtn)
                for d in deltas]
     residuals = [r.max_residual for r in reports]
     monotone = all(residuals[i + 1] <= residuals[i]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import gmres
 
-from .dtn import DtNOperator
+from .dtn import DtNOperator, operator_for
 from .errors import AdmissibilityError, SolverError
 from .geometry import map_inverse
 from .holder import (InterpNormEvaluator, InterpolationNormSpec,
@@ -143,16 +143,18 @@ def detect_breakdown(profile, cfg, norms):
     return STATUS_OK
 
 
-def evolve(p0, A, cfg):
+def evolve(p0, A, cfg, dtn=None):
     """Run the semiflow from p0 until t_end or breakdown.
 
     The initial profile must be admissible (W1 margin > 0); otherwise the
     run is refused with an AdmissibilityError that carries the margin.
     Diagnostics (norm, margin, solver residual) are evaluated every step so
     breakdown detection never lags, and samples are recorded every
-    output_stride steps plus at the terminal time.
+    output_stride steps plus at the terminal time.  dtn, when given, is the
+    DtNOperator of p0 built with cfg's mu_solve, ny and rtol (as
+    Scenario.dtn() gives); its cached K(g)g solve serves t = 0.
     """
-    dtn = DtNOperator(p0, A, cfg.mu_solve, ny=cfg.ny, rtol=cfg.rtol)
+    dtn = operator_for(p0, A, cfg.mu_solve, cfg.ny, cfg.rtol, dtn)
     evaluator = InterpNormEvaluator(dtn.A,
                                     InterpolationNormSpec(theta=cfg.alpha))
 

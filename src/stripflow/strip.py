@@ -11,6 +11,14 @@ a single eigendecomposition of the interior Schur complement inverts every
 mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  For profiles close
 to flat the preconditioned iteration converges in a handful of steps; every
 solve is gated on its true residual before being returned.
+
+GMRES gets at most two restart cycles.  scipy's outer test asks for the true
+residual ||b - A x|| <= rtol_gmres ||b||, and at large amplitude that lies
+below the round-off floor of the double-precision apply (interior rows
+carry a22 Dy^2 ~ 1e7 near the wall, the Dirichlet rows 1), so further
+cycles cannot meet it: at a = 0.85 cycles 3-10 move the true residual only
+from 3.9e-10 to 3.7e-10 for 700 more iterations.  The solve is accepted or
+refused on the true-residual gate instead, after those two cycles.
 """
 
 from dataclasses import dataclass
@@ -144,9 +152,6 @@ class StripField:
 
     def trace0(self):
         return self.values[:, 0, :]
-
-    def trace1(self):
-        return self.values[:, -1, :]
 
     def dy_trace0(self):
         if self.Dy is None:
@@ -313,7 +318,18 @@ class DiscreteStripOperator:
         return float(np.linalg.norm(r.ravel()) / (bn if bn > 0 else 1.0))
 
     def solve(self, F=None, psi0=None, psi1=None, rtol=1e-11, restart=160,
-              maxiter=10):
+              maxiter=2):
+        """Solve with interior source F, trace psi0 at y=0 and flux psi1
+        at y=1.
+
+        One preconditioned GMRES pass of at most maxiter restart cycles asks
+        for rtol_gmres = max(rtol, 1e-10); a true residual above
+        max(100 rtol, 1e-9) then raises SolverError at once.  scipy ends
+        each cycle by testing the true residual against rtol_gmres, which
+        at large amplitude lies below the round-off floor of the apply, so
+        cycles past the second only grind (797 iterations instead of 85 at
+        a = 0.85, for the same solution to 2e-14).
+        """
         b = self.rhs(F=F, psi0=psi0, psi1=psi1)
         if not np.all(np.isfinite(b)):
             raise SolverError(
@@ -340,30 +356,20 @@ class DiscreteStripOperator:
         # the collocation operator (row scales span ~ny^4); ask GMRES only
         # for what is attainable and gate on the true residual instead
         rtol_gmres = max(rtol, 1e-10)
-        sol, info = gmres(A_op, b_flat, rtol=rtol_gmres, atol=0.0,
-                          restart=min(restart, self.n_dof),
-                          maxiter=maxiter, M=M_op, callback=cb,
-                          callback_type="pr_norm")
+        sol, _ = gmres(A_op, b_flat, rtol=rtol_gmres, atol=0.0,
+                       restart=min(restart, self.n_dof), maxiter=maxiter,
+                       M=M_op, callback=cb, callback_type="pr_norm")
         res = A_op.true_residual(sol, b_flat)
-        if not res <= max(100.0 * rtol, 1e-9):     # NaN-safe comparison
-            x_start = sol if np.all(np.isfinite(sol)) else None
-            sol, info = gmres(A_op, b_flat, x0=x_start,
-                              rtol=max(0.1 * rtol_gmres, 5e-11),
-                              atol=0.0, restart=min(2 * restart, self.n_dof),
-                              maxiter=2 * maxiter, M=M_op, callback=cb,
-                              callback_type="pr_norm")
-            res = A_op.true_residual(sol, b_flat)
-            if not res <= max(100.0 * rtol, 1e-9):
-                raise SolverError(
-                    f"strip solve stalled at relative residual {res:.3e} "
-                    f"(mu={self.mu}, bc0={self.bc0})",
-                    residual=res, iterations=counter["n"])
-        u = sol.reshape(self.shape_full)
         self.last_residual = res
         self.last_iterations = counter["n"]
-        fld = StripField(x=self.profile.x, y=self.y, L=self.L, values=u,
-                         Dy=self.Dy, residual=res)
-        return fld
+        if not res <= max(100.0 * rtol, 1e-9):     # NaN-safe comparison
+            raise SolverError(
+                f"strip solve stalled at relative residual {res:.3e} after "
+                f"{counter['n']} GMRES iterations (mu={self.mu}, "
+                f"bc0={self.bc0})", residual=res, iterations=counter["n"])
+        return StripField(x=self.profile.x, y=self.y, L=self.L,
+                          values=sol.reshape(self.shape_full), Dy=self.Dy,
+                          residual=res)
 
 
 def assemble(profile, A, mu, ny=33):

@@ -16,6 +16,7 @@ from stripflow.scenario import (
     safe_eval,
 )
 from stripflow.stepper import STATUS_BOUNDARY, STATUS_COMPLETED, evolve
+from stripflow.strip import DiscreteStripOperator
 
 MINIMAL = """
 [space]
@@ -301,6 +302,30 @@ def test_breakdown_run_still_writes_outputs(tmp_path):
     assert status == STATUS_BOUNDARY
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert manifest.status == STATUS_BOUNDARY
+
+
+def test_breakdown_run_reuses_the_loaded_solve(tmp_path, monkeypatch):
+    """The K(g)g solve behind the load-time margin serves the run: a run
+    that stops at t = 0 makes no strip solve of its own."""
+    text = MINIMAL.replace("g0 = 0.001*sin(2*pi*x/L)",
+                           "g0 = -0.85*exp(cos(2*pi*x/L) - 1)")
+    text = text.replace("[time]", "[time]\nmargin_floor = 0.2")
+    scn = load_scenario(write_scn(tmp_path, text))
+    solves = []
+    real_solve = DiscreteStripOperator.solve
+    monkeypatch.setattr(DiscreteStripOperator, "solve",
+                        lambda op, *a, **k: solves.append(op)
+                        or real_solve(op, *a, **k))
+    _, status = run(scn, out_dir=str(tmp_path / "bd"))
+    assert status == STATUS_BOUNDARY
+    assert solves == []
+
+
+def test_evolve_refuses_a_foreign_operator(tmp_path):
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    other = load_scenario(write_scn(tmp_path, MINIMAL, name="other.scn"))
+    with pytest.raises(ValueError, match="not built for this profile"):
+        evolve(scn.profile(), scn.A, scn.config, dtn=other.dtn())
 
 
 def test_reload_same_file_same_g0(tmp_path):

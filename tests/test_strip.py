@@ -109,6 +109,40 @@ def test_large_amplitude_solve_stays_off_roundoff_floor(A1):
     assert op.last_residual <= 1e-9
 
 
+def _wall_dip_operator(a):
+    """K(g)g operator of the dip g = -a exp(cos(2 pi x/L) - 1), nx = 128,
+    ny = 33, mu = 0; the wall is at depth 1, so a -> 1 is breakdown."""
+    x = torus_x(128)
+    p = InterfaceProfile(1.0, L, -a * np.exp(np.cos(2 * np.pi * x / L) - 1.0))
+    return p, assemble(p, np.array([[1.0]]), 0.0, ny=33)
+
+
+def test_near_wall_solve_stops_at_the_roundoff_floor():
+    """At a = 0.85 two restart cycles reach the gate; the eight further
+    cycles scipy would spend chasing rtol 1e-10 cannot go below the floor."""
+    p, op = _wall_dip_operator(0.85)
+    op.solve(psi0=p.g)
+    assert op.last_iterations <= 120
+    assert op.last_residual <= 1e-9
+
+
+def test_solve_past_the_floor_fails_fast():
+    """At a = 0.94 the floor lies above the gate: the solve is refused
+    after its two cycles instead of grinding through twenty."""
+    p, op = _wall_dip_operator(0.94)
+    with pytest.raises(SolverError, match="stalled") as info:
+        op.solve(psi0=p.g)
+    assert info.value.iterations <= 400
+    assert info.value.residual > 1e-9
+
+
+def test_small_amplitude_solve_takes_four_iterations():
+    p, op = _wall_dip_operator(1e-3)
+    op.solve(psi0=p.g)
+    assert op.last_iterations == 4
+    assert op.last_residual <= 1e-9
+
+
 def test_assemble_exposes_operator_pieces(A1):
     op = assemble(make_profile(nx=32, amp=0.1), A1, 4.0, ny=9)
     assert op.Dy.shape == (9, 9)
