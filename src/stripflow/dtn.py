@@ -485,7 +485,7 @@ class LocalizationReport:
 
 
 def localization_residual(profile, A, delta, direction, t=1.0, mu=4.0,
-                          ny=33, alpha=0.5, rtol=1e-11, dtn=None):
+                          ny=33, alpha=0.5, rtol=1e-11, dtn=None, terms=None):
     """Patchwise distance between dO_t(g) and its frozen models.
 
     A partition of unity with ~1/delta raised-cosine bumps is laid on the
@@ -497,14 +497,16 @@ def localization_residual(profile, A, delta, direction, t=1.0, mu=4.0,
     exponentially localized, and shrinking delta must shrink the worst
     patch residual (a cutoff inside the nonlocal operator would instead be
     dominated by the commutator with phi_j, which grows as patches shrink).
-    dtn is as in operator_for.
+    dtn is as in operator_for.  terms, when given, is
+    dtn.derivative_terms(direction) already computed; it depends on neither
+    delta nor t, so a sweep over delta solves for it once.
     """
     p = profile
     direction = _as_direction(p, direction)
     n_pieces = max(1, int(round(1.0 / delta)))
     centers, phis = partition_of_unity(p.x, p.L, n_pieces)
     dtn = operator_for(p, A, mu, ny, rtol, dtn)
-    t1, t2, t3 = dtn.derivative_terms(direction)
+    t1, t2, t3 = dtn.derivative_terms(direction) if terms is None else terms
     d_op_t = t1 + t * (t2 + t3)
     evaluator = InterpNormEvaluator(dtn.A, InterpolationNormSpec(theta=alpha))
     residuals = np.empty(n_pieces)

@@ -335,7 +335,7 @@ class CoercivityReport:
         return cls(rows=rows, max_ratio=float(max_ratio), mu_spread=float(spread))
 
 
-def _graded_probe_norms(fields, psi, A, x, y, L, alpha, mu):
+def _graded_probe_norms(fields, psi, A, y, L, alpha, mu):
     """The two sides shared by the coercivity probes.
 
     Returns the six-term mu-graded solution norm of the derivative fields
@@ -344,12 +344,10 @@ def _graded_probe_norms(fields, psi, A, x, y, L, alpha, mu):
     mu-graded x-derivatives plus the coupling-operator part, so the ratio
     carries the same currencies on both sides.
     """
-    def xn(arr):
-        return scaled_field_norm(arr, x, y, L, alpha, mu)
-
-    lhs = (mu ** 2 * xn(fields["u"]) + mu * xn(fields["ux"])
-           + 2.0 * xn(fields["uxx"]) + 2.0 * xn(fields["uxy"])
-           + xn(fields["uyy"]) + xn(fields["au"]))
+    names = ("u", "ux", "uxx", "uxy", "uyy", "au")
+    norms = scaled_field_norm(np.stack([fields[k] for k in names]), y, L,
+                              alpha, mu)
+    lhs = sum(w * n for w, n in zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), norms))
     data = (graded_trace_norm(psi, L, alpha, mu, order=2)
             + trace_xnorm(psi @ A.T, L, alpha, mu))
     return lhs, data
@@ -394,9 +392,7 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5, ny=40):
                 fields["au"][i] = np.einsum("ij,yj->yi", A, uh)
             for name in fields:
                 fields[name] = ifft(fields[name], axis=0)
-            lhs, rhs = _graded_probe_norms(fields, vals, A,
-                                           np.arange(nx) * (L / nx), y, L,
-                                           alpha, mu)
+            lhs, rhs = _graded_probe_norms(fields, vals, A, y, L, alpha, mu)
             rows.append(CoercivityRow(mu=float(mu), data_index=data_index,
                                       lhs=float(lhs), rhs=float(rhs),
                                       ratio=float(lhs / rhs)))

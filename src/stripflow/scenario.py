@@ -464,20 +464,14 @@ def load_scenario(path):
             f"{sec_report.message}", path=str(path), section="space", key="A")
     try:
         profile = InterfaceProfile(nu, L, g0, h_floor=h_min)
-        from .geometry import coefficients
-        from .grids import cheb_lobatto_01
-        y, _ = cheb_lobatto_01(ny)
-        ell_report = ellipticity_floor(coefficients(profile, y))
+        # assembling the strip operator refuses coefficients below the
+        # ellipticity floor (EllipticityError)
+        dtn = DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol)
     except (EllipticityError, DegenerateDomainError) as exc:
         raise ScenarioError(
             f"initial profile fails the ellipticity/degeneracy validation: "
             f"{exc}", path=str(path), section="initial", key="g0")
-    if not ell_report.passed:
-        raise ScenarioError(
-            f"ellipticity floor violated: least eigenvalue margin "
-            f"{ell_report.margin:.3e} below the closed-form floor",
-            path=str(path), section="initial", key="g0")
-    dtn = DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol)
+    ell_report = ellipticity_floor(dtn.coeffs)
     adm_report = admissibility(profile, A, mu=mu_solve, ny=ny, alpha=alpha,
                                rtol=rtol, dtn=dtn)
 
@@ -749,9 +743,11 @@ def _run_localization(scn, tmp):
     ).astype(complex)
     deltas = (1.0, 0.5, 0.25)
     dtn = scn.dtn()
+    terms = dtn.derivative_terms(direction)
     reports = [localization_residual(profile, scn.A, d, direction,
                                      mu=scn.mu_solve, ny=scn.ny,
-                                     alpha=scn.alpha, rtol=scn.rtol, dtn=dtn)
+                                     alpha=scn.alpha, rtol=scn.rtol, dtn=dtn,
+                                     terms=terms)
                for d in deltas]
     residuals = [r.max_residual for r in reports]
     monotone = all(residuals[i + 1] <= residuals[i]

@@ -417,12 +417,12 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
             z = np.zeros((profile.nx, profile.m), dtype=complex)
             p0 = z if psi0 is None else np.asarray(psi0, dtype=complex)
             p1 = z if psi1 is None else np.asarray(psi1, dtype=complex)
-            lhs, rhs = _graded_probe_norms(fields, p0, op.A_mat, fld.x,
-                                           fld.y, fld.L, alpha, mu)
+            lhs, rhs = _graded_probe_norms(fields, p0, op.A_mat, fld.y,
+                                           fld.L, alpha, mu)
             if F is not None:
                 rhs += scaled_field_norm(
                     np.asarray(F, dtype=complex).reshape(fld.values.shape),
-                    fld.x, fld.y, fld.L, alpha, mu)
+                    fld.y, fld.L, alpha, mu)
             weighted_p1 = (profile.nu + profile.g) * (
                 p1 if p1.ndim == 2 else p1[:, None])
             rhs += graded_trace_norm(weighted_p1, profile.L, alpha, mu, order=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stripflow.grids import torus_nodes
 from stripflow.holder import (
     SampledFunction,
     h1alpha_norm,
@@ -100,8 +101,13 @@ def test_spectral_derivative_of_sine():
     assert np.allclose(d2[:, 0], -k * k * np.sin(k * x), atol=1e-11)
 
 
+def from_callable(L, nx, func):
+    """Samples of func at torus_nodes(L, nx)."""
+    return SampledFunction(L, func(torus_nodes(L, nx)))
+
+
 def test_from_callable_matches_manual():
-    f = SampledFunction.from_callable(L, 64, lambda x: np.cos(2 * np.pi * x / L))
+    f = from_callable(L, 64, lambda x: np.cos(2 * np.pi * x / L))
     manual = sampled(cos_mode(64, 1))
     assert np.allclose(f.values, manual.values)
 
@@ -137,17 +143,16 @@ def _brute_seminorm(vals, dist, gamma, evaluator=None):
     return best, pair
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("graded", [False, True])
-def test_pair_kernels_match_per_pair_loop(m, graded):
+def _check_pair_kernels(nx, ny, m, graded, wave=0.0):
     """holder_seminorm and scaled_field_norm against an explicit loop over
-    node pairs, witness pair included."""
+    node pairs, witness pair included.  wave is the amplitude of an added
+    cos(2 pi x / L)."""
     rng = np.random.default_rng(5 + m)
-    nx, ny = 32, 9
     A = np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m]
     evaluator = (InterpNormEvaluator(A, InterpolationNormSpec(theta=0.5))
                  if graded else None)
-    vals = rng.standard_normal((nx, m)) + 1j * rng.standard_normal((nx, m))
+    vals = (rng.standard_normal((nx, m)) + 1j * rng.standard_normal((nx, m))
+            + wave * cos_mode(nx)[:, None])
     f = sampled(vals)
     rep = holder_seminorm(f, 0.5, evaluator)
     x = f.grid
@@ -158,7 +163,8 @@ def test_pair_kernels_match_per_pair_loop(m, graded):
     if graded:
         return
     field = (rng.standard_normal((nx, ny, m))
-             + 1j * rng.standard_normal((nx, ny, m)))
+             + 1j * rng.standard_normal((nx, ny, m))
+             + wave * cos_mode(nx)[:, None, None])
     y = np.linspace(0.0, 1.0, ny) ** 2
     mu = 3.0
     semi_x = max(_brute_seminorm(field[:, c], np.minimum(d, L - d), 0.5)[0]
@@ -167,5 +173,46 @@ def test_pair_kernels_match_per_pair_loop(m, graded):
                                  0.5)[0] for r in range(nx))
     expected = (np.max(np.linalg.norm(field, axis=-1))
                 + max(semi_x, semi_y) / mu ** 0.5)
-    assert scaled_field_norm(field, x, y, L, 0.5, mu) == pytest.approx(
+    assert scaled_field_norm(field, y, L, 0.5, mu) == pytest.approx(
         expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("graded", [False, True])
+def test_pair_kernels_match_per_pair_loop(m, graded):
+    _check_pair_kernels(32, 9, m, graded)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("graded", [False, True])
+def test_pair_kernels_match_loop_on_four_nodes(m, graded):
+    """At nx = 4 the farthest shift class (s = 2) holds each of its pairs
+    twice, as (i, i+2) and (i+2, i).  The added wave [10, 0, -10, 0] puts
+    the maximum in that class."""
+    _check_pair_kernels(4, 5, m, graded, wave=10.0)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_witness_is_first_pair_among_exact_ties(graded):
+    """A two-level square wave jumps twice, between nodes 7 and 8 and
+    across the period between 15 and 0: both neighbour pairs reach the
+    maximum exactly, and the witness is the lexicographically first pair
+    with p < q, (0, 15)."""
+    nx = 16
+    wave = np.where(np.arange(nx) < nx // 2, 1.0, -1.0)
+    f = sampled(np.stack([wave, 0.5 * wave], axis=1))
+    evaluator = (InterpNormEvaluator(np.array([[2.0, 0.5], [0.0, 1.0]]),
+                                     InterpolationNormSpec(theta=0.5))
+                 if graded else None)
+    rep = holder_seminorm(f, 0.5, evaluator)
+    assert rep.witness_pair == (f.grid[0], f.grid[15])
+    jump = np.array([2.0, 1.0])
+    norm = (np.linalg.norm(jump) if evaluator is None
+            else evaluator.of_vector(jump))
+    assert rep.seminorm == pytest.approx(norm / (L / nx) ** 0.5, rel=1e-14)
+
+
+def test_constant_witness_is_first_pair():
+    """Every pair of a constant ties at 0; the witness is nodes 0 and 1."""
+    f = sampled(np.full(8, 2.0))
+    assert holder_seminorm(f, 0.5).witness_pair == (f.grid[0], f.grid[1])

@@ -7,9 +7,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from stripflow.grids import cheb_lobatto_01
-from stripflow.holder import SampledFunction
+from stripflow.holder import SampledFunction, scaled_field_norm
 from stripflow.model import (
     FrozenCoefficients,
+    _graded_probe_norms,
     coercivity_probe_59,
     decay_generator,
     default_eta_grid,
@@ -229,6 +230,23 @@ def test_multiplier_profiles_decay():
 
 
 # ------------------------------------------------------ graded coercivity
+
+def test_graded_probe_norms_batch_matches_single_fields(rng):
+    """The six fields go through one batched scaled_field_norm call; the
+    solution norm equals the weighted sum of six single-field calls."""
+    nx, ny, m, mu, alpha = 32, 7, 2, 3.0, 0.5
+    y = np.linspace(0.0, 2.0, ny) ** 1.5
+    names = ("u", "ux", "uxx", "uxy", "uyy", "au")
+    fields = {k: rng.standard_normal((nx, ny, m))
+              + 1j * rng.standard_normal((nx, ny, m)) for k in names}
+    psi = rng.standard_normal((nx, m)).astype(complex)
+    A = np.array([[2.0, 0.5], [0.0, 1.0]])
+    lhs, _ = _graded_probe_norms(fields, psi, A, y, L, alpha, mu)
+    single = [scaled_field_norm(fields[k], y, L, alpha, mu) for k in names]
+    expected = sum(w * n for w, n in
+                   zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), single))
+    assert lhs == pytest.approx(expected, rel=1e-14)
+
 
 def test_probe_59_ratio_flat_across_mu(rng):
     fc = fc_scalar(0.12, 1.3, 1.0, 0.0)
