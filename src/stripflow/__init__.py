@@ -11,8 +11,9 @@ admissibility margins provide the structural diagnostics.
 
 from ._version import __version__
 from .errors import (AdmissibilityError, BreakdownError, DegenerateDomainError,
-                     EllipticityError, ScenarioError, SingularOperatorError,
-                     SolverError, SpectralValidationError, StripflowError)
+                     EllipticityError, FreezePointError, ScenarioError,
+                     SingularOperatorError, SolverError,
+                     SpectralValidationError, StripflowError)
 from .operator_core import (InterpolationNormSpec, PositivityReport,
                             SectorialOperator, frac_power, interp_norm,
                             matrix_sqrt, resolvent, semigroup,
@@ -41,8 +42,8 @@ __all__ = [
     "__version__",
     # errors
     "StripflowError", "SpectralValidationError", "SingularOperatorError",
-    "DegenerateDomainError", "EllipticityError", "SolverError",
-    "AdmissibilityError", "ScenarioError", "BreakdownError",
+    "DegenerateDomainError", "EllipticityError", "FreezePointError",
+    "SolverError", "AdmissibilityError", "ScenarioError", "BreakdownError",
     # operator calculus
     "SectorialOperator", "PositivityReport", "InterpolationNormSpec",
     "validate_sectorial", "resolvent", "frac_power", "matrix_sqrt",

@@ -15,7 +15,8 @@ import sys
 import traceback
 
 from ._version import __version__
-from .errors import AdmissibilityError, ScenarioError, StripflowError
+from .errors import (AdmissibilityError, FreezePointError, ScenarioError,
+                     StripflowError)
 from .scenario import load_scenario, run
 from .stepper import (STATUS_BOUNDARY, STATUS_COMPLETED, STATUS_NORM_BLOWUP,
                       STATUS_SOLVER_FAILURE)
@@ -117,10 +118,8 @@ def main(argv=None):
         manifest, status = run(scn, mode=args.mode, out_dir=args.out,
                                deterministic=args.deterministic,
                                seed=args.seed)
-    except AdmissibilityError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ScenarioError as exc:
+    except (AdmissibilityError, FreezePointError, ScenarioError) as exc:
+        # a diagnose mode refuses a freeze node whose components differ
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
+from .errors import FreezePointError
 from .grids import partition_of_unity, spectral_derivative, torus_wavenumbers
 from .holder import (InterpNormEvaluator, InterpolationNormSpec,
                      SampledFunction, h1alpha_norm, h2alpha_norm)
@@ -97,6 +98,7 @@ class DtNOperator:
         self.A = SectorialOperator(self.op.A_mat)
         self.coeffs = self.op.coeffs
         self._upsilon = upsilon
+        self._frozen = {}       # node index -> FrozenOperatorSet
 
     def upsilon(self):
         """K(g) g, cached across calls."""
@@ -209,38 +211,55 @@ class DtNOperator:
             vnu_gap=vnu_gap, kg_min=float(np.min(k_g)),
             w_norm_max=w_norm_max, margin_argmin=float(p.x[arg[0]]))
 
-    def frozen_set(self, x0):
-        """Freeze the derivative pieces at the boundary point (x0, 0).
+    def _freeze_point(self, x0):
+        """Node index, height nu + g and slope g_x at the grid node x0.
 
-        x0 must be a grid node.  For m > 1 the frozen principal coefficients
-        must be equal across components at that node (otherwise the scalar
-        a12/a22 reduction behind the exact-root algebra does not apply, and
-        we refuse rather than silently commit the non-commuting error).
+        For m > 1 the frozen principal coefficients must be equal across
+        components at that node (otherwise the scalar a12/a22 reduction
+        behind the exact-root algebra does not apply, and we refuse rather
+        than silently commit the non-commuting error).
         """
         p = self.profile
         i0 = int(np.argmin(np.abs(p.x - x0)))
         if abs(p.x[i0] - x0) > 1e-9 * p.L:
-            raise ValueError(f"freeze point {x0} is not a grid node "
-                             f"(nearest: {p.x[i0]:.12g})")
-        x0 = float(p.x[i0])
-
+            raise FreezePointError(f"freeze point {x0} is not a grid node "
+                                   f"(nearest: {p.x[i0]:.12g})")
         w_vec = p.nu + p.g[i0]
         gx_vec = p.g_x[i0]
         for name, vec in (("nu+g", w_vec), ("g_x", gx_vec)):
             spread = np.max(np.abs(vec - vec[0]))
             if spread > 1e-10 * (1.0 + np.max(np.abs(vec))):
-                raise ValueError(
-                    f"components of {name} differ at the freeze point "
-                    f"(spread {spread:.3e}); frozen analysis needs equal "
-                    f"components")
+                raise FreezePointError(
+                    f"components of {name} differ at the freeze node "
+                    f"x = {p.x[i0]:.6g} (index {i0}, spread {spread:.3e}); "
+                    f"the frozen diagnostics need equal components")
         if abs(np.imag(w_vec[0])) > 1e-10 or abs(np.imag(gx_vec[0])) > 1e-10:
-            raise ValueError("freeze point carries complex geometry values")
-        h0 = float(np.real(w_vec[0]))
-        gx0 = float(np.real(gx_vec[0]))
-        gxx0 = complex(p.g_xx[i0][0])
+            raise FreezePointError(
+                "freeze point carries complex geometry values")
+        return i0, float(np.real(w_vec[0])), float(np.real(gx_vec[0]))
 
-        fc = FrozenCoefficients(a12=gx0 / h0, a22=(1.0 + gx0 ** 2) / h0 ** 2,
-                                A=self.A, mu=self.mu)
+    def frozen_coefficients(self, x0):
+        """Principal coefficients frozen at the grid node x0, with this mu."""
+        _, h0, gx0 = self._freeze_point(x0)
+        return FrozenCoefficients(a12=gx0 / h0, a22=(1.0 + gx0 ** 2) / h0 ** 2,
+                                  A=self.A, mu=self.mu)
+
+    def frozen_set(self, x0):
+        """Freeze the derivative pieces at the boundary point (x0, 0).
+
+        x0 must be a grid node, with equal components there when m > 1
+        (see _freeze_point).  Each node is built once per operator: the
+        set is kept and returned again for any x0 on the same node.
+        """
+        i0, h0, gx0 = self._freeze_point(x0)
+        if i0 not in self._frozen:
+            self._frozen[i0] = self._build_frozen_set(
+                i0, h0, gx0, self.frozen_coefficients(x0))
+        return self._frozen[i0]
+
+    def _build_frozen_set(self, i0, h0, gx0, fc):
+        p = self.profile
+        gxx0 = complex(p.g_xx[i0][0])
         b10_0 = -gx0
         b20_0 = -(1.0 + gx0 ** 2) / h0
 
@@ -269,20 +288,20 @@ class DtNOperator:
             (1.0 - ups.y)[None, :, None], h0, gx0, gxx0, 1.0, ik, ik ** 2)
         src = -2.0 * da12 * vxy_prof - da22 * vyy_prof + da2 * vy_prof
         eyem = np.eye(p.m)
-        sym10 = np.empty((p.nx, p.m, p.m), dtype=complex)
-        sym20 = np.empty_like(sym10)
-        sym30 = np.empty_like(sym10)
-        for ki, k in enumerate(ks):
-            sym10[ki] = (1j * b10_0 * k * eyem
-                         + b20_0 * strip_trace_gradient_map(fc, k))
-            sym20[ki] = np.diag(-1j * k * c1 + (lam1 + 1j * k * lam2) * c2)
-            # column c of the symbol answers a source in component c alone
-            cols = np.einsum("yc,cd->cyd", src[ki], eyem)
-            sym30[ki] = -b20_0 * strip_profile_response(fc, k, cols, Dy).T
+        sym10 = ((1j * b10_0 * ks)[:, None, None] * eyem
+                 + b20_0 * strip_trace_gradient_map(fc, ks))
+        sym20 = np.zeros_like(sym10)
+        diag = np.arange(p.m)
+        sym20[:, diag, diag] = (-1j * ks[:, None] * c1
+                                + (lam1 + 1j * ks[:, None] * lam2) * c2)
+        # column c of each symbol answers a source in component c alone
+        cols = np.einsum("kyc,cd->kcyd", src, eyem)
+        sym30 = -b20_0 * strip_profile_response(fc, ks, cols,
+                                                Dy).transpose(0, 2, 1)
         return FrozenOperatorSet(
-            x0=x0, node_index=i0, k_grid=ks, sym10=sym10, sym20=sym20,
-            sym30=sym30, sym0=sym10 + sym20 + sym30, w0=c2 / h0, fc=fc,
-            L=p.L, mu=self.mu)
+            x0=float(p.x[i0]), node_index=i0, k_grid=ks, sym10=sym10,
+            sym20=sym20, sym30=sym30, sym0=sym10 + sym20 + sym30, w0=c2 / h0,
+            fc=fc, L=p.L, mu=self.mu)
 
 
 def operator_for(profile, A, mu, ny=33, rtol=1e-11, dtn=None):

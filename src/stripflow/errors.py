@@ -35,6 +35,14 @@ class EllipticityError(StripflowError):
     """Transformed principal symbol lost its positivity margin."""
 
 
+class FreezePointError(StripflowError, ValueError):
+    """The frozen-coefficient reduction does not apply at a boundary point.
+
+    The point is not a grid node, carries complex geometry, or (m > 1) has
+    components that differ there.
+    """
+
+
 class SolverError(StripflowError):
     """An elliptic solve did not converge to the requested residual."""
 

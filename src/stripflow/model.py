@@ -12,7 +12,7 @@ multiplier-norm decay profiles and the parameter-graded coercivity probe.
 
 Convention note: arrays are reconstructed with numpy's ifft (modes e^{+ikx}),
 under which the decaying transverse exponent for wavenumber k is
--Lambda(-k).  All mode loops below route through that bridge.
+-Lambda(-k).  All mode stacks below route through that bridge.
 """
 
 from dataclasses import dataclass, field
@@ -60,18 +60,36 @@ class FrozenCoefficients:
         return self.A.dim
 
     def a_mu(self, eta):
-        """A + (mu^2 + eta^2) I."""
+        """A + (mu^2 + eta^2) I, stacked over the shape of eta."""
+        eta = np.asarray(eta, dtype=float)[..., None, None]
         return self.A.entries + (self.mu ** 2 + eta ** 2) * np.eye(self.A.dim)
 
     def with_mu(self, mu):
         return FrozenCoefficients(self.a12, self.a22, self.A, mu)
 
 
+def _mode_exponents(fc, eta):
+    """Square-root argument and both mode exponents, stacked over eta.
+
+    arg = a22 (A + mu^2 + eta^2) - a12^2 eta^2 I and
+    rho+- = (-i a12 eta I +- arg^1/2) / a22 with the principal root, so
+    rho+ is the decay generator Lambda(eta).
+    """
+    e = np.asarray(eta, dtype=float)[..., None, None]
+    eye = np.eye(fc.dim)
+    arg = fc.a22 * fc.a_mu(eta) - (fc.a12 * e) ** 2 * eye
+    root = matrix_sqrt(arg)
+    drift = -1j * fc.a12 * e * eye
+    return arg, (drift + root) / fc.a22, (drift - root) / fc.a22
+
+
 @dataclass
 class DecayGenerator:
-    eta: float
+    """Lambda(eta) with its quadratic residual; for an array of eta,
+    Lambda is stacked as eta.shape + (m, m) and residual as eta.shape."""
+    eta: object
     Lambda: np.ndarray
-    residual: float
+    residual: object
 
 
 def decay_generator(fc, eta):
@@ -79,58 +97,73 @@ def decay_generator(fc, eta):
 
     Lambda = a22^-1 (-i a12 eta I + (a22 (A + mu^2 + eta^2) - a12^2 eta^2 I)^1/2),
     with the principal matrix square root.  The construction is certified on
-    the spot: the quadratic residual must vanish to 1e-10 relative and the
-    spectrum of Lambda must lie strictly in the right half-plane.
+    the spot: the square-root argument must stay off the branch cut, the
+    quadratic residual must vanish to 1e-10 relative and the spectrum of
+    Lambda must lie strictly in the right half-plane.  eta is a scalar or an
+    array of wavenumbers; every certificate holds per wavenumber, and the
+    first wavenumber that fails one raises.
     """
-    eta = float(eta)
-    m = fc.dim
-    eye = np.eye(m)
-    amu = fc.a_mu(eta)
-    arg = fc.a22 * amu - (fc.a12 * eta) ** 2 * eye
-    arg_eigs = np.linalg.eigvals(arg)
-    if np.any((np.real(arg_eigs) <= 0) & (np.abs(np.imag(arg_eigs))
-                                          <= 1e-12 * np.abs(arg_eigs))):
+    eta = np.asarray(eta, dtype=float)
+    arg, lam, _ = _mode_exponents(fc, eta)
+    etas = eta.reshape(-1)
+    arg_eigs = np.linalg.eigvals(arg).reshape(etas.size, -1)
+    on_cut = ((np.real(arg_eigs) <= 0)
+              & (np.abs(np.imag(arg_eigs)) <= 1e-12 * np.abs(arg_eigs)))
+    if np.any(on_cut):
+        i = int(np.argmax(np.any(on_cut, axis=1)))
         raise EllipticityError(
-            "square-root argument touches the branch cut "
-            f"(eigenvalue {arg_eigs[np.argmin(np.real(arg_eigs))]:.4g} at eta={eta})")
-    root = matrix_sqrt(arg)
-    lam = (-1j * fc.a12 * eta * eye + root) / fc.a22
+            "square-root argument touches the branch cut (eigenvalue "
+            f"{arg_eigs[i][np.argmin(np.real(arg_eigs[i]))]:.4g} "
+            f"at eta={etas[i]})")
+    amu = fc.a_mu(eta)
     residual = np.linalg.norm(
-        -fc.a22 * lam @ lam - 2j * fc.a12 * eta * lam + amu, 2)
-    scale = np.linalg.norm(amu, 2)
-    if residual > 1e-10 * scale:
+        -fc.a22 * lam @ lam - 2j * fc.a12 * eta[..., None, None] * lam + amu,
+        2, axis=(-2, -1))
+    over = (residual > 1e-10 * np.linalg.norm(amu, 2, axis=(-2, -1))).ravel()
+    if np.any(over):
+        i = int(np.argmax(over))
         raise SpectralValidationError(
-            f"decay generator residual {residual:.3e} exceeds 1e-10*|A_mu| at eta={eta}")
-    if np.min(np.real(np.linalg.eigvals(lam))) <= 0:
+            f"decay generator residual {residual.ravel()[i]:.3e} exceeds "
+            f"1e-10*|A_mu| at eta={etas[i]}")
+    left = np.min(np.real(np.linalg.eigvals(lam)), axis=-1).ravel() <= 0
+    if np.any(left):
         raise SpectralValidationError(
-            f"decay generator spectrum leaves the right half-plane at eta={eta}")
-    return DecayGenerator(eta, lam, float(residual))
+            "decay generator spectrum leaves the right half-plane at "
+            f"eta={etas[np.argmax(left)]}")
+    return DecayGenerator(eta[()], lam, residual[()])
 
 
 class _ModeExp:
-    """Eigendecomposition-backed evaluation of exp(-Lambda y) over many y."""
+    """Eigendecomposition-backed evaluation of exp(-Lambda y) over many y.
+
+    lam is one matrix or a (..., m, m) stack.  A matrix whose eigenvector
+    matrix has condition 1e10 or more goes through expm instead.
+    """
 
     def __init__(self, lam):
-        w, V = np.linalg.eig(lam)
-        if np.linalg.cond(V) < 1e10:
-            self.w, self.V, self.Vinv = w, V, np.linalg.inv(V)
-            self.lam = None
-        else:
-            self.lam = lam
-            self.w = self.V = self.Vinv = None
+        self.shape = lam.shape[:-2]
+        self.lam = lam.reshape(-1, *lam.shape[-2:])
+        w, V = np.linalg.eig(self.lam)
+        self.ok = np.linalg.cond(V) < 1e10
+        self.w, self.V = w[self.ok], V[self.ok]
+        self.Vinv = np.linalg.inv(self.V)
 
     def at(self, y_arr):
+        """exp(-Lambda y) stacked as lam.shape[:-2] + (ny, m, m)."""
         y_arr = np.atleast_1d(np.asarray(y_arr, dtype=float))
-        if self.lam is None:
-            ex = np.exp(-np.outer(y_arr, self.w))           # (ny, m)
-            return np.einsum("ij,yj,jk->yik", self.V, ex, self.Vinv)
-        return np.stack([scipy.linalg.expm(-y * self.lam) for y in y_arr])
+        nk, m, _ = self.lam.shape
+        out = np.empty((nk, y_arr.size, m, m), dtype=complex)
+        ex = np.exp(-(y_arr[None, :, None] * self.w[:, None, :]))
+        out[self.ok] = np.einsum("kij,kyj,kjl->kyil", self.V, ex, self.Vinv)
+        if not self.ok.all():
+            out[~self.ok] = scipy.linalg.expm(
+                -y_arr[None, :, None, None] * self.lam[~self.ok][:, None])
+        return out.reshape(self.shape + out.shape[1:])
 
 
 def transverse_semigroup(fc, eta, y_arr):
-    """N(eta, y) = exp(-Lambda(eta) y) stacked over y."""
-    gen = decay_generator(fc, eta)
-    return _ModeExp(gen.Lambda).at(y_arr)
+    """N(eta, y) = exp(-Lambda(eta) y), stacked as eta.shape + (ny, m, m)."""
+    return _ModeExp(decay_generator(fc, eta).Lambda).at(y_arr)
 
 
 def halfplane_dirichlet_solve(fc, psi, y_grid, L=None):
@@ -152,12 +185,8 @@ def halfplane_dirichlet_solve(fc, psi, y_grid, L=None):
     y = np.asarray(y_grid, dtype=float)
     nx, m = values.shape
     ks = torus_wavenumbers(L, nx)
-    psi_hat = fft(values, axis=0)
-    out_hat = np.empty((nx, y.size, m), dtype=complex)
-    for i, k in enumerate(ks):
-        stack = transverse_semigroup(fc, -k, y)             # (ny, m, m)
-        out_hat[i] = np.einsum("yij,j->yi", stack, psi_hat[i])
-    u = ifft(out_hat, axis=0)
+    stack = transverse_semigroup(fc, -ks, y)                # (nx, ny, m, m)
+    u = ifft(np.einsum("kyij,kj->kyi", stack, fft(values, axis=0)), axis=0)
     fld = StripField(x=np.arange(nx) * (L / nx), y=y, L=L, values=u)
     fld.resolved = spectral_tail_fraction(values, axis=0) <= 1e-6
     return fld
@@ -176,16 +205,12 @@ def strip_trace_gradient_map(fc, eta, depth=1.0):
     As depth -> inf this tends to rho-, the half-plane multiplier.  Note the
     eta passed here should already be in library FFT convention (the caller
     does not need the -eta bridge; the formula is written directly for modes
-    e^{+i eta x}).
+    e^{+i eta x}).  eta is a scalar or an array of wavenumbers; the maps
+    are stacked as eta.shape + (m, m).
     """
-    m = fc.dim
-    eye = np.eye(m)
-    amu = fc.a_mu(eta)
-    root = matrix_sqrt(fc.a22 * amu - (fc.a12 * eta) ** 2 * eye)
-    rp = (-1j * fc.a12 * eta * eye + root) / fc.a22
-    rm = (-1j * fc.a12 * eta * eye - root) / fc.a22
+    _, rp, rm = _mode_exponents(fc, eta)
     ee = scipy.linalg.expm(depth * (rm - rp))
-    return rp @ rm @ (eye - ee) @ np.linalg.inv(rp - rm @ ee)
+    return rp @ rm @ (np.eye(fc.dim) - ee) @ np.linalg.inv(rp - rm @ ee)
 
 
 def strip_source_response(fc, eta, source_vec, depth=1.0):
@@ -196,18 +221,19 @@ def strip_source_response(fc, eta, source_vec, depth=1.0):
     is the constant A_mu^-1 source; the homogeneous correction uses the same
     stable two-root elimination as the trace-gradient map.
     """
-    m = fc.dim
-    eye = np.eye(m)
-    amu = fc.a_mu(eta)
-    up = np.linalg.solve(amu, np.asarray(source_vec, dtype=complex))
-    root = matrix_sqrt(fc.a22 * amu - (fc.a12 * eta) ** 2 * eye)
-    rp = (-1j * fc.a12 * eta * eye + root) / fc.a22
-    rm = (-1j * fc.a12 * eta * eye - root) / fc.a22
+    up = np.linalg.solve(fc.a_mu(eta), np.asarray(source_vec, dtype=complex))
+    _, rp, rm = _mode_exponents(fc, eta)
     ee = scipy.linalg.expm(depth * (rm - rp))
     # c+ + c- = -up ;  rho+ e^{rho+ d} c+ + rho- e^{rho- d} c- = 0
     cm = -np.linalg.solve(rp - rm @ ee, rp @ up)
     cp = -up - cm
     return rp @ cp + rm @ cm
+
+
+# wavenumbers per stacked solve in strip_profile_response: at m = 2,
+# ny = 33 a block is a 1.1 MB complex stack, where all 128 wavenumbers of
+# the grid at once would hold 8.9 MB
+_K_BLOCK = 16
 
 
 def strip_profile_response(fc, eta, sources, Dy):
@@ -216,24 +242,39 @@ def strip_profile_response(fc, eta, sources, Dy):
     Collocation companion to strip_source_response for sources resolved on
     the solver's y-grid (node 0 at y=0): solves
     -a22 u'' - 2i a12 eta u' + A_mu u = s(y) for each source column and
-    returns the stack of u'(0).  sources has shape (ncols, ny, m); the
-    system matrix is factored once and reused across columns.
+    returns the stack of u'(0).  For a scalar eta, sources has shape
+    (ncols, ny, m) and the result (ncols, m); for an array of wavenumbers
+    both gain the leading shape of eta.  The (ny m)-square systems of
+    _K_BLOCK wavenumbers at a time are stacked and solved together, each
+    factored once for all its columns.
     """
+    eta = np.asarray(eta, dtype=float)
+    etas = eta.reshape(-1)
     sources = np.asarray(sources, dtype=complex)
-    ncols, ny, m = sources.shape
+    ncols, ny, m = sources.shape[-3:]
+    rhs_all = sources.reshape(etas.size, ncols, ny * m).transpose(0, 2, 1)
     eyem = np.eye(m)
-    amu = fc.a_mu(eta)
-    big = (np.kron(-fc.a22 * (Dy @ Dy) - 2j * fc.a12 * eta * Dy, eyem)
-           + np.kron(np.eye(ny), amu))
-    big[:m] = 0.0
-    big[:m, :m] = eyem                       # Dirichlet at the interface node
-    big[-m:] = np.kron(Dy[-1], eyem)         # Neumann at the bottom node
-    rhs = sources.reshape(ncols, ny * m).T.copy()
-    rhs[:m] = 0.0
-    rhs[-m:] = 0.0
-    lu, piv = scipy.linalg.lu_factor(big)
-    w = scipy.linalg.lu_solve((lu, piv), rhs).T.reshape(ncols, ny, m)
-    return np.einsum("l,nlc->nc", Dy[0], w)
+    d2 = -fc.a22 * (Dy @ Dy)
+    neumann = np.kron(Dy[-1], eyem)
+    nodes = np.arange(ny)
+    out = np.empty((etas.size, ncols, m), dtype=complex)
+    for s in range(0, etas.size, _K_BLOCK):
+        e = etas[s:s + _K_BLOCK]
+        # kron(d2 - 2i a12 eta Dy, I_m) + kron(I_ny, A_mu), filled in place
+        big = np.zeros((e.size, ny, m, ny, m), dtype=complex)
+        for c in range(m):
+            big[:, :, c, :, c] = d2 - (2j * fc.a12 * e)[:, None, None] * Dy
+        big[:, nodes, :, nodes, :] += fc.a_mu(e)
+        big = big.reshape(e.size, ny * m, ny * m)
+        big[:, :m] = 0.0
+        big[:, :m, :m] = eyem                # Dirichlet at the interface node
+        big[:, -m:] = neumann                # Neumann at the bottom node
+        rhs = rhs_all[s:s + _K_BLOCK].copy()
+        rhs[:, :m] = 0.0
+        rhs[:, -m:] = 0.0
+        w = np.linalg.solve(big, rhs).reshape(e.size, ny, m, ncols)
+        out[s:s + _K_BLOCK] = np.einsum("l,blcn->bnc", Dy[0], w)
+    return out.reshape(eta.shape + (ncols, m))
 
 
 @dataclass
@@ -243,18 +284,6 @@ class MultiplierDecayReport:
     phi0: np.ndarray          # A-weighted profile
     phi_j: np.ndarray         # (3, ny): |mu|^{2-j} eta^j weights, j = 0,1,2
     mu: float
-
-    def tail_ratios(self):
-        """Phi(Y)/Phi(Y/100) per profile, Y = last y-grid point."""
-        y = self.y_grid
-        j_near = int(np.argmin(np.abs(y - y[-1] / 100.0)))
-        out = {}
-        profs = {"phi0": self.phi0}
-        for j in range(self.phi_j.shape[0]):
-            profs[f"phi{j}_weighted"] = self.phi_j[j]
-        for name, p in profs.items():
-            out[name] = float(p[-1] / p[j_near]) if p[j_near] > 0 else 0.0
-        return out
 
 
 def default_eta_grid(L=16 * np.pi, nx=128, refine=4):
@@ -277,29 +306,28 @@ def multiplier_profiles(fc, y_grid, eta_grid=None, d_eta=1e-4):
     if eta_grid is None:
         eta_grid = default_eta_grid()
     eta_grid = np.asarray(eta_grid, dtype=float)
-    A = fc.A.entries
     mu = abs(fc.mu)
-    phi0 = np.zeros(y.size)
+    n_mid = transverse_semigroup(fc, eta_grid, y)           # (neta, ny, m, m)
+    n_up = transverse_semigroup(fc, eta_grid + d_eta, y)
+    n_dn = transverse_semigroup(fc, eta_grid - d_eta, y)
+    root_w = np.sqrt(1.0 + np.abs(eta_grid))[:, None]
+
+    def profile(q, dq):
+        """max over eta of ||q|| + (1+|eta|)^(1/2) ||dq||, per y."""
+        norm_q = np.linalg.norm(q, ord=2, axis=(2, 3))
+        norm_dq = np.linalg.norm(dq, ord=2, axis=(2, 3))
+        return np.max(norm_q + root_w * norm_dq, axis=0)
+
+    A = fc.A.entries
+    phi0 = profile(np.einsum("ij,eyjk->eyik", A, n_mid),
+                   np.einsum("ij,eyjk->eyik", A, (n_up - n_dn) / (2 * d_eta)))
     phi_j = np.zeros((3, y.size))
-    for eta in eta_grid:
-        n_mid = transverse_semigroup(fc, eta, y)            # (ny, m, m)
-        n_up = transverse_semigroup(fc, eta + d_eta, y)
-        n_dn = transverse_semigroup(fc, eta - d_eta, y)
-        root_w = np.sqrt(1.0 + abs(eta))
-        q0 = np.einsum("ij,yjk->yik", A, n_mid)
-        dq0 = np.einsum("ij,yjk->yik", A, (n_up - n_dn) / (2 * d_eta))
-        norm0 = np.linalg.norm(q0, ord=2, axis=(1, 2))
-        dnorm0 = np.linalg.norm(dq0, ord=2, axis=(1, 2))
-        phi0 = np.maximum(phi0, norm0 + root_w * dnorm0)
-        for j in range(3):
-            w_mid = mu ** (2 - j) * eta ** j
-            w_up = mu ** (2 - j) * (eta + d_eta) ** j
-            w_dn = mu ** (2 - j) * (eta - d_eta) ** j
-            qj = w_mid * n_mid
-            dqj = (w_up * n_up - w_dn * n_dn) / (2 * d_eta)
-            nj = np.linalg.norm(qj, ord=2, axis=(1, 2))
-            dnj = np.linalg.norm(dqj, ord=2, axis=(1, 2))
-            phi_j[j] = np.maximum(phi_j[j], nj + root_w * dnj)
+    for j in range(3):
+        w_mid, w_up, w_dn = (mu ** (2 - j) * e[:, None, None, None] ** j
+                             for e in (eta_grid, eta_grid + d_eta,
+                                       eta_grid - d_eta))
+        phi_j[j] = profile(w_mid * n_mid,
+                           (w_up * n_up - w_dn * n_dn) / (2 * d_eta))
     return MultiplierDecayReport(y_grid=y, eta_grid=eta_grid, phi0=phi0,
                                  phi_j=phi_j, mu=fc.mu)
 
@@ -364,36 +392,37 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5, ny=40):
     even in the scalar flat case, so the graded norms are the meaningful
     discretization of the estimate.
     """
-    rows = []
+    L, nx = psi_ensemble[0].L, psi_ensemble[0].values.shape[0]
+    if any(psi.L != L or psi.values.shape[0] != nx for psi in psi_ensemble):
+        raise ValueError("coercivity probe data must share one torus grid")
     A = fc.A.entries
-    for data_index, psi in enumerate(psi_ensemble):
-        L, vals = psi.L, psi.values
-        nx, m = vals.shape
-        ks = torus_wavenumbers(L, nx)
-        psi_hat = fft(vals, axis=0)
-        for mu in mu_list:
-            fcm = fc.with_mu(mu)
-            Yd = default_depth(fcm)
-            y = np.linspace(0.0, Yd, ny)
-            fields = {name: np.empty((nx, ny, m), dtype=complex)
-                      for name in ("u", "ux", "uxx", "uyy", "uxy", "au")}
-            for i, k in enumerate(ks):
-                gen = decay_generator(fcm, -k)
-                stack = _ModeExp(gen.Lambda).at(y)           # (ny, m, m)
-                lam = gen.Lambda
-                uh = np.einsum("yij,j->yi", stack, psi_hat[i])
-                uyh = -np.einsum("yij,jk,k->yi", stack, lam, psi_hat[i])
-                uyyh = np.einsum("yij,jk,kl,l->yi", stack, lam, lam, psi_hat[i])
-                fields["u"][i] = uh
-                fields["ux"][i] = 1j * k * uh
-                fields["uxx"][i] = -(k ** 2) * uh
-                fields["uxy"][i] = 1j * k * uyh
-                fields["uyy"][i] = uyyh
-                fields["au"][i] = np.einsum("ij,yj->yi", A, uh)
+    ks = torus_wavenumbers(L, nx)
+    ik = 1j * ks[:, None, None]
+    rows = {}
+    # the mode stacks of one mu at a time, shared by every datum
+    for mu_index, mu in enumerate(mu_list):
+        fcm = fc.with_mu(mu)
+        y = np.linspace(0.0, default_depth(fcm), ny)
+        lam = decay_generator(fcm, -ks).Lambda               # (nx, m, m)
+        stack = _ModeExp(lam).at(y)                          # (nx, ny, m, m)
+        for data_index, psi in enumerate(psi_ensemble):
+            psi_hat = fft(psi.values, axis=0)
+            # d/dy brings down -Lambda: N Lambda psi_hat and N Lambda^2 psi_hat
+            lam_psi = np.einsum("kij,kj->ki", lam, psi_hat)
+            lam2_psi = np.einsum("kij,kj->ki", lam, lam_psi)
+            uh = np.einsum("kyij,kj->kyi", stack, psi_hat)
+            fields = {"u": uh,
+                      "ux": ik * uh,
+                      "uxx": -(ks ** 2)[:, None, None] * uh,
+                      "uxy": -ik * np.einsum("kyij,kj->kyi", stack, lam_psi),
+                      "uyy": np.einsum("kyij,kj->kyi", stack, lam2_psi),
+                      "au": np.einsum("ij,kyj->kyi", A, uh)}
             for name in fields:
                 fields[name] = ifft(fields[name], axis=0)
-            lhs, rhs = _graded_probe_norms(fields, vals, A, y, L, alpha, mu)
-            rows.append(CoercivityRow(mu=float(mu), data_index=data_index,
-                                      lhs=float(lhs), rhs=float(rhs),
-                                      ratio=float(lhs / rhs)))
-    return CoercivityReport.from_rows(rows)
+            lhs, rhs = _graded_probe_norms(fields, psi.values, A, y, L, alpha,
+                                           mu)
+            rows[data_index, mu_index] = CoercivityRow(
+                mu=float(mu), data_index=data_index, lhs=float(lhs),
+                rhs=float(rhs), ratio=float(lhs / rhs))
+    # rows in data-major order: each datum's mu sweep together
+    return CoercivityReport.from_rows([rows[key] for key in sorted(rows)])

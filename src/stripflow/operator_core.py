@@ -143,12 +143,21 @@ def frac_power(A, theta):
 
 
 def matrix_sqrt(mat):
-    """Principal square root (shared helper for the half-plane symbols)."""
+    """Principal square root of a matrix or of a (..., m, m) stack.
+
+    Shared helper for the half-plane symbols.  Each matrix goes through its
+    eigendecomposition when the eigenvector matrix has condition below 1e8,
+    and through scipy's Schur-based sqrtm otherwise.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    w, V = np.linalg.eig(mat)
-    if np.linalg.cond(V) < 1e8:
-        return V @ np.diag(np.sqrt(w.astype(complex))) @ np.linalg.inv(V)
-    return scipy.linalg.sqrtm(mat)
+    stack = mat.reshape(-1, *mat.shape[-2:])
+    w, V = np.linalg.eig(stack)
+    ok = np.linalg.cond(V) < 1e8
+    out = np.empty_like(stack)
+    out[ok] = (V[ok] * np.sqrt(w[ok])[:, None, :]) @ np.linalg.inv(V[ok])
+    if not ok.all():
+        out[~ok] = [scipy.linalg.sqrtm(a) for a in stack[~ok]]
+    return out.reshape(mat.shape)
 
 
 def semigroup(A, t):

@@ -708,9 +708,8 @@ def _run_coercivity(scn, tmp, seed):
     rng = np.random.default_rng(seed + 7)
     psis = _ensemble(rng, scn.nx, scn.m, scn.L)
     mu_list = (1.0, 2.0, 4.0, 8.0)
-    fset = frozen_set(profile, scn.A, scn.admissibility_report.margin_argmin,
-                      scn.mu_solve, ny=scn.ny, rtol=scn.rtol, dtn=scn.dtn())
-    half = coercivity_probe_59(fset.fc,
+    fc = scn.dtn().frozen_coefficients(scn.admissibility_report.margin_argmin)
+    half = coercivity_probe_59(fc,
                                [SampledFunction(profile.L, p) for p in psis],
                                mu_list, alpha=scn.alpha)
     ny_probe = min(scn.ny, 17)

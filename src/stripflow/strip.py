@@ -158,11 +158,6 @@ class StripField:
             raise ValueError("no differentiation matrix attached to this field")
         return cheb_apply(self.Dy[:1], self.values)[:, 0]
 
-    def dy_trace1(self):
-        if self.Dy is None:
-            raise ValueError("no differentiation matrix attached to this field")
-        return cheb_apply(self.Dy[-1:], self.values)[:, 0]
-
 
 class DiscreteStripOperator:
     """Collocation form of the flattened operator with boundary rows installed.
@@ -311,11 +306,6 @@ class DiscreteStripOperator:
         return ifft(u.reshape(self.shape_full), axis=0).ravel()
 
     # -- solve ---------------------------------------------------------------
-
-    def residual_of(self, u_values, b):
-        r = self.apply_values(u_values) - b
-        bn = np.linalg.norm(b.ravel())
-        return float(np.linalg.norm(r.ravel()) / (bn if bn > 0 else 1.0))
 
     def solve(self, F=None, psi0=None, psi1=None, rtol=1e-11, restart=160,
               maxiter=2):

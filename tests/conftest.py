@@ -29,6 +29,20 @@ def torus_x(nx, L=16 * np.pi):
     return np.arange(nx) * (L / nx)
 
 
+def tail_ratios(report):
+    """Phi(Y)/Phi(Y/100) per profile of a MultiplierDecayReport, Y the last
+    y-grid point."""
+    y = report.y_grid
+    j_near = int(np.argmin(np.abs(y - y[-1] / 100.0)))
+    out = {}
+    profs = {"phi0": report.phi0}
+    for j in range(report.phi_j.shape[0]):
+        profs[f"phi{j}_weighted"] = report.phi_j[j]
+    for name, p in profs.items():
+        out[name] = float(p[-1] / p[j_near]) if p[j_near] > 0 else 0.0
+    return out
+
+
 @pytest.fixture
 def A1():
     return SectorialOperator(np.array([[1.0]]))

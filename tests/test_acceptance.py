@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, tail_ratios
 from stripflow.dtn import (
     admissibility,
     dtn_apply,
@@ -305,7 +305,7 @@ def test_06_multiplier_decay(goldens):
             tail_start = 2 * len(y) // 3
             assert np.all(np.diff(prof[tail_start:]) <= 1e-14), \
                 "profile not eventually monotone"
-        worst_tail = max(worst_tail, max(rep.tail_ratios().values()))
+        worst_tail = max(worst_tail, max(tail_ratios(rep).values()))
     assert worst_tail < 1e-3
     _say(6, f"multiplier profiles finite, eventually monotone; "
             f"max tail ratio Phi(10)/Phi(0.1) = {worst_tail:.3e} < 1e-3")

@@ -36,6 +36,12 @@ directory = {out}
 formats = csv,json
 """
 
+# two components that differ at every node: the frozen diagnostics, which
+# need equal components at their freeze node, must refuse the scenario
+UNEQUAL = FAST.replace("m = 1\nA = 1.0", "m = 2\nA = 2.0 0.5; 0.0 1.0") \
+              .replace("g0 = 0.001*sin(2*pi*x/L)",
+                       "g0 = 0.001*sin(2*pi*x/L); 0.002*sin(2*pi*x/L)")
+
 BREAKDOWN = FAST.replace("g0 = 0.001*sin(2*pi*x/L)",
                          "g0 = -0.85*exp(cos(2*pi*x/L) - 1)") \
                 .replace("[time]", "[time]\nmargin_floor = 0.2")
@@ -149,6 +155,22 @@ def test_diagnose_frozen_mode(tmp_path):
     out = tmp_path / "result"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["mode"] == "diagnose-frozen"
+
+
+@pytest.mark.parametrize("mode", ["diagnose-frozen", "diagnose-coercivity",
+                                  "diagnose-localization"])
+def test_diagnose_unequal_components_is_validation_failure(tmp_path, capsys,
+                                                           mode):
+    """Components that differ at the freeze node are bad input (exit 2,
+    one line naming the node and the spread), not an internal error."""
+    from stripflow import cli
+    path = write(tmp_path, UNEQUAL)
+    assert cli.main(["run", path, "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: components of ")
+    assert "differ at the freeze node x = " in err and "spread" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "result").exists()
 
 
 def test_deterministic_repeat_is_byte_identical(tmp_path):

@@ -3,16 +3,25 @@ trace-gradient maps, multiplier decay, graded coercivity ratios."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from numpy.fft import fft, ifft
 
-from stripflow.grids import cheb_lobatto_01
+import stripflow.model as model
+from conftest import make_profile, tail_ratios
+from stripflow.dtn import DtNOperator, _coefficient_derivatives
+from stripflow.errors import EllipticityError, SpectralValidationError
+from stripflow.grids import (cheb_lobatto_01, spectral_derivative,
+                             torus_wavenumbers)
 from stripflow.holder import SampledFunction, scaled_field_norm
 from stripflow.model import (
     FrozenCoefficients,
     _graded_probe_norms,
+    _ModeExp,
     coercivity_probe_59,
     decay_generator,
+    default_depth,
     default_eta_grid,
     halfplane_dirichlet_solve,
     multiplier_profiles,
@@ -222,7 +231,7 @@ def test_multiplier_profiles_decay():
     y = np.linspace(0.1, 10.0, 160)
     rep = multiplier_profiles(fc, y, eta_grid=default_eta_grid(L, 64))
     assert np.all(np.isfinite(rep.phi0))
-    tails = rep.tail_ratios()
+    tails = tail_ratios(rep)
     assert all(r < 1e-3 for r in tails.values())
     # eventually monotone: strictly decreasing over the last third
     last = rep.phi0[2 * len(y) // 3:]
@@ -262,3 +271,207 @@ def test_probe_59_ratio_flat_across_mu(rng):
     rep = coercivity_probe_59(fc, ens, (1.0, 2.0, 4.0, 8.0))
     assert np.isfinite(rep.max_ratio)
     assert rep.mu_spread < 2.0
+
+
+# ------------------------------------ batched kernels vs per-k formulas
+# The kernels take the whole wavenumber grid at once; the references below
+# evaluate the same formulas one wavenumber at a time with scipy's
+# Schur-based sqrtm, expm and a dense solve.
+
+COUPLINGS = {
+    "m1": [[1.5]],
+    "coupled": [[2.0, 0.5], [0.0, 1.0]],
+    "jordan": [[1.0, 1.0], [0.0, 1.0]],     # takes the sqrtm/expm fallbacks
+}
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def ref_exponents(fc, k):
+    """rho+-(k) at one wavenumber."""
+    eye = np.eye(fc.dim)
+    root = scipy.linalg.sqrtm(fc.a22 * fc.a_mu(k) - (fc.a12 * k) ** 2 * eye)
+    return ((-1j * fc.a12 * k * eye + root) / fc.a22,
+            (-1j * fc.a12 * k * eye - root) / fc.a22)
+
+
+def ref_trace_gradient_map(fc, k, depth=1.0):
+    rp, rm = ref_exponents(fc, k)
+    ee = scipy.linalg.expm(depth * (rm - rp))
+    return rp @ rm @ (np.eye(fc.dim) - ee) @ np.linalg.inv(rp - rm @ ee)
+
+
+def ref_profile_response(fc, k, sources, Dy):
+    ncols, ny, m = sources.shape
+    eyem = np.eye(m)
+    big = (np.kron(-fc.a22 * (Dy @ Dy) - 2j * fc.a12 * k * Dy, eyem)
+           + np.kron(np.eye(ny), fc.a_mu(k)))
+    big[:m] = 0.0
+    big[:m, :m] = eyem
+    big[-m:] = np.kron(Dy[-1], eyem)
+    rhs = sources.reshape(ncols, ny * m).T.copy()
+    rhs[:m] = 0.0
+    rhs[-m:] = 0.0
+    w = scipy.linalg.solve(big, rhs).T.reshape(ncols, ny, m)
+    return np.einsum("l,nlc->nc", Dy[0], w)
+
+
+def coupling_fc(name, a12=0.15, a22=1.3, mu=2.0):
+    return FrozenCoefficients(a12, a22,
+                              SectorialOperator(np.array(COUPLINGS[name])), mu)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLINGS))
+def test_batched_mode_kernels_match_per_k_formulas(name, rng):
+    fc = coupling_fc(name)
+    m = fc.dim
+    ks = torus_wavenumbers(L, 40)     # two whole k-blocks and a ragged one
+    lam = decay_generator(fc, ks).Lambda
+    ref_lam = np.stack([ref_exponents(fc, k)[0] for k in ks])
+    assert_rel_close(lam, ref_lam)
+    # only the defective coupling leaves the eigendecomposition route
+    assert list(_ModeExp(lam).ok) == [name != "jordan"] * ks.size
+    y = np.linspace(0.0, 3.0, 7)
+    assert_rel_close(
+        transverse_semigroup(fc, ks, y),
+        np.stack([[scipy.linalg.expm(-t * lk) for t in y] for lk in ref_lam]))
+    assert_rel_close(strip_trace_gradient_map(fc, ks),
+                     np.stack([ref_trace_gradient_map(fc, k) for k in ks]))
+    _, Dy = cheb_lobatto_01(9)
+    sources = (rng.standard_normal((ks.size, 3, 9, m))
+               + 1j * rng.standard_normal((ks.size, 3, 9, m)))
+    expected = np.stack([ref_profile_response(fc, k, src, Dy)
+                         for k, src in zip(ks, sources)])
+    assert_rel_close(strip_profile_response(fc, ks, sources, Dy), expected)
+
+
+def ref_probe_59_rows(fc, ensemble, mu_list, alpha=0.5, ny=40):
+    """coercivity_probe_59 one datum, one mu and one wavenumber at a time."""
+    A = fc.A.entries
+    rows = []
+    for data_index, psi in enumerate(ensemble):
+        nx, m = psi.values.shape
+        ks = torus_wavenumbers(psi.L, nx)
+        psi_hat = fft(psi.values, axis=0)
+        for mu in mu_list:
+            fcm = fc.with_mu(mu)
+            y = np.linspace(0.0, default_depth(fcm), ny)
+            fields = {name: np.empty((nx, ny, m), dtype=complex)
+                      for name in ("u", "ux", "uxx", "uxy", "uyy", "au")}
+            for i, k in enumerate(ks):
+                lam = ref_exponents(fcm, -k)[0]
+                stack = scipy.linalg.expm(-y[:, None, None] * lam)
+                uh = stack @ psi_hat[i]
+                fields["u"][i] = uh
+                fields["ux"][i] = 1j * k * uh
+                fields["uxx"][i] = -(k ** 2) * uh
+                fields["uxy"][i] = 1j * k * (-(stack @ lam) @ psi_hat[i])
+                fields["uyy"][i] = stack @ lam @ lam @ psi_hat[i]
+                fields["au"][i] = uh @ A.T
+            fields = {name: ifft(v, axis=0) for name, v in fields.items()}
+            rows.append((mu, data_index) + _graded_probe_norms(
+                fields, psi.values, A, y, psi.L, alpha, mu))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(COUPLINGS))
+def test_batched_probe_59_matches_per_k_loop(name, rng):
+    fc = coupling_fc(name, mu=0.0)
+    nx, m = 32, fc.dim
+    ensemble = [SampledFunction(L, (rng.standard_normal((nx, m))
+                                    + 1j * rng.standard_normal((nx, m)))
+                                / (1.0 + np.abs(np.fft.fftfreq(nx, 1.0 / nx))
+                                   )[:, None] ** 4)
+                for _ in range(3)]
+    mu_list = (1.0, 2.0, 4.0, 8.0)
+    rep = coercivity_probe_59(fc, [SampledFunction(L, ifft(e.values, axis=0))
+                                   for e in ensemble], mu_list)
+    expected = ref_probe_59_rows(fc, [SampledFunction(L, ifft(e.values,
+                                                              axis=0))
+                                      for e in ensemble], mu_list)
+    # data-major row order, each datum's mu sweep together
+    assert [(r.mu, r.data_index) for r in rep.rows] == \
+        [row[:2] for row in expected]
+    for r, (_, _, lhs, rhs) in zip(rep.rows, expected):
+        assert r.lhs == pytest.approx(lhs, rel=1e-12)
+        assert r.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def ref_frozen_symbols(dtn, i0):
+    """sym10, sym20 and sym30 of dtn.frozen_set at node i0, one wavenumber
+    at a time."""
+    p = dtn.profile
+    fc = dtn.frozen_coefficients(p.x[i0])
+    h0 = float(np.real(p.nu + p.g[i0, 0]))
+    gx0 = float(np.real(p.g_x[i0, 0]))
+    b10, b20 = -gx0, -(1.0 + gx0 ** 2) / h0
+    ups = dtn.upsilon()
+    c1 = spectral_derivative(ups.trace0(), p.L, 1, axis=0)[i0]
+    c2 = ups.dy_trace0()[i0]
+    Dy = ups.Dy
+    vxy = Dy @ spectral_derivative(ups.values, p.L, 1, axis=0)[i0]
+    vy = Dy @ ups.values[i0]
+    vyy = Dy @ vy
+    eyem = np.eye(p.m)
+    sym10, sym20, sym30 = [], [], []
+    for k in torus_wavenumbers(p.L, p.nx):
+        sym10.append(1j * b10 * k * eyem + b20 * ref_trace_gradient_map(fc, k))
+        sym20.append(np.diag(-1j * k * c1 + (fc.a22 - 2j * k * gx0 / h0) * c2))
+        da12, da22, da2 = _coefficient_derivatives(
+            (1.0 - ups.y)[:, None], h0, gx0, complex(p.g_xx[i0, 0]), 1.0,
+            1j * k, (1j * k) ** 2)
+        src = -2.0 * da12 * vxy - da22 * vyy + da2 * vy          # (ny, m)
+        cols = np.stack([src[:, [c]] * eyem[c] for c in range(p.m)])
+        sym30.append(-b20 * ref_profile_response(fc, k, cols, Dy).T)
+    return np.stack(sym10), np.stack(sym20), np.stack(sym30)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLINGS))
+def test_batched_frozen_set_matches_per_k_loop(name):
+    A = SectorialOperator(np.array(COUPLINGS[name]))
+    p = make_profile(nx=32, amp=0.05, mode=1, m=A.dim)
+    dtn = DtNOperator(p, A, 4.0, ny=17)
+    fset = dtn.frozen_set(p.x[5])
+    for got, want in zip((fset.sym10, fset.sym20, fset.sym30),
+                         ref_frozen_symbols(dtn, 5)):
+        assert_rel_close(got, want)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda root: root * (1.0 + 1e-6), "residual"),
+    (lambda root: -root, "right half-plane"),    # the decaying root's twin
+])
+def test_certificate_failure_at_one_k_raises(monkeypatch, change, match):
+    """A certificate that fails at a single wavenumber of the grid raises the
+    same error class as the scalar call at that wavenumber."""
+    fc = FrozenCoefficients(0.15, 1.3, SectorialOperator(np.array([[1.0]])),
+                            0.0)
+    bad_arg = fc.a22 * fc.a_mu(0.5) - (fc.a12 * 0.5) ** 2   # arg at eta = 0.5
+    real_sqrt = model.matrix_sqrt
+
+    def faulty_sqrt(arg):
+        root = real_sqrt(arg)
+        return np.where(np.isclose(arg, bad_arg), change(root), root)
+
+    monkeypatch.setattr(model, "matrix_sqrt", faulty_sqrt)
+    ks = np.array([-2.0, -1.0, 0.5, 3.0])
+    for eta in (ks, 0.5):
+        with pytest.raises(SpectralValidationError,
+                           match=f"{match}.* at eta=0.5"):
+            decay_generator(fc, eta)
+    decay_generator(fc, np.delete(ks, 2))
+
+
+def test_branch_cut_at_one_k_raises():
+    """A negative coupling puts the square-root argument on the cut at
+    eta = 0 only."""
+    fc = FrozenCoefficients(0.15, 1.3, SectorialOperator(np.array([[-0.5]])),
+                            0.0)
+    with pytest.raises(EllipticityError, match="eta=0.0"):
+        decay_generator(fc, np.array([-3.0, 0.0, 3.0]))
+    with pytest.raises(EllipticityError, match="eta=0.0"):
+        decay_generator(fc, 0.0)
+    decay_generator(fc, np.array([-3.0, 3.0]))

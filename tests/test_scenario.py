@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from stripflow.dtn import DtNOperator
 from stripflow.errors import ScenarioError
 from stripflow.scenario import (
     export,
@@ -319,6 +320,30 @@ def test_breakdown_run_reuses_the_loaded_solve(tmp_path, monkeypatch):
     _, status = run(scn, out_dir=str(tmp_path / "bd"))
     assert status == STATUS_BOUNDARY
     assert solves == []
+
+
+@pytest.mark.parametrize("mode, builds", [("diagnose-frozen", 1),
+                                          ("diagnose-coercivity", 0),
+                                          ("diagnose-localization", 4)])
+def test_diagnose_builds_each_frozen_node_once(tmp_path, monkeypatch, mode,
+                                               builds):
+    """The localization sweep's 7 patches (delta = 1, 0.5, 0.25) sit on 4
+    distinct nodes and build one frozen set each; the coercivity probe
+    needs only the frozen coefficients."""
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    nodes = []
+    real_build = DtNOperator._build_frozen_set
+    monkeypatch.setattr(DtNOperator, "_build_frozen_set",
+                        lambda dtn, i0, *a: nodes.append(i0)
+                        or real_build(dtn, i0, *a))
+    out = tmp_path / "diag"
+    _, status = run(scn, mode=mode, out_dir=str(out))
+    assert status == STATUS_COMPLETED
+    assert len(nodes) == len(set(nodes)) == builds
+    if mode == "diagnose-localization":
+        report = json.loads((out / "localization.json").read_text())
+        centers = [c for patch in report["per_patch"] for c in patch["centers"]]
+        assert len(centers) == 7 and len(set(centers)) == builds
 
 
 def test_evolve_refuses_a_foreign_operator(tmp_path):
