@@ -10,7 +10,7 @@ admissibility margins provide the structural diagnostics.
 """
 
 from ._version import __version__
-from .errors import (AdmissibilityError, BreakdownError, DegenerateDomainError,
+from .errors import (AdmissibilityError, DegenerateDomainError,
                      EllipticityError, FreezePointError, ScenarioError,
                      SingularOperatorError, SolverError,
                      SpectralValidationError, StripflowError)
@@ -43,7 +43,7 @@ __all__ = [
     # errors
     "StripflowError", "SpectralValidationError", "SingularOperatorError",
     "DegenerateDomainError", "EllipticityError", "FreezePointError",
-    "SolverError", "AdmissibilityError", "ScenarioError", "BreakdownError",
+    "SolverError", "AdmissibilityError", "ScenarioError",
     # operator calculus
     "SectorialOperator", "PositivityReport", "InterpolationNormSpec",
     "validate_sectorial", "resolvent", "frac_power", "matrix_sqrt",

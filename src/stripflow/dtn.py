@@ -23,7 +23,9 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from .errors import FreezePointError
-from .grids import partition_of_unity, spectral_derivative, torus_wavenumbers
+from .geometry import coefficient_derivatives
+from .grids import (partition_of_unity, random_trace, spectral_derivative,
+                    torus_wavenumbers)
 from .holder import (InterpNormEvaluator, InterpolationNormSpec,
                      SampledFunction, h1alpha_norm, h2alpha_norm)
 from .model import (FrozenCoefficients, strip_profile_response,
@@ -48,23 +50,6 @@ def _as_direction(profile, psi):
         raise ValueError(f"direction shape {psi.shape} does not match profile "
                          f"({profile.nx}, {profile.m})")
     return psi
-
-
-def _coefficient_derivatives(beta, w, gx, gxx, ps, ps_x, ps_xx):
-    """Chain rule for the directional derivatives of a12, a22, a2.
-
-    The coefficients depend on the height w = nu + g through
-    y_phys = beta * w; perturbing g along psi (samples or symbols ps with
-    their x-derivatives ps_x, ps_xx) moves them by (da12, da22, da2).
-    All arguments broadcast against each other.
-    """
-    da12 = beta * (ps_x / w - gx * ps / w ** 2)
-    da22 = (2.0 * beta ** 2 * gx * ps_x / w ** 2
-            - 2.0 * (1.0 + beta ** 2 * gx ** 2) * ps / w ** 3)
-    da2 = (4.0 * beta * gx * ps_x / w ** 2
-           - 4.0 * beta * gx ** 2 * ps / w ** 3
-           - beta * ps_xx / w + beta * gxx * ps / w ** 2)
-    return da12, da22, da2
 
 
 class DtNOperator:
@@ -115,39 +100,31 @@ class DtNOperator:
 
     # -- derivative pieces ---------------------------------------------------
 
-    def interior_derivative_source(self, psi):
-        """dB(g)[psi, v]: the interior source produced by perturbing B along psi.
+    def derivative_sources(self, psi):
+        """(dB(g)[psi, v], dB0(g)[psi, v]) for the solved field v = K(g) g.
 
-        The coupling operator A is constant, so it contributes no term.
+        The first is the interior source produced by perturbing B along psi
+        (the coupling operator A is constant, so it contributes no term),
+        the second the perturbation of the oblique boundary read-out.
         """
         p = self.profile
         ups = self.upsilon()
-        da12, da22, da2 = _coefficient_derivatives(
+        da12, da22, da2, db10, db20 = coefficient_derivatives(
             self.coeffs.beta[None, :, None], (p.nu + p.g)[:, None, :],
             p.g_x[:, None, :], p.g_xx[:, None, :], psi[:, None, :],
             spectral_derivative(psi, p.L, 1, axis=0)[:, None, :],
             spectral_derivative(psi, p.L, 2, axis=0)[:, None, :])
         v_xy = cheb_apply(self.op.Dy, ups.dx(1))
-        return -2.0 * da12 * v_xy - da22 * ups.dy(2) + da2 * ups.dy(1)
-
-    def boundary_derivative(self, psi):
-        """dB0(g)[psi, v]: perturbation of the oblique boundary read-out."""
-        p = self.profile
-        ups = self.upsilon()
-        w = p.nu + p.g
-        gx = p.g_x
-        ps_x = spectral_derivative(psi, p.L, 1, axis=0)
+        interior = -2.0 * da12 * v_xy - da22 * ups.dy(2) + da2 * ups.dy(1)
         tr_x = spectral_derivative(ups.trace0(), p.L, 1, axis=0)
-        tr_y = ups.dy_trace0()
-        return (-ps_x * tr_x
-                + ((1.0 + gx ** 2) * psi / w ** 2 - 2.0 * gx * ps_x / w) * tr_y)
+        boundary = db10[:, 0] * tr_x + db20[:, 0] * ups.dy_trace0()
+        return interior, boundary
 
     def derivative_terms(self, psi):
         """The three pieces of dO(g) psi, in formula order (two solves)."""
         psi = _as_direction(self.profile, psi)
         k_piece = b0_trace(self.coeffs, self.op.solve(psi0=psi, rtol=self.rtol))
-        b0_piece = self.boundary_derivative(psi)
-        src = self.interior_derivative_source(psi)
+        src, b0_piece = self.derivative_sources(psi)
         s_piece = -b0_trace(self.coeffs, self.op.solve(F=src, rtol=self.rtol))
         return k_piece, b0_piece, s_piece
 
@@ -155,14 +132,14 @@ class DtNOperator:
         """dO(g) psi: B0 K psi - B0 S dB read off one strip solve with data
         (F, psi0) = (-dB, psi), plus dB0."""
         psi = _as_direction(self.profile, psi)
-        fld = self.op.solve(F=-self.interior_derivative_source(psi), psi0=psi,
-                            rtol=self.rtol)
-        return b0_trace(self.coeffs, fld) + self.boundary_derivative(psi)
+        src, b0_piece = self.derivative_sources(psi)
+        fld = self.op.solve(F=-src, psi0=psi, rtol=self.rtol)
+        return b0_trace(self.coeffs, fld) + b0_piece
 
     # -- reports on the solved field -----------------------------------------
 
     def margin(self):
-        """Pointwise Re[w_g + k_g] on the interface, with the two summands.
+        """Pointwise Re[w_g + k_g] on the interface, and k_g.
 
         w_g is the boundary weight of the solved field, k_g the ellipticity
         ratio alpha(g)/a22(g) at y = 0; positivity of the infimum is the gate
@@ -172,9 +149,9 @@ class DtNOperator:
         w_g = self.upsilon().dy_trace0() / (p.nu + p.g)
         c = self.coeffs
         k_g = np.real(c.alpha_floor[:, 0, :] / c.a22[:, 0, :])
-        return np.real(w_g) + k_g, w_g, k_g
+        return np.real(w_g) + k_g, k_g
 
-    def admissibility(self, alpha=0.5):
+    def admissibility(self):
         """Membership tests for the evolution's well-posedness neighborhoods.
 
         The primary gate combines the boundary weight of the solved field
@@ -188,7 +165,7 @@ class DtNOperator:
         so only the margin gates the stepper.
         """
         p = self.profile
-        total, w_g, k_g = self.margin()
+        total, k_g = self.margin()
         margin = float(np.min(total))
         arg = np.unravel_index(np.argmin(total), total.shape)
 
@@ -201,15 +178,11 @@ class DtNOperator:
         dyu_phys = -u_f.dy_trace0() / p.h[:, None]
         k_f = p.h ** 2 / ((1.0 + p.h + p.h_x ** 2) * (1.0 + p.h_x ** 2))
         vnu_gap = float(np.min(k_f[:, None] - np.real(dyu_phys)))
-
-        evaluator = InterpNormEvaluator(self.A,
-                                        InterpolationNormSpec(theta=alpha))
-        w_norm_max = float(np.max(evaluator.of_values(w_g)))
         return AdmissibilityReport(
             in_W1=bool(margin > 0), margin=margin,
             in_Vnu=bool(vnu_gap > 0 and np.min(p.h) > 0),
             vnu_gap=vnu_gap, kg_min=float(np.min(k_g)),
-            w_norm_max=w_norm_max, margin_argmin=float(p.x[arg[0]]))
+            margin_argmin=float(p.x[arg[0]]))
 
     def _freeze_point(self, x0):
         """Node index, height nu + g and slope g_x at the grid node x0.
@@ -239,9 +212,12 @@ class DtNOperator:
         return i0, float(np.real(w_vec[0])), float(np.real(gx_vec[0]))
 
     def frozen_coefficients(self, x0):
-        """Principal coefficients frozen at the grid node x0, with this mu."""
-        _, h0, gx0 = self._freeze_point(x0)
-        return FrozenCoefficients(a12=gx0 / h0, a22=(1.0 + gx0 ** 2) / h0 ** 2,
+        """Principal coefficients a12, a22 of the flattening at the boundary
+        grid node x0, with this mu."""
+        i0 = self._freeze_point(x0)[0]
+        c = self.coeffs
+        return FrozenCoefficients(a12=np.real(c.a12[i0, 0, 0]),
+                                  a22=np.real(c.a22[i0, 0, 0]),
                                   A=self.A, mu=self.mu)
 
     def frozen_set(self, x0):
@@ -259,9 +235,8 @@ class DtNOperator:
 
     def _build_frozen_set(self, i0, h0, gx0, fc):
         p = self.profile
-        gxx0 = complex(p.g_xx[i0][0])
-        b10_0 = -gx0
-        b20_0 = -(1.0 + gx0 ** 2) / h0
+        b10 = np.real(self.coeffs.b10[i0, 0])
+        b20 = np.real(self.coeffs.b20[i0, 0])
 
         ups = self.upsilon()
         tr_x = spectral_derivative(ups.trace0(), p.L, 1, axis=0)
@@ -277,31 +252,28 @@ class DtNOperator:
         vy_prof = Dy @ ups.values[i0]
         vyy_prof = Dy @ vy_prof
 
-        lam1 = (1.0 + gx0 ** 2) / h0 ** 2
-        lam2 = -2.0 * gx0 / h0
-
         ks = torus_wavenumbers(p.L, p.nx)
-        # the frozen interior source of the third piece, one y-profile per
-        # wavenumber: the chain rule with psi = e^{ikx} at the freeze node
+        # the chain rule with psi = e^{ikx} at the freeze node: the interior
+        # source of the third piece, one y-profile per wavenumber, and the
+        # boundary read-out of the second
         ik = 1j * ks[:, None, None]
-        da12, da22, da2 = _coefficient_derivatives(
-            (1.0 - ups.y)[None, :, None], h0, gx0, gxx0, 1.0, ik, ik ** 2)
+        da12, da22, da2, db10, db20 = coefficient_derivatives(
+            (1.0 - ups.y)[None, :, None], h0, gx0, complex(p.g_xx[i0, 0]),
+            1.0, ik, ik ** 2)
         src = -2.0 * da12 * vxy_prof - da22 * vyy_prof + da2 * vy_prof
         eyem = np.eye(p.m)
-        sym10 = ((1j * b10_0 * ks)[:, None, None] * eyem
-                 + b20_0 * strip_trace_gradient_map(fc, ks))
+        sym10 = ((1j * b10 * ks)[:, None, None] * eyem
+                 + b20 * strip_trace_gradient_map(fc, ks))
         sym20 = np.zeros_like(sym10)
         diag = np.arange(p.m)
-        sym20[:, diag, diag] = (-1j * ks[:, None] * c1
-                                + (lam1 + 1j * ks[:, None] * lam2) * c2)
+        sym20[:, diag, diag] = db10[:, 0] * c1 + db20[:, 0] * c2
         # column c of each symbol answers a source in component c alone
         cols = np.einsum("kyc,cd->kcyd", src, eyem)
-        sym30 = -b20_0 * strip_profile_response(fc, ks, cols,
-                                                Dy).transpose(0, 2, 1)
+        sym30 = -b20 * strip_profile_response(fc, ks, cols,
+                                              Dy).transpose(0, 2, 1)
         return FrozenOperatorSet(
-            x0=float(p.x[i0]), node_index=i0, k_grid=ks, sym10=sym10,
-            sym20=sym20, sym30=sym30, sym0=sym10 + sym20 + sym30, w0=c2 / h0,
-            fc=fc, L=p.L, mu=self.mu)
+            x0=float(p.x[i0]), k_grid=ks, sym10=sym10, sym20=sym20,
+            sym30=sym30, sym0=sym10 + sym20 + sym30, L=p.L, mu=self.mu)
 
 
 def operator_for(profile, A, mu, ny=33, rtol=1e-11, dtn=None):
@@ -341,14 +313,11 @@ class FrozenOperatorSet:
     + O30 holds by construction and is asserted on build.
     """
     x0: float
-    node_index: int
     k_grid: np.ndarray
     sym10: np.ndarray
     sym20: np.ndarray
     sym30: np.ndarray
     sym0: np.ndarray
-    w0: np.ndarray                # frozen boundary weight w_g(x0, 0)
-    fc: FrozenCoefficients
     L: float
     mu: float
 
@@ -432,17 +401,17 @@ def sector_report(fset, A, alpha=0.5, mu0=None, n_samples=12, seed=0):
         shifted = sym + shift * np.eye(m)[None]
         eigs = np.linalg.eigvals(shifted).ravel()
         eigs_raw = np.linalg.eigvals(sym).ravel()
-        scale = max(np.max(np.abs(eigs)), 1e-30)
-        angles = [abs(np.angle(z)) for z in eigs if abs(z) > 1e-12 * scale]
         # numerical-range samples catch non-normal blocks that eigenvalues miss
+        pts = eigs
         if m > 1:
-            for i in range(nk):
-                for _ in range(max(1, n_samples // 4)):
-                    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                    z = np.vdot(v, shifted[i] @ v) / np.vdot(v, v)
-                    if abs(z) > 1e-12 * scale:
-                        angles.append(abs(np.angle(z)))
-        half_angle = max(angles) if angles else 0.0
+            d = rng.standard_normal((nk, max(1, n_samples // 4), 2, m))
+            v = (d[:, :, 0] + 1j * d[:, :, 1])[..., None]     # (nk, n, m, 1)
+            vh = np.swapaxes(v.conj(), -1, -2)
+            z = (vh @ (shifted[:, None] @ v)) / (vh @ v)
+            pts = np.concatenate([eigs, z.ravel()])
+        scale = max(np.max(np.abs(eigs)), 1e-30)
+        pts = pts[np.abs(pts) > 1e-12 * scale]
+        half_angle = np.max(np.abs(np.angle(pts))) if pts.size else 0.0
         min_re_shifted = float(np.min(np.real(eigs)))
         passed = min_re_shifted > 0.0 and half_angle < np.pi / 2 + 0.1
         entries[name] = OperatorSectorEntry(
@@ -456,12 +425,9 @@ def sector_report(fset, A, alpha=0.5, mu0=None, n_samples=12, seed=0):
     m = fset.m
     spec = InterpolationNormSpec(theta=alpha)
     evaluator = InterpNormEvaluator(A, spec)
-    ks = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
     ratios = []
     for _ in range(n_samples):
-        coef = ((rng.standard_normal((nx, m)) + 1j * rng.standard_normal((nx, m)))
-                / (1.0 + ks[:, None]) ** 4)
-        u = ifft(coef, axis=0)
+        u = random_trace(rng, nx, m)
         out = fset.apply("O0", u) + mu0 ** 2 * u
         fu = SampledFunction(fset.L, u)
         fout = SampledFunction(fset.L, out)
@@ -483,15 +449,13 @@ class AdmissibilityReport:
     in_Vnu: bool
     vnu_gap: float
     kg_min: float
-    w_norm_max: float
     margin_argmin: float
 
 
-def admissibility(profile, A, mu=4.0, ny=33, alpha=0.5, rtol=1e-11,
-                  dtn=None):
+def admissibility(profile, A, mu=4.0, ny=33, rtol=1e-11, dtn=None):
     """Well-posedness neighborhood tests of a profile; see
     DtNOperator.admissibility (dtn as in operator_for)."""
-    return operator_for(profile, A, mu, ny, rtol, dtn).admissibility(alpha)
+    return operator_for(profile, A, mu, ny, rtol, dtn).admissibility()
 
 
 @dataclass

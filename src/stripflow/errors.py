@@ -73,7 +73,3 @@ class ScenarioError(StripflowError):
         self.path = path
         self.section = section
         self.key = key
-
-
-class BreakdownError(StripflowError):
-    """Evolution stopped on a breakdown flag where a caller demanded completion."""

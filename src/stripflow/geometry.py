@@ -8,7 +8,8 @@ interface height h is pulled back to the fixed strip  Q = torus x (0, 1) by
 so that the free boundary lands on y_strip = 0 and the flat bottom on
 y_strip = 1.  This module owns the profile container, the forward/inverse
 maps, the pushforward of fields, and the transformed second-order
-coefficients together with their ellipticity audit.
+coefficients together with their derivatives along a direction and their
+ellipticity audit.
 """
 
 from dataclasses import dataclass
@@ -76,7 +77,6 @@ class InterfaceProfile:
                 h_min=min(float(np.min(self.h)), re_min),
                 where=float(self.x[j]))
         self.h_x = np.real(spectral_derivative(self.h, self.L, 1, axis=0))
-        self.h_xx = np.real(spectral_derivative(self.h, self.L, 2, axis=0))
 
     def with_g(self, new_g):
         """Same geometry parameters, new perturbation."""
@@ -153,9 +153,6 @@ class TransformedCoefficients:
     b21: np.ndarray
     alpha_floor: np.ndarray
     beta: np.ndarray       # 1 - y_strip, shape (ny,)
-    w: np.ndarray          # per-component height nu + g, shape (nx, m)
-    w_x: np.ndarray
-    w_xx: np.ndarray
 
 
 def coefficients(profile, y_nodes):
@@ -182,8 +179,28 @@ def coefficients(profile, y_nodes):
     return TransformedCoefficients(
         a12=a12, a22=a22, a2=a2,
         b10=b10, b20=b20, b21=b21,
-        alpha_floor=alpha, beta=(1.0 - y),
-        w=profile.nu + profile.g, w_x=profile.g_x, w_xx=profile.g_xx)
+        alpha_floor=alpha, beta=(1.0 - y))
+
+
+def coefficient_derivatives(beta, w, gx, gxx, ps, ps_x, ps_xx):
+    """Directional derivatives of the coefficients built by coefficients().
+
+    Perturbing g along psi moves the height w = nu + g by ps, its slope gx
+    by ps_x and its curvature gxx by ps_xx (samples of psi or the symbols
+    of a Fourier mode); the result is (da12, da22, da2, db10, db20), the
+    first-order changes of a12, a22, a2, b10 and b20.  b21 enters no
+    derivative piece.  All arguments broadcast against each other; the
+    boundary fields do not depend on beta.
+    """
+    da12 = beta * (ps_x / w - gx * ps / w ** 2)
+    da22 = (2.0 * beta ** 2 * gx * ps_x / w ** 2
+            - 2.0 * (1.0 + beta ** 2 * gx ** 2) * ps / w ** 3)
+    da2 = (4.0 * beta * gx * ps_x / w ** 2
+           - 4.0 * beta * gx ** 2 * ps / w ** 3
+           - beta * ps_xx / w + beta * gxx * ps / w ** 2)
+    db10 = -ps_x
+    db20 = (1.0 + gx ** 2) * ps / w ** 2 - 2.0 * gx * ps_x / w
+    return da12, da22, da2, db10, db20
 
 
 @dataclass
@@ -192,7 +209,6 @@ class EllipticityReport:
     margin: float
     floor: float
     witness: tuple
-    direction_margin: float
 
 
 def ellipticity_floor(coeffs, tol=1e-10):
@@ -201,8 +217,7 @@ def ellipticity_floor(coeffs, tol=1e-10):
     The 2x2 symbol  [[1, a12], [a12, a22]]  must have least eigenvalue at
     least alpha_floor at every node and component.  Complex-valued profiles
     are audited through the real parts (the floor statement is about the
-    real quadratic form); large imaginary parts fail loudly.  A 16-direction
-    Rayleigh sweep cross-checks the closed-form eigenvalue.
+    real quadratic form); large imaginary parts fail loudly.
     """
     a12 = coeffs.a12
     a22 = coeffs.a22
@@ -217,19 +232,10 @@ def ellipticity_floor(coeffs, tol=1e-10):
     gap = lam_min - np.real(coeffs.alpha_floor)
     margin = float(np.min(gap))
     idx = np.unravel_index(np.argmin(gap), gap.shape)
-
-    # Rayleigh quotients over a fixed fan of directions; min over the fan
-    # upper-bounds lam_min and must stay above the floor too.
-    angles = np.linspace(0.0, np.pi, 16, endpoint=False)
-    dir_margin = np.inf
-    for th in angles:
-        c, s = np.cos(th), np.sin(th)
-        q = c * c + 2.0 * p12 * c * s + p22 * s * s
-        dir_margin = min(dir_margin, float(np.min(q - np.real(coeffs.alpha_floor))))
     passed = margin >= -tol
     return EllipticityReport(bool(passed), margin,
                              float(np.min(np.real(coeffs.alpha_floor))),
-                             tuple(int(i) for i in idx), float(dir_margin))
+                             tuple(int(i) for i in idx))
 
 
 def require_elliptic(coeffs, tol=1e-10):

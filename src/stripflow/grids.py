@@ -82,6 +82,18 @@ def trig_interp(values, L, x_eval, axis=0):
     return np.moveaxis(out, 0, axis)
 
 
+def random_trace(rng, nx, m):
+    """Random smooth periodic samples of shape (nx, m).
+
+    The Fourier coefficients are (N + iN') / (1 + |k|)^4 with N, N' standard
+    normal (nx x m) draws from rng and k the integer wavenumber.
+    """
+    ks = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
+    coef = ((rng.standard_normal((nx, m)) + 1j * rng.standard_normal((nx, m)))
+            / (1.0 + ks[:, None]) ** 4)
+    return ifft(coef, axis=0)
+
+
 def cheb_lobatto_01(ny):
     """Chebyshev-Lobatto nodes on [0, 1] (ascending) plus differentiation matrix.
 

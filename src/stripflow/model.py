@@ -213,23 +213,6 @@ def strip_trace_gradient_map(fc, eta, depth=1.0):
     return rp @ rm @ (np.eye(fc.dim) - ee) @ np.linalg.inv(rp - rm @ ee)
 
 
-def strip_source_response(fc, eta, source_vec, depth=1.0):
-    """(u(0)=0, u'(depth)=0) strip solve against a y-constant source.
-
-    Returns (u(0)=0 trivially, u'(0)) for the mode ODE
-    -a22 u'' - 2i a12 eta u' + A_mu u = source_vec.  The particular solution
-    is the constant A_mu^-1 source; the homogeneous correction uses the same
-    stable two-root elimination as the trace-gradient map.
-    """
-    up = np.linalg.solve(fc.a_mu(eta), np.asarray(source_vec, dtype=complex))
-    _, rp, rm = _mode_exponents(fc, eta)
-    ee = scipy.linalg.expm(depth * (rm - rp))
-    # c+ + c- = -up ;  rho+ e^{rho+ d} c+ + rho- e^{rho- d} c- = 0
-    cm = -np.linalg.solve(rp - rm @ ee, rp @ up)
-    cp = -up - cm
-    return rp @ cp + rm @ cm
-
-
 # wavenumbers per stacked solve in strip_profile_response: at m = 2,
 # ny = 33 a block is a 1.1 MB complex stack, where all 128 wavenumbers of
 # the grid at once would hold 8.9 MB
@@ -239,10 +222,9 @@ _K_BLOCK = 16
 def strip_profile_response(fc, eta, sources, Dy):
     """(u(0)=0, u'(1)=0) strip solves against y-dependent mode sources.
 
-    Collocation companion to strip_source_response for sources resolved on
-    the solver's y-grid (node 0 at y=0): solves
-    -a22 u'' - 2i a12 eta u' + A_mu u = s(y) for each source column and
-    returns the stack of u'(0).  For a scalar eta, sources has shape
+    Collocation solve for sources resolved on the solver's y-grid (node 0
+    at y=0): solves  -a22 u'' - 2i a12 eta u' + A_mu u = s(y)  for each
+    source column and returns the stack of u'(0).  For a scalar eta, sources has shape
     (ncols, ny, m) and the result (ncols, m); for an array of wavenumbers
     both gain the leading shape of eta.  The (ny m)-square systems of
     _K_BLOCK wavenumbers at a time are stacked and solved together, each

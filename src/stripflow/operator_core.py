@@ -58,6 +58,13 @@ class SectorialOperator:
                 f"sector_angle={self.sector_angle:.4f}, bound={self.bound})")
 
 
+def coupling_matrix(A):
+    """The matrix of a coupling given as a SectorialOperator or an array."""
+    if isinstance(A, SectorialOperator):
+        return A.entries
+    return np.atleast_2d(np.asarray(A, dtype=complex))
+
+
 @dataclass
 class PositivityReport:
     passed: bool
@@ -123,7 +130,7 @@ def frac_power(A, theta):
     Diagonalizable matrices go through an eigendecomposition; defective ones
     fall back to the Schur-Parlett routine in scipy.
     """
-    mat = A.entries if isinstance(A, SectorialOperator) else np.asarray(A, dtype=complex)
+    mat = coupling_matrix(A)
     eigvals = np.linalg.eigvals(mat)
     if np.any((np.real(eigvals) <= 0) & (np.abs(np.imag(eigvals)) < 1e-14)):
         raise SpectralValidationError(
@@ -164,7 +171,7 @@ def semigroup(A, t):
     """exp(-tA) for t >= 0."""
     if t < 0:
         raise ValueError("semigroup defined for t >= 0 only")
-    mat = A.entries if isinstance(A, SectorialOperator) else np.asarray(A, dtype=complex)
+    mat = coupling_matrix(A)
     return scipy.linalg.expm(-t * mat)
 
 
@@ -198,7 +205,7 @@ class InterpNormEvaluator:
     """
 
     def __init__(self, A, spec):
-        mat = A.entries if isinstance(A, SectorialOperator) else np.asarray(A, dtype=complex)
+        mat = coupling_matrix(A)
         self.spec = spec
         self.dim = mat.shape[0]
         stack = np.empty((spec.t_grid.size, self.dim, self.dim), dtype=complex)

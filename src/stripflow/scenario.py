@@ -27,6 +27,7 @@ from .dtn import (DtNOperator, admissibility, frozen_set,
                   localization_residual, sector_report)
 from .errors import (DegenerateDomainError, EllipticityError, ScenarioError)
 from .geometry import InterfaceProfile, ellipticity_floor
+from .grids import random_trace
 from .holder import SampledFunction
 from .model import coercivity_probe_59
 from .operator_core import SectorialOperator, validate_sectorial
@@ -195,7 +196,7 @@ def parse_scenario_text(text, path="<string>"):
 def _parse_matrix(raw, path, section, key):
     rows = []
     for chunk in raw.split(";"):
-        vals = [float(_eval_field(v, path, section, key))
+        vals = [_parse_value("real", v, path, section, key)
                 for v in chunk.split()]
         if not vals:
             raise ScenarioError("empty matrix row", path=path,
@@ -208,26 +209,110 @@ def _parse_matrix(raw, path, section, key):
     return np.array(rows, dtype=float)
 
 
+# Every scenario key except the [initial] profile keys, in reading order:
+# (section, key) -> (kind, default).  A default is raw text, read like a
+# value in the file; None marks a required key.  The kind fixes how the
+# text is read and how the value is written back into the canonical form
+# that the checksum covers.
+FIELDS = {
+    ("space", "m"): ("int", None),
+    ("space", "A"): ("matrix", None),
+    ("space", "phi"): ("real", "pi/2 + 0.35"),
+    ("space", "M"): ("real", "20"),
+    ("geometry", "nu"): ("real", None),
+    ("geometry", "L"): ("real", None),
+    ("geometry", "nx"): ("int", None),
+    ("geometry", "ny"): ("int", None),
+    ("geometry", "alpha"): ("real", None),
+    ("geometry", "h_min"): ("real", "1e-8"),
+    ("solve", "mu"): ("real", None),
+    ("solve", "rtol"): ("real", "1e-11"),
+    ("time", "dt"): ("real", None),
+    ("time", "t_end"): ("real", None),
+    ("time", "scheme"): ("text", "semi_implicit_euler"),
+    ("time", "norm_cap"): ("auto", "auto"),
+    ("time", "margin_floor"): ("auto", "auto"),
+    ("time", "output_stride"): ("int", "1"),
+    ("output", "directory"): ("text", None),
+    ("output", "formats"): ("list", "csv,json"),
+}
+
+
+def _read_field(sections, section, key, path):
+    """The value of a FIELDS entry, or its default."""
+    kind, default = FIELDS[section, key]
+    raw = sections[section].get(key, default)
+    if raw is None:
+        raise ScenarioError("missing required key", path=path,
+                            section=section, key=key)
+    return _parse_value(kind, raw, path, section, key)
+
+
+def _parse_value(kind, raw, path, section, key):
+    """Read the raw text of one field as a value of the given kind."""
+    if kind == "text":
+        return raw
+    if kind == "list":
+        return tuple(f.strip() for f in raw.split(",") if f.strip())
+    if kind == "matrix":
+        return _parse_matrix(raw, path, section, key)
+    if kind == "auto" and raw.strip().lower() == "auto":
+        return None
+    val = _eval_field(raw, path, section, key)
+    if kind == "int":
+        ival = int(round(float(np.real(val))))
+        if abs(ival - val) > 1e-12:
+            raise ScenarioError(f"expected an integer, got {raw!r}",
+                                path=path, section=section, key=key)
+        return ival
+    if abs(np.imag(val)) > 0:
+        raise ScenarioError(f"expected a real number, got {raw!r}",
+                            path=path, section=section, key=key)
+    return float(np.real(val))
+
+
+def _canonical(kind, value):
+    if value is None:
+        return "auto"
+    if kind == "list":
+        return ",".join(value)
+    if kind == "matrix":
+        return "; ".join(" ".join(repr(v) for v in row) for row in value)
+    return value if kind == "text" else repr(value)
+
+
+def serialize(values, g0_source):
+    """Canonical text form of the FIELDS values and the initial-profile
+    source; the checksum is taken over these bytes."""
+    entries = {field: _canonical(FIELDS[field][0], value)
+               for field, value in values.items()}
+    entries["initial", "g0"] = g0_source
+    lines = []
+    for section in SECTION_ORDER:
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {entries[sec, key]}"
+                  for sec, key in sorted(entries) if sec == section]
+        lines.append("")
+    return "\n".join(lines)
+
+
 @dataclass
 class Scenario:
     """A validated scenario plus its embedded validation reports."""
     name: str
     path: str
+    checksum: str
     m: int
     A: SectorialOperator
-    nu: float
     L: float
     nx: int
     ny: int
     alpha: float
-    h_min: float
     g0: np.ndarray
-    g0_source: str
     mu_solve: float
     rtol: float
     config: EvolutionConfig
     out_dir: str
-    formats: tuple
     sectorial_report: object
     ellipticity_report: object
     admissibility_report: object
@@ -237,12 +322,6 @@ class Scenario:
     # by ~4 MB when several scenarios were alive at once
     p0: InterfaceProfile = field(repr=False, compare=False)
     upsilon0: StripField = field(repr=False, compare=False)
-    checksum: str = ""
-
-    def __post_init__(self):
-        if not self.checksum:
-            self.checksum = hashlib.sha256(
-                self.serialize().encode("utf-8")).hexdigest()
 
     def profile(self):
         return self.p0
@@ -252,57 +331,6 @@ class Scenario:
         solve in its cache."""
         return DtNOperator(self.p0, self.A, self.mu_solve, ny=self.ny,
                            rtol=self.rtol, upsilon=self.upsilon0)
-
-    def serialize(self):
-        """Canonical text form; the checksum is taken over these bytes."""
-        cfg = self.config
-        entries = {
-            "space": {
-                "m": str(self.m),
-                "A": "; ".join(" ".join(repr(v) for v in row)
-                               for row in self.A.matrix().real),
-                "phi": repr(self.A.sector_angle),
-                "M": repr(self.A.bound),
-            },
-            "geometry": {
-                "nu": repr(self.nu), "L": repr(self.L), "nx": str(self.nx),
-                "ny": str(self.ny), "alpha": repr(self.alpha),
-                "h_min": repr(self.h_min),
-            },
-            "initial": {"g0": self.g0_source},
-            "solve": {"mu": repr(self.mu_solve), "rtol": repr(self.rtol)},
-            "time": {
-                "dt": repr(cfg.dt), "t_end": repr(cfg.t_end),
-                "scheme": cfg.scheme,
-                "output_stride": str(cfg.output_stride),
-                "norm_cap": ("auto" if cfg.breakdown_norm_cap is None
-                             else repr(cfg.breakdown_norm_cap)),
-                "margin_floor": ("auto" if cfg.boundary_margin_floor is None
-                                 else repr(cfg.boundary_margin_floor)),
-            },
-            "output": {"directory": self.out_dir,
-                       "formats": ",".join(self.formats)},
-        }
-        lines = []
-        for section in SECTION_ORDER:
-            lines.append(f"[{section}]")
-            for key in sorted(entries[section]):
-                lines.append(f"{key} = {entries[section][key]}")
-            lines.append("")
-        return "\n".join(lines)
-
-
-def _get(sections, section, key, path, default=None, required=True):
-    sec = sections.get(section)
-    if sec is None:
-        raise ScenarioError("missing required section", path=path,
-                            section=section)
-    if key not in sec:
-        if required and default is None:
-            raise ScenarioError("missing required key", path=path,
-                                section=section, key=key)
-        return default
-    return sec[key]
 
 
 def _eval_field(expr, path, section, key, variables=None):
@@ -318,30 +346,7 @@ def _eval_field(expr, path, section, key, variables=None):
     return val
 
 
-def _num(sections, section, key, path, default=None, required=True,
-         integer=False):
-    raw = _get(sections, section, key, path, default=default,
-               required=required)
-    if raw is None or not isinstance(raw, str):
-        return raw
-    val = _eval_field(raw, path, section, key)
-    if integer:
-        ival = int(round(float(np.real(val))))
-        if abs(ival - val) > 1e-12:
-            raise ScenarioError(f"expected an integer, got {raw!r}",
-                                path=path, section=section, key=key)
-        return ival
-    if abs(np.imag(val)) > 0:
-        raise ScenarioError(f"expected a real number, got {raw!r}",
-                            path=path, section=section, key=key)
-    return float(np.real(val))
-
-
-def _initial_values(sections, path, m, nx, L, nu, x):
-    sec = sections.get("initial")
-    if sec is None:
-        raise ScenarioError("missing required section", path=path,
-                            section="initial")
+def _initial_values(sec, path, m, nx, L, nu, x):
     if "g0" in sec:
         parts = [p.strip() for p in sec["g0"].split(";")]
         if len(parts) == 1:
@@ -378,90 +383,76 @@ def _initial_values(sections, path, m, nx, L, nu, x):
 
 def load_scenario(path):
     """Parse, cross-validate and report-annotate a scenario file."""
+    path = str(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario: {exc}", path=str(path))
-    sections = parse_scenario_text(text, path=str(path))
+        raise ScenarioError(f"cannot read scenario: {exc}", path=path)
+    sections = parse_scenario_text(text, path=path)
+    for section in sections:
+        if section not in SECTION_ORDER:
+            raise ScenarioError("unknown section", path=path,
+                                section=section)
     for section in SECTION_ORDER:
         if section not in sections:
-            raise ScenarioError("missing required section", path=str(path),
+            raise ScenarioError("missing required section", path=path,
                                 section=section)
+    values = {fld: _read_field(sections, *fld, path) for fld in FIELDS}
+    m = values["space", "m"]
+    known = set(FIELDS) | {("initial", "g0"), ("initial", "g0_table")} | {
+        ("initial", f"g0_table_{c + 1}") for c in range(m)}
+    for section, entries in sections.items():
+        for key in entries:
+            if (section, key) not in known:
+                raise ScenarioError("unknown key", path=path,
+                                    section=section, key=key)
 
-    m = _num(sections, "space", "m", path, integer=True)
-    A_raw = _get(sections, "space", "A", path)
-    A_mat = _parse_matrix(A_raw, path, "space", "A")
+    A_mat = values["space", "A"]
     if A_mat.shape != (m, m):
         raise ScenarioError(f"A is {A_mat.shape[0]}x{A_mat.shape[1]}, "
-                            f"but m = {m}", path=str(path), section="space",
+                            f"but m = {m}", path=path, section="space",
                             key="A")
-    phi = _num(sections, "space", "phi", path,
-               default=np.pi / 2 + 0.35, required=False)
-    bound = _num(sections, "space", "M", path, default=20.0, required=False)
-
-    nu = _num(sections, "geometry", "nu", path)
-    L = _num(sections, "geometry", "L", path)
-    nx = _num(sections, "geometry", "nx", path, integer=True)
-    ny = _num(sections, "geometry", "ny", path, integer=True)
-    alpha = _num(sections, "geometry", "alpha", path)
-    h_min = _num(sections, "geometry", "h_min", path, default=1e-8,
-                 required=False)
+    nu, L, nx, ny, alpha, h_min = (values["geometry", k] for k in (
+        "nu", "L", "nx", "ny", "alpha", "h_min"))
     if nx < 4 or (nx & (nx - 1)) != 0:
         raise ScenarioError(f"nx must be a power of two >= 4, got {nx}",
-                            path=str(path), section="geometry", key="nx")
+                            path=path, section="geometry", key="nx")
     if not 0.0 < alpha < 1.0:
         raise ScenarioError(f"alpha must lie in (0,1), got {alpha}",
-                            path=str(path), section="geometry", key="alpha")
+                            path=path, section="geometry", key="alpha")
     if nu <= 0 or L <= 0 or ny < 5:
         raise ScenarioError("need nu > 0, L > 0, ny >= 5",
-                            path=str(path), section="geometry")
+                            path=path, section="geometry")
 
-    mu_solve = _num(sections, "solve", "mu", path)
-    rtol = _num(sections, "solve", "rtol", path, default=1e-11,
-                required=False)
-
-    def _cap(key):
-        raw = _get(sections, "time", key, path, default="auto",
-                   required=False)
-        if isinstance(raw, str) and raw.strip().lower() == "auto":
-            return None
-        return _num(sections, "time", key, path)
-
+    mu_solve, rtol = values["solve", "mu"], values["solve", "rtol"]
     try:
         config = EvolutionConfig(
-            dt=_num(sections, "time", "dt", path),
-            t_end=_num(sections, "time", "t_end", path),
-            scheme=_get(sections, "time", "scheme", path,
-                        default="semi_implicit_euler", required=False),
-            mu_solve=mu_solve,
-            breakdown_norm_cap=_cap("norm_cap"),
-            boundary_margin_floor=_cap("margin_floor"),
-            output_stride=_num(sections, "time", "output_stride", path,
-                               default=1, required=False, integer=True),
+            dt=values["time", "dt"], t_end=values["time", "t_end"],
+            scheme=values["time", "scheme"], mu_solve=mu_solve,
+            breakdown_norm_cap=values["time", "norm_cap"],
+            boundary_margin_floor=values["time", "margin_floor"],
+            output_stride=values["time", "output_stride"],
             ny=ny, alpha=alpha, rtol=rtol)
     except ValueError as exc:
-        raise ScenarioError(str(exc), path=str(path), section="time")
+        raise ScenarioError(str(exc), path=path, section="time")
 
-    out_dir = _get(sections, "output", "directory", path)
-    formats = tuple(f.strip() for f in _get(
-        sections, "output", "formats", path, default="csv,json",
-        required=False).split(",") if f.strip())
-    for fmt in formats:
+    for fmt in values["output", "formats"]:
         if fmt not in ("csv", "json"):
             raise ScenarioError(f"unsupported format {fmt!r}",
-                                path=str(path), section="output",
-                                key="formats")
+                                path=path, section="output", key="formats")
 
     x = np.arange(nx) * (L / nx)
-    g0, g0_source = _initial_values(sections, path, m, nx, L, nu, x)
+    g0, g0_source = _initial_values(sections["initial"], path, m, nx, L, nu,
+                                    x)
 
-    A = SectorialOperator(A_mat, sector_angle=phi, bound=bound)
+    A = SectorialOperator(A_mat, sector_angle=values["space", "phi"],
+                          bound=values["space", "M"])
     sec_report = validate_sectorial(A)
     if not sec_report.passed:
         raise ScenarioError(
             f"coupling operator failed the sectoriality check: "
-            f"{sec_report.message}", path=str(path), section="space", key="A")
+            f"{sec_report.message}", path=path, section="space", key="A")
     try:
         profile = InterfaceProfile(nu, L, g0, h_floor=h_min)
         # assembling the strip operator refuses coefficients below the
@@ -470,17 +461,18 @@ def load_scenario(path):
     except (EllipticityError, DegenerateDomainError) as exc:
         raise ScenarioError(
             f"initial profile fails the ellipticity/degeneracy validation: "
-            f"{exc}", path=str(path), section="initial", key="g0")
+            f"{exc}", path=path, section="initial", key="g0")
     ell_report = ellipticity_floor(dtn.coeffs)
-    adm_report = admissibility(profile, A, mu=mu_solve, ny=ny, alpha=alpha,
-                               rtol=rtol, dtn=dtn)
+    adm_report = admissibility(profile, A, mu=mu_solve, ny=ny, rtol=rtol,
+                               dtn=dtn)
 
-    name = os.path.splitext(os.path.basename(str(path)))[0]
+    checksum = hashlib.sha256(
+        serialize(values, g0_source).encode("utf-8")).hexdigest()
     return Scenario(
-        name=name, path=str(path), m=m, A=A, nu=nu, L=L, nx=nx, ny=ny,
-        alpha=alpha, h_min=h_min, g0=g0, g0_source=g0_source,
-        mu_solve=mu_solve, rtol=rtol, config=config, out_dir=out_dir,
-        formats=formats, sectorial_report=sec_report,
+        name=os.path.splitext(os.path.basename(path))[0], path=path,
+        checksum=checksum, m=m, A=A, L=L, nx=nx, ny=ny, alpha=alpha,
+        g0=g0, mu_solve=mu_solve, rtol=rtol, config=config,
+        out_dir=values["output", "directory"], sectorial_report=sec_report,
         ellipticity_report=ell_report, admissibility_report=adm_report,
         p0=profile, upsilon0=dtn.upsilon())
 
@@ -692,21 +684,10 @@ def _run_frozen(scn, tmp):
                               "frozen_ratio_spread": report.ratio_spread}
 
 
-def _ensemble(rng, nx, m, L, count=3):
-    ks = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
-    out = []
-    for _ in range(count):
-        coef = ((rng.standard_normal((nx, m))
-                 + 1j * rng.standard_normal((nx, m)))
-                / (1.0 + ks[:, None]) ** 4)
-        out.append(np.fft.ifft(coef, axis=0))
-    return out
-
-
 def _run_coercivity(scn, tmp, seed):
     profile = scn.profile()
     rng = np.random.default_rng(seed + 7)
-    psis = _ensemble(rng, scn.nx, scn.m, scn.L)
+    psis = [random_trace(rng, scn.nx, scn.m) for _ in range(3)]
     mu_list = (1.0, 2.0, 4.0, 8.0)
     fc = scn.dtn().frozen_coefficients(scn.admissibility_report.margin_argmin)
     half = coercivity_probe_59(fc,

@@ -32,7 +32,7 @@ from .errors import SolverError
 from .geometry import coefficients, require_elliptic
 from .grids import cheb_lobatto_01, spectral_derivative, torus_wavenumbers
 from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
-from .operator_core import SectorialOperator
+from .operator_core import coupling_matrix
 
 
 # a factor of the preconditioner whose condition number exceeds this counts
@@ -173,8 +173,7 @@ class DiscreteStripOperator:
 
     def __init__(self, profile, A, mu, ny=33):
         self.profile = profile
-        self.A_mat = A.entries if isinstance(A, SectorialOperator) else \
-            np.atleast_2d(np.asarray(A, dtype=complex))
+        self.A_mat = coupling_matrix(A)
         self.mu = float(mu)
         self.y, self.Dy = cheb_lobatto_01(ny)
         self.Dy2 = self.Dy @ self.Dy

@@ -100,6 +100,22 @@ def test_validate_non_finite_arithmetic_exit_code(tmp_path, capsys, old, new):
     assert "validation failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("t_end = 0.06", "t_end = 0.06\nmargin_flor = 0.5",
+     "[section time] [key margin_flor]"),
+    ("formats = csv,json", "formats = csv,json\n\n[extra]\nx = 1",
+     "[section extra]"),
+])
+def test_validate_unknown_key_exit_code(tmp_path, capsys, old, new, named):
+    """A misspelt key or a stray section is a validation failure naming it,
+    not a silent fall-back to the default."""
+    from stripflow import cli
+    path = write(tmp_path, FAST.replace(old, new))
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: unknown ") and named in err
+
+
 def test_run_completes_and_writes(tmp_path):
     path = write(tmp_path, FAST)
     res = invoke("run", path)

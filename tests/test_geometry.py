@@ -7,13 +7,15 @@ from conftest import make_profile, torus_x
 from stripflow.errors import DegenerateDomainError
 from stripflow.geometry import (
     InterfaceProfile,
+    coefficient_derivatives,
     coefficients,
     ellipticity_floor,
     map_forward,
     map_inverse,
     pushforward,
 )
-from stripflow.grids import cheb_lobatto_01, partition_of_unity
+from stripflow.grids import (cheb_lobatto_01, partition_of_unity,
+                             spectral_derivative)
 
 L = 16 * np.pi
 
@@ -107,6 +109,34 @@ def test_coefficients_closed_form():
     assert np.allclose(c.b10[:, 0], -gx, atol=1e-12)
     assert np.allclose(c.b20[:, 0], -(1.0 + gx ** 2) / w, atol=1e-11)
     assert np.allclose(c.b21[:, 0], 1.0 / w, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_coefficient_derivatives_match_central_difference(m):
+    """The chain rule of coefficient_derivatives against a central difference
+    of coefficients() along a complex direction psi, for every field."""
+    nx = 64
+    x = torus_x(nx)
+    k = 2 * np.pi / L
+    g = np.stack([0.2 * np.sin(k * x), 0.15 * np.cos(2 * k * x) - 0.05],
+                 axis=1)[:, :m].astype(complex)
+    psi = np.stack([0.3 * np.cos(k * x) + 0.2j * np.sin(2 * k * x),
+                    0.1j * np.cos(3 * k * x) - 0.2 * np.sin(k * x)],
+                   axis=1)[:, :m]
+    p = InterfaceProfile(1.0, L, g)
+    y = cheb_lobatto_01(9)[0]
+    eps = 1e-5
+    plus = coefficients(p.with_g(g + eps * psi), y)
+    minus = coefficients(p.with_g(g - eps * psi), y)
+    col = (lambda a: a[:, None, :])
+    exact = coefficient_derivatives(
+        (1.0 - y)[None, :, None], col(1.0 + g), col(p.g_x), col(p.g_xx),
+        col(psi), col(spectral_derivative(psi, L, 1)),
+        col(spectral_derivative(psi, L, 2)))
+    for name, d in zip(("a12", "a22", "a2", "b10", "b20"), exact):
+        fd = (getattr(plus, name) - getattr(minus, name)) / (2.0 * eps)
+        d = np.broadcast_to(d if name[0] == "a" else d[:, 0], fd.shape)
+        assert np.max(np.abs(fd - d)) < 1e-8 * np.max(np.abs(d)), name
 
 
 def test_flat_coefficients():

@@ -10,14 +10,16 @@ from numpy.fft import fft, ifft
 
 import stripflow.model as model
 from conftest import make_profile, tail_ratios
-from stripflow.dtn import DtNOperator, _coefficient_derivatives
+from stripflow.dtn import DtNOperator
 from stripflow.errors import EllipticityError, SpectralValidationError
+from stripflow.geometry import coefficient_derivatives
 from stripflow.grids import (cheb_lobatto_01, spectral_derivative,
                              torus_wavenumbers)
 from stripflow.holder import SampledFunction, scaled_field_norm
 from stripflow.model import (
     FrozenCoefficients,
     _graded_probe_norms,
+    _mode_exponents,
     _ModeExp,
     coercivity_probe_59,
     decay_generator,
@@ -26,7 +28,6 @@ from stripflow.model import (
     halfplane_dirichlet_solve,
     multiplier_profiles,
     strip_profile_response,
-    strip_source_response,
     strip_trace_gradient_map,
     transverse_semigroup,
 )
@@ -128,6 +129,23 @@ def test_strip_trace_gradient_map_coupled_direct_check():
 
 
 # ------------------------------------------------- strip mode responses
+
+def strip_source_response(fc, eta, source_vec, depth=1.0):
+    """(u(0)=0, u'(depth)=0) strip solve against a y-constant source.
+
+    Returns (u(0)=0 trivially, u'(0)) for the mode ODE
+    -a22 u'' - 2i a12 eta u' + A_mu u = source_vec.  The particular solution
+    is the constant A_mu^-1 source; the homogeneous correction uses the same
+    stable two-root elimination as the trace-gradient map.
+    """
+    up = np.linalg.solve(fc.a_mu(eta), np.asarray(source_vec, dtype=complex))
+    _, rp, rm = _mode_exponents(fc, eta)
+    ee = scipy.linalg.expm(depth * (rm - rp))
+    # c+ + c- = -up ;  rho+ e^{rho+ d} c+ + rho- e^{rho- d} c- = 0
+    cm = -np.linalg.solve(rp - rm @ ee, rp @ up)
+    cp = -up - cm
+    return rp @ cp + rm @ cm
+
 
 def test_profile_response_matches_constant_source_route():
     """For y-independent sources the resolved-profile solver must agree with
@@ -420,7 +438,7 @@ def ref_frozen_symbols(dtn, i0):
     for k in torus_wavenumbers(p.L, p.nx):
         sym10.append(1j * b10 * k * eyem + b20 * ref_trace_gradient_map(fc, k))
         sym20.append(np.diag(-1j * k * c1 + (fc.a22 - 2j * k * gx0 / h0) * c2))
-        da12, da22, da2 = _coefficient_derivatives(
+        da12, da22, da2, _, _ = coefficient_derivatives(
             (1.0 - ups.y)[:, None], h0, gx0, complex(p.g_xx[i0, 0]), 1.0,
             1j * k, (1j * k) ** 2)
         src = -2.0 * da12 * vxy - da22 * vyy + da2 * vy          # (ny, m)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import SCENARIO_DIR
 from stripflow.dtn import DtNOperator
 from stripflow.errors import ScenarioError
 from stripflow.scenario import (
@@ -128,6 +129,45 @@ def test_minimal_scenario_loads(tmp_path):
 def test_checksum_stable(tmp_path):
     path = write_scn(tmp_path, MINIMAL)
     assert load_scenario(path).checksum == load_scenario(path).checksum
+
+
+@pytest.mark.parametrize("name, checksum", [
+    ("coupled_pair",
+     "ce3781f010eea155a1f1c5e2544944a8e201bfe5f8079dd861d4a8c9cef93a25"),
+    ("decay_sine",
+     "9bf57d6feb73af3b5be22061cdd3a750357a3626eef3fd812f3b25be76f495e3"),
+    ("flat",
+     "e4364cdaee1f82f450752e13fe8a7896856c5752913c42623dcd6c9db5112771"),
+    ("ramp",
+     "44168233b38ba1ea8011ec916ca0631664f64b0fe118718e088cac4d9535bf60"),
+])
+def test_golden_checksums_are_pinned(name, checksum):
+    """The canonical form behind the checksum keeps its bytes: a golden's
+    manifests name the same scenario across releases."""
+    scn = load_scenario(os.path.join(SCENARIO_DIR, name + ".scn"))
+    assert scn.checksum == checksum
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("t_end = 0.06", "t_end = 0.06\nmargin_flor = 0.5", "time",
+     "margin_flor"),
+    ("formats = csv,json", "formats = csv,json\n\n[extra]\nx = 1", "extra",
+     None),
+    ("nu = 1.0", "nu = 1.0\ng0 = 0", "geometry", "g0"),
+    ("g0 = 0.001*sin(2*pi*x/L)", "g0 = 0\ng0_table_2 = 0", "initial",
+     "g0_table_2"),
+])
+def test_unknown_key_or_section_rejected(tmp_path, old, new, section, key):
+    with pytest.raises(ScenarioError, match="unknown") as exc:
+        load_scenario(write_scn(tmp_path, MINIMAL.replace(old, new)))
+    assert (exc.value.section, exc.value.key) == (section, key)
+
+
+def test_complex_matrix_entry_rejected(tmp_path):
+    with pytest.raises(ScenarioError, match="real number") as exc:
+        load_scenario(write_scn(tmp_path, MINIMAL.replace("A = 1.0",
+                                                          "A = j1")))
+    assert (exc.value.section, exc.value.key) == ("space", "A")
 
 
 def test_missing_section_rejected(tmp_path):
