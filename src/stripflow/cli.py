@@ -17,7 +17,7 @@ import traceback
 from ._version import __version__
 from .errors import (AdmissibilityError, FreezePointError, ScenarioError,
                      StripflowError)
-from .scenario import load_scenario, run
+from .scenario import MODES, load_scenario, run
 from .stepper import (STATUS_BOUNDARY, STATUS_COMPLETED, STATUS_NORM_BLOWUP,
                       STATUS_SOLVER_FAILURE)
 
@@ -25,9 +25,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BREAKDOWN = 3
 EXIT_INTERNAL = 4
-
-MODES = ("evolve", "diagnose-frozen", "diagnose-coercivity",
-         "diagnose-localization")
 
 
 def _apply_thread_cap(deterministic):

@@ -10,8 +10,7 @@ with v = K(g) g, where dB and dB0 differentiate the transformed coefficient
 fields along psi.  K(g) and S(g) solve the same discrete strip problem with
 Dirichlet data and with an interior source, and both the right-hand side
 and the read-out B0 are linear, so the first and third pieces together cost
-one strip solve with data (-dB, psi); only the piecewise report
-(derivative_terms, whose pieces localization weights by t) solves twice.
+one strip solve with data (-dB, psi).
 Freezing all coefficients at a boundary point turns each piece into a
 Fourier multiplier (O10, O20, O30); their sum O0 is the frozen model of dO
 and drives the sector/localization diagnostics.
@@ -26,11 +25,11 @@ from .errors import FreezePointError
 from .geometry import coefficient_derivatives
 from .grids import (partition_of_unity, random_trace, spectral_derivative,
                     torus_wavenumbers)
-from .holder import (InterpNormEvaluator, InterpolationNormSpec,
-                     SampledFunction, h1alpha_norm, h2alpha_norm)
+from .holder import SampledFunction, h1alpha_norm, h2alpha_norm
 from .model import (FrozenCoefficients, strip_profile_response,
                     strip_trace_gradient_map)
-from .operator_core import SectorialOperator
+from .operator_core import (InterpNormEvaluator, InterpolationNormSpec,
+                            SectorialOperator)
 from .strip import StripField, assemble, b0_trace, cheb_apply
 
 
@@ -66,9 +65,7 @@ class DtNOperator:
     derivative() makes one strip solve per direction: K psi and S dB solve
     the same discrete problem, whose right-hand side is linear in the
     Dirichlet data and the interior source, and B0 is linear, so their
-    read-outs combine into that of one solve.  derivative_terms() keeps the
-    two solves apart because localization_residual weights the pieces
-    separately (by t).
+    read-outs combine into that of one solve.
     upsilon, when given, is K(g) g already solved for this profile with the
     same A, mu, ny and rtol (a loaded Scenario keeps its t = 0 solve); it
     seeds the cache.
@@ -119,14 +116,6 @@ class DtNOperator:
         tr_x = spectral_derivative(ups.trace0(), p.L, 1, axis=0)
         boundary = db10[:, 0] * tr_x + db20[:, 0] * ups.dy_trace0()
         return interior, boundary
-
-    def derivative_terms(self, psi):
-        """The three pieces of dO(g) psi, in formula order (two solves)."""
-        psi = _as_direction(self.profile, psi)
-        k_piece = b0_trace(self.coeffs, self.op.solve(psi0=psi, rtol=self.rtol))
-        src, b0_piece = self.derivative_sources(psi)
-        s_piece = -b0_trace(self.coeffs, self.op.solve(F=src, rtol=self.rtol))
-        return k_piece, b0_piece, s_piece
 
     def derivative(self, psi):
         """dO(g) psi: B0 K psi - B0 S dB read off one strip solve with data
@@ -336,17 +325,13 @@ class FrozenOperatorSet:
         return {"O10": self.sym10, "O20": self.sym20,
                 "O30": self.sym30, "O0": self.sym0}[name]
 
-    def apply(self, name, trace, t=None):
-        """Apply a frozen operator (or the t-interpolated family) to a trace."""
+    def apply(self, name, trace):
+        """Apply one frozen operator to a trace."""
         vals = np.asarray(trace, dtype=complex)
         if vals.ndim == 1:
             vals = vals[:, None]
-        if t is None:
-            sym = self.symbols(name)
-        else:
-            sym = self.sym10 + t * (self.sym20 + self.sym30)
         vhat = fft(vals, axis=0)
-        out = np.einsum("kij,kj->ki", sym, vhat)
+        out = np.einsum("kij,kj->ki", self.symbols(name), vhat)
         return ifft(out, axis=0)
 
 
@@ -380,20 +365,25 @@ class SectorReport:
     mu0: float
 
 
-def sector_report(fset, A, alpha=0.5, mu0=None, n_samples=12, seed=0):
+# sector_report's ratio samples, seeded so that reports are reproducible;
+# a quarter as many numerical-range samples are drawn per wavenumber
+_SECTOR_SAMPLES = 12
+
+
+def sector_report(fset, A, alpha=0.5):
     """Spectral / numerical-range audit of the frozen operator family.
 
     The first piece and the composite are required to be positive as they
     stand; the zeroth-order pieces O20 and O30 are graded against the shift
-    mu0^2 (their unshifted real parts change sign with the profile, and the
-    generation statement for them is inherently a shifted one).  Raw minima
-    are reported alongside so nothing is hidden.  Also evaluates the
-    two-sided norm ratio of (O0 + mu0^2) between the graded trace spaces.
+    mu0^2 with mu0 = fset.mu (their unshifted real parts change sign with
+    the profile, and the generation statement for them is inherently a
+    shifted one).  Raw minima are reported alongside so nothing is hidden.
+    Also evaluates the two-sided norm ratio of (O0 + mu0^2) between the
+    graded trace spaces.
     """
-    if mu0 is None:
-        mu0 = fset.mu
+    mu0 = fset.mu
     shift_table = {"O10": 0.0, "O20": mu0 ** 2, "O30": mu0 ** 2, "O0": 0.0}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     entries = {}
     for name, shift in shift_table.items():
         sym = fset.symbols(name)
@@ -404,7 +394,7 @@ def sector_report(fset, A, alpha=0.5, mu0=None, n_samples=12, seed=0):
         # numerical-range samples catch non-normal blocks that eigenvalues miss
         pts = eigs
         if m > 1:
-            d = rng.standard_normal((nk, max(1, n_samples // 4), 2, m))
+            d = rng.standard_normal((nk, _SECTOR_SAMPLES // 4, 2, m))
             v = (d[:, :, 0] + 1j * d[:, :, 1])[..., None]     # (nk, n, m, 1)
             vh = np.swapaxes(v.conj(), -1, -2)
             z = (vh @ (shifted[:, None] @ v)) / (vh @ v)
@@ -426,7 +416,7 @@ def sector_report(fset, A, alpha=0.5, mu0=None, n_samples=12, seed=0):
     spec = InterpolationNormSpec(theta=alpha)
     evaluator = InterpNormEvaluator(A, spec)
     ratios = []
-    for _ in range(n_samples):
+    for _ in range(_SECTOR_SAMPLES):
         u = random_trace(rng, nx, m)
         out = fset.apply("O0", u) + mu0 ** 2 * u
         fu = SampledFunction(fset.L, u)
@@ -461,45 +451,44 @@ def admissibility(profile, A, mu=4.0, ny=33, rtol=1e-11, dtn=None):
 @dataclass
 class LocalizationReport:
     delta: float
-    t: float
     centers: np.ndarray
     residuals: np.ndarray
     max_residual: float
 
 
-def localization_residual(profile, A, delta, direction, t=1.0, mu=4.0,
-                          ny=33, alpha=0.5, rtol=1e-11, dtn=None, terms=None):
-    """Patchwise distance between dO_t(g) and its frozen models.
+def localization_residual(profile, A, delta, direction, mu=4.0, ny=33,
+                          alpha=0.5, rtol=1e-11, dtn=None, d_op=None):
+    """Patchwise distance between dO(g) and its frozen models.
 
     A partition of unity with ~1/delta raised-cosine bumps is laid on the
-    torus; patch j measures  phi_j * [dO_t(g) - O_frozen(x_j)] direction
-    in the graded first-order trace norm.  The residual field compares the
+    torus; patch j measures  phi_j * [dO(g) - O0(x_j)] direction  in the
+    graded first-order trace norm.  The residual field compares the
     variable-coefficient operator with the model frozen at the patch
     center before any cutoff is applied, so it isolates the
     coefficient-freezing error: the shifted operator's kernel is
     exponentially localized, and shrinking delta must shrink the worst
     patch residual (a cutoff inside the nonlocal operator would instead be
     dominated by the commutator with phi_j, which grows as patches shrink).
-    dtn is as in operator_for.  terms, when given, is
-    dtn.derivative_terms(direction) already computed; it depends on neither
-    delta nor t, so a sweep over delta solves for it once.
+    dtn is as in operator_for.  d_op, when given, is
+    dtn.derivative(direction) already computed; it does not depend on
+    delta, so a sweep over delta solves for it once.
     """
     p = profile
     direction = _as_direction(p, direction)
     n_pieces = max(1, int(round(1.0 / delta)))
     centers, phis = partition_of_unity(p.x, p.L, n_pieces)
     dtn = operator_for(p, A, mu, ny, rtol, dtn)
-    t1, t2, t3 = dtn.derivative_terms(direction) if terms is None else terms
-    d_op_t = t1 + t * (t2 + t3)
+    if d_op is None:
+        d_op = dtn.derivative(direction)
     evaluator = InterpNormEvaluator(dtn.A, InterpolationNormSpec(theta=alpha))
     residuals = np.empty(n_pieces)
     snapped = np.empty(n_pieces)
     for j in range(n_pieces):
         node = p.x[int(np.argmin(np.abs(p.x - centers[j])))]
         snapped[j] = node
-        frozen_val = dtn.frozen_set(node).apply("O0", direction, t=t)
-        diff = SampledFunction(p.L, phis[j][:, None] * (d_op_t - frozen_val))
+        frozen_val = dtn.frozen_set(node).apply("O0", direction)
+        diff = SampledFunction(p.L, phis[j][:, None] * (d_op - frozen_val))
         residuals[j] = h1alpha_norm(diff, alpha, evaluator=evaluator)
-    return LocalizationReport(delta=float(delta), t=float(t), centers=snapped,
+    return LocalizationReport(delta=float(delta), centers=snapped,
                               residuals=residuals,
                               max_residual=float(np.max(residuals)))

@@ -238,8 +238,8 @@ def ellipticity_floor(coeffs, tol=1e-10):
                              tuple(int(i) for i in idx))
 
 
-def require_elliptic(coeffs, tol=1e-10):
-    rep = ellipticity_floor(coeffs, tol)
+def require_elliptic(coeffs):
+    rep = ellipticity_floor(coeffs)
     if not rep.passed:
         raise EllipticityError(
             f"principal symbol dips {abs(rep.margin):.3e} below its floor "

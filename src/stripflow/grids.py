@@ -61,15 +61,14 @@ def spectral_tail_fraction(values, axis=0):
     return float(tail / total)
 
 
-def trig_interp(values, L, x_eval, axis=0):
+def trig_interp(values, L, x_eval):
     """Evaluate the trigonometric interpolant of periodic samples.
 
-    ``values`` are samples on ``torus_nodes(L, nx)``; evaluation points are
-    arbitrary reals (wrapped mod L).  Direct exponential summation - fine for
-    the modest grids used here.
+    ``values`` are samples on ``torus_nodes(L, nx)`` along axis 0;
+    evaluation points are arbitrary reals (wrapped mod L).  Direct
+    exponential summation - fine for the modest grids used here.
     """
     values = np.asarray(values, dtype=complex)
-    values = np.moveaxis(values, axis, 0)
     nx = values.shape[0]
     k = torus_wavenumbers(L, nx)
     vhat = fft(values, axis=0) / nx
@@ -78,8 +77,7 @@ def trig_interp(values, L, x_eval, axis=0):
     phases = np.exp(1j * np.outer(x_eval, k))
     if nx % 2 == 0:
         phases[:, nx // 2] = np.cos(k[nx // 2] * x_eval)
-    out = np.tensordot(phases, vhat, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    return np.tensordot(phases, vhat, axes=(1, 0))
 
 
 def random_trace(rng, nx, m):

@@ -21,7 +21,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import spectral_derivative, torus_nodes
-from .operator_core import InterpNormEvaluator, InterpolationNormSpec
 
 # torus pair temporaries are built about this many elements (256 KB) at a
 # time, so they stay in cache: at nx = 128 the x-part of a strip field ran
@@ -61,8 +60,8 @@ class SampledFunction:
             self._derivs[order] = spectral_derivative(self.values, self.L, order, axis=0)
         return self._derivs[order]
 
-    def sup_norm(self, evaluator=None):
-        return float(np.max(_node_norms(self.values, evaluator)))
+    def sup_norm(self):
+        return float(np.max(_node_norms(self.values)))
 
 
 @dataclass
@@ -155,21 +154,18 @@ def holder_seminorm(f, gamma, evaluator=None):
                             (float(f.grid[p]), float(f.grid[q])))
 
 
-def h_alpha_norm(f, alpha, evaluator=None):
+def h_alpha_norm(f, alpha):
     """C^alpha norm: sup plus alpha-seminorm."""
-    return holder_seminorm(f, alpha, evaluator).total
+    return holder_seminorm(f, alpha).total
 
 
-def h2alpha_norm(g, alpha, A=None, spec=None, evaluator=None):
+def h2alpha_norm(g, alpha, evaluator=None):
     """C^{2+alpha} norm of a periodic profile, E-norm optionally A-graded.
 
-    Sum of the sups of g, g', g'' plus the alpha-seminorm of g''.  When the
-    coupling matrix ``A`` (or a prebuilt ``evaluator``) is supplied, node
-    values are measured in the interpolation norm of exponent alpha instead
-    of the Euclidean norm.
+    Sum of the sups of g, g', g'' plus the alpha-seminorm of g''.  When an
+    InterpNormEvaluator of the coupling matrix is supplied, node values are
+    measured in its interpolation norm instead of the Euclidean norm.
     """
-    if evaluator is None and A is not None:
-        evaluator = InterpNormEvaluator(A, spec or InterpolationNormSpec(theta=alpha))
     total = 0.0
     for order in (0, 1, 2):
         dvals = g.deriv(order)
@@ -179,10 +175,9 @@ def h2alpha_norm(g, alpha, A=None, spec=None, evaluator=None):
     return total
 
 
-def h1alpha_norm(f, alpha, A=None, spec=None, evaluator=None):
-    """C^{1+alpha} norm (sup of f and f' plus alpha-seminorm of f')."""
-    if evaluator is None and A is not None:
-        evaluator = InterpNormEvaluator(A, spec or InterpolationNormSpec(theta=alpha))
+def h1alpha_norm(f, alpha, evaluator=None):
+    """C^{1+alpha} norm (sup of f and f' plus alpha-seminorm of f'), with
+    node values measured as in h2alpha_norm."""
     total = float(np.max(_node_norms(f.values, evaluator)))
     d1 = SampledFunction(f.L, f.deriv(1))
     total += float(np.max(_node_norms(d1.values, evaluator)))

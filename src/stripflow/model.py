@@ -268,26 +268,26 @@ class MultiplierDecayReport:
     mu: float
 
 
-def default_eta_grid(L=16 * np.pi, nx=128, refine=4):
-    """Torus wavenumbers plus a refine-times denser patch near eta = 0."""
+def default_eta_grid(L, nx):
+    """Torus wavenumbers plus a four times denser patch near eta = 0."""
     ks = np.sort(np.unique(torus_wavenumbers(L, nx)))
     dk = ks[1] - ks[0] if ks.size > 1 else 1.0
-    near = np.arange(-2 * refine, 2 * refine + 1) * (dk / refine)
+    near = np.arange(-8, 9) * (dk / 4)
     return np.unique(np.concatenate([ks, near]))
 
 
-def multiplier_profiles(fc, y_grid, eta_grid=None, d_eta=1e-4):
+def multiplier_profiles(fc, y_grid, eta_grid):
     """Decay profiles of the multiplier families A N_mu and mu/eta-weighted N_mu.
 
     Phi_0(y) = max over eta of ||A N(eta,y)|| + (1+|eta|)^(1/2) ||d/deta [A N]||,
     and Phi_j likewise for |mu|^{2-j} eta^j N, j = 0..2 (the derivative taken
-    by symmetric differencing with step d_eta).  These are the computable
-    surrogates of the Hölder multiplier norms, and they must decay in y.
+    by symmetric differencing with step d_eta = 1e-4).  These are the
+    computable surrogates of the Hölder multiplier norms, and they must
+    decay in y.
     """
     y = np.asarray(y_grid, dtype=float)
-    if eta_grid is None:
-        eta_grid = default_eta_grid()
     eta_grid = np.asarray(eta_grid, dtype=float)
+    d_eta = 1e-4
     mu = abs(fc.mu)
     n_mid = transverse_semigroup(fc, eta_grid, y)           # (neta, ny, m, m)
     n_up = transverse_semigroup(fc, eta_grid + d_eta, y)
@@ -314,10 +314,10 @@ def multiplier_profiles(fc, y_grid, eta_grid=None, d_eta=1e-4):
                                  phi_j=phi_j, mu=fc.mu)
 
 
-def default_depth(fc, factor=10.0):
-    """Transverse truncation depth: decay length times a safety factor."""
+def default_depth(fc):
+    """Transverse truncation depth: ten decay lengths."""
     lam_min = float(np.min(np.real(np.linalg.eigvals(fc.A.entries))))
-    return factor / np.sqrt(1.0 + fc.mu ** 2 + max(lam_min, 0.0))
+    return 10.0 / np.sqrt(1.0 + fc.mu ** 2 + max(lam_min, 0.0))
 
 
 @dataclass
@@ -363,16 +363,17 @@ def _graded_probe_norms(fields, psi, A, y, L, alpha, mu):
     return lhs, data
 
 
-def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5, ny=40):
+def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):
     """Parameter-graded ratio probe for the half-plane Dirichlet estimate.
 
     For each boundary datum and each mu, all derivative fields of the
-    multiplier solution are computed exactly per mode and measured in the
-    mu-scaled Hölder norms; the ratio against the mu-graded data norm of psi
-    must stay bounded (and roughly flat) across the mu sweep.  Plain
-    unscaled Hölder norms would make the ratio drift like mu^(2+alpha)
-    even in the scalar flat case, so the graded norms are the meaningful
-    discretization of the estimate.
+    multiplier solution are computed exactly per mode on 40 equispaced
+    depths down to default_depth and measured in the mu-scaled Hölder
+    norms; the ratio against the mu-graded data norm of psi must stay
+    bounded (and roughly flat) across the mu sweep.  Plain unscaled Hölder
+    norms would make the ratio drift like mu^(2+alpha) even in the scalar
+    flat case, so the graded norms are the meaningful discretization of the
+    estimate.
     """
     L, nx = psi_ensemble[0].L, psi_ensemble[0].values.shape[0]
     if any(psi.L != L or psi.values.shape[0] != nx for psi in psi_ensemble):
@@ -384,7 +385,7 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5, ny=40):
     # the mode stacks of one mu at a time, shared by every datum
     for mu_index, mu in enumerate(mu_list):
         fcm = fc.with_mu(mu)
-        y = np.linspace(0.0, default_depth(fcm), ny)
+        y = np.linspace(0.0, default_depth(fcm), 40)
         lam = decay_generator(fcm, -ks).Lambda               # (nx, m, m)
         stack = _ModeExp(lam).at(y)                          # (nx, ny, m, m)
         for data_index, psi in enumerate(psi_ensemble):

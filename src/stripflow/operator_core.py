@@ -50,9 +50,6 @@ class SectorialOperator:
     def matrix(self):
         return self.entries.copy()
 
-    def spectrum(self):
-        return np.linalg.eigvals(self.entries)
-
     def __repr__(self):
         return (f"SectorialOperator(dim={self.dim}, "
                 f"sector_angle={self.sector_angle:.4f}, bound={self.bound})")
@@ -70,37 +67,31 @@ class PositivityReport:
     passed: bool
     worst_ratio: float
     witness: complex
-    n_samples: int
     message: str = ""
 
 
-def default_sector_samples(sector_angle, n_rays=9, n_radii=28,
-                           r_min=1e-3, r_max=1e6):
-    """Sample points covering the sector |arg z| <= sector_angle, plus 0."""
-    rays = np.linspace(-sector_angle, sector_angle, n_rays)
-    radii = np.geomspace(r_min, r_max, n_radii)
-    pts = (radii[:, None] * np.exp(1j * rays[None, :])).ravel()
-    return np.concatenate([[0.0 + 0.0j], pts])
-
-
-def validate_sectorial(A, lam_samples=None):
+def validate_sectorial(A):
     """Check invertibility and resolvent decay of A + lambda over a sector.
 
-    For each sample lambda the shifted matrix must be invertible and satisfy
+    The samples are lambda = 0 and 28 radii from 1e-3 to 1e6 (geometric) on
+    9 rays spread evenly over |arg lambda| <= A.sector_angle.  For each
+    sample the shifted matrix must be invertible and satisfy
     ``||(A + lambda)^-1|| * (1 + |lambda|) <= bound``.  Returns a
     :class:`PositivityReport`; ``worst_ratio`` is the largest observed
     quotient (ratio <= 1 means the declared bound holds).
     """
-    if lam_samples is None:
-        lam_samples = default_sector_samples(A.sector_angle)
+    rays = np.linspace(-A.sector_angle, A.sector_angle, 9)
+    radii = np.geomspace(1e-3, 1e6, 28)
+    lam_samples = np.concatenate(
+        [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * rays[None, :])).ravel()])
     eye = np.eye(A.dim)
     worst = 0.0
     witness = 0.0 + 0.0j
-    for lam in np.asarray(lam_samples, dtype=complex):
+    for lam in lam_samples:
         shifted = A.entries + lam * eye
         sv_min = np.linalg.svd(shifted, compute_uv=False)[-1]
         if sv_min <= 1e-14 * max(1.0, np.abs(lam)):
-            return PositivityReport(False, np.inf, lam, len(lam_samples),
+            return PositivityReport(False, np.inf, lam,
                                     f"A + lambda singular at lambda={lam}")
         ratio = (1.0 + np.abs(lam)) / (sv_min * A.bound)
         if ratio > worst:
@@ -109,8 +100,7 @@ def validate_sectorial(A, lam_samples=None):
     passed = worst <= 1.0
     msg = "" if passed else (
         f"resolvent bound exceeded by factor {worst:.3g} at lambda={witness}")
-    return PositivityReport(bool(passed), float(worst), witness,
-                            len(np.atleast_1d(lam_samples)), msg)
+    return PositivityReport(bool(passed), float(worst), witness, msg)
 
 
 def resolvent(A, lam):

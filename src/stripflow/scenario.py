@@ -36,6 +36,10 @@ from .strip import StripField, coercivity_probe_33
 
 SECTION_ORDER = ("space", "geometry", "initial", "solve", "time", "output")
 
+# the pipelines run() executes
+MODES = ("evolve", "diagnose-frozen", "diagnose-coercivity",
+         "diagnose-localization")
+
 _SAFE_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "tanh": np.tanh,
     "sinh": np.sinh, "cosh": np.cosh, "exp": np.exp, "sqrt": np.sqrt,
@@ -347,6 +351,15 @@ def _eval_field(expr, path, section, key, variables=None):
 
 
 def _initial_values(sec, path, m, nx, L, nu, x):
+    """The initial profile and its source text, from exactly one of g0,
+    g0_table (m = 1) or the g0_table_<c> set."""
+    table_keys = [f"g0_table_{c + 1}" for c in range(m)]
+    given = [k for k in ("g0", "g0_table", *table_keys) if k in sec]
+    if len(given) > 1 and given[0] in ("g0", "g0_table"):
+        raise ScenarioError(
+            f"exactly one initial profile source may be given, not both "
+            f"{given[0]} and {given[1]}", path=path, section="initial",
+            key=given[1])
     if "g0" in sec:
         parts = [p.strip() for p in sec["g0"].split(";")]
         if len(parts) == 1:
@@ -362,8 +375,7 @@ def _initial_values(sec, path, m, nx, L, nu, x):
             cols.append(np.broadcast_to(np.asarray(val, dtype=complex),
                                         (nx,)).copy())
         return np.stack(cols, axis=1), sec["g0"]
-    table_keys = [f"g0_table_{c + 1}" for c in range(m)]
-    if m == 1 and "g0_table" in sec:
+    if "g0_table" in sec:
         table_keys = ["g0_table"]
     if all(k in sec for k in table_keys):
         cols = []
@@ -400,8 +412,10 @@ def load_scenario(path):
                                 section=section)
     values = {fld: _read_field(sections, *fld, path) for fld in FIELDS}
     m = values["space", "m"]
-    known = set(FIELDS) | {("initial", "g0"), ("initial", "g0_table")} | {
+    known = set(FIELDS) | {("initial", "g0")} | {
         ("initial", f"g0_table_{c + 1}") for c in range(m)}
+    if m == 1:
+        known.add(("initial", "g0_table"))
     for section, entries in sections.items():
         for key in entries:
             if (section, key) not in known:
@@ -492,9 +506,6 @@ class RunManifest:
     status: str
     seed: int
     deterministic: bool
-
-    def to_json(self):
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
 def _fmt(value):
@@ -601,8 +612,7 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
     every file in it has been written (temp-dir-then-rename), so a crash
     mid-run never leaves a partial result at the advertised path.
     """
-    if mode not in ("evolve", "diagnose-frozen", "diagnose-coercivity",
-                    "diagnose-localization"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     target = os.path.abspath(out_dir if out_dir is not None else scn.out_dir)
     parent = os.path.dirname(target) or "."
@@ -628,10 +638,8 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
             validation={**_validation_summary(scn), **extra},
             wall_clock_seconds=wall, status=status, seed=seed,
             deterministic=deterministic)
-        with open(os.path.join(tmp, "manifest.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(manifest.to_json())
-            fh.write("\n")
+        _write_json(os.path.join(tmp, "manifest.json"),
+                    dataclasses.asdict(manifest))
         # the previous output is renamed aside, not deleted, until the new
         # one is in place: a crash between the renames loses neither
         previous = None
@@ -723,11 +731,11 @@ def _run_localization(scn, tmp):
     ).astype(complex)
     deltas = (1.0, 0.5, 0.25)
     dtn = scn.dtn()
-    terms = dtn.derivative_terms(direction)
+    d_op = dtn.derivative(direction)
     reports = [localization_residual(profile, scn.A, d, direction,
                                      mu=scn.mu_solve, ny=scn.ny,
                                      alpha=scn.alpha, rtol=scn.rtol, dtn=dtn,
-                                     terms=terms)
+                                     d_op=d_op)
                for d in deltas]
     residuals = [r.max_residual for r in reports]
     monotone = all(residuals[i + 1] <= residuals[i]

@@ -17,8 +17,8 @@ from scipy.sparse.linalg import gmres
 from .dtn import DtNOperator, operator_for
 from .errors import AdmissibilityError, SolverError
 from .geometry import map_inverse
-from .holder import (InterpNormEvaluator, InterpolationNormSpec,
-                     SampledFunction, h2alpha_norm)
+from .holder import SampledFunction, h2alpha_norm
+from .operator_core import InterpNormEvaluator, InterpolationNormSpec
 from .strip import KeepLastOperator
 
 STATUS_COMPLETED = "Completed"
@@ -26,6 +26,9 @@ STATUS_NORM_BLOWUP = "NormBlowup"
 STATUS_BOUNDARY = "BoundaryApproach"
 STATUS_SOLVER_FAILURE = "SolverFailure"
 STATUS_OK = "OK"
+
+# relative residual asked of the implicit step's outer GMRES
+_STEP_RTOL = 1e-10
 
 
 @dataclass
@@ -40,7 +43,6 @@ class EvolutionConfig:
     ny: int = 33
     alpha: float = 0.5
     rtol: float = 1e-11
-    step_rtol: float = 1e-10
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -119,14 +121,14 @@ def _step_core(dtn, dt, rtol):
     return sol.reshape(nx, m), float(res), its
 
 
-def step(p_n, A, dt, mu_solve=4.0, ny=33, rtol=1e-11, step_rtol=1e-10):
+def step(p_n, A, dt, mu_solve=4.0, ny=33, rtol=1e-11):
     """One semi-implicit Euler step; returns the advanced profile."""
     dtn = DtNOperator(p_n, A, mu_solve, ny=ny, rtol=rtol)
-    delta, _, _ = _step_core(dtn, dt, step_rtol)
+    delta, _, _ = _step_core(dtn, dt, _STEP_RTOL)
     return p_n.with_g(p_n.g + delta)
 
 
-def detect_breakdown(profile, cfg, norms):
+def detect_breakdown(cfg, norms):
     """Classify the current diagnostics against the breakdown alternatives.
 
     norms carries 'h2alpha' and 'margin'.  The boundary test is applied
@@ -193,7 +195,7 @@ def evolve(p0, A, cfg, dtn=None):
                                    margin=norms["margin"], residual=last_res,
                                    iterations=last_its, status=stat))
 
-    verdict = detect_breakdown(current, resolved, norms)
+    verdict = detect_breakdown(resolved, norms)
     if verdict != STATUS_OK:
         status = verdict
         record(status)
@@ -203,7 +205,7 @@ def evolve(p0, A, cfg, dtn=None):
     n = 0
     while status is None and n < n_steps:
         try:
-            delta, last_res, last_its = _step_core(dtn, cfg.dt, cfg.step_rtol)
+            delta, last_res, last_its = _step_core(dtn, cfg.dt, _STEP_RTOL)
         except SolverError as exc:
             status = STATUS_SOLVER_FAILURE
             failure_message = f"step {n + 1} (t={t + cfg.dt:.6g}): {exc}"
@@ -215,7 +217,7 @@ def evolve(p0, A, cfg, dtn=None):
         n += 1
         dtn = DtNOperator(current, A, cfg.mu_solve, ny=cfg.ny, rtol=cfg.rtol)
         norms = diagnose(dtn)
-        verdict = detect_breakdown(current, resolved, norms)
+        verdict = detect_breakdown(resolved, norms)
         if verdict != STATUS_OK:
             status = verdict
             record(status)

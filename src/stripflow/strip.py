@@ -39,6 +39,14 @@ from .operator_core import coupling_matrix
 # as singular: its inverse keeps fewer than two correct digits
 _SINGULAR_COND = 1e14
 
+# restart length and cycle cap of the strip solve's one GMRES pass.  scipy
+# ends each cycle by testing the true residual against rtol_gmres, which at
+# large amplitude lies below the round-off floor of the apply, so cycles
+# past the second only grind (797 iterations instead of 85 at a = 0.85, for
+# the same solution to 2e-14)
+_RESTART = 160
+_MAX_CYCLES = 2
+
 
 class KeepLastOperator(LinearOperator):
     """Square operator that keeps the last (input copy, output) pair.
@@ -306,18 +314,13 @@ class DiscreteStripOperator:
 
     # -- solve ---------------------------------------------------------------
 
-    def solve(self, F=None, psi0=None, psi1=None, rtol=1e-11, restart=160,
-              maxiter=2):
+    def solve(self, F=None, psi0=None, psi1=None, rtol=1e-11):
         """Solve with interior source F, trace psi0 at y=0 and flux psi1
         at y=1.
 
-        One preconditioned GMRES pass of at most maxiter restart cycles asks
-        for rtol_gmres = max(rtol, 1e-10); a true residual above
-        max(100 rtol, 1e-9) then raises SolverError at once.  scipy ends
-        each cycle by testing the true residual against rtol_gmres, which
-        at large amplitude lies below the round-off floor of the apply, so
-        cycles past the second only grind (797 iterations instead of 85 at
-        a = 0.85, for the same solution to 2e-14).
+        One preconditioned GMRES pass of at most _MAX_CYCLES restart cycles
+        asks for rtol_gmres = max(rtol, 1e-10); a true residual above
+        max(100 rtol, 1e-9) then raises SolverError at once.
         """
         b = self.rhs(F=F, psi0=psi0, psi1=psi1)
         if not np.all(np.isfinite(b)):
@@ -346,7 +349,7 @@ class DiscreteStripOperator:
         # for what is attainable and gate on the true residual instead
         rtol_gmres = max(rtol, 1e-10)
         sol, _ = gmres(A_op, b_flat, rtol=rtol_gmres, atol=0.0,
-                       restart=min(restart, self.n_dof), maxiter=maxiter,
+                       restart=min(_RESTART, self.n_dof), maxiter=_MAX_CYCLES,
                        M=M_op, callback=cb, callback_type="pr_norm")
         res = A_op.true_residual(sol, b_flat)
         self.last_residual = res

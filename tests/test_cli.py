@@ -116,6 +116,19 @@ def test_validate_unknown_key_exit_code(tmp_path, capsys, old, new, named):
     assert err.startswith("validation failure: unknown ") and named in err
 
 
+def test_validate_competing_initial_source_exit_code(tmp_path, capsys):
+    """A table next to the g0 expression is a validation failure naming
+    it, not a key that is read by nothing."""
+    from stripflow import cli
+    table = " ".join(["0.5"] * 32)
+    path = write(tmp_path, FAST.replace(
+        "g0 = 0.001*sin(2*pi*x/L)",
+        f"g0 = 0.001*sin(2*pi*x/L)\ng0_table = {table}"))
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "[section initial] [key g0_table]" in err
+
+
 def test_run_completes_and_writes(tmp_path):
     path = write(tmp_path, FAST)
     res = invoke("run", path)

@@ -14,7 +14,7 @@ from stripflow.dtn import (
     localization_residual,
     sector_report,
 )
-from stripflow.strip import DiscreteStripOperator
+from stripflow.strip import DiscreteStripOperator, b0_trace
 
 L = 16 * np.pi
 
@@ -96,7 +96,10 @@ def test_derivative_is_one_solve_of_the_summed_pieces(A1, A2, monkeypatch, m):
     monkeypatch.setattr(DiscreteStripOperator, "solve", counted)
     d = dtn.derivative(psi)
     assert len(calls) == 1
-    expected = sum(dtn.derivative_terms(psi))
+    k_piece = b0_trace(dtn.coeffs, dtn.op.solve(psi0=psi))
+    src, b0_piece = dtn.derivative_sources(psi)
+    s_piece = -b0_trace(dtn.coeffs, dtn.op.solve(F=src))
+    expected = k_piece + b0_piece + s_piece
     assert np.max(np.abs(d - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 

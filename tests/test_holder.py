@@ -118,10 +118,12 @@ def test_coupled_norm_uses_interpolation_grading():
     A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]]))
     vals = np.stack([cos_mode(64, 1), 0.5 * cos_mode(64, 2)], axis=1)
     f = SampledFunction(L, vals.astype(complex))
-    n = h1alpha_norm(f, 0.5, A=A)
+    evaluator = InterpNormEvaluator(A, InterpolationNormSpec(theta=0.5))
+    n = h1alpha_norm(f, 0.5, evaluator=evaluator)
     assert np.isfinite(n) and n > 0
     g = SampledFunction(L, 3.0 * vals.astype(complex))
-    assert h1alpha_norm(g, 0.5, A=A) == pytest.approx(3.0 * n, rel=1e-10)
+    assert h1alpha_norm(g, 0.5, evaluator=evaluator) == pytest.approx(
+        3.0 * n, rel=1e-10)
 
 
 def _pair_norm(u, evaluator):

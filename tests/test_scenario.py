@@ -163,6 +163,32 @@ def test_unknown_key_or_section_rejected(tmp_path, old, new, section, key):
     assert (exc.value.section, exc.value.key) == (section, key)
 
 
+COUPLED = MINIMAL.replace("m = 1\nA = 1.0", "m = 2\nA = 2.0 0.5; 0.0 1.0")
+G0 = "g0 = 0.001*sin(2*pi*x/L)"
+TABLE = " ".join(["0.0"] * 32)
+
+
+@pytest.mark.parametrize("base, initial, key, match", [
+    (MINIMAL, f"{G0}\ng0_table = {TABLE}", "g0_table", "one initial"),
+    (MINIMAL, f"{G0}\ng0_table_1 = {TABLE}", "g0_table_1", "one initial"),
+    (MINIMAL, f"g0_table = {TABLE}\ng0_table_1 = {TABLE}", "g0_table_1",
+     "one initial"),
+    (COUPLED, f"{G0}\ng0_table_1 = {TABLE}\ng0_table_2 = {TABLE}",
+     "g0_table_1", "one initial"),
+    (COUPLED, f"g0_table = {TABLE}\ng0_table_1 = {TABLE}\n"
+     f"g0_table_2 = {TABLE}", "g0_table", "unknown key"),
+], ids=["g0+table", "g0+table_1", "table+table_1", "m2-g0+tables",
+        "m2-table+tables"])
+def test_competing_initial_sources_rejected(tmp_path, base, initial, key,
+                                            match):
+    """[initial] takes exactly one of g0, g0_table (m = 1) or the
+    g0_table_<c> set; a second source is refused, not silently unread."""
+    text = base.replace(G0, initial)
+    with pytest.raises(ScenarioError, match=match) as exc:
+        load_scenario(write_scn(tmp_path, text))
+    assert (exc.value.section, exc.value.key) == ("initial", key)
+
+
 def test_complex_matrix_entry_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="real number") as exc:
         load_scenario(write_scn(tmp_path, MINIMAL.replace("A = 1.0",
@@ -384,6 +410,23 @@ def test_diagnose_builds_each_frozen_node_once(tmp_path, monkeypatch, mode,
         report = json.loads((out / "localization.json").read_text())
         centers = [c for patch in report["per_patch"] for c in patch["centers"]]
         assert len(centers) == 7 and len(set(centers)) == builds
+
+
+@pytest.mark.parametrize("name", ["decay_sine", "coupled_pair"])
+def test_localization_sweep_makes_one_strip_solve(tmp_path, monkeypatch,
+                                                  name):
+    """The sweep reads dO(g) of its direction off one strip solve for all
+    three patch sizes, and its frozen sets reuse the load's K(g)g solve."""
+    scn = load_scenario(os.path.join(SCENARIO_DIR, name + ".scn"))
+    solves = []
+    real_solve = DiscreteStripOperator.solve
+    monkeypatch.setattr(DiscreteStripOperator, "solve",
+                        lambda op, *a, **k: solves.append(op)
+                        or real_solve(op, *a, **k))
+    _, status = run(scn, mode="diagnose-localization",
+                    out_dir=str(tmp_path / "loc"))
+    assert status == STATUS_COMPLETED
+    assert len(solves) == 1
 
 
 def test_evolve_refuses_a_foreign_operator(tmp_path):

@@ -155,32 +155,28 @@ def _norms(h2alpha, margin):
 
 
 def test_detect_breakdown_ok(A1):
-    p = make_profile(nx=32, amp=0.01)
     cfg = small_cfg(breakdown_norm_cap=10.0, boundary_margin_floor=0.01)
-    assert detect_breakdown(p, cfg, _norms(0.5, 0.4)) == "OK"
+    assert detect_breakdown(cfg, _norms(0.5, 0.4)) == "OK"
 
 
 def test_detect_breakdown_boundary_wins_ties(A1):
     """When both caps trip at once the boundary flag is reported, never
     both."""
-    p = make_profile(nx=32, amp=0.01)
     cfg = small_cfg(breakdown_norm_cap=1.0, boundary_margin_floor=0.2)
-    status = detect_breakdown(p, cfg, _norms(50.0, 0.1))
+    status = detect_breakdown(cfg, _norms(50.0, 0.1))
     assert status == STATUS_BOUNDARY
 
 
 def test_detect_breakdown_norm_only(A1):
-    p = make_profile(nx=32, amp=0.01)
     cfg = small_cfg(breakdown_norm_cap=1.0, boundary_margin_floor=0.2)
-    status = detect_breakdown(p, cfg, _norms(50.0, 0.5))
+    status = detect_breakdown(cfg, _norms(50.0, 0.5))
     assert status == STATUS_NORM_BLOWUP
 
 
 def test_detect_breakdown_needs_resolved_caps(A1):
-    p = make_profile(nx=32, amp=0.01)
     cfg = small_cfg()        # caps left as None
     with pytest.raises(ValueError):
-        detect_breakdown(p, cfg, _norms(0.5, 0.4))
+        detect_breakdown(cfg, _norms(0.5, 0.4))
 
 
 def test_evolve_boundary_breakdown_stops_early(A1):
