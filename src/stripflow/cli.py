@@ -18,8 +18,7 @@ from ._version import __version__
 from .errors import (AdmissibilityError, FreezePointError, ScenarioError,
                      StripflowError)
 from .scenario import MODES, load_scenario, run
-from .stepper import (STATUS_BOUNDARY, STATUS_COMPLETED, STATUS_NORM_BLOWUP,
-                      STATUS_SOLVER_FAILURE)
+from .stepper import STATUS_BOUNDARY, STATUS_COMPLETED, STATUS_NORM_BLOWUP
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -131,8 +130,6 @@ def main(argv=None):
         return EXIT_OK
     if status in (STATUS_BOUNDARY, STATUS_NORM_BLOWUP):
         return EXIT_BREAKDOWN
-    if status == STATUS_SOLVER_FAILURE:
-        return EXIT_INTERNAL
     return EXIT_INTERNAL
 
 

@@ -28,9 +28,8 @@ from .grids import (partition_of_unity, random_trace, spectral_derivative,
 from .holder import SampledFunction, h1alpha_norm, h2alpha_norm
 from .model import (FrozenCoefficients, strip_profile_response,
                     strip_trace_gradient_map)
-from .operator_core import (InterpNormEvaluator, InterpolationNormSpec,
-                            SectorialOperator)
-from .strip import StripField, assemble, b0_trace, cheb_apply
+from .operator_core import InterpNormEvaluator, SectorialOperator
+from .strip import DiscreteStripOperator, StripField, b0_trace, cheb_apply
 
 
 @dataclass
@@ -75,7 +74,7 @@ class DtNOperator:
         self.profile = profile
         self.mu = float(mu)
         self.rtol = rtol
-        self.op = assemble(profile, A, mu, ny=ny)
+        self.op = DiscreteStripOperator(profile, A, mu, ny=ny)
         # A is coerced once, from the matrix the strip operator holds
         self.A = SectorialOperator(self.op.A_mat)
         self.coeffs = self.op.coeffs
@@ -109,11 +108,11 @@ class DtNOperator:
         da12, da22, da2, db10, db20 = coefficient_derivatives(
             self.coeffs.beta[None, :, None], (p.nu + p.g)[:, None, :],
             p.g_x[:, None, :], p.g_xx[:, None, :], psi[:, None, :],
-            spectral_derivative(psi, p.L, 1, axis=0)[:, None, :],
-            spectral_derivative(psi, p.L, 2, axis=0)[:, None, :])
+            spectral_derivative(psi, p.L, 1)[:, None, :],
+            spectral_derivative(psi, p.L, 2)[:, None, :])
         v_xy = cheb_apply(self.op.Dy, ups.dx(1))
         interior = -2.0 * da12 * v_xy - da22 * ups.dy(2) + da2 * ups.dy(1)
-        tr_x = spectral_derivative(ups.trace0(), p.L, 1, axis=0)
+        tr_x = spectral_derivative(ups.trace0(), p.L, 1)
         boundary = db10[:, 0] * tr_x + db20[:, 0] * ups.dy_trace0()
         return interior, boundary
 
@@ -161,8 +160,8 @@ class DtNOperator:
         # interface-neighborhood check on the full boundary datum nu*1 + g,
         # solved without the spectral shift (the neighborhood is defined by
         # the plain problem)
-        op0 = self.op if self.mu == 0.0 else assemble(p, self.A, 0.0,
-                                                      ny=self.op.ny)
+        op0 = (self.op if self.mu == 0.0
+               else DiscreteStripOperator(p, self.A, 0.0, ny=self.op.ny))
         u_f = op0.solve(psi0=(p.nu + p.g), rtol=self.rtol)
         dyu_phys = -u_f.dy_trace0() / p.h[:, None]
         k_f = p.h ** 2 / ((1.0 + p.h + p.h_x ** 2) * (1.0 + p.h_x ** 2))
@@ -228,7 +227,7 @@ class DtNOperator:
         b20 = np.real(self.coeffs.b20[i0, 0])
 
         ups = self.upsilon()
-        tr_x = spectral_derivative(ups.trace0(), p.L, 1, axis=0)
+        tr_x = spectral_derivative(ups.trace0(), p.L, 1)
         c1 = tr_x[i0]          # trace of d/dx of v at the freeze point
         c2 = ups.dy_trace0()[i0]
 
@@ -237,7 +236,7 @@ class DtNOperator:
         # their traces, or the cancellation against the boundary piece is
         # lost
         Dy = ups.Dy
-        vxy_prof = Dy @ spectral_derivative(ups.values, p.L, 1, axis=0)[i0]
+        vxy_prof = Dy @ spectral_derivative(ups.values, p.L, 1)[i0]
         vy_prof = Dy @ ups.values[i0]
         vyy_prof = Dy @ vy_prof
 
@@ -413,8 +412,7 @@ def sector_report(fset, A, alpha=0.5):
     # two-sided ratio of (O0 + mu0^2) from second- to first-order trace norms
     nx = fset.k_grid.size
     m = fset.m
-    spec = InterpolationNormSpec(theta=alpha)
-    evaluator = InterpNormEvaluator(A, spec)
+    evaluator = InterpNormEvaluator(A, alpha)
     ratios = []
     for _ in range(_SECTOR_SAMPLES):
         u = random_trace(rng, nx, m)
@@ -480,7 +478,7 @@ def localization_residual(profile, A, delta, direction, mu=4.0, ny=33,
     dtn = operator_for(p, A, mu, ny, rtol, dtn)
     if d_op is None:
         d_op = dtn.derivative(direction)
-    evaluator = InterpNormEvaluator(dtn.A, InterpolationNormSpec(theta=alpha))
+    evaluator = InterpNormEvaluator(dtn.A, alpha)
     residuals = np.empty(n_pieces)
     snapped = np.empty(n_pieces)
     for j in range(n_pieces):

@@ -12,15 +12,6 @@ class StripflowError(Exception):
 class SpectralValidationError(StripflowError):
     """A coupling matrix failed a positivity / sectoriality check."""
 
-    def __init__(self, message, witness=None, worst_ratio=None):
-        super().__init__(message)
-        self.witness = witness
-        self.worst_ratio = worst_ratio
-
-
-class SingularOperatorError(StripflowError):
-    """A shifted operator (A + lambda) was numerically singular."""
-
 
 class DegenerateDomainError(StripflowError):
     """Interface height dropped to (or below) the degeneracy guard."""

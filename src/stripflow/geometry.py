@@ -7,9 +7,8 @@ interface height h is pulled back to the fixed strip  Q = torus x (0, 1) by
 
 so that the free boundary lands on y_strip = 0 and the flat bottom on
 y_strip = 1.  This module owns the profile container, the forward/inverse
-maps, the pushforward of fields, and the transformed second-order
-coefficients together with their derivatives along a direction and their
-ellipticity audit.
+maps, and the transformed second-order coefficients together with their
+derivatives along a direction and their ellipticity audit.
 """
 
 from dataclasses import dataclass
@@ -55,9 +54,9 @@ class InterfaceProfile:
         self.g = g
         self.nx, self.m = g.shape
         self.x = torus_nodes(self.L, self.nx)
-        self.g_x = spectral_derivative(g, self.L, 1, axis=0)
-        self.g_xx = spectral_derivative(g, self.L, 2, axis=0)
-        self.spectral_tail = spectral_tail_fraction(g, axis=0)
+        self.g_x = spectral_derivative(g, self.L, 1)
+        self.g_xx = spectral_derivative(g, self.L, 2)
+        self.spectral_tail = spectral_tail_fraction(g)
 
         f = self.nu + self.g  # value vector of the interface
         scale = np.sqrt(self.m)
@@ -76,7 +75,7 @@ class InterfaceProfile:
                 f"{self.h_floor:.1e}",
                 h_min=min(float(np.min(self.h)), re_min),
                 where=float(self.x[j]))
-        self.h_x = np.real(spectral_derivative(self.h, self.L, 1, axis=0))
+        self.h_x = np.real(spectral_derivative(self.h, self.L, 1))
 
     def with_g(self, new_g):
         """Same geometry parameters, new perturbation."""
@@ -109,23 +108,6 @@ def map_inverse(profile, x_strip, y_strip):
         raise ValueError("strip coordinate outside [0, 1]")
     h = profile.height_at(x_strip)
     return x_strip, (1.0 - y_strip) * h
-
-
-def pushforward(profile, func, x_nodes, y_nodes):
-    """Sample a physical-domain field on the strip grid.
-
-    ``func(x, y)`` must accept broadcast arrays and return (..., m) or
-    scalar-per-point values; the result is the flattened field
-    v(x, y_strip) = u(x, (1 - y_strip) h(x)) with shape (nx, ny, m).
-    """
-    X = np.asarray(x_nodes, dtype=float)[:, None]
-    Y = np.asarray(y_nodes, dtype=float)[None, :]
-    h = profile.height_at(x_nodes)[:, None]
-    vals = np.asarray(func(np.broadcast_to(X, (X.size, Y.size)),
-                           (1.0 - Y) * h), dtype=complex)
-    if vals.ndim == 2:
-        vals = vals[:, :, None]
-    return vals
 
 
 @dataclass

@@ -23,35 +23,33 @@ def torus_wavenumbers(L, nx):
     return 2.0 * np.pi * np.fft.fftfreq(nx, d=L / nx)
 
 
-def spectral_derivative(values, L, order=1, axis=0):
-    """Differentiate periodic samples along ``axis`` by FFT.
+def spectral_derivative(values, L, order=1):
+    """Differentiate periodic samples along axis 0 by FFT.
 
     For odd derivative orders the Nyquist mode is zeroed (its derivative is
     not representable on the grid and keeping it injects a spurious
     sawtooth).  Input may be real or complex; output is complex.
     """
     values = np.asarray(values)
-    nx = values.shape[axis]
+    nx = values.shape[0]
     k = torus_wavenumbers(L, nx)
     mult = (1j * k) ** order
     if order % 2 == 1:
         mult[nx // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = nx
-    vhat = fft(values, axis=axis)
-    return ifft(vhat * mult.reshape(shape), axis=axis)
+    vhat = fft(values, axis=0)
+    return ifft(vhat * mult.reshape((nx,) + (1,) * (values.ndim - 1)), axis=0)
 
 
-def spectral_tail_fraction(values, axis=0):
-    """Energy fraction carried by the top-quarter frequency band.
+def spectral_tail_fraction(values):
+    """Energy fraction carried by the top-quarter frequency band along axis 0.
 
     A cheap aliasing monitor: well resolved periodic data has a tail
     fraction near machine precision; values above ~1e-3 flag marginal
     resolution.
     """
     values = np.asarray(values)
-    nx = values.shape[axis]
-    vhat = np.moveaxis(fft(values, axis=axis), axis, 0).reshape(nx, -1)
+    nx = values.shape[0]
+    vhat = fft(values, axis=0).reshape(nx, -1)
     power = np.sum(np.abs(vhat) ** 2, axis=1)
     idx = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
     tail = power[idx >= nx // 4].sum()

@@ -57,11 +57,9 @@ class SampledFunction:
 
     def deriv(self, order):
         if order not in self._derivs:
-            self._derivs[order] = spectral_derivative(self.values, self.L, order, axis=0)
+            self._derivs[order] = spectral_derivative(self.values, self.L,
+                                                      order)
         return self._derivs[order]
-
-    def sup_norm(self):
-        return float(np.max(_node_norms(self.values)))
 
 
 @dataclass
@@ -154,11 +152,6 @@ def holder_seminorm(f, gamma, evaluator=None):
                             (float(f.grid[p]), float(f.grid[q])))
 
 
-def h_alpha_norm(f, alpha):
-    """C^alpha norm: sup plus alpha-seminorm."""
-    return holder_seminorm(f, alpha).total
-
-
 def h2alpha_norm(g, alpha, evaluator=None):
     """C^{2+alpha} norm of a periodic profile, E-norm optionally A-graded.
 
@@ -210,7 +203,7 @@ def graded_trace_norm(values, L, alpha, mu, order):
         values = values[:, None]
     total = 0.0
     for j in range(order + 1):
-        dj = spectral_derivative(values, L, j, axis=0) if j else values
+        dj = spectral_derivative(values, L, j) if j else values
         total += float(mu) ** (order - j) * trace_xnorm(dj, L, alpha, mu)
     return total
 

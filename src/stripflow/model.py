@@ -166,50 +166,49 @@ def transverse_semigroup(fc, eta, y_arr):
     return _ModeExp(decay_generator(fc, eta).Lambda).at(y_arr)
 
 
-def halfplane_dirichlet_solve(fc, psi, y_grid, L=None):
+def halfplane_dirichlet_solve(fc, psi, y_grid, L):
     """Multiplier solution of the frozen half-plane Dirichlet problem.
 
-    psi is a SampledFunction on the x-torus (or a raw (nx, m) array with L
-    given).  Per FFT mode k the solution is exp(-Lambda(-k) y) psi_hat(k);
-    the trace at y=0 reproduces psi to transform accuracy.  Returns a
-    StripField whose ``resolved`` flag is False when psi has a significant
-    spectral tail.
+    psi is an (nx,) or (nx, m) array of samples on the x-torus of
+    circumference L.  Per FFT mode k the solution is
+    exp(-Lambda(-k) y) psi_hat(k); the trace at y=0 reproduces psi to
+    transform accuracy.  Returns a StripField whose ``resolved`` flag is
+    False when psi has a significant spectral tail.
     """
     from .strip import StripField  # local import; strip does not import model
-    if L is None:
-        L, values = psi.L, psi.values
-    else:
-        values = np.asarray(psi, dtype=complex)
-        if values.ndim == 1:
-            values = values[:, None]
+    values = np.asarray(psi, dtype=complex)
+    if values.ndim == 1:
+        values = values[:, None]
     y = np.asarray(y_grid, dtype=float)
     nx, m = values.shape
     ks = torus_wavenumbers(L, nx)
     stack = transverse_semigroup(fc, -ks, y)                # (nx, ny, m, m)
     u = ifft(np.einsum("kyij,kj->kyi", stack, fft(values, axis=0)), axis=0)
     fld = StripField(x=np.arange(nx) * (L / nx), y=y, L=L, values=u)
-    fld.resolved = spectral_tail_fraction(values, axis=0) <= 1e-6
+    fld.resolved = spectral_tail_fraction(values) <= 1e-6
     return fld
 
 
-def strip_trace_gradient_map(fc, eta, depth=1.0):
+def strip_trace_gradient_map(fc, eta):
     """d/dy at y=0 of the strip solve with Dirichlet top / Neumann bottom.
 
-    On 0 < y < depth the mode ODE has exponents rho+- = (-i a12 eta ± R)/a22
-    (R the principal root used by the decay generator); imposing u(0)=psi and
-    u'(depth)=0 and eliminating the growing mode stably gives
+    On the reference strip 0 < y < 1 the mode ODE has exponents
+    rho+- = (-i a12 eta ± R)/a22 (R the principal root used by the decay
+    generator); imposing u(0)=psi and u'(1)=0 and eliminating the growing
+    mode stably gives
 
         u'(0) = rho+ rho- (I - EE) (rho+ - rho- EE)^-1 psi,
-        EE = exp(depth (rho- - rho+)).
+        EE = exp(rho- - rho+).
 
-    As depth -> inf this tends to rho-, the half-plane multiplier.  Note the
+    On a strip of depth d, EE = exp(d (rho- - rho+)), which tends to 0 as
+    d -> inf: the map then tends to rho-, the half-plane multiplier.  Note the
     eta passed here should already be in library FFT convention (the caller
     does not need the -eta bridge; the formula is written directly for modes
     e^{+i eta x}).  eta is a scalar or an array of wavenumbers; the maps
     are stacked as eta.shape + (m, m).
     """
     _, rp, rm = _mode_exponents(fc, eta)
-    ee = scipy.linalg.expm(depth * (rm - rp))
+    ee = scipy.linalg.expm(rm - rp)
     return rp @ rm @ (np.eye(fc.dim) - ee) @ np.linalg.inv(rp - rm @ ee)
 
 

@@ -1,18 +1,16 @@
-"""Coupling-matrix calculus: sectoriality, fractional powers, interpolation norms.
+"""Coupling-matrix calculus: sectoriality, square roots, interpolation norms.
 
 The component coupling of the elliptic system is a constant m-by-m matrix A
 acting on the value index of every field.  This module owns everything that
-touches A alone: positivity of its shifted resolvents on a sector, fractional
-powers, the semigroup exp(-tA), and the K-method interpolation norm used to
+touches A alone: positivity of its shifted resolvents on a sector, the
+principal matrix square root, and the K-method interpolation norm used to
 grade boundary data between the base space and the domain of A.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from .errors import SingularOperatorError, SpectralValidationError
 
 
 class SectorialOperator:
@@ -46,9 +44,6 @@ class SectorialOperator:
         self.dim = entries.shape[0]
         self.sector_angle = float(sector_angle)
         self.bound = float(bound)
-
-    def matrix(self):
-        return self.entries.copy()
 
     def __repr__(self):
         return (f"SectorialOperator(dim={self.dim}, "
@@ -103,42 +98,6 @@ def validate_sectorial(A):
     return PositivityReport(bool(passed), float(worst), witness, msg)
 
 
-def resolvent(A, lam):
-    """(A + lambda)^-1 with an explicit singularity guard."""
-    shifted = A.entries + lam * np.eye(A.dim)
-    sv = np.linalg.svd(shifted, compute_uv=False)
-    if sv[-1] <= 1e-14 * sv[0]:
-        raise SingularOperatorError(
-            f"A + lambda numerically singular at lambda={lam} "
-            f"(condition {sv[0] / max(sv[-1], 1e-300):.3g})")
-    return np.linalg.inv(shifted)
-
-
-def frac_power(A, theta):
-    """Principal fractional power A^theta for spectrum off the negative axis.
-
-    Diagonalizable matrices go through an eigendecomposition; defective ones
-    fall back to the Schur-Parlett routine in scipy.
-    """
-    mat = coupling_matrix(A)
-    eigvals = np.linalg.eigvals(mat)
-    if np.any((np.real(eigvals) <= 0) & (np.abs(np.imag(eigvals)) < 1e-14)):
-        raise SpectralValidationError(
-            "fractional power undefined: eigenvalue on the closed negative real axis",
-            witness=eigvals[np.argmin(np.real(eigvals))])
-    w, V = np.linalg.eig(mat)
-    cond_v = np.linalg.cond(V)
-    if cond_v < 1e8:
-        out = V @ np.diag(w ** theta) @ np.linalg.inv(V)
-    else:
-        out = scipy.linalg.fractional_matrix_power(mat, theta)
-    if not np.all(np.isfinite(out)):
-        raise SpectralValidationError("fractional power produced non-finite entries")
-    if np.max(np.abs(np.imag(eigvals))) < 1e-12 and np.max(np.abs(np.imag(mat))) < 1e-12:
-        out = np.real(out).astype(complex)
-    return out
-
-
 def matrix_sqrt(mat):
     """Principal square root of a matrix or of a (..., m, m) stack.
 
@@ -157,51 +116,25 @@ def matrix_sqrt(mat):
     return out.reshape(mat.shape)
 
 
-def semigroup(A, t):
-    """exp(-tA) for t >= 0."""
-    if t < 0:
-        raise ValueError("semigroup defined for t >= 0 only")
-    mat = coupling_matrix(A)
-    return scipy.linalg.expm(-t * mat)
-
-
-@dataclass
-class InterpolationNormSpec:
-    """Parameters of the K-method norm between the base space and dom(A).
-
-    theta : interpolation exponent in (0, 1).
-    t_grid : positive abscissae over which the sup is taken; defaults to a
-        36-point log grid on [1e-4, 10].
-    """
-    theta: float
-    t_grid: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.t_grid is None:
-            self.t_grid = np.geomspace(1e-4, 10.0, 36)
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
-        if np.any(self.t_grid <= 0) or np.any(np.diff(self.t_grid) <= 0):
-            raise ValueError("t_grid must be positive and strictly increasing")
+# abscissae of the sup in the interpolation norm: a 36-point log grid
+_T_GRID = np.geomspace(1e-4, 10.0, 36)
 
 
 class InterpNormEvaluator:
     """Precomputed weights for  sup_t  t^(1-theta) ||A exp(-tA) u||.
 
-    The weight stack depends only on (A, spec), so the evaluator is built
+    theta is the interpolation exponent in (0, 1) and t runs over _T_GRID.
+    The weight stack depends only on (A, theta), so the evaluator is built
     once and reused across many vectors; ``of_values`` handles arbitrary
     leading axes.
     """
 
-    def __init__(self, A, spec):
+    def __init__(self, A, theta):
+        if not (0.0 < theta < 1.0):
+            raise ValueError(f"theta must lie in (0, 1), got {theta}")
         mat = coupling_matrix(A)
-        self.spec = spec
-        self.dim = mat.shape[0]
-        stack = np.empty((spec.t_grid.size, self.dim, self.dim), dtype=complex)
-        for i, t in enumerate(spec.t_grid):
-            stack[i] = (t ** (1.0 - spec.theta)) * (mat @ scipy.linalg.expm(-t * mat))
-        self.weights = stack
+        T = _T_GRID[:, None, None]
+        self.weights = T ** (1.0 - theta) * (mat @ scipy.linalg.expm(-T * mat))
 
     def weighted(self, values):
         """Every weight matrix applied to every vector of an (..., m) array.
@@ -220,11 +153,3 @@ class InterpNormEvaluator:
         """
         wu = self.weighted(values).view(np.float64)
         return np.sqrt(np.max(np.einsum("...k,...k->...", wu, wu), axis=-1))
-
-    def of_vector(self, u):
-        return float(self.of_values(np.asarray(u, dtype=complex)))
-
-
-def interp_norm(A, u, spec):
-    """One-shot interpolation norm of a single vector."""
-    return InterpNormEvaluator(A, spec).of_vector(u)

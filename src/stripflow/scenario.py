@@ -540,39 +540,6 @@ def export(traj, out_dir):
     return [traj_path, diag_path]
 
 
-def read_trajectory(out_dir):
-    """Round-trip reader for export(); returns (times, x, g, diagnostics)."""
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    with open(traj_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        m = (len(header) - 2) // 2
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    times_seen, x_seen = [], []
-    for cells in rows:
-        t = float(cells[0])
-        if not times_seen or t != times_seen[-1]:
-            times_seen.append(t)
-    nx = len(rows) // len(times_seen)
-    x_seen = np.array([float(cells[1]) for cells in rows[:nx]])
-    g = np.empty((len(times_seen), nx, m), dtype=complex)
-    for s in range(len(times_seen)):
-        for i in range(nx):
-            cells = rows[s * nx + i]
-            for c in range(m):
-                g[s, i, c] = complex(float(cells[2 + 2 * c]),
-                                     float(cells[3 + 2 * c]))
-    diag_path = os.path.join(out_dir, "diagnostics.csv")
-    diagnostics = []
-    with open(diag_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            diagnostics.append(dict(zip(header, cells)))
-    return np.array(times_seen), x_seen, g, diagnostics
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()

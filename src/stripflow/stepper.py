@@ -16,9 +16,8 @@ from scipy.sparse.linalg import gmres
 
 from .dtn import DtNOperator, operator_for
 from .errors import AdmissibilityError, SolverError
-from .geometry import map_inverse
 from .holder import SampledFunction, h2alpha_norm
-from .operator_core import InterpNormEvaluator, InterpolationNormSpec
+from .operator_core import InterpNormEvaluator
 from .strip import KeepLastOperator
 
 STATUS_COMPLETED = "Completed"
@@ -90,7 +89,7 @@ class Trajectory:
         return self.profiles[-1]
 
 
-def _step_core(dtn, dt, rtol):
+def _step_core(dtn, dt):
     """Solve (I + dt dO) delta = -dt O(g) matrix-free; return delta + info.
 
     GMRES starts from zero, so it spends no matvec on an initial residual.
@@ -110,11 +109,11 @@ def _step_core(dtn, dt, rtol):
 
     lin = KeepLastOperator(nx * m, lambda v: (
         v + dt * dtn.derivative(v.reshape(nx, m)).ravel()))
-    sol, info = gmres(lin, rhs, rtol=rtol, atol=0.0,
+    sol, info = gmres(lin, rhs, rtol=_STEP_RTOL, atol=0.0,
                       restart=min(nx * m, 60), maxiter=3)
     its = lin.count
     res = lin.true_residual(sol, rhs)
-    if not res <= max(100.0 * rtol, 1e-8):     # NaN-safe comparison
+    if not res <= max(100.0 * _STEP_RTOL, 1e-8):    # NaN-safe comparison
         raise SolverError(
             f"implicit step solve did not converge (relative residual {res:.3e})",
             residual=res, iterations=its)
@@ -124,7 +123,7 @@ def _step_core(dtn, dt, rtol):
 def step(p_n, A, dt, mu_solve=4.0, ny=33, rtol=1e-11):
     """One semi-implicit Euler step; returns the advanced profile."""
     dtn = DtNOperator(p_n, A, mu_solve, ny=ny, rtol=rtol)
-    delta, _, _ = _step_core(dtn, dt, _STEP_RTOL)
+    delta, _, _ = _step_core(dtn, dt)
     return p_n.with_g(p_n.g + delta)
 
 
@@ -157,8 +156,7 @@ def evolve(p0, A, cfg, dtn=None):
     Scenario.dtn() gives); its cached K(g)g solve serves t = 0.
     """
     dtn = operator_for(p0, A, cfg.mu_solve, cfg.ny, cfg.rtol, dtn)
-    evaluator = InterpNormEvaluator(dtn.A,
-                                    InterpolationNormSpec(theta=cfg.alpha))
+    evaluator = InterpNormEvaluator(dtn.A, cfg.alpha)
 
     def diagnose(dtn):
         # the norm goes before the margin's K(g)g solve: taken after it,
@@ -205,7 +203,7 @@ def evolve(p0, A, cfg, dtn=None):
     n = 0
     while status is None and n < n_steps:
         try:
-            delta, last_res, last_its = _step_core(dtn, cfg.dt, _STEP_RTOL)
+            delta, last_res, last_its = _step_core(dtn, cfg.dt)
         except SolverError as exc:
             status = STATUS_SOLVER_FAILURE
             failure_message = f"step {n + 1} (t={t + cfg.dt:.6g}): {exc}"
@@ -233,50 +231,3 @@ def evolve(p0, A, cfg, dtn=None):
                       status=status, norm_cap=norm_cap,
                       margin_floor=margin_floor, config=resolved,
                       failure_message=failure_message)
-
-
-@dataclass
-class Reconstruction:
-    x: np.ndarray
-    y_physical: np.ndarray      # (nx, ny) heights, interface row first
-    u: np.ndarray               # (nx, ny, m) field samples on the moving domain
-    f: np.ndarray               # (nx, m) physical interface datum
-    f_t: np.ndarray             # (nx, m) interface velocity, -O(g)
-    kinetic_residual: float
-    kinetic_scale: float
-
-
-def reconstruct(p, A, mu_solve=4.0, ny=33, rtol=1e-11):
-    """Pull the strip solution back to the moving domain and audit the
-    kinetic interface condition.
-
-    The kinetic condition f_t + sqrt(1+f_x^2) du/dn = 0 is re-evaluated in
-    physical variables: with the outer normal of {0 < y < f},
-    sqrt(1+f_x^2) du/dn = -f_x u_x + u_y at the interface, where the
-    physical gradient comes from the flattening chain rule.  Using -O(g) as
-    f_t the residual is an algebraic identity up to discretization error.
-    """
-    dtn = DtNOperator(p, A, mu_solve, ny=ny, rtol=rtol)
-    app = dtn.apply()
-    ups = app.upsilon
-    o_val = app.value.values
-
-    y_phys = np.empty((p.nx, ups.ny))
-    for j, ys in enumerate(ups.y):
-        y_phys[:, j] = map_inverse(p, p.x, np.full(p.nx, ys))[1]
-
-    h = p.h[:, None]
-    hx = p.h_x[:, None]
-    tr_x = ups.dx(1)[:, 0, :]
-    tr_y = ups.dy_trace0()
-    u_x = tr_x + tr_y * hx / h          # physical x-derivative at the interface
-    u_y = -tr_y / h                     # physical y-derivative
-    f = p.nu + p.g
-    f_x = p.g_x
-    f_t = -o_val
-    resid = f_t + (-f_x * u_x + u_y)
-    scale = float(np.max(np.abs(o_val)))
-    return Reconstruction(
-        x=p.x, y_physical=y_phys, u=ups.values, f=f, f_t=f_t,
-        kinetic_residual=float(np.max(np.abs(resid))),
-        kinetic_scale=scale)

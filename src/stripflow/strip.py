@@ -148,7 +148,7 @@ class StripField:
         return self.values.shape[2]
 
     def dx(self, order=1):
-        return spectral_derivative(self.values, self.L, order, axis=0)
+        return spectral_derivative(self.values, self.L, order)
 
     def dy(self, order=1):
         if self.Dy is None:
@@ -364,21 +364,10 @@ class DiscreteStripOperator:
                           residual=res)
 
 
-def assemble(profile, A, mu, ny=33):
-    """Build the discrete strip operator (ellipticity is re-audited here)."""
-    return DiscreteStripOperator(profile, A, mu, ny=ny)
-
-
-def solve_K(profile, A, mu, psi, ny=33, rtol=1e-11):
-    """Dirichlet-data solve: (B+mu^2)u = 0, trace(y=0) = psi, bottom flux 0."""
-    op = assemble(profile, A, mu, ny=ny)
-    return op.solve(psi0=psi, rtol=rtol)
-
-
 def b0_trace(coeffs, fld):
     """Oblique boundary read-out at y=0: b10 d/dx + b20 d/dy of the field."""
     tr = fld.trace0()
-    tr_x = spectral_derivative(tr, fld.L, 1, axis=0)
+    tr_x = spectral_derivative(tr, fld.L, 1)
     return coeffs.b10 * tr_x + coeffs.b20 * fld.dy_trace0()
 
 
@@ -397,7 +386,7 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
     rows = []
     sqrt_A = None
     for mu in mu_list:
-        op = assemble(profile, A, mu, ny=ny)
+        op = DiscreteStripOperator(profile, A, mu, ny=ny)
         if sqrt_A is None:
             sqrt_A = matrix_sqrt(op.A_mat)
         for data_index, (F, psi0, psi1) in enumerate(ensemble):

@@ -12,7 +12,6 @@ from stripflow.geometry import (
     ellipticity_floor,
     map_forward,
     map_inverse,
-    pushforward,
 )
 from stripflow.grids import (cheb_lobatto_01, partition_of_unity,
                              spectral_derivative)
@@ -75,15 +74,6 @@ def test_map_orientation():
     _, y_bot = map_forward(p, x, np.zeros_like(x))
     assert np.allclose(y_top, 0.0, atol=1e-14)
     assert np.allclose(y_bot, 1.0, atol=1e-14)
-
-
-def test_pushforward_of_height_coordinate():
-    p = make_profile(nx=32, amp=0.1, mode=2)
-    x = torus_x(32)
-    y_nodes = cheb_lobatto_01(9)[0]
-    vals = pushforward(p, lambda xx, yy: yy, x, y_nodes)
-    expected = p.h[:, None] * (1.0 - y_nodes)[None, :]
-    assert np.allclose(np.squeeze(vals), expected, atol=1e-12)
 
 
 # ----------------------------------------------------------------- coefficients

@@ -1,18 +1,16 @@
-"""Sectorial-operator calculus: validation, resolvent, powers, semigroup,
-interpolation norms."""
+"""Sectorial-operator calculus: validation, square roots, interpolation
+norms."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from stripflow.errors import SingularOperatorError, SpectralValidationError
+from stripflow.errors import SpectralValidationError
 from stripflow.operator_core import (
-    InterpolationNormSpec,
+    _T_GRID,
+    InterpNormEvaluator,
     SectorialOperator,
-    frac_power,
-    interp_norm,
     matrix_sqrt,
-    resolvent,
-    semigroup,
     validate_sectorial,
 )
 
@@ -47,152 +45,72 @@ def test_nonsymmetric_coupling_passes():
     assert validate_sectorial(A).passed
 
 
-# ----------------------------------------------------------------- resolvent
-
-def test_resolvent_scalar_value():
-    A = SectorialOperator(np.array([[1.0]]))
-    R = resolvent(A, 1.0)
-    assert np.allclose(R, [[0.5]], atol=1e-14)
-
-
-def test_resolvent_defining_equation(rng):
-    M = np.array([[2.0, 0.5], [0.1, 3.0]])
-    A = SectorialOperator(M)
-    for lam in (0.3, 2.7 + 1.1j, -0.4 + 5.0j):
-        R = resolvent(A, lam)
-        assert np.allclose((lam * np.eye(2) + M) @ R, np.eye(2), atol=1e-12)
-
-
-def test_resolvent_identity():
-    # R(lam) - R(mu) = (mu - lam) R(lam) R(mu)
-    M = np.array([[2.0, 0.5], [0.0, 1.0]])
-    A = SectorialOperator(M)
-    lam, mu = 0.7, 2.0 + 1.0j
-    Rl, Rm = resolvent(A, lam), resolvent(A, mu)
-    assert np.allclose(Rl - Rm, (mu - lam) * Rl @ Rm, atol=1e-13)
-
-
-def test_resolvent_singular_point_raises():
-    # lam = -1 puts lam + A exactly at a zero eigenvalue
-    A = SectorialOperator(np.array([[1.0]]))
-    with pytest.raises(SingularOperatorError):
-        resolvent(A, -1.0)
-
-
 # ------------------------------------------------------------------- powers
 
-def test_sqrt_of_identity():
-    A = SectorialOperator(np.eye(2))
-    assert np.allclose(frac_power(A, 0.5), np.eye(2), atol=1e-13)
-
-
-def test_half_power_squares_back():
-    M = np.array([[2.0, 0.5], [0.5, 3.0]])
-    A = SectorialOperator(M)
-    H = frac_power(A, 0.5)
-    assert np.allclose(H @ H, M, atol=1e-11)
-
-
-def test_power_composition():
-    M = np.array([[2.0, 0.5], [0.0, 1.0]])
-    A = SectorialOperator(M)
-    P = frac_power(A, 0.3) @ frac_power(A, 0.7)
-    assert np.allclose(P, M, atol=1e-10)
-
-
-def test_scalar_half_power():
-    A = SectorialOperator(np.array([[4.0]]))
-    assert np.allclose(frac_power(A, 0.5), [[2.0]], atol=1e-12)
-
-
 def test_matrix_sqrt_matches_frac_power():
+    """The principal square root is the fractional power M^(1/2); scipy's
+    Schur-based sqrtm is the independent reference."""
     M = np.array([[2.0, 0.5], [0.5, 3.0]])
-    assert np.allclose(matrix_sqrt(M), frac_power(SectorialOperator(M), 0.5),
-                       atol=1e-11)
-
-
-# ---------------------------------------------------------------- semigroup
-
-def test_semigroup_at_zero_is_identity():
-    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]]))
-    assert np.allclose(semigroup(A, 0.0), np.eye(2), atol=1e-14)
-
-
-def test_semigroup_scalar_halving():
-    A = SectorialOperator(np.array([[1.0]]))
-    assert np.allclose(semigroup(A, np.log(2.0)), [[0.5]], atol=1e-13)
-
-
-def test_semigroup_property():
-    M = np.array([[2.0, 0.5], [0.1, 3.0]])
-    A = SectorialOperator(M)
-    s, t = 0.3, 0.9
-    assert np.allclose(semigroup(A, s) @ semigroup(A, t),
-                       semigroup(A, s + t), atol=1e-12)
-
-
-def test_semigroup_negative_time_rejected():
-    A = SectorialOperator(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        semigroup(A, -0.1)
-
-
-def test_semigroup_resolvent_laplace_transform():
-    """integral of exp(-lam t) e^{-tA} dt reproduces the resolvent."""
-    M = np.array([[2.0, 0.5], [0.0, 1.0]])
-    A = SectorialOperator(M)
-    lam = 1.5
-    t = np.linspace(0.0, 40.0, 20001)
-    vals = np.array([np.exp(-lam * s) * semigroup(A, s) for s in t])
-    integral = np.trapezoid(vals, t, axis=0)
-    assert np.allclose(integral, resolvent(A, lam), atol=1e-7)
+    assert np.allclose(matrix_sqrt(M), scipy.linalg.sqrtm(M), atol=1e-11)
 
 
 # -------------------------------------------------------- interpolation norm
 
+def interp_norm(A, u, theta):
+    return float(InterpNormEvaluator(A, theta).of_values(u))
+
+
 def test_interp_norm_zero_vector():
     A = SectorialOperator(np.array([[1.0]]))
-    spec = InterpolationNormSpec(theta=0.5)
-    assert interp_norm(A, np.zeros(1), spec) == 0.0
+    assert interp_norm(A, np.zeros(1), 0.5) == 0.0
+
+
+def _check_scalar_closed_form(a, theta):
+    """For A = a > 0 the norm of u = 1 is the largest grid value of
+    t^(1-theta) a e^(-ta).  Its continuum sup sits at t* = (1-theta)/a, and
+    the 1/7-decade grid gets within 1e-3 of it from below."""
+    A = SectorialOperator(np.array([[a]]))
+    val = interp_norm(A, np.array([1.0]), theta)
+    grid_max = np.max(_T_GRID ** (1 - theta) * a * np.exp(-a * _T_GRID))
+    assert val == pytest.approx(grid_max, rel=1e-13)
+    tstar = (1 - theta) / a
+    sup = tstar ** (1 - theta) * a * np.exp(-(1 - theta))
+    assert sup * (1 - 1e-3) <= val <= sup
 
 
 def test_interp_norm_scalar_closed_form():
-    # sup_t t^{1-theta} |A e^{-tA} u| for A = a > 0 peaks at t* = (1-theta)/a
-    # with value ((1-theta)/a)^(1-theta) * a * e^{-(1-theta)}; for a=1,
-    # theta=1/2 that is sqrt(1/2) exp(-1/2).
-    A = SectorialOperator(np.array([[1.0]]))
-    spec = InterpolationNormSpec(theta=0.5, t_grid=np.array([0.25, 0.5, 1.0]))
-    val = interp_norm(A, np.array([1.0]), spec)
-    assert abs(val - 0.428881942480353) < 1e-12
+    _check_scalar_closed_form(1.0, 0.5)
 
 
 def test_interp_norm_scalar_closed_form_generic():
-    a, theta = 2.0, 0.25
-    tstar = (1 - theta) / a
-    expected = tstar ** (1 - theta) * a * np.exp(-(1 - theta))
-    A = SectorialOperator(np.array([[a]]))
-    spec = InterpolationNormSpec(theta=theta,
-                                 t_grid=np.array([tstar / 2, tstar, 1.0]))
-    assert abs(interp_norm(A, np.array([1.0]), spec) - expected) < 1e-12
+    _check_scalar_closed_form(2.0, 0.25)
 
 
 def test_interp_norm_homogeneous():
     A = SectorialOperator(np.array([[2.0, 0.5], [0.5, 3.0]]))
-    spec = InterpolationNormSpec(theta=0.3)
     u = np.array([1.0, -0.4])
-    assert np.isclose(interp_norm(A, 7.0 * u, spec),
-                      7.0 * interp_norm(A, u, spec), rtol=1e-12)
+    assert np.isclose(interp_norm(A, 7.0 * u, 0.3),
+                      7.0 * interp_norm(A, u, 0.3), rtol=1e-12)
 
 
-def test_interp_norm_grid_refinement_monotone():
-    """A finer time grid can only see a larger supremum."""
-    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]]))
-    u = np.array([0.3, 1.1])
-    coarse = InterpolationNormSpec(theta=0.5,
-                                   t_grid=np.geomspace(1e-3, 1.0, 8))
-    fine = InterpolationNormSpec(theta=0.5,
-                                 t_grid=np.geomspace(1e-3, 1.0, 64))
-    assert interp_norm(A, u, fine) >= interp_norm(A, u, coarse) - 1e-13
+def test_interp_norm_rejects_theta_outside_unit_interval():
+    A = SectorialOperator(np.array([[1.0]]))
+    for theta in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError, match="theta"):
+            InterpNormEvaluator(A, theta)
+
+
+@pytest.mark.parametrize("A", [[[1.0]], [[2.0, 0.5], [0.0, 1.0]],
+                               [[1.0, 1.0], [0.0, 1.0]]])
+def test_evaluator_weights_match_per_t_loop(A):
+    """The stacked weights equal, bit for bit, a loop of one expm per t at
+    theta = 0.5, the exponent of every scenario; the Jordan block takes
+    expm's non-diagonalisable path."""
+    mat = np.array(A, dtype=complex)
+    ref = np.empty((_T_GRID.size,) + mat.shape, dtype=complex)
+    for i, t in enumerate(_T_GRID):
+        ref[i] = t ** 0.5 * (mat @ scipy.linalg.expm(-t * mat))
+    assert np.array_equal(InterpNormEvaluator(np.array(A), 0.5).weights, ref)
 
 
 def test_validation_reports_reason():

@@ -1,6 +1,8 @@
 """The documented public surface: the README example and the package
 exports."""
 
+import ast
+import glob
 import os
 import re
 
@@ -8,12 +10,17 @@ import numpy as np
 
 import stripflow
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+HERE = os.path.dirname(__file__)
+README = os.path.join(HERE, os.pardir, "README.md")
+
+
+def readme_python_blocks():
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(r"```python\n(.*?)```", fh.read(), re.S)
 
 
 def test_readme_example_runs(capsys):
-    with open(README, encoding="utf-8") as fh:
-        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    blocks = readme_python_blocks()
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     printed = float(capsys.readouterr().out)
@@ -25,3 +32,35 @@ def test_every_export_resolves():
                if not hasattr(stripflow, name)]
     assert missing == []
     assert len(set(stripflow.__all__)) == len(stripflow.__all__)
+
+
+def referenced_names(source):
+    """Every identifier a module mentions: names, attribute names and the
+    last part of each imported name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_export_has_a_caller():
+    """Each exported name is used by the package itself (outside
+    __init__.py), by the acceptance suite or by the README example; an
+    export that only unit tests call is not part of the public surface."""
+    package = os.path.dirname(stripflow.__file__)
+    sources = [path for path in glob.glob(os.path.join(package, "*.py"))
+               if os.path.basename(path) != "__init__.py"]
+    sources.append(os.path.join(HERE, "test_acceptance.py"))
+    used = set()
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            used |= referenced_names(fh.read())
+    for block in readme_python_blocks():
+        used |= referenced_names(block)
+    unused = [name for name in stripflow.__all__ if name not in used]
+    assert unused == [], f"exports without a caller: {', '.join(unused)}"

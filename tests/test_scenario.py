@@ -13,7 +13,6 @@ from stripflow.errors import ScenarioError
 from stripflow.scenario import (
     export,
     load_scenario,
-    read_trajectory,
     run,
     safe_eval,
 )
@@ -282,13 +281,32 @@ def test_coupled_matrix_rows(tmp_path):
 
 # ----------------------------------------------------------------- artifacts
 
+def read_trajectory(out_dir):
+    """Round-trip reader for export(); returns (times, g, diagnostics) with
+    g stacked (time, node, component) and one dict per diagnostics row."""
+    path = os.path.join(out_dir, "trajectory.csv")
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = np.array([line.strip().split(",") for line in fh],
+                        dtype=float)
+    times = np.unique(rows[:, 0])
+    g = (rows[:, 2::2] + 1j * rows[:, 3::2]).reshape(
+        times.size, -1, (len(header) - 2) // 2)
+    path = os.path.join(out_dir, "diagnostics.csv")
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        diagnostics = [dict(zip(header, line.strip().split(",")))
+                       for line in fh]
+    return times, g, diagnostics
+
+
 def test_export_round_trip(tmp_path):
     scn = load_scenario(write_scn(tmp_path, MINIMAL))
     traj = evolve(scn.profile(), scn.A, scn.config)
     out = str(tmp_path / "out")
     os.makedirs(out)
     export(traj, out)
-    times, x, g, diags = read_trajectory(out)
+    times, g, diags = read_trajectory(out)
     assert times.shape[0] == len(traj.times)
     assert np.allclose(times, traj.times)
     for s, prof in enumerate(traj.profiles):

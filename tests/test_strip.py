@@ -10,7 +10,7 @@ from conftest import make_profile, torus_x
 from stripflow.errors import SolverError
 from stripflow.geometry import InterfaceProfile, coefficients
 from stripflow.operator_core import SectorialOperator
-from stripflow.strip import assemble, b0_trace, cheb_apply, solve_K
+from stripflow.strip import DiscreteStripOperator, b0_trace, cheb_apply
 
 L = 16 * np.pi
 
@@ -38,7 +38,7 @@ def test_flat_single_mode_closed_form(A1):
     mu = 2.0
     T = np.sqrt(1.0 + mu ** 2 + k ** 2)
     psi = np.cos(k * x).astype(complex)[:, None]
-    fld = solve_K(p, A1, mu, psi, ny=ny)
+    fld = DiscreteStripOperator(p, A1, mu, ny=ny).solve(psi0=psi)
     expected = (np.cos(k * x)[:, None]
                 * (np.cosh(T * (1.0 - fld.y)) / np.cosh(T))[None, :])
     assert np.max(np.abs(fld.values[..., 0] - expected)) < 1e-10
@@ -57,7 +57,7 @@ def test_flat_boundary_readout_is_symbol(A1):
         k = 2 * np.pi * kmode / L
         T = np.sqrt(1.0 + mu ** 2 + k ** 2)
         psi = np.sin(k * x).astype(complex)[:, None]
-        fld = solve_K(p, A1, mu, psi, ny=ny)
+        fld = DiscreteStripOperator(p, A1, mu, ny=ny).solve(psi0=psi)
         out = b0_trace(c, fld)
         assert np.allclose(out[:, 0], T * np.tanh(T) * np.sin(k * x),
                            atol=1e-8)
@@ -65,7 +65,8 @@ def test_flat_boundary_readout_is_symbol(A1):
 
 def test_zero_data_short_circuits(A1):
     p = make_profile(nx=32, amp=0.1)
-    fld = solve_K(p, A1, 4.0, np.zeros((32, 1), dtype=complex), ny=9)
+    fld = DiscreteStripOperator(p, A1, 4.0, ny=9).solve(
+        psi0=np.zeros((32, 1), dtype=complex))
     assert np.all(fld.values == 0.0)
     assert fld.residual == 0.0
 
@@ -75,7 +76,7 @@ def test_solver_inverts_its_own_operator(A1):
     p = make_profile(nx=64, amp=0.15, mode=2)
     x = torus_x(64)
     psi = (0.3 * np.cos(2 * np.pi * x / L)).astype(complex)[:, None]
-    fld = solve_K(p, A1, 4.0, psi, ny=17)
+    fld = DiscreteStripOperator(p, A1, 4.0, ny=17).solve(psi0=psi)
     assert fld.resolved
     assert fld.residual < 1e-9
 
@@ -85,7 +86,7 @@ def test_coupled_system_solve(A2):
     x = torus_x(32)
     psi = np.stack([0.2 * np.cos(2 * np.pi * x / L),
                     0.1 * np.sin(2 * np.pi * x / L)], axis=1).astype(complex)
-    fld = solve_K(p, A2, 4.0, psi, ny=17)
+    fld = DiscreteStripOperator(p, A2, 4.0, ny=17).solve(psi0=psi)
     assert fld.resolved
     assert fld.values.shape == (32, 17, 2)
     assert np.allclose(fld.trace0(), psi, atol=1e-10)
@@ -95,7 +96,7 @@ def test_bottom_neumann_enforced(A1):
     p = make_profile(nx=32, amp=0.2, mode=2)
     x = torus_x(32)
     psi = (0.3 * np.cos(2 * np.pi * x / L)).astype(complex)[:, None]
-    fld = solve_K(p, A1, 2.0, psi, ny=17)
+    fld = DiscreteStripOperator(p, A1, 2.0, ny=17).solve(psi0=psi)
     assert np.max(np.abs(dy_trace1(fld))) < 1e-9
 
 
@@ -104,7 +105,7 @@ def test_nan_data_raises_not_silently_returns(A1):
     p = make_profile(nx=32, amp=0.1)
     psi = np.full((32, 1), np.nan, dtype=complex)
     with pytest.raises(SolverError, match="non-finite") as info:
-        solve_K(p, A1, 4.0, psi, ny=9)
+        DiscreteStripOperator(p, A1, 4.0, ny=9).solve(psi0=psi)
     assert info.value.iterations == 0
 
 
@@ -115,7 +116,7 @@ def test_large_amplitude_solve_stays_off_roundoff_floor(A1):
     x = torus_x(128)
     g = -0.5 * np.exp(np.cos(2 * np.pi * x / L) - 1.0)
     p = InterfaceProfile(1.0, L, g)
-    op = assemble(p, A1, 0.0, ny=33)
+    op = DiscreteStripOperator(p, A1, 0.0, ny=33)
     op.solve(psi0=p.g)
     assert op.last_iterations <= 60
     assert op.last_residual <= 1e-9
@@ -126,7 +127,7 @@ def _wall_dip_operator(a):
     ny = 33, mu = 0; the wall is at depth 1, so a -> 1 is breakdown."""
     x = torus_x(128)
     p = InterfaceProfile(1.0, L, -a * np.exp(np.cos(2 * np.pi * x / L) - 1.0))
-    return p, assemble(p, np.array([[1.0]]), 0.0, ny=33)
+    return p, DiscreteStripOperator(p, np.array([[1.0]]), 0.0, ny=33)
 
 
 def test_near_wall_solve_stops_at_the_roundoff_floor():
@@ -156,7 +157,7 @@ def test_small_amplitude_solve_takes_four_iterations():
 
 
 def test_assemble_exposes_operator_pieces(A1):
-    op = assemble(make_profile(nx=32, amp=0.1), A1, 4.0, ny=9)
+    op = DiscreteStripOperator(make_profile(nx=32, amp=0.1), A1, 4.0, ny=9)
     assert op.Dy.shape == (9, 9)
     assert op.A_mat.shape == (1, 1)
 
@@ -221,7 +222,7 @@ def test_precond_matches_dense_mode_inverse(case, ny):
     x-averaged operator: it matches per-mode dense inverses that keep the
     mixed term it drops."""
     p, A, mu = _precond_case(case)
-    op = assemble(p, A, mu, ny=ny)
+    op = DiscreteStripOperator(p, A, mu, ny=ny)
     rng = np.random.default_rng(ny)
     v = rng.standard_normal(op.n_dof) + 1j * rng.standard_normal(op.n_dof)
     want = _dense_frozen_inverse(op)(v)
@@ -241,7 +242,7 @@ def test_x_averaged_mixed_coefficient_vanishes(case):
 def test_precond_stores_no_per_mode_matrices():
     """Only the 1/(lam + k^2) table has an axis of length nx."""
     p, A, mu = _precond_case("m2-unequal")
-    op = assemble(p, A, mu, ny=33)
+    op = DiscreteStripOperator(p, A, mu, ny=33)
     op._build_preconditioner()
     stored = op._minv._asdict()
     assert stored.pop("scale").shape == (op.nx, op.ny * op.m)
@@ -254,7 +255,7 @@ def test_singular_frozen_block_fails_fast():
     operator singular is refused before GMRES iterates."""
     nx, ny = 32, 9
     p = make_profile(nx=nx, amp=0.0)
-    op = assemble(p, np.array([[0.0]]), 0.0, ny=ny)
+    op = DiscreteStripOperator(p, np.array([[0.0]]), 0.0, ny=ny)
     # on the flat strip the k = 0 block acts on x-constant fields; a scalar
     # A adds A to its interior rows, so A = -lam for a finite generalized
     # eigenvalue lam of (block, interior rows) makes it singular
@@ -265,7 +266,7 @@ def test_singular_frozen_block_fails_fast():
     lam = scipy.linalg.eigvals(block, interior)
     lam = lam[np.isfinite(lam)]
     lam_min = lam[np.argmin(np.abs(lam))]
-    bad = assemble(p, np.array([[-lam_min]]), 0.0, ny=ny)
+    bad = DiscreteStripOperator(p, np.array([[-lam_min]]), 0.0, ny=ny)
     with pytest.raises(SolverError, match="mu=0.0") as info:
         bad.solve(psi0=np.ones((nx, 1)))
     assert info.value.iterations == 0
@@ -275,7 +276,7 @@ def test_solve_gate_reuses_the_closing_gmres_residual(A1, monkeypatch):
     """Every operator application of a solve is a GMRES matvec: the gate
     reads the true residual GMRES computed for the returned solution."""
     p = make_profile(nx=64, amp=0.15, mode=2)
-    op = assemble(p, A1, 4.0, ny=17)
+    op = DiscreteStripOperator(p, A1, 4.0, ny=17)
     applies = {"inside": 0, "outside": 0}
     in_gmres = [False]
     operators = []
