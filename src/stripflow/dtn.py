@@ -23,13 +23,13 @@ from numpy.fft import fft, ifft
 
 from .errors import FreezePointError
 from .geometry import coefficient_derivatives
-from .grids import (partition_of_unity, random_trace, spectral_derivative,
-                    torus_wavenumbers)
+from .grids import (as_inexact, partition_of_unity, random_trace,
+                    spectral_derivative, torus_wavenumbers)
 from .holder import SampledFunction, h1alpha_norm, h2alpha_norm
 from .model import (FrozenCoefficients, strip_profile_response,
                     strip_trace_gradient_map)
 from .operator_core import InterpNormEvaluator, SectorialOperator
-from .strip import DiscreteStripOperator, StripField, b0_trace, cheb_apply
+from .strip import DiscreteStripOperator, StripField, b0_trace
 
 
 @dataclass
@@ -41,7 +41,7 @@ class DtNApplication:
 
 
 def _as_direction(profile, psi):
-    psi = np.asarray(psi, dtype=complex)
+    psi = as_inexact(psi)
     if psi.ndim == 1:
         psi = np.tile(psi[:, None], (1, profile.m)) if profile.m > 1 else psi[:, None]
     if psi.shape != (profile.nx, profile.m):
@@ -80,6 +80,7 @@ class DtNOperator:
         self.coeffs = self.op.coeffs
         self._upsilon = upsilon
         self._frozen = {}       # node index -> FrozenOperatorSet
+        self._evaluators = {}   # alpha -> InterpNormEvaluator of A
 
     def upsilon(self):
         """K(g) g, cached across calls."""
@@ -93,6 +94,13 @@ class DtNOperator:
         return DtNApplication(
             value=SampledFunction(self.profile.L, value),
             upsilon=ups, residual=ups.residual)
+
+    def evaluator(self, alpha):
+        """The InterpNormEvaluator of A at exponent alpha, built once per
+        operator."""
+        if alpha not in self._evaluators:
+            self._evaluators[alpha] = InterpNormEvaluator(self.A, alpha)
+        return self._evaluators[alpha]
 
     # -- derivative pieces ---------------------------------------------------
 
@@ -110,8 +118,8 @@ class DtNOperator:
             p.g_x[:, None, :], p.g_xx[:, None, :], psi[:, None, :],
             spectral_derivative(psi, p.L, 1)[:, None, :],
             spectral_derivative(psi, p.L, 2)[:, None, :])
-        v_xy = cheb_apply(self.op.Dy, ups.dx(1))
-        interior = -2.0 * da12 * v_xy - da22 * ups.dy(2) + da2 * ups.dy(1)
+        interior = (-2.0 * da12 * ups.dxy() - da22 * ups.dy(2)
+                    + da2 * ups.dy(1))
         tr_x = spectral_derivative(ups.trace0(), p.L, 1)
         boundary = db10[:, 0] * tr_x + db20[:, 0] * ups.dy_trace0()
         return interior, boundary
@@ -136,8 +144,8 @@ class DtNOperator:
         p = self.profile
         w_g = self.upsilon().dy_trace0() / (p.nu + p.g)
         c = self.coeffs
-        k_g = np.real(c.alpha_floor[:, 0, :] / c.a22[:, 0, :])
-        return np.real(w_g) + k_g, k_g
+        k_g = c.alpha_floor[:, 0, :] / c.a22[:, 0, :]
+        return w_g + k_g, k_g
 
     def admissibility(self):
         """Membership tests for the evolution's well-posedness neighborhoods.
@@ -165,7 +173,7 @@ class DtNOperator:
         u_f = op0.solve(psi0=(p.nu + p.g), rtol=self.rtol)
         dyu_phys = -u_f.dy_trace0() / p.h[:, None]
         k_f = p.h ** 2 / ((1.0 + p.h + p.h_x ** 2) * (1.0 + p.h_x ** 2))
-        vnu_gap = float(np.min(k_f[:, None] - np.real(dyu_phys)))
+        vnu_gap = float(np.min(k_f[:, None] - dyu_phys))
         return AdmissibilityReport(
             in_W1=bool(margin > 0), margin=margin,
             in_Vnu=bool(vnu_gap > 0 and np.min(p.h) > 0),
@@ -194,18 +202,14 @@ class DtNOperator:
                     f"components of {name} differ at the freeze node "
                     f"x = {p.x[i0]:.6g} (index {i0}, spread {spread:.3e}); "
                     f"the frozen diagnostics need equal components")
-        if abs(np.imag(w_vec[0])) > 1e-10 or abs(np.imag(gx_vec[0])) > 1e-10:
-            raise FreezePointError(
-                "freeze point carries complex geometry values")
-        return i0, float(np.real(w_vec[0])), float(np.real(gx_vec[0]))
+        return i0, float(w_vec[0]), float(gx_vec[0])
 
     def frozen_coefficients(self, x0):
         """Principal coefficients a12, a22 of the flattening at the boundary
         grid node x0, with this mu."""
         i0 = self._freeze_point(x0)[0]
         c = self.coeffs
-        return FrozenCoefficients(a12=np.real(c.a12[i0, 0, 0]),
-                                  a22=np.real(c.a22[i0, 0, 0]),
+        return FrozenCoefficients(a12=c.a12[i0, 0, 0], a22=c.a22[i0, 0, 0],
                                   A=self.A, mu=self.mu)
 
     def frozen_set(self, x0):
@@ -223,8 +227,8 @@ class DtNOperator:
 
     def _build_frozen_set(self, i0, h0, gx0, fc):
         p = self.profile
-        b10 = np.real(self.coeffs.b10[i0, 0])
-        b20 = np.real(self.coeffs.b20[i0, 0])
+        b10 = self.coeffs.b10[i0, 0]
+        b20 = self.coeffs.b20[i0, 0]
 
         ups = self.upsilon()
         tr_x = spectral_derivative(ups.trace0(), p.L, 1)
@@ -246,7 +250,7 @@ class DtNOperator:
         # boundary read-out of the second
         ik = 1j * ks[:, None, None]
         da12, da22, da2, db10, db20 = coefficient_derivatives(
-            (1.0 - ups.y)[None, :, None], h0, gx0, complex(p.g_xx[i0, 0]),
+            (1.0 - ups.y)[None, :, None], h0, gx0, p.g_xx[i0, 0],
             1.0, ik, ik ** 2)
         src = -2.0 * da12 * vxy_prof - da22 * vyy_prof + da2 * vy_prof
         eyem = np.eye(p.m)
@@ -478,7 +482,7 @@ def localization_residual(profile, A, delta, direction, mu=4.0, ny=33,
     dtn = operator_for(p, A, mu, ny, rtol, dtn)
     if d_op is None:
         d_op = dtn.derivative(direction)
-    evaluator = InterpNormEvaluator(dtn.A, alpha)
+    evaluator = dtn.evaluator(alpha)
     residuals = np.empty(n_pieces)
     snapped = np.empty(n_pieces)
     for j in range(n_pieces):

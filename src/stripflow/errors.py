@@ -29,8 +29,8 @@ class EllipticityError(StripflowError):
 class FreezePointError(StripflowError, ValueError):
     """The frozen-coefficient reduction does not apply at a boundary point.
 
-    The point is not a grid node, carries complex geometry, or (m > 1) has
-    components that differ there.
+    The point is not a grid node, or (m > 1) has components that differ
+    there.
     """
 
 

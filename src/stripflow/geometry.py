@@ -34,13 +34,18 @@ class InterfaceProfile:
     L : float
         Torus circumference.
     g : (nx, m) array_like
-        Perturbation samples on ``torus_nodes(L, nx)``.
+        Perturbation samples on ``torus_nodes(L, nx)``; stored as a real
+        array when every imaginary part is exactly zero.
     h_floor : float
         Degeneracy guard; construction fails if min h <= h_floor.
     """
 
     def __init__(self, nu, L, g, h_floor=1e-8):
         g = np.asarray(g, dtype=complex)
+        # real profiles stay real, so everything built from them (the
+        # coefficients, the strip solves) runs in real arithmetic
+        if not np.any(g.imag):
+            g = g.real.copy()
         if g.ndim == 1:
             g = g[:, None]
         if g.ndim != 2:
@@ -75,7 +80,7 @@ class InterfaceProfile:
                 f"{self.h_floor:.1e}",
                 h_min=min(float(np.min(self.h)), re_min),
                 where=float(self.x[j]))
-        self.h_x = np.real(spectral_derivative(self.h, self.L, 1))
+        self.h_x = spectral_derivative(self.h, self.L, 1)
 
     def with_g(self, new_g):
         """Same geometry parameters, new perturbation."""

@@ -8,7 +8,13 @@ on the rest of the package.
 """
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import fft, ifft, irfft, rfft
+
+
+def as_inexact(values):
+    """values as a float64 array, or as a complex128 one when complex."""
+    values = np.asarray(values)
+    return values.astype(np.result_type(values, float), copy=False)
 
 
 def torus_nodes(L, nx):
@@ -23,21 +29,30 @@ def torus_wavenumbers(L, nx):
     return 2.0 * np.pi * np.fft.fftfreq(nx, d=L / nx)
 
 
-def spectral_derivative(values, L, order=1):
+def rfft_wavenumbers(L, nx):
+    """Wavenumbers k_j = 2*pi*j/L, j = 0..nx/2, of the rfft of nx samples."""
+    return 2.0 * np.pi * np.fft.rfftfreq(nx, d=L / nx)
+
+
+def spectral_derivative(values, L, order):
     """Differentiate periodic samples along axis 0 by FFT.
 
     For odd derivative orders the Nyquist mode is zeroed (its derivative is
     not representable on the grid and keeping it injects a spurious
-    sawtooth).  Input may be real or complex; output is complex.
+    sawtooth).  Real input is differentiated through rfft/irfft and gives
+    real output; complex input goes through the full transform.
     """
     values = np.asarray(values)
     nx = values.shape[0]
-    k = torus_wavenumbers(L, nx)
+    real = not np.iscomplexobj(values)
+    k = rfft_wavenumbers(L, nx) if real else torus_wavenumbers(L, nx)
     mult = (1j * k) ** order
     if order % 2 == 1:
         mult[nx // 2] = 0.0
-    vhat = fft(values, axis=0)
-    return ifft(vhat * mult.reshape((nx,) + (1,) * (values.ndim - 1)), axis=0)
+    mult = mult.reshape((-1,) + (1,) * (values.ndim - 1))
+    if real:
+        return irfft(rfft(values, axis=0) * mult, n=nx, axis=0)
+    return ifft(fft(values, axis=0) * mult, axis=0)
 
 
 def spectral_tail_fraction(values):

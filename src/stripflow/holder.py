@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import spectral_derivative, torus_nodes
+from .grids import as_inexact, spectral_derivative, torus_nodes
 
 # torus pair temporaries are built about this many elements (256 KB) at a
 # time, so they stay in cache: at nx = 128 the x-part of a strip field ran
@@ -41,7 +41,7 @@ class SampledFunction:
     """
 
     def __init__(self, L, values):
-        values = np.asarray(values, dtype=complex)
+        values = as_inexact(values)
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2:

@@ -694,8 +694,7 @@ def _run_localization(scn, tmp):
     profile = scn.profile()
     x = profile.x
     direction = np.stack(
-        [np.cos(2 * np.pi * x / scn.L) for _ in range(scn.m)], axis=1
-    ).astype(complex)
+        [np.cos(2 * np.pi * x / scn.L) for _ in range(scn.m)], axis=1)
     deltas = (1.0, 0.5, 0.25)
     dtn = scn.dtn()
     d_op = dtn.derivative(direction)

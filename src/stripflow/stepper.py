@@ -105,10 +105,10 @@ def _step_core(dtn, dt):
     rhs = (-dt * o_val).ravel()
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm < 1e-300:
-        return np.zeros((nx, m), dtype=complex), 0.0, 0
+        return np.zeros_like(o_val), 0.0, 0
 
     lin = KeepLastOperator(nx * m, lambda v: (
-        v + dt * dtn.derivative(v.reshape(nx, m)).ravel()))
+        v + dt * dtn.derivative(v.reshape(nx, m)).ravel()), rhs.dtype)
     sol, info = gmres(lin, rhs, rtol=_STEP_RTOL, atol=0.0,
                       restart=min(nx * m, 60), maxiter=3)
     its = lin.count

@@ -12,6 +12,20 @@ mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  For profiles close
 to flat the preconditioned iteration converges in a handful of steps; every
 solve is gated on its true residual before being returned.
 
+The operator is real: it accepts only a real profile and a real A, and its
+coefficients are stored as real (ny, m, 1, nx) arrays.  Its kernels act on
+y-major real samples of shape (ny, m, s, nx), s vectors side by side:
+  - x is the last, contiguous axis, so u_x and u_xx are one rfft and one
+    stacked irfft along it, and the preconditioner acts on the nx/2 + 1
+    rfft modes of real data;
+  - y is the first axis, so Dy u and Dy^2 u are one real GEMM of the
+    stacked [Dy; Dy^2] against the (ny, m*s*nx) matrix of u, with no copy
+    (cheb_apply says why the y-contraction must stay a real GEMM).
+A real right-hand side is solved by real GMRES, s = 1.  A complex one stays
+one complex GMRES, whose matvec and preconditioner run the same kernels on
+its (re, im) pair as s = 2.  StripField.values keeps the (nx, ny, m) layout
+for callers; a solve transposes its solution once.
+
 GMRES gets at most two restart cycles.  scipy's outer test asks for the true
 residual ||b - A x|| <= rtol_gmres ||b||, and at large amplitude that lies
 below the round-off floor of the double-precision apply (interior rows
@@ -25,12 +39,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import irfft, rfft
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import SolverError
+from .errors import EllipticityError, SolverError
 from .geometry import coefficients, require_elliptic
-from .grids import cheb_lobatto_01, spectral_derivative, torus_wavenumbers
+from .grids import (as_inexact, cheb_lobatto_01, rfft_wavenumbers,
+                    spectral_derivative)
 from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
 from .operator_core import coupling_matrix
 
@@ -56,10 +71,12 @@ class KeepLastOperator(LinearOperator):
     already computed; true_residual reads it off the kept pair and applies
     the operator once more only when the solution is not the last input (a
     NaN iterate, say).  count is the number of applications GMRES made.
+    dtype is that of the right-hand side: gmres runs in real arithmetic
+    for a real operator and a real right-hand side.
     """
 
-    def __init__(self, n, matvec):
-        super().__init__(complex, (n, n))
+    def __init__(self, n, matvec, dtype):
+        super().__init__(dtype, (n, n))
         self._apply = matvec
         self._last = (None, None)
         self.count = 0
@@ -81,42 +98,50 @@ class KeepLastOperator(LinearOperator):
 
 
 class _FastDiagonalisation(NamedTuple):
-    """Inverse of the x-averaged operator on FFT-ed rows r of shape
-    (nx, ny*m): u = ((r @ to_eig) * scale) @ from_eig.
+    """Inverse of the x-averaged operator on the rfft modes r of a y-major
+    vector, r of shape (ny*m, s, nx/2+1):
+    u = from_eig (scale * (to_eig r)), scale broadcast over s.
 
     to_eig maps a mode's data to the eigen-coordinates of the interior
     problem followed by the 2m boundary values, scale holds 1/(lam + k^2)
     per mode (and 1 for the boundary values), and from_eig rebuilds every
-    (y, component) value.  scale is the only array with an nx axis.
+    (y, component) value.  scale is the only array with a mode axis.  All
+    three are real when the eigenvalues lam are.
     """
     to_eig: np.ndarray      # (ny*m, ny*m)
-    scale: np.ndarray       # (nx, ny*m)
+    scale: np.ndarray       # (ny*m, nx/2+1)
     from_eig: np.ndarray    # (ny*m, ny*m)
 
 
 def cheb_apply(D, u):
-    """Contract the real matrix D with the y axis (axis 1) of samples u.
+    """Contract the matrix D with the leading y axis of y-major samples u.
 
-    u has shape (nx, ny, ...); the result has shape (nx, D.shape[0], ...).
-    The contraction runs as one real GEMM of D against the (ny, nx*...)
-    layout with real and imaginary parts side by side.  It is faster and
-    more accurate than an einsum or a per-x batched matvec (``D @ u``
-    broadcast over x); the latter carries enough extra round-off into
-    Dy^2 u to stall the strip solve at large amplitude.
+    u has shape (ny, ...), real or complex; the result has shape
+    (D.shape[0], ...).  For a real D the contraction is one real GEMM of D
+    against u as a (ny, n) real matrix, with no copy of a contiguous u: a
+    complex u enters with its real and imaginary parts side by side.  That
+    is faster and more accurate than an einsum or a per-x batched matvec
+    (``D @ u`` broadcast over x); the latter carries enough extra round-off
+    into Dy^2 u to stall the strip solve at large amplitude.  A complex D
+    (the preconditioner's eigenvectors, when the x-averaged operator has
+    complex eigenvalues) is one complex GEMM.
     """
-    ut = np.ascontiguousarray(np.moveaxis(u, 1, 0), dtype=complex)
-    out = D @ ut.view(np.float64).reshape(ut.shape[0], -1)
-    return np.moveaxis(out.view(complex).reshape((-1,) + ut.shape[1:]), 0, 1)
+    u = np.ascontiguousarray(u)
+    flat = u.reshape(u.shape[0], -1)
+    if np.iscomplexobj(D):
+        return (D @ flat).reshape((D.shape[0],) + u.shape[1:])
+    out = D @ flat.view(np.float64)
+    return out.view(u.dtype).reshape((D.shape[0],) + u.shape[1:])
 
 
 @dataclass
 class StripField:
     """E-valued samples on the tensor grid of the strip.
 
-    values has shape (nx, ny, m); y ascends from the free-boundary image
-    (y=0) to the flat bottom (y=1) — or to an arbitrary depth for
-    half-plane truncations.  Dy, when present, is the collocation
-    differentiation matrix matching y.
+    values has shape (nx, ny, m), real or complex; y ascends from the
+    free-boundary image (y=0) to the flat bottom (y=1) — or to an
+    arbitrary depth for half-plane truncations.  Dy, when present, is the
+    collocation differentiation matrix matching y.
     """
     x: np.ndarray
     y: np.ndarray
@@ -127,7 +152,7 @@ class StripField:
     resolved: bool = True
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = as_inexact(self.values)
         if self.values.ndim == 2:
             self.values = self.values[:, :, None]
         if self.values.shape[:2] != (self.x.size, self.y.size):
@@ -147,24 +172,29 @@ class StripField:
     def m(self):
         return self.values.shape[2]
 
-    def dx(self, order=1):
-        return spectral_derivative(self.values, self.L, order)
-
-    def dy(self, order=1):
+    def _along_y(self, D, values):
+        """D contracted with the y axis (axis 1) of (nx, ny, ...) samples."""
         if self.Dy is None:
             raise ValueError("no differentiation matrix attached to this field")
+        return np.moveaxis(cheb_apply(D, np.moveaxis(values, 1, 0)), 0, 1)
+
+    def dx(self, order):
+        return spectral_derivative(self.values, self.L, order)
+
+    def dy(self, order):
         out = self.values
         for _ in range(order):
-            out = cheb_apply(self.Dy, out)
+            out = self._along_y(self.Dy, out)
         return out
+
+    def dxy(self):
+        return self._along_y(self.Dy, self.dx(1))
 
     def trace0(self):
         return self.values[:, 0, :]
 
     def dy_trace0(self):
-        if self.Dy is None:
-            raise ValueError("no differentiation matrix attached to this field")
-        return cheb_apply(self.Dy[:1], self.values)[:, 0]
+        return self._along_y(self.Dy[:1], self.values)[:, 0]
 
 
 class DiscreteStripOperator:
@@ -172,7 +202,9 @@ class DiscreteStripOperator:
 
     Interior rows carry (B(g) + mu^2); the row at y=0 carries the
     Dirichlet trace, and the row at y=1 carries b21 d/dy (the transformed
-    bottom Neumann condition).
+    bottom Neumann condition).  The profile and A must be real: a profile
+    with a nonzero imaginary sample raises EllipticityError, a complex A
+    ValueError.
     """
 
     # the y=0 row is always the Dirichlet trace; solver errors and the
@@ -180,11 +212,21 @@ class DiscreteStripOperator:
     bc0 = "dirichlet"
 
     def __init__(self, profile, A, mu, ny=33):
+        if np.iscomplexobj(profile.g):
+            raise EllipticityError(
+                "the strip operator needs a real profile, and g has "
+                "samples with nonzero imaginary parts")
+        A_mat = coupling_matrix(A)
+        if np.any(A_mat.imag):
+            raise ValueError(
+                f"the strip operator needs a real coupling matrix A, got "
+                f"{A_mat.tolist()}")
         self.profile = profile
-        self.A_mat = coupling_matrix(A)
+        self.A_mat = np.ascontiguousarray(A_mat.real)
         self.mu = float(mu)
         self.y, self.Dy = cheb_lobatto_01(ny)
         self.Dy2 = self.Dy @ self.Dy
+        self._Dy12 = np.vstack([self.Dy, self.Dy2])
         self.coeffs = coefficients(profile, self.y)
         require_elliptic(self.coeffs)
         self.nx, self.m = profile.nx, profile.m
@@ -194,12 +236,20 @@ class DiscreteStripOperator:
                 f"{self.m} components")
         self.ny = ny
         self.L = profile.L
-        k = torus_wavenumbers(self.L, self.nx)
-        ik = 1j * k
-        self.ik_odd = ik.copy()
-        self.ik_odd[self.nx // 2] = 0.0
-        self.ik2 = ik ** 2
-        self.shape_full = (self.nx, self.ny, self.m)
+        c = self.coeffs
+        # y-major interior coefficients, (ny, m, 1, nx), and the bottom
+        # flux coefficient, (m, 1, nx)
+        self._a12x2, self._a22, self._a2 = (
+            np.ascontiguousarray(f.transpose(1, 2, 0)[:, :, None, :])
+            for f in (2.0 * c.a12, c.a22, c.a2))
+        self._b21 = np.ascontiguousarray(c.b21.T[:, None, :])
+        self._shift = self.A_mat + self.mu ** 2 * np.eye(self.m)
+        k = rfft_wavenumbers(self.L, self.nx)
+        self._k2 = k ** 2
+        # rfft multipliers of d/dx (Nyquist mode zeroed) and -d^2/dx^2
+        self._xmult = np.stack([1j * k, self._k2])[:, None, None, None, :]
+        self._xmult[0, ..., self.nx // 2] = 0.0
+        self.shape_full = (self.ny, self.m, self.nx)
         self.n_dof = self.nx * self.ny * self.m
         self._minv = None
         self.last_residual = None
@@ -208,37 +258,46 @@ class DiscreteStripOperator:
     # -- operator action ---------------------------------------------------
 
     def apply_values(self, u):
-        """Apply the boundary-row-replaced operator to (nx, ny, m) samples."""
-        c = self.coeffs
-        uhat = fft(u, axis=0)
-        u_x = ifft(uhat * self.ik_odd[:, None, None], axis=0)
-        u_xx = ifft(uhat * self.ik2[:, None, None], axis=0)
-        u_y = cheb_apply(self.Dy, u)
-        u_yy = cheb_apply(self.Dy2, u)
-        u_xy = cheb_apply(self.Dy, u_x)
-        au = u @ self.A_mat.T
-        out = (-u_xx - 2.0 * c.a12 * u_xy - c.a22 * u_yy + c.a2 * u_y
-               + au + self.mu ** 2 * u)
-        out[:, 0, :] = u[:, 0, :]
-        out[:, -1, :] = c.b21 * u_y[:, -1, :]
+        """Apply the boundary-row-replaced operator to real y-major samples
+        u of shape (ny, m, s, nx), s real vectors side by side."""
+        ny, nx = self.ny, self.nx
+        u_x, out = irfft(rfft(u, axis=-1) * self._xmult, n=nx, axis=-1)
+        u_y12 = cheb_apply(self._Dy12, u)
+        u_y, u_yy = u_y12[:ny], u_y12[ny:]
+        out -= self._a12x2 * cheb_apply(self.Dy, u_x)
+        out -= self._a22 * u_yy
+        out += self._a2 * u_y
+        out += (self._shift @ u.reshape(ny, self.m, -1)).reshape(u.shape)
+        out[0] = u[0]
+        out[-1] = self._b21 * u_y[-1]
         return out
 
-    def _matvec(self, v):
-        return self.apply_values(v.reshape(self.shape_full)).ravel()
+    def _paired(self, kernel, v):
+        """kernel applied to a flat GMRES vector: a real one as s = 1, a
+        complex one as its (re, im) pair, s = 2."""
+        v = v.reshape(self.ny, self.m, 1, self.nx)
+        if not np.iscomplexobj(v):
+            return kernel(v).ravel()
+        out = kernel(np.concatenate([v.real, v.imag], axis=2))
+        return (out[:, :, 0] + 1j * out[:, :, 1]).ravel()
 
     def rhs(self, F=None, psi0=None, psi1=None):
-        b = np.zeros(self.shape_full, dtype=complex)
+        """y-major right-hand side (ny, m, nx): the interior rows of the
+        (nx, ny, m) source F, the trace psi0 at y=0 and the flux psi1 at
+        y=1.  It is real unless some datum has a nonzero imaginary part."""
+        data = [np.asarray(d) for d in (F, psi0, psi1) if d is not None]
+        b = np.zeros(self.shape_full, dtype=np.result_type(float, *data))
         if F is not None:
-            F = np.asarray(F, dtype=complex)
+            F = np.asarray(F)
             if F.ndim == 2:
                 F = F[:, :, None]
-            b[:, 1:-1, :] = F[:, 1:-1, :]
-        if psi0 is not None:
-            psi0 = np.asarray(psi0, dtype=complex)
-            b[:, 0, :] = psi0[:, None] if psi0.ndim == 1 else psi0
-        if psi1 is not None:
-            psi1 = np.asarray(psi1, dtype=complex)
-            b[:, -1, :] = psi1[:, None] if psi1.ndim == 1 else psi1
+            b[1:-1] = F[:, 1:-1, :].transpose(1, 2, 0)
+        for row, psi in ((0, psi0), (-1, psi1)):
+            if psi is not None:
+                psi = np.asarray(psi)
+                b[row] = psi[None, :] if psi.ndim == 1 else psi.T
+        if np.iscomplexobj(b) and not np.any(b.imag):
+            b = np.ascontiguousarray(b.real)
         return b
 
     # -- preconditioner ----------------------------------------------------
@@ -250,21 +309,21 @@ class DiscreteStripOperator:
         R + k^2 P on the (y, component) values, where P keeps the interior
         rows.  The mixed term drops out: the mean of a12 = beta w_x / w is
         beta times the mean of d/dx log w, which vanishes for a periodic w
-        with Re w > 0 (it measures ~1e-17).  Eliminating the 2m boundary
+        with w > 0 (it measures ~1e-17).  Eliminating the 2m boundary
         rows, which carry no k, leaves the Schur complement S on the
-        interior values, and S = V diag(lam) V^-1 serves every mode.
+        interior values, and S = V diag(lam) V^-1 serves every mode.  R is
+        real, and the rfft modes k >= 0 of real data are all the modes.
         """
-        c = self.coeffs
         ny, m, nym = self.ny, self.m, self.ny * self.m
-        a22b = c.a22.mean(axis=0)      # (ny, m)
-        a2b = c.a2.mean(axis=0)
-        b21b = c.b21.mean(axis=0)      # (m,)
-        R = np.zeros((ny, m, ny, m), dtype=complex)
+        a22b = self._a22.mean(axis=-1)[:, :, 0]      # (ny, m)
+        a2b = self._a2.mean(axis=-1)[:, :, 0]
+        b21b = self._b21.mean(axis=-1)[:, 0]         # (m,)
+        R = np.zeros((ny, m, ny, m))
         for comp in range(m):
             R[:, comp, :, comp] = (-a22b[:, comp, None] * self.Dy2
                                    + a2b[:, comp, None] * self.Dy)
         idx = np.arange(ny)
-        R[idx, :, idx, :] += self.A_mat + self.mu ** 2 * np.eye(m)
+        R[idx, :, idx, :] += self._shift
         # boundary rows replace interior rows, mirroring apply_values
         R[0] = 0.0
         R[-1] = 0.0
@@ -291,26 +350,30 @@ class DiscreteStripOperator:
         lam, V = np.linalg.eig(schur)
         if not np.linalg.cond(V, 1) < _SINGULAR_COND:
             raise fail("eigenvectors of the Schur complement")
-        denom = lam[None, :] - self.ik2[:, None]     # lam + k^2
+        denom = lam[:, None] + self._k2[None, :]          # lam + k^2
         if not np.all(np.abs(denom) * _SINGULAR_COND > np.max(np.abs(lam))):
-            k_bad = int(np.argmin(np.min(np.abs(denom), axis=1)))
+            k_bad = int(np.argmin(np.min(np.abs(denom), axis=0)))
             raise fail(f"Fourier mode {k_bad} has an eigenvalue lam + k^2 = 0")
-        # column form: u = [back, E_B bnd_inv] diag(scale) [V^-1 lift; E_B] r
+        # u = [back, E_B bnd_inv] diag(scale) [V^-1 lift; E_B] r
         eye = np.eye(nym)
         lift = eye[inner] - R[inner, bnd] @ bnd_inv @ eye[bnd]
         back = (eye[:, inner] - eye[:, bnd] @ elim) @ V
-        to_eig = np.vstack([np.linalg.solve(V, lift), eye[bnd]]).T
-        from_eig = np.hstack([back, eye[:, bnd] @ bnd_inv]).T
-        scale = np.hstack([1.0 / denom, np.ones((self.nx, 2 * m))])
+        to_eig = np.vstack([np.linalg.solve(V, lift), eye[bnd]])
+        from_eig = np.hstack([back, eye[:, bnd] @ bnd_inv])
+        scale = np.vstack([1.0 / denom, np.ones((2 * m, self._k2.size))])
         self._minv = _FastDiagonalisation(to_eig, scale, from_eig)
 
     def _precond(self, v):
+        """The fast-diagonalised inverse of the x-averaged operator on
+        real y-major samples v of shape (ny, m, s, nx)."""
         if self._minv is None:
             self._build_preconditioner()
         fd = self._minv
-        rhat = fft(v.reshape(self.shape_full), axis=0).reshape(self.nx, -1)
-        u = ((rhat @ fd.to_eig) * fd.scale) @ fd.from_eig
-        return ifft(u.reshape(self.shape_full), axis=0).ravel()
+        rhat = rfft(v, axis=-1).reshape(self.ny * self.m, v.shape[2], -1)
+        z = cheb_apply(fd.to_eig, rhat)
+        z *= fd.scale[:, None, :]
+        u = cheb_apply(fd.from_eig, z)
+        return irfft(u, n=self.nx, axis=-1).reshape(v.shape)
 
     # -- solve ---------------------------------------------------------------
 
@@ -320,7 +383,8 @@ class DiscreteStripOperator:
 
         One preconditioned GMRES pass of at most _MAX_CYCLES restart cycles
         asks for rtol_gmres = max(rtol, 1e-10); a true residual above
-        max(100 rtol, 1e-9) then raises SolverError at once.
+        max(100 rtol, 1e-9) then raises SolverError at once.  GMRES runs in
+        the dtype of the right-hand side, and a real one gives a real field.
         """
         b = self.rhs(F=F, psi0=psi0, psi1=psi1)
         if not np.all(np.isfinite(b)):
@@ -330,15 +394,20 @@ class DiscreteStripOperator:
                 iterations=0)
         if not np.any(b):
             fld = StripField(x=self.profile.x, y=self.y, L=self.L,
-                             values=np.zeros(self.shape_full, dtype=complex),
+                             values=np.zeros((self.nx, self.ny, self.m),
+                                             dtype=b.dtype),
                              Dy=self.Dy)
             self.last_residual = 0.0
             self.last_iterations = 0
             return fld
         b_flat = b.ravel()
-        A_op = KeepLastOperator(self.n_dof, self._matvec)
-        M_op = LinearOperator((self.n_dof, self.n_dof), matvec=self._precond,
-                              dtype=complex)
+        # apply_values and _precond are looked up on every call, so a
+        # wrapper set on the instance or the class sees every application
+        A_op = KeepLastOperator(
+            self.n_dof, lambda v: self._paired(self.apply_values, v), b.dtype)
+        M_op = LinearOperator(
+            (self.n_dof, self.n_dof), dtype=b.dtype,
+            matvec=lambda v: self._paired(self._precond, v))
         counter = {"n": 0}
 
         def cb(_):
@@ -359,8 +428,9 @@ class DiscreteStripOperator:
                 f"strip solve stalled at relative residual {res:.3e} after "
                 f"{counter['n']} GMRES iterations (mu={self.mu}, "
                 f"bc0={self.bc0})", residual=res, iterations=counter["n"])
+        values = sol.reshape(self.shape_full).transpose(2, 0, 1)
         return StripField(x=self.profile.x, y=self.y, L=self.L,
-                          values=sol.reshape(self.shape_full), Dy=self.Dy,
+                          values=np.ascontiguousarray(values), Dy=self.Dy,
                           residual=res)
 
 
@@ -391,9 +461,8 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
             sqrt_A = matrix_sqrt(op.A_mat)
         for data_index, (F, psi0, psi1) in enumerate(ensemble):
             fld = op.solve(F=F, psi0=psi0, psi1=psi1, rtol=rtol)
-            u_x = fld.dx(1)
-            fields = {"u": fld.values, "ux": u_x, "uxx": fld.dx(2),
-                      "uxy": cheb_apply(op.Dy, u_x),
+            fields = {"u": fld.values, "ux": fld.dx(1), "uxx": fld.dx(2),
+                      "uxy": fld.dxy(),
                       "uyy": fld.dy(2), "au": fld.values @ op.A_mat.T}
             z = np.zeros((profile.nx, profile.m), dtype=complex)
             p0 = z if psi0 is None else np.asarray(psi0, dtype=complex)

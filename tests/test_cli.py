@@ -129,6 +129,17 @@ def test_validate_competing_initial_source_exit_code(tmp_path, capsys):
     assert "[section initial] [key g0_table]" in err
 
 
+def test_validate_complex_profile_exit_code(tmp_path, capsys):
+    """An initial profile with an imaginary part is a validation failure
+    naming [initial] g0: the strip operator is real."""
+    from stripflow import cli
+    path = write(tmp_path, FAST.replace(
+        "g0 = 0.001*sin(2*pi*x/L)", "g0 = 0.001*j1*sin(2*pi*x/L)"))
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "real profile" in err and "[section initial] [key g0]" in err
+
+
 def test_run_completes_and_writes(tmp_path):
     path = write(tmp_path, FAST)
     res = invoke("run", path)

@@ -100,6 +100,29 @@ def test_spectral_derivative_of_sine():
     assert np.allclose(d2[:, 0], -k * k * np.sin(k * x), atol=1e-11)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_real_spectral_derivative_matches_complex_path(order):
+    """Real samples go through rfft/irfft and come back real, equal to the
+    full complex transform; an odd order zeroes the Nyquist mode there too."""
+    nx = 64
+    x = np.arange(nx) * (L / nx)
+    rng = np.random.default_rng(order)
+    smooth = np.stack([np.sin(2 * np.pi * 3 * x / L),
+                       np.cos(2 * np.pi * 5 * x / L + 0.3)], axis=1)
+    nyquist = np.cos(np.pi * np.arange(nx))[:, None]
+    vals = smooth + 0.1 * rng.standard_normal((nx, 2)) + 0.5 * nyquist
+    got = spectral_derivative(vals, L, order)
+    want = spectral_derivative(vals.astype(complex), L, order)
+    assert not np.iscomplexobj(got)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    d_nyq = spectral_derivative(nyquist, L, order)
+    if order % 2:
+        assert np.max(np.abs(d_nyq)) <= 1e-12
+    else:
+        k_nyq = np.pi * nx / L
+        assert np.allclose(d_nyq, -k_nyq ** 2 * nyquist, rtol=1e-12, atol=0)
+
+
 def from_callable(L, nx, func):
     """Samples of func at torus_nodes(L, nx)."""
     return SampledFunction(L, func(torus_nodes(L, nx)))

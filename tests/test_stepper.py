@@ -116,7 +116,7 @@ def test_step_gate_refuses_non_finite_derivative(A1, monkeypatch):
     p = make_profile(nx=32, amp=1e-3, mode=1)
     dtn = DtNOperator(p, A1, 0.0, ny=9)
     _counted_derivative(monkeypatch,
-                        fake=lambda psi: np.full(psi.shape, np.nan + 0j))
+                        fake=lambda psi: np.full(psi.shape, np.nan))
     with pytest.raises(SolverError, match="implicit step"):
         _step_core(dtn, 0.02)
 

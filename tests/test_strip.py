@@ -7,7 +7,7 @@ from numpy.fft import fft, ifft
 
 import stripflow.strip as strip
 from conftest import make_profile, torus_x
-from stripflow.errors import SolverError
+from stripflow.errors import EllipticityError, SolverError
 from stripflow.geometry import InterfaceProfile, coefficients
 from stripflow.operator_core import SectorialOperator
 from stripflow.strip import DiscreteStripOperator, b0_trace, cheb_apply
@@ -17,12 +17,17 @@ L = 16 * np.pi
 
 def dy_trace1(fld):
     """d/dy of a solved field at the bottom node y = 1."""
-    return cheb_apply(fld.Dy[-1:], fld.values)[:, 0]
+    return cheb_apply(fld.Dy[-1:], fld.values.transpose(1, 0, 2))[0]
+
+
+def y_major(u):
+    """(nx, ny, m) samples as the operator's (ny, m, 1, nx) layout."""
+    return np.ascontiguousarray(u.transpose(1, 2, 0)[:, :, None, :])
 
 
 def residual_of(op, u_values, b):
-    """||op u - b|| / ||b||, recomputed from scratch."""
-    r = op.apply_values(u_values) - b
+    """||op u - b|| / ||b|| for a real field u, recomputed independently."""
+    r = op.apply_values(y_major(u_values))[:, :, 0] - b
     bn = np.linalg.norm(b.ravel())
     return float(np.linalg.norm(r.ravel()) / (bn if bn > 0 else 1.0))
 
@@ -90,6 +95,47 @@ def test_coupled_system_solve(A2):
     assert fld.resolved
     assert fld.values.shape == (32, 17, 2)
     assert np.allclose(fld.trace0(), psi, atol=1e-10)
+
+
+def test_real_data_give_a_real_field(A1):
+    """A real right-hand side runs real GMRES and returns a real field."""
+    p = make_profile(nx=32, amp=0.1, mode=2)
+    psi = 0.3 * np.cos(2 * np.pi * torus_x(32) / L)
+    fld = DiscreteStripOperator(p, A1, 2.0, ny=17).solve(psi0=psi)
+    assert fld.values.dtype == np.float64
+    assert fld.dx(1).dtype == np.float64
+    assert fld.dy(2).dtype == np.float64
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_complex_data_solve_as_the_pair_of_real_solves(m):
+    """A complex right-hand side is one GMRES over its (re, im) pair; its
+    solution equals the real solves of the two parts."""
+    p = make_profile(nx=64, amp=0.15, mode=2, m=m)
+    A = np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m]
+    op = DiscreteStripOperator(p, A, 4.0, ny=17)
+    rng = np.random.default_rng(m)
+    psi_re, psi_im = rng.standard_normal((2, 64, m))
+    F_re, F_im = rng.standard_normal((2, 64, 17, m))
+    both = op.solve(F=F_re + 1j * F_im, psi0=psi_re + 1j * psi_im)
+    assert both.values.dtype == np.complex128
+    want = (op.solve(F=F_re, psi0=psi_re).values
+            + 1j * op.solve(F=F_im, psi0=psi_im).values)
+    assert (np.linalg.norm(both.values - want)
+            <= 1e-12 * np.linalg.norm(want))
+
+
+def test_complex_coupling_or_profile_refused(A1):
+    """The operator is real: a complex A or a profile with a nonzero
+    imaginary sample is refused when it is built."""
+    x = torus_x(32)
+    with pytest.raises(ValueError, match="real coupling matrix"):
+        DiscreteStripOperator(make_profile(nx=32, amp=0.1),
+                              np.array([[1.0 + 0.5j]]), 2.0, ny=9)
+    p = InterfaceProfile(1.0, L, 0.1 * np.sin(2 * np.pi * x / L)
+                         + 1e-12j * np.cos(2 * np.pi * x / L))
+    with pytest.raises(EllipticityError, match="real profile"):
+        DiscreteStripOperator(p, A1, 2.0, ny=9)
 
 
 def test_bottom_neumann_enforced(A1):
@@ -173,13 +219,15 @@ def _precond_case(name):
         g = np.stack([0.1 * np.sin(kx), 0.2 * np.cos(2 * kx)], axis=1)
         return (InterfaceProfile(1.0, L, g),
                 np.array([[2.0, 0.5], [0.0, 1.0]]), 2.0)
-    if name == "complex-A":
-        return (InterfaceProfile(1.0, L, 0.2 * np.sin(kx)),
-                np.array([[1.0 + 0.5j]]), 2.0)
+    if name == "m2-rotation":
+        # A has eigenvalues 1 +- 0.8i, so the Schur complement's are complex
+        g = np.stack([0.1 * np.sin(kx), 0.1 * np.sin(kx)], axis=1)
+        return (InterfaceProfile(1.0, L, g),
+                np.array([[1.0, -0.8], [0.8, 1.0]]), 2.0)
     raise ValueError(name)
 
 
-PRECOND_CASES = ("m1-large-amplitude", "m2-unequal", "complex-A")
+PRECOND_CASES = ("m1-large-amplitude", "m2-unequal", "m2-rotation")
 
 
 def _dense_frozen_inverse(op):
@@ -209,9 +257,10 @@ def _dense_frozen_inverse(op):
     inv = np.linalg.inv(blocks.reshape(nx, ny * m, ny * m))
 
     def apply(v):
-        rhat = fft(v.reshape(nx, ny, m), axis=0).reshape(nx, ny * m)
-        z = np.einsum("kab,kb->ka", inv, rhat)
-        return ifft(z.reshape(nx, ny, m), axis=0).ravel()
+        """v is y-major, (ny, m, s, nx)."""
+        rhat = fft(v, axis=-1).reshape(ny * m, -1, nx)
+        z = np.einsum("kab,bsk->ask", inv, rhat)
+        return ifft(z, axis=-1).reshape(v.shape)
     return apply
 
 
@@ -224,7 +273,7 @@ def test_precond_matches_dense_mode_inverse(case, ny):
     p, A, mu = _precond_case(case)
     op = DiscreteStripOperator(p, A, mu, ny=ny)
     rng = np.random.default_rng(ny)
-    v = rng.standard_normal(op.n_dof) + 1j * rng.standard_normal(op.n_dof)
+    v = rng.standard_normal((ny, op.m, 2, op.nx))
     want = _dense_frozen_inverse(op)(v)
     got = op._precond(v)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -240,14 +289,14 @@ def test_x_averaged_mixed_coefficient_vanishes(case):
 
 
 def test_precond_stores_no_per_mode_matrices():
-    """Only the 1/(lam + k^2) table has an axis of length nx."""
+    """Only the 1/(lam + k^2) table has an axis of rfft modes."""
     p, A, mu = _precond_case("m2-unequal")
     op = DiscreteStripOperator(p, A, mu, ny=33)
     op._build_preconditioner()
     stored = op._minv._asdict()
-    assert stored.pop("scale").shape == (op.nx, op.ny * op.m)
+    assert stored.pop("scale").shape == (op.ny * op.m, op.nx // 2 + 1)
     for name, arr in stored.items():
-        assert op.nx not in np.shape(arr), name
+        assert op.nx // 2 + 1 not in np.shape(arr), name
 
 
 def test_singular_frozen_block_fails_fast():
@@ -259,8 +308,8 @@ def test_singular_frozen_block_fails_fast():
     # on the flat strip the k = 0 block acts on x-constant fields; a scalar
     # A adds A to its interior rows, so A = -lam for a finite generalized
     # eigenvalue lam of (block, interior rows) makes it singular
-    block = np.stack([op.apply_values(np.broadcast_to(e[None, :, None],
-                                                      (nx, ny, 1)))[0, :, 0]
+    block = np.stack([op.apply_values(np.broadcast_to(e[:, None, None, None],
+                                                      (ny, 1, 1, nx)))[:, 0, 0, 0]
                       for e in np.eye(ny)], axis=1)
     interior = np.diag(np.r_[0.0, np.ones(ny - 2), 0.0])
     lam = scipy.linalg.eigvals(block, interior)
