@@ -15,8 +15,8 @@ from .errors import (AdmissibilityError, DegenerateDomainError,
                      SolverError, SpectralValidationError, StripflowError)
 from .operator_core import (PositivityReport, SectorialOperator, matrix_sqrt,
                             validate_sectorial)
-from .holder import (HolderNormReport, SampledFunction, h1alpha_norm,
-                     h2alpha_norm, holder_seminorm)
+from .holder import (SampledFunction, h1alpha_norm, h2alpha_norm,
+                     holder_seminorm)
 from .geometry import (InterfaceProfile, TransformedCoefficients, coefficients,
                        ellipticity_floor, map_forward, map_inverse)
 from .model import (CoercivityReport, DecayGenerator, FrozenCoefficients,
@@ -42,8 +42,7 @@ __all__ = [
     "SectorialOperator", "PositivityReport", "validate_sectorial",
     "matrix_sqrt",
     # trace spaces
-    "SampledFunction", "HolderNormReport", "holder_seminorm", "h1alpha_norm",
-    "h2alpha_norm",
+    "SampledFunction", "holder_seminorm", "h1alpha_norm", "h2alpha_norm",
     # geometry
     "InterfaceProfile", "TransformedCoefficients", "map_forward",
     "map_inverse", "coefficients", "ellipticity_floor",

@@ -16,11 +16,6 @@ class SpectralValidationError(StripflowError):
 class DegenerateDomainError(StripflowError):
     """Interface height dropped to (or below) the degeneracy guard."""
 
-    def __init__(self, message, h_min=None, where=None):
-        super().__init__(message)
-        self.h_min = h_min
-        self.where = where
-
 
 class EllipticityError(StripflowError):
     """Transformed principal symbol lost its positivity margin."""

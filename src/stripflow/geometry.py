@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDomainError, EllipticityError
-from .grids import (spectral_derivative, spectral_tail_fraction, torus_nodes,
-                    trig_interp)
+from .grids import spectral_derivative, torus_nodes, trig_interp
 
 
 class InterfaceProfile:
@@ -61,7 +60,6 @@ class InterfaceProfile:
         self.x = torus_nodes(self.L, self.nx)
         self.g_x = spectral_derivative(g, self.L, 1)
         self.g_xx = spectral_derivative(g, self.L, 2)
-        self.spectral_tail = spectral_tail_fraction(g)
 
         f = self.nu + self.g  # value vector of the interface
         scale = np.sqrt(self.m)
@@ -77,9 +75,7 @@ class InterfaceProfile:
             raise DegenerateDomainError(
                 f"interface height {min(self.h[j], re_min):.3e} at "
                 f"x={self.x[j]:.4f} is at or below the degeneracy guard "
-                f"{self.h_floor:.1e}",
-                h_min=min(float(np.min(self.h)), re_min),
-                where=float(self.x[j]))
+                f"{self.h_floor:.1e}")
         self.h_x = spectral_derivative(self.h, self.L, 1)
 
     def with_g(self, new_g):

@@ -55,25 +55,6 @@ def spectral_derivative(values, L, order):
     return ifft(fft(values, axis=0) * mult, axis=0)
 
 
-def spectral_tail_fraction(values):
-    """Energy fraction carried by the top-quarter frequency band along axis 0.
-
-    A cheap aliasing monitor: well resolved periodic data has a tail
-    fraction near machine precision; values above ~1e-3 flag marginal
-    resolution.
-    """
-    values = np.asarray(values)
-    nx = values.shape[0]
-    vhat = fft(values, axis=0).reshape(nx, -1)
-    power = np.sum(np.abs(vhat) ** 2, axis=1)
-    idx = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
-    tail = power[idx >= nx // 4].sum()
-    total = power.sum()
-    if total == 0.0:
-        return 0.0
-    return float(tail / total)
-
-
 def trig_interp(values, L, x_eval):
     """Evaluate the trigonometric interpolant of periodic samples.
 

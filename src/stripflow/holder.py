@@ -15,8 +15,6 @@ a strip field the pairs i < j are taken row by row, each with its own
 distance.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -60,21 +58,6 @@ class SampledFunction:
             self._derivs[order] = spectral_derivative(self.values, self.L,
                                                       order)
         return self._derivs[order]
-
-
-@dataclass
-class HolderNormReport:
-    sup_norm: float
-    seminorm: float
-    total: float
-    witness_pair: tuple
-
-
-def _node_norms(values, evaluator=None):
-    """Per-node E-norms: Euclidean by default, interpolation norm if given."""
-    if evaluator is None:
-        return np.linalg.norm(values, axis=-1)
-    return evaluator.of_values(values)
 
 
 def _components(values, node_axis):
@@ -127,29 +110,33 @@ def _shift_distance(L, n):
 def holder_seminorm(f, gamma, evaluator=None):
     """Exact max over node pairs of ||f(x)-f(y)||_E / |x-y|_per^gamma.
 
-    Degenerate pairs (coincident nodes) are excluded.  Returns a
-    :class:`HolderNormReport` whose witness is the maximizing node pair,
-    the lexicographically first (p, q) with p < q when several tie.
+    Degenerate pairs (coincident nodes) are excluded.  Returns the
+    seminorm as a float.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     vals = f.values
-    n = f.nx
     w = vals[:, None, :] if evaluator is None else evaluator.weighted(vals)
-    # (n, n/2): the squared E-norm of each pair, maximised over the weights
-    pair_sq = np.max([np.max(block, axis=0)
-                      for block in _torus_pair_sq(_components(w, 0))], axis=0)
-    dist = _shift_distance(f.L, n) ** gamma
-    ratio = np.sqrt(np.max(pair_sq, axis=0)) / dist
-    semi = float(np.max(ratio))
-    # witness: the pairs of the maximising classes that reach the max
-    cls = np.flatnonzero(ratio == semi)
-    i, k = np.nonzero(np.sqrt(pair_sq[:, cls]) / dist[cls] == semi)
-    j = (i + cls[k] + 1) % n
-    p, q = divmod(int(np.min(np.minimum(i, j) * n + np.maximum(i, j))), n)
-    sup = float(np.max(_node_norms(vals, evaluator)))
-    return HolderNormReport(sup, semi, sup + semi,
-                            (float(f.grid[p]), float(f.grid[q])))
+    # (n/2,): the largest squared E-norm of each shift class, maximised
+    # over the nodes and the weights
+    cls_sq = np.max([np.max(block, axis=(0, 1))
+                     for block in _torus_pair_sq(_components(w, 0))], axis=0)
+    dist = _shift_distance(f.L, f.nx) ** gamma
+    return float(np.max(np.sqrt(cls_sq) / dist))
+
+
+def _ck_alpha_norm(f, k, alpha, evaluator):
+    """C^{k+alpha} norm: the sups of the derivatives 0..k, summed in that
+    order, plus the alpha-seminorm of the k-th derivative."""
+    total = 0.0
+    for order in range(k + 1):
+        vals = f.deriv(order)
+        # per-node E-norms: Euclidean, or the interpolation norm if given
+        norms = (np.linalg.norm(vals, axis=-1) if evaluator is None
+                 else evaluator.of_values(vals))
+        total += float(np.max(norms))
+    dk = SampledFunction(f.L, f.deriv(k))
+    return total + holder_seminorm(dk, alpha, evaluator)
 
 
 def h2alpha_norm(g, alpha, evaluator=None):
@@ -159,23 +146,13 @@ def h2alpha_norm(g, alpha, evaluator=None):
     InterpNormEvaluator of the coupling matrix is supplied, node values are
     measured in its interpolation norm instead of the Euclidean norm.
     """
-    total = 0.0
-    for order in (0, 1, 2):
-        dvals = g.deriv(order)
-        total += float(np.max(_node_norms(dvals, evaluator)))
-    d2 = SampledFunction(g.L, g.deriv(2))
-    total += holder_seminorm(d2, alpha, evaluator).seminorm
-    return total
+    return _ck_alpha_norm(g, 2, alpha, evaluator)
 
 
 def h1alpha_norm(f, alpha, evaluator=None):
     """C^{1+alpha} norm (sup of f and f' plus alpha-seminorm of f'), with
     node values measured as in h2alpha_norm."""
-    total = float(np.max(_node_norms(f.values, evaluator)))
-    d1 = SampledFunction(f.L, f.deriv(1))
-    total += float(np.max(_node_norms(d1.values, evaluator)))
-    total += holder_seminorm(d1, alpha, evaluator).seminorm
-    return total
+    return _ck_alpha_norm(f, 1, alpha, evaluator)
 
 
 def trace_xnorm(values, L, alpha, mu):
@@ -184,9 +161,9 @@ def trace_xnorm(values, L, alpha, mu):
     if values.ndim == 1:
         values = values[:, None]
     f = SampledFunction(L, values)
-    rep = holder_seminorm(f, alpha)
+    sup = float(np.max(np.linalg.norm(f.values, axis=-1)))
     mu_eff = max(float(mu), 1.0)
-    return rep.sup_norm + rep.seminorm / mu_eff ** alpha
+    return sup + holder_seminorm(f, alpha) / mu_eff ** alpha
 
 
 def graded_trace_norm(values, L, alpha, mu, order):

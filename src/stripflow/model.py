@@ -22,7 +22,7 @@ import scipy.linalg
 from numpy.fft import fft, ifft
 
 from .errors import EllipticityError, SpectralValidationError
-from .grids import spectral_tail_fraction, torus_wavenumbers
+from .grids import torus_wavenumbers
 from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
 from .operator_core import SectorialOperator, matrix_sqrt
 
@@ -87,7 +87,6 @@ def _mode_exponents(fc, eta):
 class DecayGenerator:
     """Lambda(eta) with its quadratic residual; for an array of eta,
     Lambda is stacked as eta.shape + (m, m) and residual as eta.shape."""
-    eta: object
     Lambda: np.ndarray
     residual: object
 
@@ -130,7 +129,7 @@ def decay_generator(fc, eta):
         raise SpectralValidationError(
             "decay generator spectrum leaves the right half-plane at "
             f"eta={etas[np.argmax(left)]}")
-    return DecayGenerator(eta[()], lam, residual[()])
+    return DecayGenerator(lam, residual[()])
 
 
 class _ModeExp:
@@ -172,8 +171,7 @@ def halfplane_dirichlet_solve(fc, psi, y_grid, L):
     psi is an (nx,) or (nx, m) array of samples on the x-torus of
     circumference L.  Per FFT mode k the solution is
     exp(-Lambda(-k) y) psi_hat(k); the trace at y=0 reproduces psi to
-    transform accuracy.  Returns a StripField whose ``resolved`` flag is
-    False when psi has a significant spectral tail.
+    transform accuracy.  Returns a StripField.
     """
     from .strip import StripField  # local import; strip does not import model
     values = np.asarray(psi, dtype=complex)
@@ -184,9 +182,7 @@ def halfplane_dirichlet_solve(fc, psi, y_grid, L):
     ks = torus_wavenumbers(L, nx)
     stack = transverse_semigroup(fc, -ks, y)                # (nx, ny, m, m)
     u = ifft(np.einsum("kyij,kj->kyi", stack, fft(values, axis=0)), axis=0)
-    fld = StripField(x=np.arange(nx) * (L / nx), y=y, L=L, values=u)
-    fld.resolved = spectral_tail_fraction(values) <= 1e-6
-    return fld
+    return StripField(x=np.arange(nx) * (L / nx), y=y, L=L, values=u)
 
 
 def strip_trace_gradient_map(fc, eta):
@@ -261,10 +257,8 @@ def strip_profile_response(fc, eta, sources, Dy):
 @dataclass
 class MultiplierDecayReport:
     y_grid: np.ndarray
-    eta_grid: np.ndarray
     phi0: np.ndarray          # A-weighted profile
     phi_j: np.ndarray         # (3, ny): |mu|^{2-j} eta^j weights, j = 0,1,2
-    mu: float
 
 
 def default_eta_grid(L, nx):
@@ -309,8 +303,7 @@ def multiplier_profiles(fc, y_grid, eta_grid):
                                        eta_grid - d_eta))
         phi_j[j] = profile(w_mid * n_mid,
                            (w_up * n_up - w_dn * n_dn) / (2 * d_eta))
-    return MultiplierDecayReport(y_grid=y, eta_grid=eta_grid, phi0=phi0,
-                                 phi_j=phi_j, mu=fc.mu)
+    return MultiplierDecayReport(y_grid=y, phi0=phi0, phi_j=phi_j)
 
 
 def default_depth(fc):

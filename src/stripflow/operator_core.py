@@ -79,19 +79,16 @@ def validate_sectorial(A):
     radii = np.geomspace(1e-3, 1e6, 28)
     lam_samples = np.concatenate(
         [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * rays[None, :])).ravel()])
-    eye = np.eye(A.dim)
-    worst = 0.0
-    witness = 0.0 + 0.0j
-    for lam in lam_samples:
-        shifted = A.entries + lam * eye
-        sv_min = np.linalg.svd(shifted, compute_uv=False)[-1]
-        if sv_min <= 1e-14 * max(1.0, np.abs(lam)):
-            return PositivityReport(False, np.inf, lam,
-                                    f"A + lambda singular at lambda={lam}")
-        ratio = (1.0 + np.abs(lam)) / (sv_min * A.bound)
-        if ratio > worst:
-            worst = ratio
-            witness = lam
+    shifted = A.entries + lam_samples[:, None, None] * np.eye(A.dim)
+    sv_min = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    singular = sv_min <= 1e-14 * np.maximum(1.0, np.abs(lam_samples))
+    if np.any(singular):
+        lam = lam_samples[np.argmax(singular)]
+        return PositivityReport(False, np.inf, lam,
+                                f"A + lambda singular at lambda={lam}")
+    ratios = (1.0 + np.abs(lam_samples)) / (sv_min * A.bound)
+    i = int(np.argmax(ratios))      # the first maximal ratio
+    worst, witness = ratios[i], lam_samples[i]
     passed = worst <= 1.0
     msg = "" if passed else (
         f"resolvent bound exceeded by factor {worst:.3g} at lambda={witness}")

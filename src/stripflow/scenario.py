@@ -312,7 +312,6 @@ class Scenario:
     nx: int
     ny: int
     alpha: float
-    g0: np.ndarray
     mu_solve: float
     rtol: float
     config: EvolutionConfig
@@ -440,6 +439,9 @@ def load_scenario(path):
                             path=path, section="geometry")
 
     mu_solve, rtol = values["solve", "mu"], values["solve", "rtol"]
+    if mu_solve < 0:
+        raise ScenarioError(f"mu must be nonnegative, got {mu_solve}",
+                            path=path, section="solve", key="mu")
     try:
         config = EvolutionConfig(
             dt=values["time", "dt"], t_end=values["time", "t_end"],
@@ -460,8 +462,11 @@ def load_scenario(path):
     g0, g0_source = _initial_values(sections["initial"], path, m, nx, L, nu,
                                     x)
 
-    A = SectorialOperator(A_mat, sector_angle=values["space", "phi"],
-                          bound=values["space", "M"])
+    try:
+        A = SectorialOperator(A_mat, sector_angle=values["space", "phi"],
+                              bound=values["space", "M"])
+    except ValueError as exc:
+        raise ScenarioError(str(exc), path=path, section="space")
     sec_report = validate_sectorial(A)
     if not sec_report.passed:
         raise ScenarioError(
@@ -485,7 +490,7 @@ def load_scenario(path):
     return Scenario(
         name=os.path.splitext(os.path.basename(path))[0], path=path,
         checksum=checksum, m=m, A=A, L=L, nx=nx, ny=ny, alpha=alpha,
-        g0=g0, mu_solve=mu_solve, rtol=rtol, config=config,
+        mu_solve=mu_solve, rtol=rtol, config=config,
         out_dir=values["output", "directory"], sectorial_report=sec_report,
         ellipticity_report=ell_report, admissibility_report=adm_report,
         p0=profile, upsilon0=dtn.upsilon())

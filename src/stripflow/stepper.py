@@ -76,7 +76,6 @@ class Trajectory:
     status: str
     norm_cap: float
     margin_floor: float
-    config: EvolutionConfig
     failure_message: str = ""
 
     def __post_init__(self):
@@ -229,5 +228,5 @@ def evolve(p0, A, cfg, dtn=None):
         rows[-1].status = STATUS_COMPLETED
     return Trajectory(times=times, profiles=profiles, diagnostics=rows,
                       status=status, norm_cap=norm_cap,
-                      margin_floor=margin_floor, config=resolved,
+                      margin_floor=margin_floor,
                       failure_message=failure_message)

@@ -149,7 +149,6 @@ class StripField:
     values: np.ndarray
     Dy: np.ndarray = None
     residual: float = 0.0
-    resolved: bool = True
 
     def __post_init__(self):
         self.values = as_inexact(self.values)

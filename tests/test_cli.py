@@ -116,6 +116,23 @@ def test_validate_unknown_key_exit_code(tmp_path, capsys, old, new, named):
     assert err.startswith("validation failure: unknown ") and named in err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("A = 1.0", "A = 1.0\nphi = 1.0", "[section space]"),
+    ("A = 1.0", "A = 1.0\nM = -1", "[section space]"),
+    ("mu = 0.0", "mu = -1", "[section solve] [key mu]"),
+])
+def test_validate_out_of_range_value_exit_code(tmp_path, capsys, old, new,
+                                               named):
+    """A sector angle outside (pi/2, pi), a nonpositive resolvent bound and
+    a negative spectral shift are validation failures naming their
+    section, found at load rather than by a later run."""
+    from stripflow import cli
+    path = write(tmp_path, FAST.replace(old, new))
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and named in err
+
+
 def test_validate_competing_initial_source_exit_code(tmp_path, capsys):
     """A table next to the g0 expression is a validation failure naming
     it, not a key that is read by nothing."""

@@ -155,14 +155,6 @@ def test_ellipticity_floor_near_flat_is_clean():
     assert np.isfinite(rep.margin)
 
 
-def test_spectral_tail_flags_unresolved_profile(rng):
-    nx = 32
-    x = torus_x(nx)
-    rough = 0.05 * rng.standard_normal(nx)
-    p = InterfaceProfile(1.0, L, rough.astype(complex)[:, None])
-    assert p.spectral_tail > 1e-8    # white noise never resolves
-
-
 # ------------------------------------------------------------ partition of unity
 
 def test_partition_sums_to_one():

@@ -234,14 +234,6 @@ def test_halfplane_dirichlet_single_mode_oracle():
     assert rel < 1e-4
 
 
-def test_halfplane_solve_flags_rough_data(rng):
-    fc = fc_scalar(mu=1.0)
-    nx = 32
-    psi = rng.standard_normal((nx, 1)) + 0j
-    sol = halfplane_dirichlet_solve(fc, psi, np.linspace(0, 5, 50), L=L)
-    assert not sol.resolved
-
-
 # ------------------------------------------------------- multiplier decay
 
 def test_multiplier_profiles_decay():

@@ -113,6 +113,42 @@ def test_evaluator_weights_match_per_t_loop(A):
     assert np.array_equal(InterpNormEvaluator(np.array(A), 0.5).weights, ref)
 
 
+def _sectorial_loop(A):
+    """Per-sample reference for validate_sectorial: the first singular
+    sample, else the first maximal ratio."""
+    rays = np.linspace(-A.sector_angle, A.sector_angle, 9)
+    radii = np.geomspace(1e-3, 1e6, 28)
+    lams = np.concatenate(
+        [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * rays[None, :])).ravel()])
+    worst, witness = 0.0, 0.0 + 0.0j
+    for lam in lams:
+        sv_min = np.linalg.svd(A.entries + lam * np.eye(A.dim),
+                               compute_uv=False)[-1]
+        if sv_min <= 1e-14 * max(1.0, np.abs(lam)):
+            return False, np.inf, lam, f"A + lambda singular at lambda={lam}"
+        ratio = (1.0 + np.abs(lam)) / (sv_min * A.bound)
+        if ratio > worst:
+            worst, witness = ratio, lam
+    msg = "" if worst <= 1.0 else (
+        f"resolvent bound exceeded by factor {worst:.3g} at lambda={witness}")
+    return worst <= 1.0, float(worst), witness, msg
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0]], [[2.0, 0.5], [0.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]],
+    [[1.0, -0.8], [0.8, 1.0]], [[-1.0]], [[0.0]], np.diag([1.0, 0.0]),
+    np.diag([-2.0, 1.0])])
+def test_validate_sectorial_matches_per_sample_loop(A):
+    """One stacked SVD gives the loop's report exactly: the first singular
+    sample when there is one ([[-1]], [[0]], diag(1, 0)), else the first
+    maximal ratio, passing or not (diag(-2, 1) fails the bound)."""
+    op = SectorialOperator(np.array(A))
+    rep = validate_sectorial(op)
+    passed, worst, witness, msg = _sectorial_loop(op)
+    assert (rep.passed, rep.worst_ratio, rep.witness, rep.message) == (
+        passed, worst, witness, msg)
+
+
 def test_validation_reports_reason():
     rep = validate_sectorial(SectorialOperator(np.array([[0.0, 1.0],
                                                          [0.0, 0.0]])))

@@ -120,7 +120,7 @@ def test_minimal_scenario_loads(tmp_path):
     assert scn.m == 1
     assert scn.nx == 32 and scn.ny == 9
     assert scn.L == pytest.approx(16 * np.pi)
-    assert scn.g0.shape == (32, 1)
+    assert scn.profile().g.shape == (32, 1)
     assert scn.config.dt == 0.02
     assert scn.admissibility_report.in_W1
 
@@ -276,7 +276,7 @@ def test_coupled_matrix_rows(tmp_path):
     assert scn.m == 2
     assert scn.A.entries.shape == (2, 2)
     assert scn.A.entries[0, 1] == 0.5
-    assert scn.g0.shape == (32, 2)
+    assert scn.profile().g.shape == (32, 2)
 
 
 # ----------------------------------------------------------------- artifacts
@@ -458,4 +458,4 @@ def test_reload_same_file_same_g0(tmp_path):
     path = write_scn(tmp_path, MINIMAL)
     a = load_scenario(path)
     b = load_scenario(path)
-    assert np.array_equal(a.g0, b.g0)
+    assert np.array_equal(a.profile().g, b.profile().g)

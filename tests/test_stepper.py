@@ -229,8 +229,9 @@ def reconstruct(p, A, mu_solve, ny):
     physical gradient comes from the flattening chain rule.  Using -O(g) as
     f_t the residual is an algebraic identity up to discretization error.
     """
-    app = DtNOperator(p, A, mu_solve, ny=ny).apply()
-    ups = app.upsilon
+    dtn = DtNOperator(p, A, mu_solve, ny=ny)
+    app = dtn.apply()
+    ups = dtn.upsilon()
     h = p.h[:, None]
     tr_x = ups.dx(1)[:, 0, :]
     tr_y = ups.dy_trace0()
@@ -253,5 +254,4 @@ def test_trajectory_rejects_bad_times(A1):
     p = make_profile(nx=16, amp=0.0)
     with pytest.raises(ValueError):
         Trajectory(times=[0.0, 0.0], profiles=[p, p], diagnostics=[],
-                   status=STATUS_COMPLETED, norm_cap=1.0, margin_floor=0.1,
-                   config=small_cfg())
+                   status=STATUS_COMPLETED, norm_cap=1.0, margin_floor=0.1)
