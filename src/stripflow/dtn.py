@@ -130,7 +130,7 @@ class DtNOperator:
     # -- reports on the solved field -----------------------------------------
 
     def margin(self):
-        """Pointwise Re[w_g + k_g] on the interface, and k_g.
+        """Pointwise Re[w_g + k_g] on the interface.
 
         w_g is the boundary weight of the solved field, k_g the ellipticity
         ratio alpha(g)/a22(g) at y = 0; positivity of the infimum is the gate
@@ -140,7 +140,7 @@ class DtNOperator:
         w_g = self.upsilon().dy_trace0() / (p.nu + p.g)
         c = self.coeffs
         k_g = c.alpha_floor[:, 0, :] / c.a22[:, 0, :]
-        return w_g + k_g, k_g
+        return w_g + k_g
 
     def admissibility(self):
         """Membership tests for the evolution's well-posedness neighborhoods.
@@ -156,7 +156,7 @@ class DtNOperator:
         so only the margin gates the stepper.
         """
         p = self.profile
-        total = self.margin()[0]
+        total = self.margin()
         margin = float(np.min(total))
         arg = np.unravel_index(np.argmin(total), total.shape)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDomainError, EllipticityError
-from .grids import spectral_derivative, torus_nodes, trig_interp
+from .grids import (real_if_exact, spectral_derivative, torus_nodes,
+                    trig_interp)
 
 
 class InterfaceProfile:
@@ -24,7 +25,8 @@ class InterfaceProfile:
 
     The physical height is the normalized Euclidean length of the value
     vector,  h(x) = ||nu * ones + g(x)|| / ||ones||,  which reduces to
-    nu + g for a single real component.
+    nu + g for a single component.  Profiles are real, so the coefficients
+    and the strip solves built from them run in real arithmetic.
 
     Parameters
     ----------
@@ -33,47 +35,47 @@ class InterfaceProfile:
     L : float
         Torus circumference.
     g : (nx, m) array_like
-        Perturbation samples on ``torus_nodes(L, nx)``; stored as a real
-        array when every imaginary part is exactly zero.
+        Perturbation samples on ``torus_nodes(L, nx)``, stored as float64;
+        a nonzero imaginary sample raises EllipticityError.
     h_floor : float
         Degeneracy guard; construction fails if min h <= h_floor.
     """
 
     def __init__(self, nu, L, g, h_floor=1e-8):
-        g = np.asarray(g, dtype=complex)
-        # real profiles stay real, so everything built from them (the
-        # coefficients, the strip solves) runs in real arithmetic
-        if not np.any(g.imag):
-            g = g.real.copy()
+        g = real_if_exact(g)
         if g.ndim == 1:
             g = g[:, None]
         if g.ndim != 2:
             raise ValueError(f"g must be (nx,) or (nx, m), got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("profile contains non-finite samples")
+        if np.iscomplexobj(g):
+            raise EllipticityError(
+                "the strip flattening needs a real profile, and g has "
+                "samples with nonzero imaginary parts")
         if nu <= 0:
             raise ValueError(f"offset nu must be positive, got {nu}")
         self.nu = float(nu)
         self.L = float(L)
-        self.g = g
+        self.g = np.array(g, dtype=float)
         self.nx, self.m = g.shape
         self.x = torus_nodes(self.L, self.nx)
-        self.g_x = spectral_derivative(g, self.L, 1)
-        self.g_xx = spectral_derivative(g, self.L, 2)
+        self.g_x = spectral_derivative(self.g, self.L, 1)
+        self.g_xx = spectral_derivative(self.g, self.L, 2)
 
         f = self.nu + self.g  # value vector of the interface
         scale = np.sqrt(self.m)
-        self.h = np.real(np.linalg.norm(f, axis=1)) / scale
+        self.h = np.linalg.norm(f, axis=1) / scale
         self.h_floor = float(h_floor)
         # the flattening needs the value vector to stay on the positive
-        # side of the reference offset: a component whose real part crosses
-        # zero folds the domain onto itself even though the Euclidean
-        # height |f| stays away from zero
-        re_min = float(np.min(np.real(f)))
-        if min(np.min(self.h), re_min) <= self.h_floor:
-            j = int(np.argmin(np.minimum(np.min(np.real(f), axis=1), self.h)))
+        # side of the reference offset: a component that crosses zero folds
+        # the domain onto itself even though the Euclidean height |f| stays
+        # away from zero
+        f_min = float(np.min(f))
+        if min(np.min(self.h), f_min) <= self.h_floor:
+            j = int(np.argmin(np.minimum(np.min(f, axis=1), self.h)))
             raise DegenerateDomainError(
-                f"interface height {min(self.h[j], re_min):.3e} at "
+                f"interface height {min(self.h[j], f_min):.3e} at "
                 f"x={self.x[j]:.4f} is at or below the degeneracy guard "
                 f"{self.h_floor:.1e}")
         self.h_x = spectral_derivative(self.h, self.L, 1)
@@ -84,7 +86,7 @@ class InterfaceProfile:
 
     def height_at(self, x_eval):
         """Trigonometric interpolation of h at arbitrary points."""
-        return np.real(trig_interp(self.h.astype(complex), self.L, x_eval))
+        return np.real(trig_interp(self.h, self.L, x_eval))
 
     def __repr__(self):
         return (f"InterfaceProfile(nu={self.nu}, L={self.L:.4f}, nx={self.nx}, "
@@ -198,26 +200,21 @@ def ellipticity_floor(coeffs, tol=1e-10):
     """Audit the principal symbol against its claimed pointwise floor.
 
     The 2x2 symbol  [[1, a12], [a12, a22]]  must have least eigenvalue at
-    least alpha_floor at every node and component.  Complex-valued profiles
-    are audited through the real parts (the floor statement is about the
-    real quadratic form); large imaginary parts fail loudly.
+    least alpha_floor at every node and component.  The coefficients are
+    real, since InterfaceProfile admits only real profiles.
     """
     a12 = coeffs.a12
     a22 = coeffs.a22
-    if max(np.max(np.abs(np.imag(a12))), np.max(np.abs(np.imag(a22)))) > 1e-8 * (
-            1.0 + np.max(np.abs(a22))):
-        raise EllipticityError("principal coefficients have significant imaginary parts")
-    p12, p22 = np.real(a12), np.real(a22)
-    tr = 1.0 + p22
+    tr = 1.0 + a22
     # discriminant written cancellation-free: tr^2 - 4 det == (1-a22)^2 + 4a12^2
-    disc = (1.0 - p22) ** 2 + 4.0 * p12 ** 2
+    disc = (1.0 - a22) ** 2 + 4.0 * a12 ** 2
     lam_min = 0.5 * (tr - np.sqrt(disc))
-    gap = lam_min - np.real(coeffs.alpha_floor)
+    gap = lam_min - coeffs.alpha_floor
     margin = float(np.min(gap))
     idx = np.unravel_index(np.argmin(gap), gap.shape)
     passed = margin >= -tol
     return EllipticityReport(bool(passed), margin,
-                             float(np.min(np.real(coeffs.alpha_floor))),
+                             float(np.min(coeffs.alpha_floor)),
                              tuple(int(i) for i in idx))
 
 

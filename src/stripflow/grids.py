@@ -17,6 +17,15 @@ def as_inexact(values):
     return values.astype(np.result_type(values, float), copy=False)
 
 
+def real_if_exact(values):
+    """values as a real array when every imaginary part is exactly zero,
+    else unchanged."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and not np.any(values.imag):
+        return np.ascontiguousarray(values.real)
+    return values
+
+
 def torus_nodes(L, nx):
     """Equispaced nodes x_j = j*L/nx on the circle of circumference L."""
     if nx < 4 or nx & (nx - 1):

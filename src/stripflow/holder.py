@@ -61,9 +61,13 @@ class SampledFunction:
 
 
 def _components(values, node_axis):
-    """Real components of complex (..., m) samples: (2m, ...) with the node
-    axis moved last and made contiguous (re_0, im_0, re_1, im_1, ...)."""
-    v = np.ascontiguousarray(values, dtype=complex).view(np.float64)
+    """Real components of (..., m) samples, first, with the node axis moved
+    last and made contiguous: the m rows of real samples as they are, the
+    2m rows (re_0, im_0, re_1, im_1, ...) of the float64 view of complex
+    ones."""
+    v = values
+    if np.iscomplexobj(v):
+        v = np.ascontiguousarray(v).view(np.float64)
     return np.ascontiguousarray(np.moveaxis(v, (-1, node_axis), (0, -1)))
 
 
@@ -157,9 +161,6 @@ def h1alpha_norm(f, alpha, evaluator=None):
 
 def trace_xnorm(values, L, alpha, mu):
     """mu-scaled Hölder norm of a periodic trace: sup + mu^(-alpha) seminorm."""
-    values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        values = values[:, None]
     f = SampledFunction(L, values)
     sup = float(np.max(np.linalg.norm(f.values, axis=-1)))
     mu_eff = max(float(mu), 1.0)
@@ -175,9 +176,7 @@ def graded_trace_norm(values, L, alpha, mu, order):
     The grading matches the solution-side weights of the coercive
     estimates, which is what keeps probe ratios flat in mu.
     """
-    values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        values = values[:, None]
+    values = as_inexact(values)
     total = 0.0
     for j in range(order + 1):
         dj = spectral_derivative(values, L, j) if j else values
@@ -196,10 +195,10 @@ def scaled_field_norm(values, y, L, alpha, mu):
     parameter: a bare seminorm would let smooth-but-large-gradient fields
     dominate as mu grows even though the elliptic estimates hold uniformly.
     """
-    values = np.asarray(values, dtype=complex)
+    values = as_inexact(values)
     batch, (nx, ny) = values.shape[:-3], values.shape[-3:-1]
     sup = np.max(np.linalg.norm(values, axis=-1), axis=(-2, -1))
-    comps = _components(values, -3)                # (2m, ..., ny, nx)
+    comps = _components(values, -3)                # (C, ..., ny, nx)
     # x: every (field, y) line reduced to its per-class maxima
     lines = comps.reshape(comps.shape[0], -1, nx)
     cls_sq = np.concatenate([np.max(block, axis=-2)

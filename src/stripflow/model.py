@@ -85,10 +85,9 @@ def _mode_exponents(fc, eta):
 
 @dataclass
 class DecayGenerator:
-    """Lambda(eta) with its quadratic residual; for an array of eta,
-    Lambda is stacked as eta.shape + (m, m) and residual as eta.shape."""
+    """Lambda(eta), certified; for an array of eta it is stacked as
+    eta.shape + (m, m)."""
     Lambda: np.ndarray
-    residual: object
 
 
 def decay_generator(fc, eta):
@@ -129,7 +128,7 @@ def decay_generator(fc, eta):
         raise SpectralValidationError(
             "decay generator spectrum leaves the right half-plane at "
             f"eta={etas[np.argmax(left)]}")
-    return DecayGenerator(lam, residual[()])
+    return DecayGenerator(lam)
 
 
 class _ModeExp:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .grids import as_inexact, real_if_exact
+
 
 class SectorialOperator:
     """Constant coupling matrix with a declared sector and resolvent bound.
@@ -123,7 +125,9 @@ class InterpNormEvaluator:
     theta is the interpolation exponent in (0, 1) and t runs over _T_GRID.
     The weight stack depends only on (A, theta), so the evaluator is built
     once and reused across many vectors; ``of_values`` handles arbitrary
-    leading axes.
+    leading axes.  The weights are formed by a complex expm and kept real
+    when every imaginary part is exactly zero, as for a real A, so real
+    vectors are measured in real arithmetic.
     """
 
     def __init__(self, A, theta):
@@ -131,7 +135,8 @@ class InterpNormEvaluator:
             raise ValueError(f"theta must lie in (0, 1), got {theta}")
         mat = coupling_matrix(A)
         T = _T_GRID[:, None, None]
-        self.weights = T ** (1.0 - theta) * (mat @ scipy.linalg.expm(-T * mat))
+        self.weights = real_if_exact(
+            T ** (1.0 - theta) * (mat @ scipy.linalg.expm(-T * mat)))
 
     def weighted(self, values):
         """Every weight matrix applied to every vector of an (..., m) array.
@@ -139,14 +144,16 @@ class InterpNormEvaluator:
         Returns (..., T, m).  The weights are linear, so differences of
         weighted values are the weighted differences.
         """
-        return np.tensordot(np.asarray(values, dtype=complex), self.weights,
-                            axes=(-1, -1))
+        return np.tensordot(as_inexact(values), self.weights, axes=(-1, -1))
 
     def of_values(self, values):
         """Norm of every vector in an (..., m) array; returns (...) reals.
 
-        Squared norms are summed on the real view and maximised over the
-        weights before the single square root.
+        Squared norms are summed over the real components (the float64
+        view of complex values) and maximised over the weights before the
+        single square root.
         """
-        wu = self.weighted(values).view(np.float64)
+        wu = self.weighted(values)
+        if np.iscomplexobj(wu):
+            wu = wu.view(np.float64)
         return np.sqrt(np.max(np.einsum("...k,...k->...", wu, wu), axis=-1))

@@ -473,9 +473,10 @@ def load_scenario(path):
             f"coupling operator failed the sectoriality check: "
             f"{sec_report.message}", path=path, section="space", key="A")
     try:
+        # the profile refuses a complex g0, and assembling the strip
+        # operator refuses coefficients below the ellipticity floor (both
+        # EllipticityError)
         profile = InterfaceProfile(nu, L, g0, h_floor=h_min)
-        # assembling the strip operator refuses coefficients below the
-        # ellipticity floor (EllipticityError)
         dtn = DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol)
     except (EllipticityError, DegenerateDomainError) as exc:
         raise ScenarioError(
@@ -545,22 +546,9 @@ def export(traj, out_dir):
     return [traj_path, diag_path]
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"re": obj.real.tolist(), "im": obj.imag.tolist()}
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True,
-                            default=_json_default))
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
         fh.write("\n")
 
 

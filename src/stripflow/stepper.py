@@ -163,7 +163,7 @@ def evolve(p0, A, cfg, dtn=None):
         # (numpy 2.4, one BLAS thread)
         g = SampledFunction(dtn.profile.L, dtn.profile.g)
         return {"h2alpha": h2alpha_norm(g, cfg.alpha, evaluator=evaluator),
-                "margin": float(np.min(dtn.margin()[0]))}
+                "margin": float(np.min(dtn.margin()))}
 
     norms = diagnose(dtn)
     if not norms["margin"] > 0:     # NaN-safe: a NaN margin is refused too

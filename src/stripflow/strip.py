@@ -12,9 +12,10 @@ mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  For profiles close
 to flat the preconditioned iteration converges in a handful of steps; every
 solve is gated on its true residual before being returned.
 
-The operator is real: it accepts only a real profile and a real A, and its
-coefficients are stored as real (ny, m, 1, nx) arrays.  Its kernels act on
-y-major real samples of shape (ny, m, s, nx), s vectors side by side:
+The operator is real: InterfaceProfile admits only real profiles, a complex
+A is refused here, and the coefficients are stored as real (ny, m, 1, nx)
+arrays.  Its kernels act on y-major real samples of shape (ny, m, s, nx), s
+vectors side by side:
   - x is the last, contiguous axis, so u_x and u_xx are one rfft and one
     stacked irfft along it, and the preconditioner acts on the nx/2 + 1
     rfft modes of real data;
@@ -42,11 +43,10 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import EllipticityError, SolverError
+from .errors import SolverError
 from .geometry import coefficients, require_elliptic
-from .grids import (as_inexact, cheb_lobatto_01, rfft_wavenumbers,
-                    spectral_derivative)
-from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
+from .grids import (as_inexact, cheb_lobatto_01, real_if_exact,
+                    rfft_wavenumbers, spectral_derivative)
 from .operator_core import coupling_matrix
 
 
@@ -148,7 +148,6 @@ class StripField:
     L: float
     values: np.ndarray
     Dy: np.ndarray = None
-    residual: float = 0.0
 
     def __post_init__(self):
         self.values = as_inexact(self.values)
@@ -201,8 +200,7 @@ class DiscreteStripOperator:
 
     Interior rows carry (B(g) + mu^2); the row at y=0 carries the
     Dirichlet trace, and the row at y=1 carries b21 d/dy (the transformed
-    bottom Neumann condition).  The profile and A must be real: a profile
-    with a nonzero imaginary sample raises EllipticityError, a complex A
+    bottom Neumann condition).  A must be real: a complex A raises
     ValueError.
     """
 
@@ -211,10 +209,6 @@ class DiscreteStripOperator:
     bc0 = "dirichlet"
 
     def __init__(self, profile, A, mu, ny=33):
-        if np.iscomplexobj(profile.g):
-            raise EllipticityError(
-                "the strip operator needs a real profile, and g has "
-                "samples with nonzero imaginary parts")
         A_mat = coupling_matrix(A)
         if np.any(A_mat.imag):
             raise ValueError(
@@ -280,24 +274,22 @@ class DiscreteStripOperator:
         out = kernel(np.concatenate([v.real, v.imag], axis=2))
         return (out[:, :, 0] + 1j * out[:, :, 1]).ravel()
 
-    def rhs(self, F=None, psi0=None, psi1=None):
+    def rhs(self, F=None, psi0=None):
         """y-major right-hand side (ny, m, nx): the interior rows of the
-        (nx, ny, m) source F, the trace psi0 at y=0 and the flux psi1 at
-        y=1.  It is real unless some datum has a nonzero imaginary part."""
-        data = [np.asarray(d) for d in (F, psi0, psi1) if d is not None]
+        (nx, ny, m) source F and the trace psi0 at y=0; the flux row at y=1
+        is zero.  It is real unless some datum has a nonzero imaginary
+        part."""
+        data = [np.asarray(d) for d in (F, psi0) if d is not None]
         b = np.zeros(self.shape_full, dtype=np.result_type(float, *data))
         if F is not None:
             F = np.asarray(F)
             if F.ndim == 2:
                 F = F[:, :, None]
             b[1:-1] = F[:, 1:-1, :].transpose(1, 2, 0)
-        for row, psi in ((0, psi0), (-1, psi1)):
-            if psi is not None:
-                psi = np.asarray(psi)
-                b[row] = psi[None, :] if psi.ndim == 1 else psi.T
-        if np.iscomplexobj(b) and not np.any(b.imag):
-            b = np.ascontiguousarray(b.real)
-        return b
+        if psi0 is not None:
+            psi0 = np.asarray(psi0)
+            b[0] = psi0[None, :] if psi0.ndim == 1 else psi0.T
+        return real_if_exact(b)
 
     # -- preconditioner ----------------------------------------------------
 
@@ -376,16 +368,16 @@ class DiscreteStripOperator:
 
     # -- solve ---------------------------------------------------------------
 
-    def solve(self, F=None, psi0=None, psi1=None, rtol=1e-11):
-        """Solve with interior source F, trace psi0 at y=0 and flux psi1
-        at y=1.
+    def solve(self, F=None, psi0=None, rtol=1e-11):
+        """Solve with interior source F, trace psi0 at y=0 and zero flux at
+        y=1.
 
         One preconditioned GMRES pass of at most _MAX_CYCLES restart cycles
         asks for rtol_gmres = max(rtol, 1e-10); a true residual above
         max(100 rtol, 1e-9) then raises SolverError at once.  GMRES runs in
         the dtype of the right-hand side, and a real one gives a real field.
         """
-        b = self.rhs(F=F, psi0=psi0, psi1=psi1)
+        b = self.rhs(F=F, psi0=psi0)
         if not np.all(np.isfinite(b)):
             raise SolverError(
                 f"strip solve data has {np.count_nonzero(~np.isfinite(b))} "
@@ -429,8 +421,7 @@ class DiscreteStripOperator:
                 f"bc0={self.bc0})", residual=res, iterations=counter["n"])
         values = sol.reshape(self.shape_full).transpose(2, 0, 1)
         return StripField(x=self.profile.x, y=self.y, L=self.L,
-                          values=np.ascontiguousarray(values), Dy=self.Dy,
-                          residual=res)
+                          values=np.ascontiguousarray(values), Dy=self.Dy)
 
 
 def b0_trace(coeffs, fld):
@@ -444,38 +435,28 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
                         rtol=1e-10):
     """Graded-norm ratio probe for the full strip estimate.
 
-    ensemble entries are (F, psi0, psi1) with F either None or (nx, ny, m)
-    samples on this probe's Chebyshev grid, and psi0/psi1 (nx, m) traces.
-    For each mu the problem is solved and all derivative fields are measured
-    in mu-scaled Hölder norms against the mu-graded data norms; see
+    ensemble entries are (F, psi0, psi1), the interior source, the trace at
+    y=0 and the flux at y=1; the probe measures Dirichlet data alone, so F
+    and psi1 must be None and psi0 is an (nx, m) trace.  For each mu the
+    problem is solved and all derivative fields are measured in mu-scaled
+    Hölder norms against the mu-graded data norm of psi0; see
     coercivity_probe_59 for why the grading is the meaningful discrete form.
     """
     from .model import CoercivityReport, CoercivityRow, _graded_probe_norms
-    from .operator_core import matrix_sqrt
+    if any(F is not None or psi1 is not None for F, _, psi1 in ensemble):
+        raise ValueError(
+            "coercivity_probe_33 measures Dirichlet data only: every "
+            "ensemble entry needs F = psi1 = None")
     rows = []
-    sqrt_A = None
     for mu in mu_list:
         op = DiscreteStripOperator(profile, A, mu, ny=ny)
-        if sqrt_A is None:
-            sqrt_A = matrix_sqrt(op.A_mat)
-        for data_index, (F, psi0, psi1) in enumerate(ensemble):
-            fld = op.solve(F=F, psi0=psi0, psi1=psi1, rtol=rtol)
+        for data_index, (_, psi0, _) in enumerate(ensemble):
+            fld = op.solve(psi0=psi0, rtol=rtol)
             fields = {"u": fld.values, "ux": fld.dx(1), "uxx": fld.dx(2),
                       "uxy": fld.dxy(),
                       "uyy": fld.dy(2), "au": fld.values @ op.A_mat.T}
-            z = np.zeros((profile.nx, profile.m), dtype=complex)
-            p0 = z if psi0 is None else np.asarray(psi0, dtype=complex)
-            p1 = z if psi1 is None else np.asarray(psi1, dtype=complex)
-            lhs, rhs = _graded_probe_norms(fields, p0, op.A_mat, fld.y,
+            lhs, rhs = _graded_probe_norms(fields, psi0, op.A_mat, fld.y,
                                            fld.L, alpha, mu)
-            if F is not None:
-                rhs += scaled_field_norm(
-                    np.asarray(F, dtype=complex).reshape(fld.values.shape),
-                    fld.y, fld.L, alpha, mu)
-            weighted_p1 = (profile.nu + profile.g) * (
-                p1 if p1.ndim == 2 else p1[:, None])
-            rhs += graded_trace_norm(weighted_p1, profile.L, alpha, mu, order=1)
-            rhs += trace_xnorm(weighted_p1 @ sqrt_A.T, profile.L, alpha, mu)
             rows.append(CoercivityRow(mu=float(mu), data_index=data_index,
                                       lhs=float(lhs), rhs=float(rhs),
                                       ratio=float(lhs / rhs)))

@@ -162,8 +162,10 @@ def test_flat_admissibility_margin(A1):
     rep = admissibility(p, A1, mu=0.0, ny=17)
     assert rep.in_W1
     assert abs(rep.margin - 0.5) < 1e-10
-    k_g = DtNOperator(p, A1, 0.0, ny=17).margin()[1]
+    dtn = DtNOperator(p, A1, 0.0, ny=17)
+    k_g = dtn.coeffs.alpha_floor[:, 0, :] / dtn.coeffs.a22[:, 0, :]
     assert np.min(k_g) == pytest.approx(0.5, abs=1e-10)
+    assert np.max(np.abs(dtn.margin() - k_g)) < 1e-10    # w_g vanishes
 
 
 def test_dip_reduces_margin(A1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, torus_x
-from stripflow.errors import DegenerateDomainError
+from stripflow.errors import DegenerateDomainError, EllipticityError
 from stripflow.geometry import (
     InterfaceProfile,
     coefficient_derivatives,
@@ -43,6 +43,16 @@ def test_touching_bottom_rejected():
     x = torus_x(64)
     g = (-1.0 + 0.5 * np.cos(2 * np.pi * x / L)).astype(complex)[:, None]
     with pytest.raises(DegenerateDomainError):
+        InterfaceProfile(1.0, L, g)
+
+
+def test_profile_refuses_imaginary_sample():
+    """Profiles are real: one sample with imaginary part 1e-12 is refused,
+    and a complex dtype with zero imaginary parts is stored as float64."""
+    g = 0.1 * np.sin(2 * np.pi * torus_x(32) / L).astype(complex)
+    assert InterfaceProfile(1.0, L, g).g.dtype == np.float64
+    g[5] += 1e-12j
+    with pytest.raises(EllipticityError, match="real profile"):
         InterfaceProfile(1.0, L, g)
 
 
@@ -104,29 +114,31 @@ def test_coefficients_closed_form():
 @pytest.mark.parametrize("m", [1, 2])
 def test_coefficient_derivatives_match_central_difference(m):
     """The chain rule of coefficient_derivatives against a central difference
-    of coefficients() along a complex direction psi, for every field."""
+    of coefficients() along the real and the imaginary part of a complex
+    direction psi, two real directions, for every field."""
     nx = 64
     x = torus_x(nx)
     k = 2 * np.pi / L
     g = np.stack([0.2 * np.sin(k * x), 0.15 * np.cos(2 * k * x) - 0.05],
-                 axis=1)[:, :m].astype(complex)
+                 axis=1)[:, :m]
     psi = np.stack([0.3 * np.cos(k * x) + 0.2j * np.sin(2 * k * x),
                     0.1j * np.cos(3 * k * x) - 0.2 * np.sin(k * x)],
                    axis=1)[:, :m]
     p = InterfaceProfile(1.0, L, g)
     y = cheb_lobatto_01(9)[0]
     eps = 1e-5
-    plus = coefficients(p.with_g(g + eps * psi), y)
-    minus = coefficients(p.with_g(g - eps * psi), y)
     col = (lambda a: a[:, None, :])
-    exact = coefficient_derivatives(
-        (1.0 - y)[None, :, None], col(1.0 + g), col(p.g_x), col(p.g_xx),
-        col(psi), col(spectral_derivative(psi, L, 1)),
-        col(spectral_derivative(psi, L, 2)))
-    for name, d in zip(("a12", "a22", "a2", "b10", "b20"), exact):
-        fd = (getattr(plus, name) - getattr(minus, name)) / (2.0 * eps)
-        d = np.broadcast_to(d if name[0] == "a" else d[:, 0], fd.shape)
-        assert np.max(np.abs(fd - d)) < 1e-8 * np.max(np.abs(d)), name
+    for part in (psi.real, psi.imag):
+        plus = coefficients(p.with_g(g + eps * part), y)
+        minus = coefficients(p.with_g(g - eps * part), y)
+        exact = coefficient_derivatives(
+            (1.0 - y)[None, :, None], col(1.0 + g), col(p.g_x), col(p.g_xx),
+            col(part), col(spectral_derivative(part, L, 1)),
+            col(spectral_derivative(part, L, 2)))
+        for name, d in zip(("a12", "a22", "a2", "b10", "b20"), exact):
+            fd = (getattr(plus, name) - getattr(minus, name)) / (2.0 * eps)
+            d = np.broadcast_to(d if name[0] == "a" else d[:, 0], fd.shape)
+            assert np.max(np.abs(fd - d)) < 1e-8 * np.max(np.abs(d)), name
 
 
 def test_flat_coefficients():

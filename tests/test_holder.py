@@ -11,6 +11,7 @@ from stripflow.holder import (
     holder_seminorm,
     scaled_field_norm,
     spectral_derivative,
+    trace_xnorm,
 )
 from stripflow.operator_core import InterpNormEvaluator, SectorialOperator
 
@@ -286,3 +287,28 @@ def test_h2alpha_norm_measures_each_derivative_once():
                                     axis=1))
     h2alpha_norm(f, 0.5, evaluator=evaluator)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("graded", [False, True])
+def test_real_samples_measure_as_their_complex_cast(m, graded):
+    """Real samples take the real path (m pair components, real weights),
+    and every norm equals, bit for bit, its value on the same samples cast
+    to complex.  The complex copy of h2alpha_norm's function is given the
+    real derivatives, since a complex FFT differs from rfft in the last
+    bit; only the norm kernels are compared."""
+    rng = np.random.default_rng(5 + m)
+    vals = rng.standard_normal((32, m))
+    evaluator = (InterpNormEvaluator(np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m],
+                                     0.5) if graded else None)
+    f = SampledFunction(L, vals)
+    fc = SampledFunction(L, vals.astype(complex))
+    fc._derivs = {k: f.deriv(k).astype(complex) for k in range(3)}
+    assert h2alpha_norm(f, 0.5, evaluator) == h2alpha_norm(fc, 0.5, evaluator)
+    assert (trace_xnorm(vals, L, 0.5, 4.0)
+            == trace_xnorm(vals.astype(complex), L, 0.5, 4.0))
+    fields = rng.standard_normal((2, 32, 9, m))
+    y = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(scaled_field_norm(fields, y, L, 0.5, 4.0),
+                          scaled_field_norm(fields.astype(complex), y, L,
+                                            0.5, 4.0))

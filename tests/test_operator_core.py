@@ -113,6 +113,21 @@ def test_evaluator_weights_match_per_t_loop(A):
     assert np.array_equal(InterpNormEvaluator(np.array(A), 0.5).weights, ref)
 
 
+@pytest.mark.parametrize("A", [[[1.0]], [[2.0, 0.5], [0.0, 1.0]],
+                               [[1.0, -0.8], [0.8, 1.0]],
+                               [[1.0, 1.0], [0.0, 1.0]]])
+def test_real_coupling_gives_real_weights(A):
+    """For a real A, the rotation with complex eigenvalues and the Jordan
+    block included, the complex-formed weights have imaginary parts exactly
+    0, and the evaluator keeps their real parts as float64."""
+    mat = np.array(A, dtype=complex)
+    T = _T_GRID[:, None, None]
+    formed = T ** 0.5 * (mat @ scipy.linalg.expm(-T * mat))
+    weights = InterpNormEvaluator(np.array(A), 0.5).weights
+    assert weights.dtype == np.float64
+    assert np.array_equal(weights, formed.real)
+
+
 def _sectorial_loop(A):
     """Per-sample reference for validate_sectorial: the first singular
     sample, else the first maximal ratio."""

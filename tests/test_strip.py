@@ -70,10 +70,10 @@ def test_flat_boundary_readout_is_symbol(A1):
 
 def test_zero_data_short_circuits(A1):
     p = make_profile(nx=32, amp=0.1)
-    fld = DiscreteStripOperator(p, A1, 4.0, ny=9).solve(
-        psi0=np.zeros((32, 1), dtype=complex))
+    op = DiscreteStripOperator(p, A1, 4.0, ny=9)
+    fld = op.solve(psi0=np.zeros((32, 1), dtype=complex))
     assert np.all(fld.values == 0.0)
-    assert fld.residual == 0.0
+    assert op.last_residual == 0.0
 
 
 def test_solver_inverts_its_own_operator(A1):
@@ -81,8 +81,9 @@ def test_solver_inverts_its_own_operator(A1):
     p = make_profile(nx=64, amp=0.15, mode=2)
     x = torus_x(64)
     psi = (0.3 * np.cos(2 * np.pi * x / L)).astype(complex)[:, None]
-    fld = DiscreteStripOperator(p, A1, 4.0, ny=17).solve(psi0=psi)
-    assert fld.residual < 1e-9
+    op = DiscreteStripOperator(p, A1, 4.0, ny=17)
+    op.solve(psi0=psi)
+    assert op.last_residual < 1e-9
 
 
 def test_coupled_system_solve(A2):
@@ -124,16 +125,16 @@ def test_complex_data_solve_as_the_pair_of_real_solves(m):
 
 
 def test_complex_coupling_or_profile_refused(A1):
-    """The operator is real: a complex A or a profile with a nonzero
-    imaginary sample is refused when it is built."""
+    """The operator is real: a complex A is refused when the operator is
+    built, and a profile with a nonzero imaginary sample already when the
+    profile is."""
     x = torus_x(32)
     with pytest.raises(ValueError, match="real coupling matrix"):
         DiscreteStripOperator(make_profile(nx=32, amp=0.1),
                               np.array([[1.0 + 0.5j]]), 2.0, ny=9)
-    p = InterfaceProfile(1.0, L, 0.1 * np.sin(2 * np.pi * x / L)
-                         + 1e-12j * np.cos(2 * np.pi * x / L))
     with pytest.raises(EllipticityError, match="real profile"):
-        DiscreteStripOperator(p, A1, 2.0, ny=9)
+        InterfaceProfile(1.0, L, 0.1 * np.sin(2 * np.pi * x / L)
+                         + 1e-12j * np.cos(2 * np.pi * x / L))
 
 
 def test_bottom_neumann_enforced(A1):
@@ -350,3 +351,13 @@ def test_solve_gate_reuses_the_closing_gmres_residual(A1, monkeypatch):
     monkeypatch.undo()
     independent = residual_of(op, fld.values, op.rhs(psi0=psi))
     assert op.last_residual == pytest.approx(independent, rel=1e-12)
+
+
+def test_coercivity_probe_refuses_source_and_flux(A1):
+    """The interior probe measures Dirichlet data only: an entry with an
+    interior source F or a bottom flux psi1 is refused before any solve."""
+    p = make_profile(nx=32, amp=0.1)
+    psi = np.ones((32, 1))
+    for entry in ((np.ones((32, 9, 1)), psi, None), (None, psi, psi)):
+        with pytest.raises(ValueError, match="Dirichlet data only"):
+            strip.coercivity_probe_33(p, A1, (1.0,), [entry], ny=9)
