@@ -27,31 +27,17 @@ EXIT_INTERNAL = 4
 
 
 def _apply_thread_cap(deterministic):
-    """Honor STRIPFLOW_THREADS (and clamp to one thread when deterministic).
-
-    The cap goes through threadpoolctl when it is installed; without it
-    this is a no-op.  numpy has loaded its BLAS by the time this runs, so
-    setting OMP_NUM_THREADS / OPENBLAS_NUM_THREADS here would change
-    nothing: for single-threaded BLAS without threadpoolctl, the caller
-    sets those variables before starting the process.
-    """
-    cap = os.environ.get("STRIPFLOW_THREADS")
-    limit = None
-    if cap is not None:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            print(f"warning: ignoring non-integer STRIPFLOW_THREADS={cap!r}",
-                  file=sys.stderr)
-    if deterministic and limit is None:
-        limit = 1
-    if limit is None:
+    """Cap BLAS to one thread for a deterministic run, through threadpoolctl
+    when it is installed.  numpy has loaded its BLAS by now, so without
+    threadpoolctl the caller sets OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1
+    before starting the process."""
+    if not deterministic:
         return
     try:
         import threadpoolctl
     except ImportError:
         return
-    threadpoolctl.threadpool_limits(limits=limit)
+    threadpoolctl.threadpool_limits(limits=1)
 
 
 def _build_parser():
@@ -69,9 +55,10 @@ def _build_parser():
     run_p.add_argument("--out", default=None,
                        help="output directory (default: scenario's setting)")
     run_p.add_argument("--deterministic", action="store_true",
-                       help="zeroed wall-clock, BLAS capped to one thread "
-                            "through threadpoolctl if installed: "
-                            "byte-identical reruns")
+                       help="zeroed wall-clock for byte-identical reruns; "
+                            "BLAS capped to one thread through threadpoolctl "
+                            "if installed, else set OMP_NUM_THREADS=1 "
+                            "OPENBLAS_NUM_THREADS=1 before the run")
     run_p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized diagnostic ensembles")
 

@@ -28,7 +28,7 @@ from .grids import (as_inexact, partition_of_unity, random_trace,
 from .holder import SampledFunction, h1alpha_norm, h2alpha_norm
 from .model import (FrozenCoefficients, strip_profile_response,
                     strip_trace_gradient_map)
-from .operator_core import InterpNormEvaluator, SectorialOperator
+from .operator_core import InterpNormEvaluator
 from .strip import DiscreteStripOperator, b0_trace
 
 
@@ -73,8 +73,7 @@ class DtNOperator:
         self.mu = float(mu)
         self.rtol = rtol
         self.op = DiscreteStripOperator(profile, A, mu, ny=ny)
-        # A is coerced once, from the matrix the strip operator holds
-        self.A = SectorialOperator(self.op.A_mat)
+        self.A = A
         self.coeffs = self.op.coeffs
         self._upsilon = upsilon
         self._frozen = {}       # node index -> FrozenOperatorSet

@@ -1,8 +1,9 @@
 """Coupling-matrix calculus: sectoriality, square roots, interpolation norms.
 
-The component coupling of the elliptic system is a constant m-by-m matrix A
-acting on the value index of every field.  This module owns everything that
-touches A alone: positivity of its shifted resolvents on a sector, the
+The component coupling of the elliptic system is a constant, real m-by-m
+matrix A acting on the value index of every field.  This module owns
+everything that touches A alone: the rule that A is real (SectorialOperator
+refuses any other), positivity of its shifted resolvents on a sector, the
 principal matrix square root, and the K-method interpolation norm used to
 grade boundary data between the base space and the domain of A.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grids import as_inexact, real_if_exact
+from .grids import as_inexact
 
 
 class SectorialOperator:
@@ -21,7 +22,8 @@ class SectorialOperator:
     Parameters
     ----------
     entries : (m, m) array_like
-        The matrix itself.  Real or complex.
+        The matrix itself, stored as float64.  It must be real: an entry
+        with a nonzero imaginary part raises ValueError.
     sector_angle : float
         Half-angle phi of the sector |arg(lambda)| <= phi on which shifted
         inverses are required to exist, measured from the positive real
@@ -33,9 +35,13 @@ class SectorialOperator:
     """
 
     def __init__(self, entries, sector_angle=np.pi / 2 + 0.35, bound=20.0):
-        entries = np.atleast_2d(np.asarray(entries, dtype=complex))
+        entries = np.atleast_2d(np.asarray(entries))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"coupling matrix must be square, got {entries.shape}")
+        if np.any(entries.imag):
+            raise ValueError(
+                f"the coupling matrix A must be real, got {entries.tolist()}")
+        entries = np.array(entries.real, dtype=float, order="C")
         if not np.all(np.isfinite(entries)):
             raise ValueError("coupling matrix has non-finite entries")
         if not (np.pi / 2 < sector_angle < np.pi):
@@ -50,13 +56,6 @@ class SectorialOperator:
     def __repr__(self):
         return (f"SectorialOperator(dim={self.dim}, "
                 f"sector_angle={self.sector_angle:.4f}, bound={self.bound})")
-
-
-def coupling_matrix(A):
-    """The matrix of a coupling given as a SectorialOperator or an array."""
-    if isinstance(A, SectorialOperator):
-        return A.entries
-    return np.atleast_2d(np.asarray(A, dtype=complex))
 
 
 @dataclass
@@ -125,18 +124,19 @@ class InterpNormEvaluator:
     theta is the interpolation exponent in (0, 1) and t runs over _T_GRID.
     The weight stack depends only on (A, theta), so the evaluator is built
     once and reused across many vectors; ``of_values`` handles arbitrary
-    leading axes.  The weights are formed by a complex expm and kept real
-    when every imaginary part is exactly zero, as for a real A, so real
-    vectors are measured in real arithmetic.
+    leading axes.  A is a SectorialOperator, so the weights are real and
+    real vectors are measured in real arithmetic.  They are formed by a
+    complex expm whose real part is kept: a real expm differs from it in
+    the last bit.
     """
 
     def __init__(self, A, theta):
         if not (0.0 < theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {theta}")
-        mat = coupling_matrix(A)
+        mat = A.entries.astype(complex)
         T = _T_GRID[:, None, None]
-        self.weights = real_if_exact(
-            T ** (1.0 - theta) * (mat @ scipy.linalg.expm(-T * mat)))
+        self.weights = np.ascontiguousarray(
+            (T ** (1.0 - theta) * (mat @ scipy.linalg.expm(-T * mat))).real)
 
     def weighted(self, values):
         """Every weight matrix applied to every vector of an (..., m) array.

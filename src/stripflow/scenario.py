@@ -437,11 +437,19 @@ def load_scenario(path):
     if nu <= 0 or L <= 0 or ny < 5:
         raise ScenarioError("need nu > 0, L > 0, ny >= 5",
                             path=path, section="geometry")
+    if h_min <= 0:
+        raise ScenarioError(f"h_min must be positive, got {h_min}",
+                            path=path, section="geometry", key="h_min")
 
     mu_solve, rtol = values["solve", "mu"], values["solve", "rtol"]
     if mu_solve < 0:
         raise ScenarioError(f"mu must be nonnegative, got {mu_solve}",
                             path=path, section="solve", key="mu")
+    # the strip solve accepts a relative residual up to max(100 rtol, 1e-9);
+    # from rtol = 0.01 on that admits the zero solution
+    if not 0.0 < rtol < 0.01:
+        raise ScenarioError(f"rtol must lie in (0, 0.01), got {rtol}",
+                            path=path, section="solve", key="rtol")
     try:
         config = EvolutionConfig(
             dt=values["time", "dt"], t_end=values["time", "t_end"],
@@ -453,6 +461,9 @@ def load_scenario(path):
     except ValueError as exc:
         raise ScenarioError(str(exc), path=path, section="time")
 
+    if not values["output", "directory"]:
+        raise ScenarioError("directory must not be empty", path=path,
+                            section="output", key="directory")
     for fmt in values["output", "formats"]:
         if fmt not in ("csv", "json"):
             raise ScenarioError(f"unsupported format {fmt!r}",
@@ -570,18 +581,27 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
 
     Returns (manifest, status).  The output directory appears only after
     every file in it has been written (temp-dir-then-rename), so a crash
-    mid-run never leaves a partial result at the advertised path.
+    mid-run never leaves a partial result at the advertised path.  The
+    target replaces only an earlier run's output: the working directory,
+    its ancestors and an existing path with no manifest.json at its top
+    level are refused (ScenarioError) before anything runs.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     target = os.path.abspath(out_dir if out_dir is not None else scn.out_dir)
-    parent = os.path.dirname(target) or "."
+    real = os.path.realpath(target)
+    if os.path.commonpath([real, os.getcwd()]) == real:
+        raise ScenarioError(f"refusing to write a run into {target}: it is "
+                            f"the working directory or one of its ancestors")
+    if (os.path.lexists(target)
+            and not os.path.isfile(os.path.join(target, "manifest.json"))):
+        raise ScenarioError(f"refusing to replace {target}: it holds no "
+                            f"manifest.json of an earlier run")
+    parent = os.path.dirname(target)
     os.makedirs(parent, exist_ok=True)
     t0 = time.perf_counter()
-    status = STATUS_COMPLETED
     tmp = tempfile.mkdtemp(prefix=".stripflow-", dir=parent)
     try:
-        extra = {}
         if mode == "evolve":
             status, extra = _run_evolve(scn, tmp)
         elif mode == "diagnose-frozen":
@@ -661,12 +681,9 @@ def _run_coercivity(scn, tmp, seed):
     half = coercivity_probe_59(fc,
                                [SampledFunction(profile.L, p) for p in psis],
                                mu_list, alpha=scn.alpha)
-    ny_probe = min(scn.ny, 17)
-    ensemble = []
-    for p in psis:
-        ensemble.append((None, p, None))
+    ensemble = [(None, p, None) for p in psis]
     interior = coercivity_probe_33(profile, scn.A, mu_list, ensemble,
-                                   alpha=scn.alpha, ny=ny_probe,
+                                   alpha=scn.alpha, ny=min(scn.ny, 17),
                                    rtol=max(scn.rtol, 1e-10))
     payload = {
         "halfplane": {"rows": [dataclasses.asdict(r) for r in half.rows],

@@ -12,10 +12,10 @@ mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  For profiles close
 to flat the preconditioned iteration converges in a handful of steps; every
 solve is gated on its true residual before being returned.
 
-The operator is real: InterfaceProfile admits only real profiles, a complex
-A is refused here, and the coefficients are stored as real (ny, m, 1, nx)
-arrays.  Its kernels act on y-major real samples of shape (ny, m, s, nx), s
-vectors side by side:
+The operator is real: InterfaceProfile admits only real profiles,
+SectorialOperator only a real A, and the coefficients are stored as real
+(ny, m, 1, nx) arrays.  Its kernels act on y-major real samples of shape
+(ny, m, s, nx), s vectors side by side:
   - x is the last, contiguous axis, so u_x and u_xx are one rfft and one
     stacked irfft along it, and the preconditioner acts on the nx/2 + 1
     rfft modes of real data;
@@ -47,7 +47,6 @@ from .errors import SolverError
 from .geometry import coefficients, require_elliptic
 from .grids import (as_inexact, cheb_lobatto_01, real_if_exact,
                     rfft_wavenumbers, spectral_derivative)
-from .operator_core import coupling_matrix
 
 
 # a factor of the preconditioner whose condition number exceeds this counts
@@ -200,8 +199,8 @@ class DiscreteStripOperator:
 
     Interior rows carry (B(g) + mu^2); the row at y=0 carries the
     Dirichlet trace, and the row at y=1 carries b21 d/dy (the transformed
-    bottom Neumann condition).  A must be real: a complex A raises
-    ValueError.
+    bottom Neumann condition).  A is a SectorialOperator, whose matrix is
+    real.
     """
 
     # the y=0 row is always the Dirichlet trace; solver errors and the
@@ -209,13 +208,8 @@ class DiscreteStripOperator:
     bc0 = "dirichlet"
 
     def __init__(self, profile, A, mu, ny=33):
-        A_mat = coupling_matrix(A)
-        if np.any(A_mat.imag):
-            raise ValueError(
-                f"the strip operator needs a real coupling matrix A, got "
-                f"{A_mat.tolist()}")
         self.profile = profile
-        self.A_mat = np.ascontiguousarray(A_mat.real)
+        self.A_mat = A.entries
         self.mu = float(mu)
         self.y, self.Dy = cheb_lobatto_01(ny)
         self.Dy2 = self.Dy @ self.Dy

@@ -120,12 +120,18 @@ def test_validate_unknown_key_exit_code(tmp_path, capsys, old, new, named):
     ("A = 1.0", "A = 1.0\nphi = 1.0", "[section space]"),
     ("A = 1.0", "A = 1.0\nM = -1", "[section space]"),
     ("mu = 0.0", "mu = -1", "[section solve] [key mu]"),
+    ("mu = 0.0", "mu = 0.0\nrtol = 1e9", "[section solve] [key rtol]"),
+    ("mu = 0.0", "mu = 0.0\nrtol = -1", "[section solve] [key rtol]"),
+    ("alpha = 0.5", "alpha = 0.5\nh_min = -5",
+     "[section geometry] [key h_min]"),
+    ("directory = {out}", "directory =", "[section output] [key directory]"),
 ])
 def test_validate_out_of_range_value_exit_code(tmp_path, capsys, old, new,
                                                named):
-    """A sector angle outside (pi/2, pi), a nonpositive resolvent bound and
-    a negative spectral shift are validation failures naming their
-    section, found at load rather than by a later run."""
+    """A sector angle outside (pi/2, pi), a nonpositive resolvent bound, a
+    negative spectral shift, an rtol outside (0, 0.01), a nonpositive
+    h_min and an empty output directory are validation failures naming
+    their section, found at load rather than by a later run."""
     from stripflow import cli
     path = write(tmp_path, FAST.replace(old, new))
     assert cli.main(["validate", path]) == 2
@@ -189,6 +195,22 @@ def test_run_breakdown_exit_code(tmp_path):
     assert (out / "trajectory.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "BoundaryApproach"
+
+
+def test_run_into_foreign_working_directory_exit_code(tmp_path, capsys,
+                                                     monkeypatch):
+    """--out . in a directory that holds no earlier run's output is a
+    validation failure; the directory's files are left alone."""
+    from stripflow import cli
+    path = write(tmp_path, FAST)
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "notes.txt").write_text("keep me", encoding="utf-8")
+    monkeypatch.chdir(work)
+    assert cli.main(["run", path, "--out", "."]) == 2
+    assert "validation failure: refusing" in capsys.readouterr().err
+    assert os.listdir(work) == ["notes.txt"]
+    assert (work / "notes.txt").read_text(encoding="utf-8") == "keep me"
 
 
 def test_run_invalid_scenario_exit_code(tmp_path):

@@ -14,6 +14,7 @@ from stripflow.dtn import (
     localization_residual,
     sector_report,
 )
+from stripflow.operator_core import SectorialOperator
 from stripflow.strip import DiscreteStripOperator, b0_trace
 
 L = 16 * np.pi
@@ -24,6 +25,16 @@ def test_flat_profile_is_stationary(A1):
     p = make_profile(nx=64, amp=0.0)
     out = dtn_apply(p, A1, 0.0, ny=17)
     assert np.max(np.abs(out.value.values)) < 1e-12
+
+
+def test_operator_keeps_the_given_coupling():
+    """The operator holds the SectorialOperator it was given, with its
+    sector angle and resolvent bound, not a copy of its matrix."""
+    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]]),
+                          sector_angle=2.0, bound=5.0)
+    dtn = DtNOperator(make_profile(nx=32, amp=0.1, m=2), A, 4.0, ny=9)
+    assert dtn.A is A
+    assert dtn.op.A_mat is A.entries
 
 
 def test_flat_frozen_symbols(A1):

@@ -178,7 +178,7 @@ def _check_pair_kernels(nx, ny, m, graded, wave=0.0):
     """holder_seminorm and scaled_field_norm against an explicit loop over
     node pairs.  wave is the amplitude of an added cos(2 pi x / L)."""
     rng = np.random.default_rng(5 + m)
-    A = np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m]
+    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m])
     evaluator = (InterpNormEvaluator(A, 0.5)
                  if graded else None)
     vals = (rng.standard_normal((nx, m)) + 1j * rng.standard_normal((nx, m))
@@ -228,8 +228,8 @@ def test_witness_is_first_pair_among_exact_ties(graded):
     nx = 16
     wave = np.where(np.arange(nx) < nx // 2, 1.0, -1.0)
     f = sampled(np.stack([wave, 0.5 * wave], axis=1))
-    evaluator = (InterpNormEvaluator(np.array([[2.0, 0.5], [0.0, 1.0]]), 0.5)
-                 if graded else None)
+    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]]))
+    evaluator = InterpNormEvaluator(A, 0.5) if graded else None
     jump = np.array([2.0, 1.0])
     norm = (np.linalg.norm(jump) if evaluator is None
             else float(evaluator.of_values(jump)))
@@ -253,7 +253,7 @@ def test_ck_alpha_norms_are_the_explicit_sums(real, m, graded):
     vals = rng.standard_normal((32, m))
     if not real:
         vals = vals + 1j * rng.standard_normal((32, m))
-    A = np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m]
+    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m])
     evaluator = InterpNormEvaluator(A, 0.5) if graded else None
 
     def sup(v):
@@ -275,7 +275,8 @@ def test_ck_alpha_norms_are_the_explicit_sums(real, m, graded):
 def test_h2alpha_norm_measures_each_derivative_once():
     """With an evaluator, h2alpha_norm takes the interpolation norms of g,
     g' and g'' once each: three of_values calls."""
-    evaluator = InterpNormEvaluator(np.array([[2.0, 0.5], [0.0, 1.0]]), 0.5)
+    evaluator = InterpNormEvaluator(
+        SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])), 0.5)
     of_values, calls = evaluator.of_values, []
 
     def counted(values):
@@ -299,8 +300,8 @@ def test_real_samples_measure_as_their_complex_cast(m, graded):
     bit; only the norm kernels are compared."""
     rng = np.random.default_rng(5 + m)
     vals = rng.standard_normal((32, m))
-    evaluator = (InterpNormEvaluator(np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m],
-                                     0.5) if graded else None)
+    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m])
+    evaluator = InterpNormEvaluator(A, 0.5) if graded else None
     f = SampledFunction(L, vals)
     fc = SampledFunction(L, vals.astype(complex))
     fc._derivs = {k: f.deriv(k).astype(complex) for k in range(3)}

@@ -45,6 +45,22 @@ def test_nonsymmetric_coupling_passes():
     assert validate_sectorial(A).passed
 
 
+@pytest.mark.parametrize("entries", [
+    [[2, 1], [0, 1]], [[2.0, 1.0], [0.0, 1.0]],
+    [[2 + 0j, 1 + 0j], [0j, 1 + 0j]]])
+def test_coupling_is_stored_real(entries):
+    """Integer, float and zero-imaginary complex input are stored as the
+    same float64 matrix."""
+    A = SectorialOperator(np.array(entries))
+    assert A.entries.dtype == np.float64
+    assert np.array_equal(A.entries, [[2.0, 1.0], [0.0, 1.0]])
+
+
+def test_complex_coupling_refused():
+    with pytest.raises(ValueError, match="coupling matrix A must be real"):
+        SectorialOperator(np.array([[1.0, 1e-12j], [0.0, 1.0]]))
+
+
 # ------------------------------------------------------------------- powers
 
 def test_matrix_sqrt_matches_frac_power():
@@ -110,7 +126,8 @@ def test_evaluator_weights_match_per_t_loop(A):
     ref = np.empty((_T_GRID.size,) + mat.shape, dtype=complex)
     for i, t in enumerate(_T_GRID):
         ref[i] = t ** 0.5 * (mat @ scipy.linalg.expm(-t * mat))
-    assert np.array_equal(InterpNormEvaluator(np.array(A), 0.5).weights, ref)
+    weights = InterpNormEvaluator(SectorialOperator(np.array(A)), 0.5).weights
+    assert np.array_equal(weights, ref)
 
 
 @pytest.mark.parametrize("A", [[[1.0]], [[2.0, 0.5], [0.0, 1.0]],
@@ -123,7 +140,7 @@ def test_real_coupling_gives_real_weights(A):
     mat = np.array(A, dtype=complex)
     T = _T_GRID[:, None, None]
     formed = T ** 0.5 * (mat @ scipy.linalg.expm(-T * mat))
-    weights = InterpNormEvaluator(np.array(A), 0.5).weights
+    weights = InterpNormEvaluator(SectorialOperator(np.array(A)), 0.5).weights
     assert weights.dtype == np.float64
     assert np.array_equal(weights, formed.real)
 

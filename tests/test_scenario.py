@@ -370,6 +370,35 @@ def test_failed_replacement_keeps_previous_output(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["case.scn", "run_out"]
 
 
+def test_run_refuses_a_directory_it_did_not_write(tmp_path):
+    """An existing target with no manifest.json is refused before anything
+    runs: its files survive and no staging directory is left behind."""
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    out = tmp_path / "mine"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me", encoding="utf-8")
+    with pytest.raises(ScenarioError, match="no manifest.json"):
+        run(scn, out_dir=str(out))
+    assert os.listdir(out) == ["notes.txt"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "keep me"
+    assert not [n for n in os.listdir(tmp_path) if n.startswith(".stripflow-")]
+
+
+def test_run_refuses_an_ancestor_of_the_working_directory(tmp_path,
+                                                          monkeypatch):
+    """The working directory and its ancestors are refused even when they
+    hold an earlier run's output: replacing them would pull the directory
+    out from under the caller."""
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    out = tmp_path / "run_out"
+    run(scn, out_dir=str(out))
+    (out / "sub").mkdir()
+    monkeypatch.chdir(out / "sub")
+    with pytest.raises(ScenarioError, match="working directory"):
+        run(scn, out_dir=str(out))
+    assert (out / "sub").is_dir()
+
+
 def test_deterministic_run_zeroes_wall_clock(tmp_path):
     scn = load_scenario(write_scn(tmp_path, MINIMAL))
     out = str(tmp_path / "det")

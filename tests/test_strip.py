@@ -111,7 +111,7 @@ def test_complex_data_solve_as_the_pair_of_real_solves(m):
     """A complex right-hand side is one GMRES over its (re, im) pair; its
     solution equals the real solves of the two parts."""
     p = make_profile(nx=64, amp=0.15, mode=2, m=m)
-    A = np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m]
+    A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m])
     op = DiscreteStripOperator(p, A, 4.0, ny=17)
     rng = np.random.default_rng(m)
     psi_re, psi_im = rng.standard_normal((2, 64, m))
@@ -125,13 +125,12 @@ def test_complex_data_solve_as_the_pair_of_real_solves(m):
 
 
 def test_complex_coupling_or_profile_refused(A1):
-    """The operator is real: a complex A is refused when the operator is
-    built, and a profile with a nonzero imaginary sample already when the
-    profile is."""
+    """The operator is real: a complex A is refused when its
+    SectorialOperator is built, and a profile with a nonzero imaginary
+    sample when the profile is."""
     x = torus_x(32)
-    with pytest.raises(ValueError, match="real coupling matrix"):
-        DiscreteStripOperator(make_profile(nx=32, amp=0.1),
-                              np.array([[1.0 + 0.5j]]), 2.0, ny=9)
+    with pytest.raises(ValueError, match="coupling matrix A must be real"):
+        SectorialOperator(np.array([[1.0 + 0.5j]]))
     with pytest.raises(EllipticityError, match="real profile"):
         InterfaceProfile(1.0, L, 0.1 * np.sin(2 * np.pi * x / L)
                          + 1e-12j * np.cos(2 * np.pi * x / L))
@@ -172,7 +171,8 @@ def _wall_dip_operator(a):
     ny = 33, mu = 0; the wall is at depth 1, so a -> 1 is breakdown."""
     x = torus_x(128)
     p = InterfaceProfile(1.0, L, -a * np.exp(np.cos(2 * np.pi * x / L) - 1.0))
-    return p, DiscreteStripOperator(p, np.array([[1.0]]), 0.0, ny=33)
+    return p, DiscreteStripOperator(p, SectorialOperator(np.array([[1.0]])),
+                                    0.0, ny=33)
 
 
 def test_near_wall_solve_stops_at_the_roundoff_floor():
@@ -213,16 +213,17 @@ def _precond_case(name):
     kx = 2 * np.pi * x / L
     if name == "m1-large-amplitude":
         g = -0.5 * np.exp(np.cos(kx) - 1.0)
-        return InterfaceProfile(1.0, L, g), np.array([[1.0]]), 0.0
+        return (InterfaceProfile(1.0, L, g), SectorialOperator(np.array([[1.0]])),
+                0.0)
     if name == "m2-unequal":
         g = np.stack([0.1 * np.sin(kx), 0.2 * np.cos(2 * kx)], axis=1)
         return (InterfaceProfile(1.0, L, g),
-                np.array([[2.0, 0.5], [0.0, 1.0]]), 2.0)
+                SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])), 2.0)
     if name == "m2-rotation":
         # A has eigenvalues 1 +- 0.8i, so the Schur complement's are complex
         g = np.stack([0.1 * np.sin(kx), 0.1 * np.sin(kx)], axis=1)
         return (InterfaceProfile(1.0, L, g),
-                np.array([[1.0, -0.8], [0.8, 1.0]]), 2.0)
+                SectorialOperator(np.array([[1.0, -0.8], [0.8, 1.0]])), 2.0)
     raise ValueError(name)
 
 
@@ -303,7 +304,8 @@ def test_singular_frozen_block_fails_fast():
     operator singular is refused before GMRES iterates."""
     nx, ny = 32, 9
     p = make_profile(nx=nx, amp=0.0)
-    op = DiscreteStripOperator(p, np.array([[0.0]]), 0.0, ny=ny)
+    op = DiscreteStripOperator(p, SectorialOperator(np.array([[0.0]])), 0.0,
+                               ny=ny)
     # on the flat strip the k = 0 block acts on x-constant fields; a scalar
     # A adds A to its interior rows, so A = -lam for a finite generalized
     # eigenvalue lam of (block, interior rows) makes it singular
@@ -314,7 +316,8 @@ def test_singular_frozen_block_fails_fast():
     lam = scipy.linalg.eigvals(block, interior)
     lam = lam[np.isfinite(lam)]
     lam_min = lam[np.argmin(np.abs(lam))]
-    bad = DiscreteStripOperator(p, np.array([[-lam_min]]), 0.0, ny=ny)
+    bad = DiscreteStripOperator(p, SectorialOperator(np.array([[-lam_min]])),
+                                0.0, ny=ny)
     with pytest.raises(SolverError, match="mu=0.0") as info:
         bad.solve(psi0=np.ones((nx, 1)))
     assert info.value.iterations == 0
