@@ -10,14 +10,13 @@ still written), 4 internal error.
 """
 
 import argparse
-import os
 import sys
 import traceback
 
 from ._version import __version__
 from .errors import (AdmissibilityError, FreezePointError, ScenarioError,
                      StripflowError)
-from .scenario import MODES, load_scenario, run
+from .scenario import MODES, load_scenario, output_dir, run
 from .stepper import STATUS_BOUNDARY, STATUS_COMPLETED, STATUS_NORM_BLOWUP
 
 EXIT_OK = 0
@@ -110,8 +109,7 @@ def main(argv=None):
         traceback.print_exc()
         return EXIT_INTERNAL
 
-    out = os.path.abspath(args.out if args.out is not None else scn.out_dir)
-    print(f"status={status} mode={args.mode} out={out} "
+    print(f"status={status} mode={args.mode} out={output_dir(scn, args.out)} "
           f"checksum={manifest.scenario_checksum[:12]}")
     if status == STATUS_COMPLETED:
         return EXIT_OK

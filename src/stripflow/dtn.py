@@ -76,6 +76,7 @@ class DtNOperator:
         self.A = A
         self.coeffs = self.op.coeffs
         self._upsilon = upsilon
+        self._v_derivatives = None
         self._frozen = {}       # node index -> FrozenOperatorSet
         self._evaluators = {}   # alpha -> InterpNormEvaluator of A
 
@@ -106,17 +107,26 @@ class DtNOperator:
         the second the perturbation of the oblique boundary read-out.
         """
         p = self.profile
-        ups = self.upsilon()
+        v_xy, v_yy, v_y, tr_x, tr_y = self._upsilon_derivatives()
         da12, da22, da2, db10, db20 = coefficient_derivatives(
             self.coeffs.beta[None, :, None], (p.nu + p.g)[:, None, :],
             p.g_x[:, None, :], p.g_xx[:, None, :], psi[:, None, :],
             spectral_derivative(psi, p.L, 1)[:, None, :],
             spectral_derivative(psi, p.L, 2)[:, None, :])
-        interior = (-2.0 * da12 * ups.dxy() - da22 * ups.dy(2)
-                    + da2 * ups.dy(1))
-        tr_x = spectral_derivative(ups.trace0(), p.L, 1)
-        boundary = db10[:, 0] * tr_x + db20[:, 0] * ups.dy_trace0()
+        interior = -2.0 * da12 * v_xy - da22 * v_yy + da2 * v_y
+        boundary = db10[:, 0] * tr_x + db20[:, 0] * tr_y
         return interior, boundary
+
+    def _upsilon_derivatives(self):
+        """(v_xy, v_yy, v_y, d/dx of the trace, d/dy at y = 0) of
+        v = K(g) g, which every derivative direction reads; cached."""
+        if self._v_derivatives is None:
+            ups = self.upsilon()
+            self._v_derivatives = (
+                ups.dxy(), ups.dy(2), ups.dy(1),
+                spectral_derivative(ups.trace0(), self.profile.L, 1),
+                ups.dy_trace0())
+        return self._v_derivatives
 
     def derivative(self, psi):
         """dO(g) psi: B0 K psi - B0 S dB read off one strip solve with data
@@ -318,13 +328,14 @@ class FrozenOperatorSet:
                 "O30": self.sym30, "O0": self.sym0}[name]
 
     def apply(self, name, trace):
-        """Apply one frozen operator to a trace."""
-        vals = np.asarray(trace, dtype=complex)
+        """Apply one frozen operator to a trace; a real trace gives a real
+        result, the rounding-level imaginary part of the ifft dropped."""
+        vals = as_inexact(trace)
         if vals.ndim == 1:
             vals = vals[:, None]
         vhat = fft(vals, axis=0)
-        out = np.einsum("kij,kj->ki", self.symbols(name), vhat)
-        return ifft(out, axis=0)
+        out = ifft(np.einsum("kij,kj->ki", self.symbols(name), vhat), axis=0)
+        return out if np.iscomplexobj(vals) else out.real
 
 
 def frozen_set(profile, A, x0, mu, ny=33, rtol=1e-11, dtn=None):

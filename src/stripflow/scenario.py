@@ -576,6 +576,12 @@ def _validation_summary(scn):
     }
 
 
+def output_dir(scn, out_dir=None):
+    """The absolute directory a run of scn writes: out_dir when given, else
+    the scenario's [output] directory."""
+    return os.path.abspath(out_dir if out_dir is not None else scn.out_dir)
+
+
 def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
     """Execute one scenario pipeline and persist its outputs atomically.
 
@@ -588,7 +594,7 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    target = os.path.abspath(out_dir if out_dir is not None else scn.out_dir)
+    target = output_dir(scn, out_dir)
     real = os.path.realpath(target)
     if os.path.commonpath([real, os.getcwd()]) == real:
         raise ScenarioError(f"refusing to write a run into {target}: it is "

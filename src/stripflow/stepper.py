@@ -12,13 +12,12 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import gmres
 
 from .dtn import DtNOperator, operator_for
 from .errors import AdmissibilityError, SolverError
 from .holder import SampledFunction, h2alpha_norm
 from .operator_core import InterpNormEvaluator
-from .strip import KeepLastOperator
+from .strip import gmres
 
 STATUS_COMPLETED = "Completed"
 STATUS_NORM_BLOWUP = "NormBlowup"
@@ -91,32 +90,22 @@ class Trajectory:
 def _step_core(dtn, dt):
     """Solve (I + dt dO) delta = -dt O(g) matrix-free; return delta + info.
 
-    GMRES starts from zero, so it spends no matvec on an initial residual.
-    The gate is the true residual b - A x that GMRES itself computes at the
-    end of its last restart cycle, read off the operator's kept last pair
-    (strip.KeepLastOperator); only when the returned solution is not that
-    input is (I + dt dO) applied once more.  The returned iteration count is
-    the number of dO applications, the gate's own extra one excluded.
+    strip.gmres, unpreconditioned, starts from zero and ends each restart
+    cycle with one application for the true residual, which the gate reads.
+    The returned iteration count is that of the Krylov iterations, one dO
+    application each.
     """
-    p = dtn.profile
-    nx, m = p.nx, p.m
     o_val = dtn.apply().value.values
-    rhs = (-dt * o_val).ravel()
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm < 1e-300:
+    rhs = -dt * o_val
+    if np.linalg.norm(rhs) < 1e-300:
         return np.zeros_like(o_val), 0.0, 0
-
-    lin = KeepLastOperator(nx * m, lambda v: (
-        v + dt * dtn.derivative(v.reshape(nx, m)).ravel()), rhs.dtype)
-    sol, info = gmres(lin, rhs, rtol=_STEP_RTOL, atol=0.0,
-                      restart=min(nx * m, 60), maxiter=3)
-    its = lin.count
-    res = lin.true_residual(sol, rhs)
+    sol, its, res = gmres(lambda v: v + dt * dtn.derivative(v), rhs,
+                          _STEP_RTOL, min(rhs.size, 60), 3)
     if not res <= max(100.0 * _STEP_RTOL, 1e-8):    # NaN-safe comparison
         raise SolverError(
             f"implicit step solve did not converge (relative residual {res:.3e})",
             residual=res, iterations=its)
-    return sol.reshape(nx, m), float(res), its
+    return sol, res, its
 
 
 def step(p_n, A, dt, mu_solve=4.0, ny=33, rtol=1e-11):

@@ -22,18 +22,16 @@ SectorialOperator only a real A, and the coefficients are stored as real
   - y is the first axis, so Dy u and Dy^2 u are one real GEMM of the
     stacked [Dy; Dy^2] against the (ny, m*s*nx) matrix of u, with no copy
     (cheb_apply says why the y-contraction must stay a real GEMM).
-A real right-hand side is solved by real GMRES, s = 1.  A complex one stays
-one complex GMRES, whose matvec and preconditioner run the same kernels on
-its (re, im) pair as s = 2.  StripField.values keeps the (nx, ny, m) layout
-for callers; a solve transposes its solution once.
+The solver is gmres below, in real arithmetic with s = 1.  A complex
+right-hand side is the two real solves of its real and imaginary parts.
+StripField.values keeps the (nx, ny, m) layout for callers; a solve
+transposes its solution once.
 
-GMRES gets at most two restart cycles.  scipy's outer test asks for the true
-residual ||b - A x|| <= rtol_gmres ||b||, and at large amplitude that lies
+GMRES gets at most two restart cycles.  At large amplitude rtol_gmres lies
 below the round-off floor of the double-precision apply (interior rows
 carry a22 Dy^2 ~ 1e7 near the wall, the Dirichlet rows 1), so further
-cycles cannot meet it: at a = 0.85 cycles 3-10 move the true residual only
-from 3.9e-10 to 3.7e-10 for 700 more iterations.  The solve is accepted or
-refused on the true-residual gate instead, after those two cycles.
+cycles cannot reach it.  The solve is accepted or refused on the
+true-residual gate instead, after those two cycles.
 """
 
 from dataclasses import dataclass
@@ -41,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import solve_triangular
 
 from .errors import SolverError
 from .geometry import coefficients, require_elliptic
@@ -53,47 +51,74 @@ from .grids import (as_inexact, cheb_lobatto_01, real_if_exact,
 # as singular: its inverse keeps fewer than two correct digits
 _SINGULAR_COND = 1e14
 
-# restart length and cycle cap of the strip solve's one GMRES pass.  scipy
-# ends each cycle by testing the true residual against rtol_gmres, which at
-# large amplitude lies below the round-off floor of the apply, so cycles
-# past the second only grind (797 iterations instead of 85 at a = 0.85, for
-# the same solution to 2e-14)
+# restart length and cycle cap of the strip solve's GMRES.  At a = 0.85 the
+# first cycle stops on its Arnoldi residual with a true one of 7.6e-9, the
+# second reaches the round-off floor of the apply, 4.3e-10, and cycles 3-10
+# only hover there (3.1e-10 to 4.0e-10)
 _RESTART = 160
 _MAX_CYCLES = 2
 
 
-class KeepLastOperator(LinearOperator):
-    """Square operator that keeps the last (input copy, output) pair.
+def gmres(apply, b, rtol, restart, max_cycles, precond=None):
+    """Solve apply(x) = b by restarted GMRES from x0 = 0, preconditioned on
+    the right by precond; return (x, iterations, true_residual).
 
-    scipy's gmres ends every restart cycle with r = b - A x for the iterate
-    x it returns, so the true residual of a returned solution is usually
-    already computed; true_residual reads it off the kept pair and applies
-    the operator once more only when the solution is not the last input (a
-    NaN iterate, say).  count is the number of applications GMRES made.
-    dtype is that of the right-hand side: gmres runs in real arithmetic
-    for a real operator and a real right-hand side.
+    b is a nonzero real array of any shape that apply and precond keep.  A
+    cycle runs modified Gram-Schmidt Arnoldi on A M, keeps the directions
+    z_j = M v_j, and solves its least-squares problem by Givens rotations.
+    With M on the right the Arnoldi residual is the unpreconditioned one
+    (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 9.3): the
+    cycle stops once it is at most rtol ||b||, on an exact breakdown or
+    after restart iterations.  One more apply gives the true residual
+    ||b - A x|| / ||b||; while that is above rtol a new cycle restarts from
+    it, up to max_cycles.  Each iteration is one apply and one precond.
     """
-
-    def __init__(self, n, matvec, dtype):
-        super().__init__(dtype, (n, n))
-        self._apply = matvec
-        self._last = (None, None)
-        self.count = 0
-
-    def _matvec(self, v):
-        self.count += 1
-        out = self._apply(v)
-        # GMRES updates its iterate in place, so keep a copy of the input
-        self._last = (v.copy(), out)
-        return out
-
-    def true_residual(self, x, b):
-        """||b - A x|| / ||b|| (the norm of b taken as 1 when b = 0)."""
-        v, out = self._last
-        if v is None or not np.array_equal(v, x):
-            out = self._apply(x)
-        bn = np.linalg.norm(b)
-        return float(np.linalg.norm(out - b) / (bn if bn > 0 else 1.0))
+    b_norm = np.linalg.norm(b)
+    eps = np.finfo(b.dtype).eps
+    x = np.zeros_like(b)
+    r, iterations = b, 0
+    for _ in range(max_cycles):
+        beta = np.linalg.norm(r)
+        V, Z = [r / beta], []
+        H = np.zeros((restart + 1, restart))
+        rotations = np.zeros((restart, 2))
+        g = np.zeros(restart + 1)
+        g[0] = beta
+        for j in range(restart):
+            Z.append(V[j] if precond is None else precond(V[j]))
+            w = apply(Z[j])
+            iterations += 1
+            w_norm = np.linalg.norm(w)
+            for i, v in enumerate(V):
+                H[i, j] = np.vdot(v, w)
+                w -= H[i, j] * v
+            H[j + 1, j] = np.linalg.norm(w)
+            # scipy's exact-breakdown test: w lies in the Krylov space
+            breakdown = H[j + 1, j] <= eps * w_norm
+            if not breakdown:
+                V.append(w / H[j + 1, j])
+            for i, (c, s) in enumerate(rotations[:j]):
+                H[i, j], H[i + 1, j] = (c * H[i, j] + s * H[i + 1, j],
+                                        c * H[i + 1, j] - s * H[i, j])
+            h = np.hypot(H[j, j], H[j + 1, j])
+            c, s = rotations[j] = H[j, j] / h, H[j + 1, j] / h
+            H[j, j], H[j + 1, j] = h, 0.0
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            if abs(g[j + 1]) <= rtol * b_norm or breakdown:
+                break
+        # check_finite=False lets a NaN iterate through to the caller's gate
+        y = solve_triangular(H[:j + 1, :j + 1], g[:j + 1], check_finite=False)
+        # summed apart from x: added to x one by one, a second cycle's small
+        # terms lose their low bits (twice the final near-wall residual)
+        dx = np.zeros_like(b)
+        for y_i, z in zip(y, Z):
+            dx += y_i * z
+        x += dx
+        r = b - apply(x)
+        residual = float(np.linalg.norm(r) / b_norm)
+        if residual <= rtol or breakdown:
+            break
+    return x, iterations, residual
 
 
 class _FastDiagonalisation(NamedTuple):
@@ -259,15 +284,6 @@ class DiscreteStripOperator:
         out[-1] = self._b21 * u_y[-1]
         return out
 
-    def _paired(self, kernel, v):
-        """kernel applied to a flat GMRES vector: a real one as s = 1, a
-        complex one as its (re, im) pair, s = 2."""
-        v = v.reshape(self.ny, self.m, 1, self.nx)
-        if not np.iscomplexobj(v):
-            return kernel(v).ravel()
-        out = kernel(np.concatenate([v.real, v.imag], axis=2))
-        return (out[:, :, 0] + 1j * out[:, :, 1]).ravel()
-
     def rhs(self, F=None, psi0=None):
         """y-major right-hand side (ny, m, nx): the interior rows of the
         (nx, ny, m) source F and the trace psi0 at y=0; the flux row at y=1
@@ -366,10 +382,12 @@ class DiscreteStripOperator:
         """Solve with interior source F, trace psi0 at y=0 and zero flux at
         y=1.
 
-        One preconditioned GMRES pass of at most _MAX_CYCLES restart cycles
-        asks for rtol_gmres = max(rtol, 1e-10); a true residual above
-        max(100 rtol, 1e-9) then raises SolverError at once.  GMRES runs in
-        the dtype of the right-hand side, and a real one gives a real field.
+        One preconditioned gmres of at most _MAX_CYCLES restart cycles asks
+        for rtol_gmres = max(rtol, 1e-10); a true residual above
+        max(100 rtol, 1e-9) then raises SolverError at once.  Real data give
+        a real field.  Complex data are solved as their real and imaginary
+        parts, an all-zero part skipped: last_iterations sums the two runs,
+        and last_residual is ||b - A x|| / ||b|| of the complex solution.
         """
         b = self.rhs(F=F, psi0=psi0)
         if not np.all(np.isfinite(b)):
@@ -377,45 +395,35 @@ class DiscreteStripOperator:
                 f"strip solve data has {np.count_nonzero(~np.isfinite(b))} "
                 f"non-finite entries (mu={self.mu}, bc0={self.bc0})",
                 iterations=0)
-        if not np.any(b):
-            fld = StripField(x=self.profile.x, y=self.y, L=self.L,
-                             values=np.zeros((self.nx, self.ny, self.m),
-                                             dtype=b.dtype),
-                             Dy=self.Dy)
-            self.last_residual = 0.0
-            self.last_iterations = 0
-            return fld
-        b_flat = b.ravel()
-        # apply_values and _precond are looked up on every call, so a
-        # wrapper set on the instance or the class sees every application
-        A_op = KeepLastOperator(
-            self.n_dof, lambda v: self._paired(self.apply_values, v), b.dtype)
-        M_op = LinearOperator(
-            (self.n_dof, self.n_dof), dtype=b.dtype,
-            matvec=lambda v: self._paired(self._precond, v))
-        counter = {"n": 0}
-
-        def cb(_):
-            counter["n"] += 1
-
         # below ~1e-10 the iteration grinds against the round-off floor of
         # the collocation operator (row scales span ~ny^4); ask GMRES only
         # for what is attainable and gate on the true residual instead
         rtol_gmres = max(rtol, 1e-10)
-        sol, _ = gmres(A_op, b_flat, rtol=rtol_gmres, atol=0.0,
-                       restart=min(_RESTART, self.n_dof), maxiter=_MAX_CYCLES,
-                       M=M_op, callback=cb, callback_type="pr_norm")
-        res = A_op.true_residual(sol, b_flat)
+        parts = (b.real, b.imag) if np.iscomplexobj(b) else (b,)
+        sols, its, res_norm = [], 0, 0.0
+        for part in parts:
+            sol = np.zeros_like(part)
+            if np.any(part):
+                sol, n, res = gmres(self.apply_values, part[:, :, None, :],
+                                    rtol_gmres, min(_RESTART, self.n_dof),
+                                    _MAX_CYCLES, precond=self._precond)
+                sol = sol[:, :, 0]
+                its += n
+                res_norm = np.hypot(res_norm, res * np.linalg.norm(part))
+            sols.append(sol)
+        b_norm = np.linalg.norm(b)
+        res = float(res_norm / b_norm) if b_norm > 0 else 0.0
         self.last_residual = res
-        self.last_iterations = counter["n"]
+        self.last_iterations = its
         if not res <= max(100.0 * rtol, 1e-9):     # NaN-safe comparison
             raise SolverError(
                 f"strip solve stalled at relative residual {res:.3e} after "
-                f"{counter['n']} GMRES iterations (mu={self.mu}, "
-                f"bc0={self.bc0})", residual=res, iterations=counter["n"])
-        values = sol.reshape(self.shape_full).transpose(2, 0, 1)
-        return StripField(x=self.profile.x, y=self.y, L=self.L,
-                          values=np.ascontiguousarray(values), Dy=self.Dy)
+                f"{its} GMRES iterations (mu={self.mu}, bc0={self.bc0})",
+                residual=res, iterations=its)
+        values = sols[0] if len(sols) == 1 else sols[0] + 1j * sols[1]
+        values = np.ascontiguousarray(values.transpose(2, 0, 1))
+        return StripField(x=self.profile.x, y=self.y, L=self.L, values=values,
+                          Dy=self.Dy)
 
 
 def b0_trace(coeffs, fld):

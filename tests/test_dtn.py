@@ -3,6 +3,7 @@ sectoriality audit, admissibility, localization."""
 
 import numpy as np
 import pytest
+from numpy.fft import fft, ifft
 
 from conftest import make_profile, torus_x
 from stripflow.dtn import (
@@ -70,6 +71,25 @@ def test_frozen_matches_true_derivative_on_constant_profile(A1):
             frozen_d = fset.apply("O0", psi)
             scale = np.max(np.abs(true_d))
             assert np.max(np.abs(true_d - frozen_d)) < 1e-9 * max(scale, 1.0)
+
+
+def test_frozen_operators_keep_a_real_trace_real(A2):
+    """On a coupled m = 2 profile every frozen operator maps a real trace
+    to a real one: the imaginary part of the complex ifft it drops is
+    rounding only."""
+    nx = 64
+    x = torus_x(nx)
+    p = make_profile(nx=nx, amp=0.1, m=2)
+    fset = frozen_set(p, A2, x[5], 4.0, ny=17)
+    psi = np.stack([np.cos(2 * np.pi * x / L),
+                    0.5 * np.sin(4 * np.pi * x / L)], axis=1)
+    for name in ("O10", "O20", "O30", "O0"):
+        out = fset.apply(name, psi)
+        full = ifft(np.einsum("kij,kj->ki", fset.symbols(name),
+                              fft(psi, axis=0)), axis=0)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, full.real)
+        assert np.max(np.abs(full.imag)) <= 1e-14 * np.max(np.abs(full.real))
 
 
 def test_derivative_linear_in_direction(A1):
