@@ -24,10 +24,10 @@ from .model import (CoercivityReport, DecayGenerator, FrozenCoefficients,
                     decay_generator, halfplane_dirichlet_solve,
                     multiplier_profiles, transverse_semigroup)
 from .strip import DiscreteStripOperator, StripField, coercivity_probe_33
-from .dtn import (AdmissibilityReport, DtNApplication, DtNOperator,
-                  FrozenOperatorSet, LocalizationReport, SectorReport,
-                  admissibility, dtn_apply, dtn_derivative, frozen_set,
-                  localization_residual, sector_report)
+from .dtn import (AdmissibilityReport, DtNOperator, FrozenOperatorSet,
+                  LocalizationReport, SectorReport, admissibility, dtn_apply,
+                  dtn_derivative, frozen_set, localization_residual,
+                  sector_report)
 from .stepper import (EvolutionConfig, Trajectory, detect_breakdown, evolve,
                       step)
 from .scenario import RunManifest, Scenario, export, load_scenario, run
@@ -53,7 +53,7 @@ __all__ = [
     # strip solver
     "DiscreteStripOperator", "StripField", "coercivity_probe_33",
     # interface operator
-    "DtNOperator", "DtNApplication", "FrozenOperatorSet", "SectorReport",
+    "DtNOperator", "FrozenOperatorSet", "SectorReport",
     "AdmissibilityReport", "LocalizationReport", "dtn_apply",
     "dtn_derivative", "frozen_set", "sector_report", "admissibility",
     "localization_residual",

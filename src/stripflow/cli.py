@@ -88,9 +88,13 @@ def main(argv=None):
     _apply_thread_cap(getattr(args, "deterministic", False))
     try:
         scn = load_scenario(args.scenario)
-    except (ScenarioError, StripflowError) as exc:
+    except StripflowError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
     if args.command == "validate":
         _print_validation(scn)

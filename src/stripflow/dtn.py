@@ -32,12 +32,6 @@ from .operator_core import InterpNormEvaluator
 from .strip import DiscreteStripOperator, b0_trace
 
 
-@dataclass
-class DtNApplication:
-    """Result of one O(g) evaluation: the trace value."""
-    value: SampledFunction
-
-
 def _as_direction(profile, psi):
     psi = as_inexact(psi)
     if psi.ndim == 1:
@@ -87,8 +81,8 @@ class DtNOperator:
         return self._upsilon
 
     def apply(self):
-        value = b0_trace(self.coeffs, self.upsilon())
-        return DtNApplication(value=SampledFunction(self.profile.L, value))
+        """O(g) = B0(g) K(g) g, the (nx, m) trace."""
+        return b0_trace(self.coeffs, self.upsilon())
 
     def evaluator(self, alpha):
         """The InterpNormEvaluator of A at exponent alpha, built once per
@@ -287,7 +281,7 @@ def operator_for(profile, A, mu, ny=33, rtol=1e-11, dtn=None):
 
 
 def dtn_apply(profile, A, mu_solve, ny=33, rtol=1e-11):
-    """O(g) = B0(g) K(g) g as a boundary trace function."""
+    """O(g) = B0(g) K(g) g, the (nx, m) trace."""
     return DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol).apply()
 
 

@@ -25,6 +25,7 @@ from .errors import EllipticityError, SpectralValidationError
 from .grids import torus_wavenumbers
 from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
 from .operator_core import SectorialOperator, matrix_sqrt
+from .strip import StripField
 
 
 @dataclass
@@ -172,7 +173,6 @@ def halfplane_dirichlet_solve(fc, psi, y_grid, L):
     exp(-Lambda(-k) y) psi_hat(k); the trace at y=0 reproduces psi to
     transform accuracy.  Returns a StripField.
     """
-    from .strip import StripField  # local import; strip does not import model
     values = np.asarray(psi, dtype=complex)
     if values.ndim == 1:
         values = values[:, None]

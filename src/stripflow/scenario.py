@@ -46,53 +46,26 @@ _SAFE_FUNCS = {
     "log": np.log, "abs": np.abs,
 }
 _SAFE_NAMES = {"pi": np.pi, "e": np.e, "j1": 1j}
-_ALLOWED_NODES = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name, ast.Load,
-    ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub,
-    ast.UAdd,
-)
 
 
 def safe_eval(expr, variables=None):
-    """Evaluate an arithmetic expression against a whitelist grammar.
+    """Evaluate an arithmetic expression in a whitelist grammar.
 
-    Supports numbers, + - * / ** and the elementary functions; names are
-    limited to pi/e/j1 plus caller-provided variables.  Anything else is a
-    scenario error, never an execution, and so is a division by zero or a
-    power whose exponent exceeds 1000 in magnitude or whose value
-    overflows.  Other non-finite values (x/0 over an array, log(0)) are
-    returned as they are; the scenario fields refuse them.
+    Supports numbers, + - * / ** and one-argument calls of the elementary
+    functions; names are limited to pi/e/j1 plus caller-provided variables,
+    and a function name can only be called.  Anything else is a scenario
+    error, never an execution, and so is a division by zero or a power
+    whose exponent exceeds 1000 in magnitude or whose value overflows.
+    Other non-finite values (x/0 over an array, log(0)) are returned as
+    they are; the scenario fields refuse them.
     """
-    names = dict(_SAFE_NAMES)
-    if variables:
-        names.update(variables)
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ScenarioError(f"cannot parse expression {expr!r}: {exc.msg}")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ScenarioError(
-                f"expression {expr!r} uses disallowed syntax "
-                f"({type(node).__name__})")
-        if isinstance(node, ast.Call):
-            if (not isinstance(node.func, ast.Name)
-                    or node.func.id not in _SAFE_FUNCS or node.keywords):
-                raise ScenarioError(
-                    f"expression {expr!r} calls something outside the "
-                    f"function whitelist")
-        if isinstance(node, ast.Constant) and not isinstance(
-                node.value, (int, float, complex)):
-            raise ScenarioError(
-                f"expression {expr!r} contains a non-numeric literal")
-        if isinstance(node, ast.Name) and node.id not in names \
-                and node.id not in _SAFE_FUNCS:
-            raise ScenarioError(
-                f"expression {expr!r} references unknown name {node.id!r}")
-    env = dict(names)
-    env.update(_SAFE_FUNCS)
+    names = dict(_SAFE_NAMES, **(variables or {}))
     with np.errstate(all="ignore"):
-        return _evaluate(tree.body, env, expr)
+        return _evaluate(tree.body, names, expr)
 
 
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -103,37 +76,54 @@ _UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 _MAX_EXPONENT = 1000.0
 
 
-def _evaluate(node, env, expr):
-    """Evaluate a tree that safe_eval has checked against its whitelist."""
+def _evaluate(node, names, expr):
+    """Evaluate one node of the grammar; a node, name or literal that has
+    no rule here is refused."""
     if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return env[node.id]
-    if isinstance(node, ast.UnaryOp):
-        return _UNARY[type(node.op)](_evaluate(node.operand, env, expr))
-    if isinstance(node, ast.Call):
-        # every whitelisted function takes one argument; a second one
-        # would be a ufunc's output array, written in place
-        args = [_evaluate(a, env, expr) for a in node.args]
-        if len(args) != 1:
-            raise ScenarioError(f"expression {expr!r} calls {node.func.id} "
-                                f"with {len(args)} arguments, not 1")
-        try:
-            return env[node.func.id](args[0])
-        except TypeError:     # e.g. an integer beyond int64
-            raise ScenarioError(f"expression {expr!r} calls {node.func.id} "
-                                f"on a value it cannot take") from None
-    left = _evaluate(node.left, env, expr)
-    right = _evaluate(node.right, env, expr)
-    if isinstance(node.op, ast.Pow):
-        return _bounded_pow(left, right, expr)
-    try:
-        return _BINARY[type(node.op)](left, right)
-    except ZeroDivisionError:
-        raise ScenarioError(f"expression {expr!r} divides by zero") from None
-    except OverflowError:
+        if type(node.value) in (int, float, complex):     # not bool
+            return node.value
         raise ScenarioError(
-            f"expression {expr!r} has a value out of range") from None
+            f"expression {expr!r} contains a non-numeric literal")
+    if isinstance(node, ast.Name):
+        if node.id in names:
+            return names[node.id]
+        hint = " (a function name can only be called)" if (
+            node.id in _SAFE_FUNCS) else ""
+        raise ScenarioError(f"expression {expr!r} references unknown name "
+                            f"{node.id!r}{hint}")
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand, names, expr))
+    if isinstance(node, ast.Call):
+        func = node.func.id if isinstance(node.func, ast.Name) else None
+        if func not in _SAFE_FUNCS or node.keywords:
+            raise ScenarioError(f"expression {expr!r} calls something "
+                                f"outside the function whitelist")
+        # a second argument would be a ufunc's output array, written in place
+        if len(node.args) != 1:
+            raise ScenarioError(f"expression {expr!r} calls {func} with "
+                                f"{len(node.args)} arguments, not 1")
+        arg = _evaluate(node.args[0], names, expr)
+        try:
+            return _SAFE_FUNCS[func](arg)
+        except TypeError:     # e.g. an integer beyond int64
+            raise ScenarioError(f"expression {expr!r} calls {func} on a "
+                                f"value it cannot take") from None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _bounded_pow(_evaluate(node.left, names, expr),
+                            _evaluate(node.right, names, expr), expr)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        left = _evaluate(node.left, names, expr)
+        right = _evaluate(node.right, names, expr)
+        try:
+            return _BINARY[type(node.op)](left, right)
+        except ZeroDivisionError:
+            raise ScenarioError(
+                f"expression {expr!r} divides by zero") from None
+        except OverflowError:
+            raise ScenarioError(
+                f"expression {expr!r} has a value out of range") from None
+    raise ScenarioError(f"expression {expr!r} uses disallowed syntax "
+                        f"({type(node).__name__})")
 
 
 def _bounded_pow(base, exponent, expr):
@@ -214,42 +204,58 @@ def _parse_matrix(raw, path, section, key):
 
 
 # Every scenario key except the [initial] profile keys, in reading order:
-# (section, key) -> (kind, default).  A default is raw text, read like a
-# value in the file; None marks a required key.  The kind fixes how the
+# (section, key) -> (kind, default, rule).  A default is raw text, read like
+# a value in the file; None marks a required key.  The kind fixes how the
 # text is read and how the value is written back into the canonical form
-# that the checksum covers.
+# that the checksum covers.  A rule (requirement, predicate) holds the
+# admissible values of a key; a key without one is checked by the
+# constructor that takes it: SectorialOperator for phi and M,
+# EvolutionConfig for the [time] keys.
+_POSITIVE = ("positive", lambda v: v > 0)
 FIELDS = {
-    ("space", "m"): ("int", None),
-    ("space", "A"): ("matrix", None),
-    ("space", "phi"): ("real", "pi/2 + 0.35"),
-    ("space", "M"): ("real", "20"),
-    ("geometry", "nu"): ("real", None),
-    ("geometry", "L"): ("real", None),
-    ("geometry", "nx"): ("int", None),
-    ("geometry", "ny"): ("int", None),
-    ("geometry", "alpha"): ("real", None),
-    ("geometry", "h_min"): ("real", "1e-8"),
-    ("solve", "mu"): ("real", None),
-    ("solve", "rtol"): ("real", "1e-11"),
-    ("time", "dt"): ("real", None),
-    ("time", "t_end"): ("real", None),
-    ("time", "scheme"): ("text", "semi_implicit_euler"),
-    ("time", "norm_cap"): ("auto", "auto"),
-    ("time", "margin_floor"): ("auto", "auto"),
-    ("time", "output_stride"): ("int", "1"),
-    ("output", "directory"): ("text", None),
-    ("output", "formats"): ("list", "csv,json"),
+    ("space", "m"): ("int", None, ("at least 1", lambda v: v >= 1)),
+    ("space", "A"): ("matrix", None, None),
+    ("space", "phi"): ("real", "pi/2 + 0.35", None),
+    ("space", "M"): ("real", "20", None),
+    ("geometry", "nu"): ("real", None, _POSITIVE),
+    ("geometry", "L"): ("real", None, _POSITIVE),
+    ("geometry", "nx"): ("int", None, ("a power of two >= 4",
+                                       lambda v: v >= 4 and v & (v - 1) == 0)),
+    ("geometry", "ny"): ("int", None, ("at least 5", lambda v: v >= 5)),
+    ("geometry", "alpha"): ("real", None, ("in (0, 1)",
+                                           lambda v: 0.0 < v < 1.0)),
+    ("geometry", "h_min"): ("real", "1e-8", _POSITIVE),
+    # the strip operator squares mu
+    ("solve", "mu"): ("real", None, ("nonnegative with a finite square",
+                                     lambda v: v >= 0 and np.isfinite(v * v))),
+    # the strip solve accepts a relative residual up to max(100 rtol, 1e-9);
+    # from rtol = 0.01 on that admits the zero solution
+    ("solve", "rtol"): ("real", "1e-11", ("in (0, 0.01)",
+                                          lambda v: 0.0 < v < 0.01)),
+    ("time", "dt"): ("real", None, None),
+    ("time", "t_end"): ("real", None, None),
+    ("time", "scheme"): ("text", "semi_implicit_euler", None),
+    ("time", "norm_cap"): ("auto", "auto", None),
+    ("time", "margin_floor"): ("auto", "auto", None),
+    ("time", "output_stride"): ("int", "1", None),
+    ("output", "directory"): ("text", None, ("not empty", bool)),
+    ("output", "formats"): ("list", "csv,json", (
+        "a subset of csv,json", lambda v: set(v) <= {"csv", "json"})),
 }
 
 
 def _read_field(sections, section, key, path):
-    """The value of a FIELDS entry, or its default."""
-    kind, default = FIELDS[section, key]
+    """The value of a FIELDS entry, or its default, held to its rule."""
+    kind, default, rule = FIELDS[section, key]
     raw = sections[section].get(key, default)
     if raw is None:
         raise ScenarioError("missing required key", path=path,
                             section=section, key=key)
-    return _parse_value(kind, raw, path, section, key)
+    value = _parse_value(kind, raw, path, section, key)
+    if rule is not None and not rule[1](value):
+        raise ScenarioError(f"{key} must be {rule[0]}, got {value!r}",
+                            path=path, section=section, key=key)
+    return value
 
 
 def _parse_value(kind, raw, path, section, key):
@@ -410,7 +416,13 @@ def load_scenario(path):
             raise ScenarioError("missing required section", path=path,
                                 section=section)
     values = {fld: _read_field(sections, *fld, path) for fld in FIELDS}
-    m = values["space", "m"]
+    m, A_mat = values["space", "m"], values["space", "A"]
+    # checked before the key pass, so that its range(m) is bounded by the
+    # rows written in the file
+    if A_mat.shape != (m, m):
+        raise ScenarioError(f"A is {A_mat.shape[0]}x{A_mat.shape[1]}, "
+                            f"but m = {m}", path=path, section="space",
+                            key="A")
     known = set(FIELDS) | {("initial", "g0")} | {
         ("initial", f"g0_table_{c + 1}") for c in range(m)}
     if m == 1:
@@ -421,35 +433,9 @@ def load_scenario(path):
                 raise ScenarioError("unknown key", path=path,
                                     section=section, key=key)
 
-    A_mat = values["space", "A"]
-    if A_mat.shape != (m, m):
-        raise ScenarioError(f"A is {A_mat.shape[0]}x{A_mat.shape[1]}, "
-                            f"but m = {m}", path=path, section="space",
-                            key="A")
     nu, L, nx, ny, alpha, h_min = (values["geometry", k] for k in (
         "nu", "L", "nx", "ny", "alpha", "h_min"))
-    if nx < 4 or (nx & (nx - 1)) != 0:
-        raise ScenarioError(f"nx must be a power of two >= 4, got {nx}",
-                            path=path, section="geometry", key="nx")
-    if not 0.0 < alpha < 1.0:
-        raise ScenarioError(f"alpha must lie in (0,1), got {alpha}",
-                            path=path, section="geometry", key="alpha")
-    if nu <= 0 or L <= 0 or ny < 5:
-        raise ScenarioError("need nu > 0, L > 0, ny >= 5",
-                            path=path, section="geometry")
-    if h_min <= 0:
-        raise ScenarioError(f"h_min must be positive, got {h_min}",
-                            path=path, section="geometry", key="h_min")
-
     mu_solve, rtol = values["solve", "mu"], values["solve", "rtol"]
-    if mu_solve < 0:
-        raise ScenarioError(f"mu must be nonnegative, got {mu_solve}",
-                            path=path, section="solve", key="mu")
-    # the strip solve accepts a relative residual up to max(100 rtol, 1e-9);
-    # from rtol = 0.01 on that admits the zero solution
-    if not 0.0 < rtol < 0.01:
-        raise ScenarioError(f"rtol must lie in (0, 0.01), got {rtol}",
-                            path=path, section="solve", key="rtol")
     try:
         config = EvolutionConfig(
             dt=values["time", "dt"], t_end=values["time", "t_end"],
@@ -460,14 +446,6 @@ def load_scenario(path):
             ny=ny, alpha=alpha, rtol=rtol)
     except ValueError as exc:
         raise ScenarioError(str(exc), path=path, section="time")
-
-    if not values["output", "directory"]:
-        raise ScenarioError("directory must not be empty", path=path,
-                            section="output", key="directory")
-    for fmt in values["output", "formats"]:
-        if fmt not in ("csv", "json"):
-            raise ScenarioError(f"unsupported format {fmt!r}",
-                                path=path, section="output", key="formats")
 
     x = np.arange(nx) * (L / nx)
     g0, g0_source = _initial_values(sections["initial"], path, m, nx, L, nu,

@@ -47,6 +47,8 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.t_end <= self.dt:
             raise ValueError("t_end must exceed dt")
+        if not np.isfinite(self.t_end / self.dt):    # evolve's step count
+            raise ValueError("t_end / dt must be finite")
         if self.scheme != "semi_implicit_euler":
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.output_stride < 1:
@@ -95,7 +97,7 @@ def _step_core(dtn, dt):
     The returned iteration count is that of the Krylov iterations, one dO
     application each.
     """
-    o_val = dtn.apply().value.values
+    o_val = dtn.apply()
     rhs = -dt * o_val
     if np.linalg.norm(rhs) < 1e-300:
         return np.zeros_like(o_val), 0.0, 0

@@ -125,18 +125,42 @@ def test_validate_unknown_key_exit_code(tmp_path, capsys, old, new, named):
     ("alpha = 0.5", "alpha = 0.5\nh_min = -5",
      "[section geometry] [key h_min]"),
     ("directory = {out}", "directory =", "[section output] [key directory]"),
+    ("nu = 1.0", "nu = sin", "[section geometry] [key nu]"),
+    ("nu = 1.0", "nu = sin + 1", "[section geometry] [key nu]"),
+    ("nu = 1.0", "nu = True", "[section geometry] [key nu]"),
+    ("mu = 0.0", "mu = 1e200", "[section solve] [key mu]"),
+    ("m = 1", "m = 0", "[section space] [key m]"),
+    ("nu = 1.0", "nu = -1", "[section geometry] [key nu]"),
+    ("L = 16*pi", "L = 0", "[section geometry] [key L]"),
+    ("ny = 9", "ny = 3", "[section geometry] [key ny]"),
+    ("dt = 0.02", "dt = 1e-320", "[section time]"),
 ])
 def test_validate_out_of_range_value_exit_code(tmp_path, capsys, old, new,
                                                named):
     """A sector angle outside (pi/2, pi), a nonpositive resolvent bound, a
-    negative spectral shift, an rtol outside (0, 0.01), a nonpositive
-    h_min and an empty output directory are validation failures naming
-    their section, found at load rather than by a later run."""
+    negative spectral shift or one whose square overflows, an rtol outside
+    (0, 0.01), a nonpositive h_min, nu or L, m < 1, ny < 5, a function name
+    or a boolean used as a value, a step count t_end/dt that is not finite
+    and an empty output directory are validation failures naming their
+    section, found at load rather than by a later run."""
     from stripflow import cli
     path = write(tmp_path, FAST.replace(old, new))
     assert cli.main(["validate", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation failure: ") and named in err
+
+
+def test_unexpected_load_error_is_internal(tmp_path, capsys, monkeypatch):
+    """An exception from loading that is not a library error is an
+    internal error (exit 4) with its traceback, not an uncaught exit 1."""
+    from stripflow import cli
+
+    def broken(path):
+        raise RuntimeError("loader bug")
+    monkeypatch.setattr(cli, "load_scenario", broken)
+    assert cli.main(["validate", write(tmp_path, FAST)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "loader bug" in err
 
 
 def test_validate_competing_initial_source_exit_code(tmp_path, capsys):

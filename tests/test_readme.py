@@ -1,5 +1,5 @@
-"""The documented public surface: the README example and the package
-exports."""
+"""The documented public surface: the README example, the package exports
+and the scenario keys of the format document."""
 
 import ast
 import glob
@@ -9,9 +9,11 @@ import re
 import numpy as np
 
 import stripflow
+from stripflow.scenario import FIELDS
 
 HERE = os.path.dirname(__file__)
 README = os.path.join(HERE, os.pardir, "README.md")
+FORMAT_DOC = os.path.join(HERE, os.pardir, "docs", "scenario-format.md")
 
 
 def readme_python_blocks():
@@ -64,3 +66,15 @@ def test_every_export_has_a_caller():
         used |= referenced_names(block)
     unused = [name for name in stripflow.__all__ if name not in used]
     assert unused == [], f"exports without a caller: {', '.join(unused)}"
+
+
+def test_every_scenario_key_is_documented():
+    """Each FIELDS key has a row in its section's table of the format
+    document."""
+    with open(FORMAT_DOC, encoding="utf-8") as fh:
+        doc = fh.read()
+    tables = dict(re.findall(r"### `\[(\w+)\]`.*?\n(.*?)(?=\n#|\Z)", doc,
+                             re.S))
+    missing = [f"[{section}] {key}" for section, key in FIELDS
+               if f"| `{key}` |" not in tables.get(section, "")]
+    assert missing == []

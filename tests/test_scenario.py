@@ -71,9 +71,12 @@ def test_safe_eval_rejects_attributes():
         safe_eval("(1).__class__", {})
 
 
-def test_safe_eval_rejects_unknown_names():
+@pytest.mark.parametrize("expr", ["open('/etc/passwd')", "sin", "sin + 1"])
+def test_safe_eval_rejects_unknown_names(expr):
+    """A name outside the grammar is refused, and so is a function name
+    that is not called."""
     with pytest.raises(ScenarioError):
-        safe_eval("open('/etc/passwd')", {})
+        safe_eval(expr, {})
 
 
 def test_safe_eval_rejects_strings():
