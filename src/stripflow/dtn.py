@@ -204,7 +204,9 @@ class DtNOperator:
     def frozen_coefficients(self, x0):
         """Principal coefficients a12, a22 of the flattening at the boundary
         grid node x0, with this mu."""
-        i0 = self._freeze_point(x0)[0]
+        return self._frozen_coefficients(self._freeze_point(x0)[0])
+
+    def _frozen_coefficients(self, i0):
         c = self.coeffs
         return FrozenCoefficients(a12=c.a12[i0, 0, 0], a22=c.a22[i0, 0, 0],
                                   A=self.A, mu=self.mu)
@@ -219,7 +221,7 @@ class DtNOperator:
         i0, h0, gx0 = self._freeze_point(x0)
         if i0 not in self._frozen:
             self._frozen[i0] = self._build_frozen_set(
-                i0, h0, gx0, self.frozen_coefficients(x0))
+                i0, h0, gx0, self._frozen_coefficients(i0))
         return self._frozen[i0]
 
     def _build_frozen_set(self, i0, h0, gx0, fc):
@@ -280,14 +282,14 @@ def operator_for(profile, A, mu, ny=33, rtol=1e-11, dtn=None):
     return dtn
 
 
-def dtn_apply(profile, A, mu_solve, ny=33, rtol=1e-11):
+def dtn_apply(profile, A, mu_solve, ny=33):
     """O(g) = B0(g) K(g) g, the (nx, m) trace."""
-    return DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol).apply()
+    return DtNOperator(profile, A, mu_solve, ny=ny).apply()
 
 
-def dtn_derivative(profile, A, psi, mu_solve=4.0, ny=33, rtol=1e-11):
+def dtn_derivative(profile, A, psi, mu_solve=4.0, ny=33):
     """dO(g) psi by the three-piece formula."""
-    return DtNOperator(profile, A, mu_solve, ny=ny, rtol=rtol).derivative(psi)
+    return DtNOperator(profile, A, mu_solve, ny=ny).derivative(psi)
 
 
 # -- frozen operators --------------------------------------------------------

@@ -13,7 +13,13 @@ f[(i+s) mod n] - f[i] are reduced to one maximum per class before the
 square root and the division by d_s^gamma.  On the non-periodic y axis of
 a strip field the pairs i < j are taken row by row, each with its own
 distance.
+
+The coercivity probes of model and strip share their report types and the
+two graded norms they compare, which sit here beside the norms they
+combine.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -216,3 +222,46 @@ def scaled_field_norm(values, y, L, alpha, mu):
                     axis=-1)
     mu_eff = max(float(mu), 1.0)
     return sup + np.maximum(semi_x, semi_y) / mu_eff ** alpha
+
+
+@dataclass
+class CoercivityRow:
+    mu: float
+    data_index: int
+    lhs: float
+    rhs: float
+    ratio: float
+
+
+@dataclass
+class CoercivityReport:
+    rows: list
+    max_ratio: float
+    mu_spread: float     # max over data of (max ratio over mu)/(min ratio over mu)
+
+    @classmethod
+    def from_rows(cls, rows):
+        max_ratio = max(r.ratio for r in rows)
+        spread = 0.0
+        for idx in {r.data_index for r in rows}:
+            rs = [r.ratio for r in rows if r.data_index == idx]
+            spread = max(spread, max(rs) / min(rs))
+        return cls(rows=rows, max_ratio=float(max_ratio), mu_spread=float(spread))
+
+
+def _graded_probe_norms(fields, psi, A, y, L, alpha, mu):
+    """The two sides shared by the coercivity probes.
+
+    Returns the six-term mu-graded solution norm of the derivative fields
+    (keys u, ux, uxx, uxy, uyy, au) and the norm of the Dirichlet datum
+    psi: Dirichlet data live in the A-graded second-order trace space,
+    mu-graded x-derivatives plus the coupling-operator part, so the ratio
+    carries the same currencies on both sides.
+    """
+    names = ("u", "ux", "uxx", "uxy", "uyy", "au")
+    norms = scaled_field_norm(np.stack([fields[k] for k in names]), y, L,
+                              alpha, mu)
+    lhs = sum(w * n for w, n in zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), norms))
+    data = (graded_trace_norm(psi, L, alpha, mu, order=2)
+            + trace_xnorm(psi @ A.T, L, alpha, mu))
+    return lhs, data

@@ -23,7 +23,7 @@ from numpy.fft import fft, ifft
 
 from .errors import EllipticityError, SpectralValidationError
 from .grids import torus_wavenumbers
-from .holder import graded_trace_norm, scaled_field_norm, trace_xnorm
+from .holder import CoercivityReport, CoercivityRow, _graded_probe_norms
 from .operator_core import SectorialOperator, matrix_sqrt
 from .strip import StripField
 
@@ -309,49 +309,6 @@ def default_depth(fc):
     """Transverse truncation depth: ten decay lengths."""
     lam_min = float(np.min(np.real(np.linalg.eigvals(fc.A.entries))))
     return 10.0 / np.sqrt(1.0 + fc.mu ** 2 + max(lam_min, 0.0))
-
-
-@dataclass
-class CoercivityRow:
-    mu: float
-    data_index: int
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-@dataclass
-class CoercivityReport:
-    rows: list
-    max_ratio: float
-    mu_spread: float     # max over data of (max ratio over mu)/(min ratio over mu)
-
-    @classmethod
-    def from_rows(cls, rows):
-        max_ratio = max(r.ratio for r in rows)
-        spread = 0.0
-        for idx in {r.data_index for r in rows}:
-            rs = [r.ratio for r in rows if r.data_index == idx]
-            spread = max(spread, max(rs) / min(rs))
-        return cls(rows=rows, max_ratio=float(max_ratio), mu_spread=float(spread))
-
-
-def _graded_probe_norms(fields, psi, A, y, L, alpha, mu):
-    """The two sides shared by the coercivity probes.
-
-    Returns the six-term mu-graded solution norm of the derivative fields
-    (keys u, ux, uxx, uxy, uyy, au) and the norm of the Dirichlet datum
-    psi: Dirichlet data live in the A-graded second-order trace space,
-    mu-graded x-derivatives plus the coupling-operator part, so the ratio
-    carries the same currencies on both sides.
-    """
-    names = ("u", "ux", "uxx", "uxy", "uyy", "au")
-    norms = scaled_field_norm(np.stack([fields[k] for k in names]), y, L,
-                              alpha, mu)
-    lhs = sum(w * n for w, n in zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), norms))
-    data = (graded_trace_norm(psi, L, alpha, mu, order=2)
-            + trace_xnorm(psi @ A.T, L, alpha, mu))
-    return lhs, data
 
 
 def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):

@@ -36,10 +36,6 @@ from .strip import StripField, coercivity_probe_33
 
 SECTION_ORDER = ("space", "geometry", "initial", "solve", "time", "output")
 
-# the pipelines run() executes
-MODES = ("evolve", "diagnose-frozen", "diagnose-coercivity",
-         "diagnose-localization")
-
 _SAFE_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "tanh": np.tanh,
     "sinh": np.sinh, "cosh": np.cosh, "exp": np.exp, "sqrt": np.sqrt,
@@ -570,7 +566,8 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
     its ancestors and an existing path with no manifest.json at its top
     level are refused (ScenarioError) before anything runs.
     """
-    if mode not in MODES:
+    runner = _RUNNERS.get(mode)
+    if runner is None:
         raise ValueError(f"unknown mode {mode!r}")
     target = output_dir(scn, out_dir)
     real = os.path.realpath(target)
@@ -586,14 +583,7 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
     t0 = time.perf_counter()
     tmp = tempfile.mkdtemp(prefix=".stripflow-", dir=parent)
     try:
-        if mode == "evolve":
-            status, extra = _run_evolve(scn, tmp)
-        elif mode == "diagnose-frozen":
-            status, extra = _run_frozen(scn, tmp)
-        elif mode == "diagnose-coercivity":
-            status, extra = _run_coercivity(scn, tmp, seed)
-        else:
-            status, extra = _run_localization(scn, tmp)
+        status, extra = runner(scn, tmp, seed)
         wall = 0.0 if deterministic else time.perf_counter() - t0
         manifest = RunManifest(
             scenario_checksum=scn.checksum, scenario_name=scn.name,
@@ -624,7 +614,7 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
     return manifest, status
 
 
-def _run_evolve(scn, tmp):
+def _run_evolve(scn, tmp, seed):
     traj = evolve(scn.profile(), scn.A, scn.config, dtn=scn.dtn())
     export(traj, tmp)
     extra = {"trajectory_samples": len(traj.times),
@@ -635,7 +625,7 @@ def _run_evolve(scn, tmp):
     return traj.status, extra
 
 
-def _run_frozen(scn, tmp):
+def _run_frozen(scn, tmp, seed):
     profile = scn.profile()
     x0 = scn.admissibility_report.margin_argmin
     fset = frozen_set(profile, scn.A, x0, scn.mu_solve, ny=scn.ny,
@@ -684,7 +674,7 @@ def _run_coercivity(scn, tmp, seed):
     }
 
 
-def _run_localization(scn, tmp):
+def _run_localization(scn, tmp, seed):
     profile = scn.profile()
     x = profile.x
     direction = np.stack(
@@ -711,3 +701,10 @@ def _run_localization(scn, tmp):
     _write_json(os.path.join(tmp, "localization.json"), payload)
     return STATUS_COMPLETED, {"localization_monotone": bool(monotone),
                               "localization_residuals": residuals}
+
+
+# the pipelines run() executes, by mode name
+_RUNNERS = {"evolve": _run_evolve, "diagnose-frozen": _run_frozen,
+            "diagnose-coercivity": _run_coercivity,
+            "diagnose-localization": _run_localization}
+MODES = tuple(_RUNNERS)

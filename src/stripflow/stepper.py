@@ -3,9 +3,10 @@
 dg/dt + O(g) = 0 is advanced by semi-implicit Euler: the increment solves
 (I + dt dO(g_n)) delta = -dt O(g_n) in the trace space, so the stiff
 linearization is treated implicitly while O is evaluated at the current
-profile.  Each non-Completed trajectory carries exactly one breakdown flag,
-mirroring the continuous alternative "norm blows up or the profile reaches
-the admissibility boundary".
+profile.  A run ends Completed at t_end, in one of the two breakdown
+flags of the continuous alternative "norm blows up or the profile reaches
+the admissibility boundary" (NormBlowup, BoundaryApproach), or in
+SolverFailure when a step's solve does not converge.
 """
 
 import dataclasses
@@ -110,9 +111,9 @@ def _step_core(dtn, dt):
     return sol, res, its
 
 
-def step(p_n, A, dt, mu_solve=4.0, ny=33, rtol=1e-11):
+def step(p_n, A, dt, mu_solve=4.0, ny=33):
     """One semi-implicit Euler step; returns the advanced profile."""
-    dtn = DtNOperator(p_n, A, mu_solve, ny=ny, rtol=rtol)
+    dtn = DtNOperator(p_n, A, mu_solve, ny=ny)
     delta, _, _ = _step_core(dtn, dt)
     return p_n.with_g(p_n.g + delta)
 
@@ -170,54 +171,39 @@ def evolve(p0, A, cfg, dtn=None):
                                    boundary_margin_floor=margin_floor)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    times, profiles, rows = [], [], []
-    current, t = p0, 0.0
-    last_res, last_its = 0.0, 0
-    status = None
+    profiles, rows = [], []
+    current, n, residual, iterations = p0, 0, 0.0, 0
     failure_message = ""
 
-    def record(stat):
-        times.append(t)
+    def record(status):
         profiles.append(current)
-        rows.append(DiagnosticsRow(t=t, h2alpha=norms["h2alpha"],
-                                   margin=norms["margin"], residual=last_res,
-                                   iterations=last_its, status=stat))
+        rows.append(DiagnosticsRow(t=n * cfg.dt, h2alpha=norms["h2alpha"],
+                                   margin=norms["margin"], residual=residual,
+                                   iterations=iterations, status=status))
 
-    verdict = detect_breakdown(resolved, norms)
-    if verdict != STATUS_OK:
-        status = verdict
-        record(status)
-    else:
-        record(STATUS_OK)
-
-    n = 0
-    while status is None and n < n_steps:
+    while True:
+        status = detect_breakdown(resolved, norms)
+        if status == STATUS_OK and n == n_steps:
+            status = STATUS_COMPLETED
+        if status != STATUS_OK or n % cfg.output_stride == 0:
+            record(status)
+        if status != STATUS_OK:
+            break
+        n += 1
         try:
-            delta, last_res, last_its = _step_core(dtn, cfg.dt)
+            delta, residual, iterations = _step_core(dtn, cfg.dt)
         except SolverError as exc:
+            # the last profile and its norms, with the failing solve's numbers
             status = STATUS_SOLVER_FAILURE
-            failure_message = f"step {n + 1} (t={t + cfg.dt:.6g}): {exc}"
-            t += cfg.dt
+            failure_message = f"step {n} (t={n * cfg.dt:.6g}): {exc}"
+            residual = np.nan if exc.residual is None else exc.residual
+            iterations = exc.iterations
             record(status)
             break
         current = current.with_g(current.g + delta)
-        t = (n + 1) * cfg.dt
-        n += 1
         dtn = DtNOperator(current, A, cfg.mu_solve, ny=cfg.ny, rtol=cfg.rtol)
         norms = diagnose(dtn)
-        verdict = detect_breakdown(resolved, norms)
-        if verdict != STATUS_OK:
-            status = verdict
-            record(status)
-        elif n % cfg.output_stride == 0 or n == n_steps:
-            record(STATUS_OK)
-
-    if status is None:
-        status = STATUS_COMPLETED
-        if not rows or rows[-1].t != t:
-            record(STATUS_OK)
-        rows[-1].status = STATUS_COMPLETED
-    return Trajectory(times=times, profiles=profiles, diagnostics=rows,
-                      status=status, norm_cap=norm_cap,
+    return Trajectory(times=[row.t for row in rows], profiles=profiles,
+                      diagnostics=rows, status=status, norm_cap=norm_cap,
                       margin_floor=margin_floor,
                       failure_message=failure_message)

@@ -45,6 +45,7 @@ from .errors import SolverError
 from .geometry import coefficients, require_elliptic
 from .grids import (as_inexact, cheb_lobatto_01, real_if_exact,
                     rfft_wavenumbers, spectral_derivative)
+from .holder import CoercivityReport, CoercivityRow, _graded_probe_norms
 
 
 # a factor of the preconditioner whose condition number exceeds this counts
@@ -444,8 +445,6 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
     Hölder norms against the mu-graded data norm of psi0; see
     coercivity_probe_59 for why the grading is the meaningful discrete form.
     """
-    # imported here: model imports strip at module level
-    from .model import CoercivityReport, CoercivityRow, _graded_probe_norms
     if any(F is not None or psi1 is not None for F, _, psi1 in ensemble):
         raise ValueError(
             "coercivity_probe_33 measures Dirichlet data only: every "

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from stripflow import stepper
+from stripflow.errors import SolverError
 from stripflow.geometry import InterfaceProfile
 from stripflow.operator_core import SectorialOperator
 
@@ -62,3 +64,19 @@ def scenario_dir():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def third_step_fails(monkeypatch):
+    """The third implicit-step solve of a run raises as a stalled solve
+    does, with residual 3e-7 after 180 iterations."""
+    calls = []
+    core = stepper._step_core
+
+    def failing(dtn, dt):
+        calls.append(1)
+        if len(calls) == 3:
+            raise SolverError("stalled", residual=3e-7, iterations=180)
+        return core(dtn, dt)
+
+    monkeypatch.setattr(stepper, "_step_core", failing)

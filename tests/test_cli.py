@@ -221,6 +221,26 @@ def test_run_breakdown_exit_code(tmp_path):
     assert manifest["status"] == "BoundaryApproach"
 
 
+def test_run_solver_failure_exit_code(tmp_path, capsys, scenario_dir,
+                                     third_step_fails):
+    """A failed step solve is exit 4, and the run still writes its outputs:
+    the last diagnostics row is the SolverFailure with the failing solve's
+    numbers, and the manifest explains the failure."""
+    from stripflow import cli
+    out = tmp_path / "result"
+    scn = os.path.join(scenario_dir, "decay_sine.scn")
+    assert cli.main(["run", scn, "--out", str(out)]) == 4
+    assert "status=SolverFailure" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "manifest.json",
+                                       "trajectory.csv"]
+    last = (out / "diagnostics.csv").read_text().strip().splitlines()[-1]
+    assert last.split(",")[3:] == ["3e-07", "180", "SolverFailure"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "SolverFailure"
+    assert manifest["validation"]["failure_message"].startswith(
+        "step 3 (t=0.06): stalled")
+
+
 def test_run_into_foreign_working_directory_exit_code(tmp_path, capsys,
                                                      monkeypatch):
     """--out . in a directory that holds no earlier run's output is a

@@ -15,10 +15,10 @@ from stripflow.errors import EllipticityError, SpectralValidationError
 from stripflow.geometry import coefficient_derivatives
 from stripflow.grids import (cheb_lobatto_01, spectral_derivative,
                              torus_wavenumbers)
-from stripflow.holder import SampledFunction, scaled_field_norm
+from stripflow.holder import (SampledFunction, _graded_probe_norms,
+                              scaled_field_norm)
 from stripflow.model import (
     FrozenCoefficients,
-    _graded_probe_norms,
     _mode_exponents,
     _ModeExp,
     coercivity_probe_59,

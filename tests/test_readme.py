@@ -68,6 +68,29 @@ def test_every_export_has_a_caller():
     assert unused == [], f"exports without a caller: {', '.join(unused)}"
 
 
+def test_no_package_import_inside_a_function():
+    """Every module imports the package's own modules at module level: an
+    import inside a function hides a cycle between modules."""
+    package = os.path.dirname(stripflow.__file__)
+    late = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = ["stripflow" if node.level else node.module]
+                else:
+                    continue
+                if any(mod.split(".")[0] == "stripflow" for mod in modules):
+                    late.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert late == [], f"imports inside functions: {', '.join(late)}"
+
+
 def test_every_scenario_key_is_documented():
     """Each FIELDS key has a row in its section's table of the format
     document."""

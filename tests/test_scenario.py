@@ -341,7 +341,7 @@ def test_run_is_atomic_on_failure(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise RuntimeError("disk on fire")
 
-    monkeypatch.setattr(scn_mod, "_run_evolve", boom)
+    monkeypatch.setattr(scn_mod, "export", boom)
     with pytest.raises(RuntimeError):
         run(scn, out_dir=out)
     assert not os.path.exists(out)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, torus_x
+from stripflow import stepper
 from stripflow.dtn import DtNOperator, admissibility
 from stripflow.errors import AdmissibilityError, SolverError
 from stripflow.geometry import InterfaceProfile
@@ -14,6 +15,7 @@ from stripflow.stepper import (
     STATUS_BOUNDARY,
     STATUS_COMPLETED,
     STATUS_NORM_BLOWUP,
+    STATUS_SOLVER_FAILURE,
     EvolutionConfig,
     Trajectory,
     _STEP_RTOL,
@@ -216,6 +218,36 @@ def test_evolve_norm_breakdown(A1):
                     breakdown_norm_cap=1e-6, boundary_margin_floor=1e-9)
     traj = evolve(p0, A1, cfg)
     assert traj.status == STATUS_NORM_BLOWUP
+
+
+def test_evolve_solver_failure_records_the_failing_solve(A1,
+                                                        third_step_fails):
+    """A step whose solve fails ends the run with one SolverFailure row at
+    the failed step's time, carrying that solve's residual and iterations,
+    not those of the step before."""
+    p0 = make_profile(nx=32, amp=1e-3, mode=1)
+    traj = evolve(p0, A1, small_cfg(ny=9))
+    assert traj.status == STATUS_SOLVER_FAILURE
+    assert traj.failure_message.startswith("step 3 (t=0.06)")
+    assert np.all(np.diff(traj.times) > 0)
+    assert traj.times[-1] == pytest.approx(0.06)
+    last = traj.diagnostics[-1]
+    assert last.status == STATUS_SOLVER_FAILURE
+    assert (last.residual, last.iterations) == (3e-7, 180)
+    assert [row.status for row in traj.diagnostics[:-1]] == ["OK"] * 3
+
+
+def test_evolve_solver_failure_without_residual_records_nan(A1, monkeypatch):
+    """A solve that refuses its data before iterating carries no residual;
+    its row records NaN."""
+    def refuse(dtn, dt):
+        raise SolverError("non-finite data", iterations=0)
+
+    monkeypatch.setattr(stepper, "_step_core", refuse)
+    traj = evolve(make_profile(nx=32, amp=1e-3, mode=1), A1, small_cfg(ny=9))
+    assert traj.failure_message == "step 1 (t=0.02): non-finite data"
+    last = traj.diagnostics[-1]
+    assert np.isnan(last.residual) and last.iterations == 0
 
 
 # ------------------------------------------------------------ reconstruct
