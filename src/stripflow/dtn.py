@@ -11,9 +11,10 @@ fields along psi.  K(g) and S(g) solve the same discrete strip problem with
 Dirichlet data and with an interior source, and both the right-hand side
 and the read-out B0 are linear, so the first and third pieces together cost
 one strip solve with data (-dB, psi).
-Freezing all coefficients at a boundary point turns each piece into a
-Fourier multiplier (O10, O20, O30); their sum O0 is the frozen model of dO
-and drives the sector/localization diagnostics.
+Freezing the coefficients at a boundary node turns each piece into a
+Fourier multiplier (O10, O20, O30); O20 and O30 are the chain rule of dO(g)
+itself, evaluated at the node with psi = e^{ikx}.  Their sum O0 is the
+frozen model of dO and drives the sector/localization diagnostics.
 """
 
 from dataclasses import dataclass, field
@@ -101,19 +102,26 @@ class DtNOperator:
         the second the perturbation of the oblique boundary read-out.
         """
         p = self.profile
-        v_xy, v_yy, v_y, tr_x, tr_y = self._upsilon_derivatives()
-        da12, da22, da2, db10, db20 = coefficient_derivatives(
-            self.coeffs.beta[None, :, None], (p.nu + p.g)[:, None, :],
-            p.g_x[:, None, :], p.g_xx[:, None, :], psi[:, None, :],
+        return self._pieces(
+            slice(None), (p.nu + p.g)[:, None, :], p.g_x[:, None, :],
+            p.g_xx[:, None, :], psi[:, None, :],
             spectral_derivative(psi, p.L, 1)[:, None, :],
             spectral_derivative(psi, p.L, 2)[:, None, :])
+
+    def _pieces(self, at, w, gx, gxx, ps, ps_x, ps_xx):
+        """The chain rule along psi at the x-nodes at, with v = K(g) g: the
+        interior source -2 da12 v_xy - da22 v_yy + da2 v_y and the boundary
+        piece db10 v_x + db20 v_y at y = 0.  Each argument after at has a
+        length-1 middle axis, to broadcast against the y axis of beta."""
+        v_xy, v_yy, v_y, tr_x, tr_y = (
+            d[at] for d in self._upsilon_derivatives())
+        da12, da22, da2, db10, db20 = coefficient_derivatives(
+            self.coeffs.beta[None, :, None], w, gx, gxx, ps, ps_x, ps_xx)
         interior = -2.0 * da12 * v_xy - da22 * v_yy + da2 * v_y
-        boundary = db10[:, 0] * tr_x + db20[:, 0] * tr_y
-        return interior, boundary
+        return interior, db10[:, 0] * tr_x + db20[:, 0] * tr_y
 
     def _upsilon_derivatives(self):
-        """(v_xy, v_yy, v_y, d/dx of the trace, d/dy at y = 0) of
-        v = K(g) g, which every derivative direction reads; cached."""
+        """v_xy, v_yy, v_y and the y = 0 traces of v_x, v_y; cached."""
         if self._v_derivatives is None:
             ups = self.upsilon()
             self._v_derivatives = (
@@ -178,7 +186,7 @@ class DtNOperator:
             vnu_gap=vnu_gap, margin_argmin=float(p.x[arg[0]]))
 
     def _freeze_point(self, x0):
-        """Node index, height nu + g and slope g_x at the grid node x0.
+        """Index of the grid node x0.
 
         For m > 1 the frozen principal coefficients must be equal across
         components at that node (otherwise the scalar a12/a22 reduction
@@ -190,21 +198,19 @@ class DtNOperator:
         if abs(p.x[i0] - x0) > 1e-9 * p.L:
             raise FreezePointError(f"freeze point {x0} is not a grid node "
                                    f"(nearest: {p.x[i0]:.12g})")
-        w_vec = p.nu + p.g[i0]
-        gx_vec = p.g_x[i0]
-        for name, vec in (("nu+g", w_vec), ("g_x", gx_vec)):
+        for name, vec in (("nu+g", p.nu + p.g[i0]), ("g_x", p.g_x[i0])):
             spread = np.max(np.abs(vec - vec[0]))
             if spread > 1e-10 * (1.0 + np.max(np.abs(vec))):
                 raise FreezePointError(
                     f"components of {name} differ at the freeze node "
                     f"x = {p.x[i0]:.6g} (index {i0}, spread {spread:.3e}); "
                     f"the frozen diagnostics need equal components")
-        return i0, float(w_vec[0]), float(gx_vec[0])
+        return i0
 
     def frozen_coefficients(self, x0):
         """Principal coefficients a12, a22 of the flattening at the boundary
         grid node x0, with this mu."""
-        return self._frozen_coefficients(self._freeze_point(x0)[0])
+        return self._frozen_coefficients(self._freeze_point(x0))
 
     def _frozen_coefficients(self, i0):
         c = self.coeffs
@@ -218,50 +224,32 @@ class DtNOperator:
         (see _freeze_point).  Each node is built once per operator: the
         set is kept and returned again for any x0 on the same node.
         """
-        i0, h0, gx0 = self._freeze_point(x0)
+        i0 = self._freeze_point(x0)
         if i0 not in self._frozen:
-            self._frozen[i0] = self._build_frozen_set(
-                i0, h0, gx0, self._frozen_coefficients(i0))
+            self._frozen[i0] = self._build_frozen_set(i0)
         return self._frozen[i0]
 
-    def _build_frozen_set(self, i0, h0, gx0, fc):
+    def _build_frozen_set(self, i0):
         p = self.profile
-        b10 = self.coeffs.b10[i0, 0]
-        b20 = self.coeffs.b20[i0, 0]
-
-        ups = self.upsilon()
-        tr_x = spectral_derivative(ups.trace0(), p.L, 1)
-        c1 = tr_x[i0]          # trace of d/dx of v at the freeze point
-        c2 = ups.dy_trace0()[i0]
-
-        # y-profiles of the solved field's derivatives above the freeze
-        # point; the third piece needs them resolved in depth, not just
-        # their traces, or the cancellation against the boundary piece is
-        # lost
-        Dy = ups.Dy
-        vxy_prof = Dy @ spectral_derivative(ups.values, p.L, 1)[i0]
-        vy_prof = Dy @ ups.values[i0]
-        vyy_prof = Dy @ vy_prof
-
+        fc = self._frozen_coefficients(i0)
+        b10, b20 = self.coeffs.b10[i0, 0], self.coeffs.b20[i0, 0]
         ks = torus_wavenumbers(p.L, p.nx)
-        # the chain rule with psi = e^{ikx} at the freeze node: the interior
-        # source of the third piece, one y-profile per wavenumber, and the
-        # boundary read-out of the second
+        # derivative_sources' chain rule at the freeze node, per component,
+        # psi = e^{ikx} entering by its symbols: the interior source keeps
+        # its y-profile per wavenumber (the third piece needs it resolved in
+        # depth, or the cancellation against the boundary piece is lost),
+        # and the boundary piece is O20's diagonal
         ik = 1j * ks[:, None, None]
-        da12, da22, da2, db10, db20 = coefficient_derivatives(
-            (1.0 - ups.y)[None, :, None], h0, gx0, p.g_xx[i0, 0],
-            1.0, ik, ik ** 2)
-        src = -2.0 * da12 * vxy_prof - da22 * vyy_prof + da2 * vy_prof
+        src, sym20_diag = self._pieces(i0, p.nu + p.g[i0], p.g_x[i0],
+                                       p.g_xx[i0], 1.0, ik, ik ** 2)
         eyem = np.eye(p.m)
         sym10 = ((1j * b10 * ks)[:, None, None] * eyem
                  + b20 * strip_trace_gradient_map(fc, ks))
-        sym20 = np.zeros_like(sym10)
-        diag = np.arange(p.m)
-        sym20[:, diag, diag] = db10[:, 0] * c1 + db20[:, 0] * c2
+        sym20 = sym20_diag[:, :, None] * eyem
         # column c of each symbol answers a source in component c alone
         cols = np.einsum("kyc,cd->kcyd", src, eyem)
         sym30 = -b20 * strip_profile_response(fc, ks, cols,
-                                              Dy).transpose(0, 2, 1)
+                                              self.op.Dy).transpose(0, 2, 1)
         return FrozenOperatorSet(
             x0=float(p.x[i0]), k_grid=ks, sym10=sym10, sym20=sym20,
             sym30=sym30, L=p.L, mu=self.mu)
@@ -387,12 +375,12 @@ def sector_report(fset, A, alpha=0.5):
     for name, shift in shift_table.items():
         sym = fset.symbols(name)
         nk, m, _ = sym.shape
-        shifted = sym + shift * np.eye(m)[None]
-        eigs = np.linalg.eigvals(shifted).ravel()
         eigs_raw = np.linalg.eigvals(sym).ravel()
+        eigs = eigs_raw + shift
         # numerical-range samples catch non-normal blocks that eigenvalues miss
         pts = eigs
         if m > 1:
+            shifted = sym + shift * np.eye(m)[None]
             d = rng.standard_normal((nk, _SECTOR_SAMPLES // 4, 2, m))
             v = (d[:, :, 0] + 1j * d[:, :, 1])[..., None]     # (nk, n, m, 1)
             vh = np.swapaxes(v.conj(), -1, -2)

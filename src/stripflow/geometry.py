@@ -38,7 +38,8 @@ class InterfaceProfile:
         Perturbation samples on ``torus_nodes(L, nx)``, stored as float64;
         a nonzero imaginary sample raises EllipticityError.
     h_floor : float
-        Degeneracy guard; construction fails if min h <= h_floor.
+        Degeneracy guard; construction fails if some component of nu + g
+        is at or below h_floor.
     """
 
     def __init__(self, nu, L, g, h_floor=1e-8):
@@ -71,11 +72,11 @@ class InterfaceProfile:
         # side of the reference offset: a component that crosses zero folds
         # the domain onto itself even though the Euclidean height |f| stays
         # away from zero
-        f_min = float(np.min(f))
-        if min(np.min(self.h), f_min) <= self.h_floor:
-            j = int(np.argmin(np.minimum(np.min(f, axis=1), self.h)))
+        row_min = f.min(axis=1)   # h, a root mean square, is never below it
+        j = int(np.argmin(row_min))
+        if row_min[j] <= self.h_floor:
             raise DegenerateDomainError(
-                f"interface height {min(self.h[j], f_min):.3e} at "
+                f"interface height {row_min[j]:.3e} at "
                 f"x={self.x[j]:.4f} is at or below the degeneracy guard "
                 f"{self.h_floor:.1e}")
         self.h_x = spectral_derivative(self.h, self.L, 1)

@@ -6,7 +6,10 @@ linearization is treated implicitly while O is evaluated at the current
 profile.  A run ends Completed at t_end, in one of the two breakdown
 flags of the continuous alternative "norm blows up or the profile reaches
 the admissibility boundary" (NormBlowup, BoundaryApproach), or in
-SolverFailure when a step's solve does not converge.
+SolverFailure when a solve does not converge: the step's own, or the
+K(g)g solve of the new profile that its margin reads.  A SolverFailure run
+still returns its trajectory, whose last row carries the last good profile
+and the failing solve's numbers.
 """
 
 import dataclasses
@@ -192,6 +195,10 @@ def evolve(p0, A, cfg, dtn=None):
         n += 1
         try:
             delta, residual, iterations = _step_core(dtn, cfg.dt)
+            # rebinding dtn frees the old operator before the new margin solve
+            dtn = DtNOperator(current.with_g(current.g + delta), A,
+                              cfg.mu_solve, ny=cfg.ny, rtol=cfg.rtol)
+            norms = diagnose(dtn)
         except SolverError as exc:
             # the last profile and its norms, with the failing solve's numbers
             status = STATUS_SOLVER_FAILURE
@@ -200,9 +207,7 @@ def evolve(p0, A, cfg, dtn=None):
             iterations = exc.iterations
             record(status)
             break
-        current = current.with_g(current.g + delta)
-        dtn = DtNOperator(current, A, cfg.mu_solve, ny=cfg.ny, rtol=cfg.rtol)
-        norms = diagnose(dtn)
+        current = dtn.profile
     return Trajectory(times=[row.t for row in rows], profiles=profiles,
                       diagnostics=rows, status=status, norm_cap=norm_cap,
                       margin_floor=margin_floor,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stripflow import stepper
+from stripflow.dtn import DtNOperator
 from stripflow.errors import SolverError
 from stripflow.geometry import InterfaceProfile
 from stripflow.operator_core import SectorialOperator
@@ -66,17 +67,30 @@ def rng():
     return np.random.default_rng(1234)
 
 
-@pytest.fixture
-def third_step_fails(monkeypatch):
-    """The third implicit-step solve of a run raises as a stalled solve
+def fail_third_call(monkeypatch, owner, name):
+    """From now on, the third call of owner.name raises as a stalled solve
     does, with residual 3e-7 after 180 iterations."""
     calls = []
-    core = stepper._step_core
+    real = getattr(owner, name)
 
-    def failing(dtn, dt):
+    def failing(*args):
         calls.append(1)
         if len(calls) == 3:
             raise SolverError("stalled", residual=3e-7, iterations=180)
-        return core(dtn, dt)
+        return real(*args)
 
-    monkeypatch.setattr(stepper, "_step_core", failing)
+    monkeypatch.setattr(owner, name, failing)
+
+
+@pytest.fixture
+def third_step_fails(monkeypatch):
+    """The third implicit-step solve of a run fails."""
+    fail_third_call(monkeypatch, stepper, "_step_core")
+
+
+@pytest.fixture
+def third_margin_fails(monkeypatch):
+    """The third margin evaluation fails, as its K(g)g solve would: for a
+    loaded scenario's run that is step 1's new profile, after the load's
+    admissibility and evolve's t = 0."""
+    fail_third_call(monkeypatch, DtNOperator, "margin")

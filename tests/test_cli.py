@@ -241,6 +241,28 @@ def test_run_solver_failure_exit_code(tmp_path, capsys, scenario_dir,
         "step 3 (t=0.06): stalled")
 
 
+def test_run_new_profile_solver_failure_exit_code(tmp_path, capsys,
+                                                 scenario_dir,
+                                                 third_margin_fails):
+    """A failed solve of a step's new profile (its margin's K(g)g) ends the
+    run as a SolverFailure too, outputs written, with the last good
+    profile's norms and the failing solve's numbers in the last row."""
+    from stripflow import cli
+    out = tmp_path / "result"
+    scn = os.path.join(scenario_dir, "decay_sine.scn")
+    assert cli.main(["run", scn, "--out", str(out)]) == 4
+    assert "status=SolverFailure" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "manifest.json",
+                                       "trajectory.csv"]
+    rows = (out / "diagnostics.csv").read_text().strip().splitlines()
+    assert rows[-1].split(",")[3:] == ["3e-07", "180", "SolverFailure"]
+    assert rows[-1].split(",")[1:3] == rows[-2].split(",")[1:3]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "SolverFailure"
+    assert manifest["validation"]["failure_message"].startswith(
+        "step 1 (t=0.02): stalled")
+
+
 def test_run_into_foreign_working_directory_exit_code(tmp_path, capsys,
                                                      monkeypatch):
     """--out . in a directory that holds no earlier run's output is a

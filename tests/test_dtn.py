@@ -1,11 +1,13 @@
 """Interface-to-flux operator: evaluation, derivative, frozen symbols,
 sectoriality audit, admissibility, localization."""
 
+import os
+
 import numpy as np
 import pytest
 from numpy.fft import fft, ifft
 
-from conftest import make_profile, torus_x
+from conftest import SCENARIO_DIR, make_profile, torus_x
 from stripflow.dtn import (
     DtNOperator,
     admissibility,
@@ -15,7 +17,9 @@ from stripflow.dtn import (
     localization_residual,
     sector_report,
 )
+from stripflow.model import strip_profile_response
 from stripflow.operator_core import SectorialOperator
+from stripflow.scenario import load_scenario
 from stripflow.strip import DiscreteStripOperator, b0_trace
 
 L = 16 * np.pi
@@ -71,6 +75,52 @@ def test_frozen_matches_true_derivative_on_constant_profile(A1):
             frozen_d = fset.apply("O0", psi)
             scale = np.max(np.abs(true_d))
             assert np.max(np.abs(true_d - frozen_d)) < 1e-9 * max(scale, 1.0)
+
+
+def assert_frozen_pieces_are_live(dtn, x0):
+    """At the freeze node x0 the frozen symbols of psi = e^{ikx} are dO(g)'s
+    own pieces divided by e^{ikx0}: the boundary piece of derivative_sources
+    is the diagonal of sym20, and its interior source, each component's
+    column answered by the frozen profile response, gives sym30 (the
+    Nyquist mode, whose odd derivative the grid zeroes, is left out)."""
+    fset = dtn.frozen_set(x0)
+    p = dtn.profile
+    i0 = int(np.argmin(np.abs(p.x - fset.x0)))
+    keep = np.arange(p.nx) != p.nx // 2
+    sources = []
+    for j in np.flatnonzero(keep):
+        k = fset.k_grid[j]
+        psi = np.tile(np.exp(1j * k * p.x)[:, None], (1, p.m))
+        src, boundary = dtn.derivative_sources(psi)
+        phase = np.exp(1j * k * fset.x0)
+        want = boundary[i0] / phase
+        got = np.diag(fset.sym20[j])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        sources.append(src[i0] / phase)
+    cols = np.einsum("kyc,cd->kcyd", np.array(sources), np.eye(p.m))
+    want = -dtn.coeffs.b20[i0, 0] * strip_profile_response(
+        dtn.frozen_coefficients(x0), fset.k_grid[keep], cols,
+        dtn.op.Dy).transpose(0, 2, 1)
+    got = fset.sym30[keep]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["decay_sine", "coupled_pair"])
+def test_frozen_pieces_are_the_live_pieces_at_the_node(name):
+    scn = load_scenario(os.path.join(SCENARIO_DIR, name + ".scn"))
+    assert_frozen_pieces_are_live(scn.dtn(),
+                                  scn.admissibility_report.margin_argmin)
+
+
+def test_frozen_pieces_keep_each_components_curvature(A2):
+    """Two components with equal height and slope at the node but unequal
+    curvature: each column of the frozen source uses its own."""
+    x = torus_x(32)
+    g1 = 0.05 * np.sin(2 * np.pi * x / L)
+    g2 = g1 + 0.05 * (1.0 - np.cos(2 * np.pi * x / L))
+    p = make_profile(nx=32, amp=0.0, m=2).with_g(np.stack([g1, g2], axis=1))
+    assert abs(p.g_xx[0, 1] - p.g_xx[0, 0]) > 1e-4
+    assert_frozen_pieces_are_live(DtNOperator(p, A2, 4.0, ny=9), 0.0)
 
 
 def test_frozen_operators_keep_a_real_trace_real(A2):

@@ -46,6 +46,18 @@ def test_touching_bottom_rejected():
         InterfaceProfile(1.0, L, g)
 
 
+def test_component_below_guard_rejected_though_height_is_not():
+    """An m = 2 row f = nu + g = (-0.5, 2.5) has height h = 1.8, yet its
+    negative component folds the domain: the row is refused by name."""
+    x = torus_x(16)
+    g = np.zeros((16, 2))
+    g[3] = (-1.5, 1.5)
+    with pytest.raises(DegenerateDomainError) as err:
+        InterfaceProfile(1.0, L, g)
+    assert str(err.value) == (f"interface height -5.000e-01 at x={x[3]:.4f} "
+                              f"is at or below the degeneracy guard 1.0e-08")
+
+
 def test_profile_refuses_imaginary_sample():
     """Profiles are real: one sample with imaginary part 1e-12 is refused,
     and a complex dtype with zero imaginary parts is stored as float64."""

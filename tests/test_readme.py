@@ -5,6 +5,7 @@ import ast
 import glob
 import os
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -36,36 +37,62 @@ def test_every_export_resolves():
     assert len(set(stripflow.__all__)) == len(stripflow.__all__)
 
 
-def referenced_names(source):
-    """Every identifier a module mentions: names, attribute names and the
-    last part of each imported name."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
+def mentions(tree):
+    """How often a syntax tree mentions each identifier: names, attribute
+    names and the last part of each imported name."""
+    names = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
+            names[node.name.rpartition(".")[2]] += 1
     return names
+
+
+def callers():
+    """The package's modules as syntax trees keyed by file name
+    (__init__.py, whose re-exports call nothing, aside), and the mentions
+    of each identifier in them, the acceptance suite and the README
+    example."""
+    package = os.path.dirname(stripflow.__file__)
+    modules = {}
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) != "__init__.py":
+            with open(path, encoding="utf-8") as fh:
+                modules[os.path.basename(path)] = ast.parse(fh.read())
+    acceptance = os.path.join(HERE, "test_acceptance.py")
+    with open(acceptance, encoding="utf-8") as fh:
+        outside = [ast.parse(fh.read())]
+    outside += [ast.parse(block) for block in readme_python_blocks()]
+    return modules, sum(map(mentions, [*modules.values(), *outside]),
+                        Counter())
 
 
 def test_every_export_has_a_caller():
     """Each exported name is used by the package itself (outside
     __init__.py), by the acceptance suite or by the README example; an
     export that only unit tests call is not part of the public surface."""
-    package = os.path.dirname(stripflow.__file__)
-    sources = [path for path in glob.glob(os.path.join(package, "*.py"))
-               if os.path.basename(path) != "__init__.py"]
-    sources.append(os.path.join(HERE, "test_acceptance.py"))
-    used = set()
-    for path in sources:
-        with open(path, encoding="utf-8") as fh:
-            used |= referenced_names(fh.read())
-    for block in readme_python_blocks():
-        used |= referenced_names(block)
+    _, used = callers()
     unused = [name for name in stripflow.__all__ if name not in used]
     assert unused == [], f"exports without a caller: {', '.join(unused)}"
+
+
+def test_every_definition_has_a_caller():
+    """Each function, class and method the package defines is mentioned
+    outside its own definition, by the same callers as an export.  Dunder
+    methods are called by Python itself."""
+    modules, used = callers()
+    uncalled = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("__")
+                    and used[node.name] == mentions(node)[node.name]):
+                uncalled.append(f"{module}:{node.name}")
+    assert uncalled == [], f"definitions without a caller: {uncalled}"
 
 
 def test_no_package_import_inside_a_function():
