@@ -52,8 +52,10 @@ class DtNOperator:
     the source solve (S) and the boundary read-out all share one discrete
     operator and preconditioner, so repeated derivative applications (e.g.
     inside an implicit time step) reuse its one eigendecomposition of the
-    x-averaged operator (the fast diagonalisation in strip, which drops the
-    mixed term because the x-average of a12 vanishes).
+    row-scaled x-averaged operator (the fast diagonalisation in strip: the
+    interior rows are scaled by 1/a22 before the x-average, and the scaled
+    mixed term's average is dropped as an approximation, which leaves the
+    true-residual gate of every solve unaffected).
     derivative() makes one strip solve per direction: K psi and S dB solve
     the same discrete problem, whose right-hand side is linear in the
     Dirichlet data and the interior source, and B0 is linear, so their

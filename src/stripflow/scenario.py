@@ -204,15 +204,16 @@ def _parse_matrix(raw, path, section, key):
 # a value in the file; None marks a required key.  The kind fixes how the
 # text is read and how the value is written back into the canonical form
 # that the checksum covers.  A rule (requirement, predicate) holds the
-# admissible values of a key; a key without one is checked by the
-# constructor that takes it: SectorialOperator for phi and M,
-# EvolutionConfig for the [time] keys.
+# admissible values of a key, and an "auto" value passes it.  A key without
+# a rule is checked by the constructor that takes it: SectorialOperator for
+# A, EvolutionConfig for the other [time] keys.
 _POSITIVE = ("positive", lambda v: v > 0)
 FIELDS = {
     ("space", "m"): ("int", None, ("at least 1", lambda v: v >= 1)),
     ("space", "A"): ("matrix", None, None),
-    ("space", "phi"): ("real", "pi/2 + 0.35", None),
-    ("space", "M"): ("real", "20", None),
+    ("space", "phi"): ("real", "pi/2 + 0.35", (
+        "in (pi/2, pi)", lambda v: np.pi / 2 < v < np.pi)),
+    ("space", "M"): ("real", "20", _POSITIVE),
     ("geometry", "nu"): ("real", None, _POSITIVE),
     ("geometry", "L"): ("real", None, _POSITIVE),
     ("geometry", "nx"): ("int", None, ("a power of two >= 4",
@@ -231,8 +232,8 @@ FIELDS = {
     ("time", "dt"): ("real", None, None),
     ("time", "t_end"): ("real", None, None),
     ("time", "scheme"): ("text", "semi_implicit_euler", None),
-    ("time", "norm_cap"): ("auto", "auto", None),
-    ("time", "margin_floor"): ("auto", "auto", None),
+    ("time", "norm_cap"): ("auto", "auto", _POSITIVE),
+    ("time", "margin_floor"): ("auto", "auto", _POSITIVE),
     ("time", "output_stride"): ("int", "1", None),
     ("output", "directory"): ("text", None, ("not empty", bool)),
     ("output", "formats"): ("list", "csv,json", (
@@ -248,7 +249,7 @@ def _read_field(sections, section, key, path):
         raise ScenarioError("missing required key", path=path,
                             section=section, key=key)
     value = _parse_value(kind, raw, path, section, key)
-    if rule is not None and not rule[1](value):
+    if rule is not None and value is not None and not rule[1](value):
         raise ScenarioError(f"{key} must be {rule[0]}, got {value!r}",
                             path=path, section=section, key=key)
     return value

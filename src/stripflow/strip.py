@@ -3,14 +3,22 @@
 The transformed problem couples Fourier modes in x through the
 profile-dependent coefficients, so the discrete operator is applied
 matrix-free (FFT in x, dense Chebyshev differentiation in y) and solved by
-GMRES, preconditioned with the operator obtained by x-averaging the
-coefficients.  That frozen operator is mode-diagonal, and since the average
-of the mixed coefficient a12 = beta d/dx log w vanishes, each mode block is
+GMRES, preconditioned with the row-scaled x-average of the operator.  Each
+interior row is multiplied by 1/a22, so that the stiff -Dy^2 part, with
+a22 ~ 1/h^2 near the wall, has coefficient 1 at every x; the scaled
+coefficients are averaged over x, and the row is divided by the average
+pb = mean_x(1/a22) of its scale.  The preconditioner applies the same row
+scaling (1/a22)/pb to its input and then inverts that frozen operator, which
+is mode-diagonal.  Its mixed term, mean_x(a12/a22)/pb, is dropped: it
+vanishes for profiles symmetric about a node, but unlike
+mean_x a12 = beta mean_x d/dx log w it is not the average of a derivative,
+so dropping it is an approximation.  It costs iterations, not accuracy,
+since every solve is gated on its true residual.  Each mode block is then
 R + k^2 P with one k-independent R: after the boundary rows are eliminated,
 a single eigendecomposition of the interior Schur complement inverts every
-mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  For profiles close
-to flat the preconditioned iteration converges in a handful of steps; every
-solve is gated on its true residual before being returned.
+mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  Near the wall, at
+min(nu + g) = 0.15, a K(g)g solve takes 16 iterations where the unscaled
+average took 79; a profile close to flat takes 3.
 
 The operator is real: InterfaceProfile admits only real profiles,
 SectorialOperator only a real A, and the coefficients are stored as real
@@ -52,10 +60,11 @@ from .holder import CoercivityReport, CoercivityRow, _graded_probe_norms
 # as singular: its inverse keeps fewer than two correct digits
 _SINGULAR_COND = 1e14
 
-# restart length and cycle cap of the strip solve's GMRES.  At a = 0.85 the
-# first cycle stops on its Arnoldi residual with a true one of 7.6e-9, the
-# second reaches the round-off floor of the apply, 4.3e-10, and cycles 3-10
-# only hover there (3.1e-10 to 4.0e-10)
+# restart length and cycle cap of the strip solve's GMRES.  On the dip at
+# a = 0.85 the first cycle stops on its Arnoldi residual after 15
+# iterations with a true one of 1.1e-9, the second reaches the round-off
+# floor of the apply, 4.9e-10, in one more, and cycles 3-7 only hover there
+# (3.3e-10 to 4.2e-10)
 _RESTART = 160
 _MAX_CYCLES = 2
 
@@ -123,8 +132,8 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None):
 
 
 class _FastDiagonalisation(NamedTuple):
-    """Inverse of the x-averaged operator on the rfft modes r of a y-major
-    vector, r of shape (ny*m, s, nx/2+1):
+    """Inverse of the row-scaled x-averaged operator on the rfft modes r of
+    a y-major vector, r of shape (ny*m, s, nx/2+1):
     u = from_eig (scale * (to_eig r)), scale broadcast over s.
 
     to_eig maps a mode's data to the eigen-coordinates of the interior
@@ -148,8 +157,8 @@ def cheb_apply(D, u):
     is faster and more accurate than an einsum or a per-x batched matvec
     (``D @ u`` broadcast over x); the latter carries enough extra round-off
     into Dy^2 u to stall the strip solve at large amplitude.  A complex D
-    (the preconditioner's eigenvectors, when the x-averaged operator has
-    complex eigenvalues) is one complex GEMM.
+    (the preconditioner's eigenvectors, when the row-scaled x-averaged
+    operator has complex eigenvalues) is one complex GEMM.
     """
     u = np.ascontiguousarray(u)
     flat = u.reshape(u.shape[0], -1)
@@ -305,20 +314,30 @@ class DiscreteStripOperator:
     # -- preconditioner ----------------------------------------------------
 
     def _build_preconditioner(self):
-        """Fast-diagonalise the x-averaged operator (Lynch, Rice & Thomas).
+        """Fast-diagonalise the row-scaled x-averaged operator (Lynch, Rice
+        & Thomas).
 
-        Averaged over x the coefficients make every Fourier mode k a block
-        R + k^2 P on the (y, component) values, where P keeps the interior
-        rows.  The mixed term drops out: the mean of a12 = beta w_x / w is
-        beta times the mean of d/dx log w, which vanishes for a periodic w
-        with w > 0 (it measures ~1e-17).  Eliminating the 2m boundary
-        rows, which carry no k, leaves the Schur complement S on the
-        interior values, and S = V diag(lam) V^-1 serves every mode.  R is
-        real, and the rfft modes k >= 0 of real data are all the modes.
+        Each interior row is multiplied by w = 1/a22, averaged over x and
+        divided by pb = mean_x w: -Dy^2 gets the coefficient 1/pb, the
+        harmonic mean of a22, and Dy the w-weighted mean of a2, while -Dx^2
+        and the shift A + mu^2 keep theirs.  _rowscale holds the row
+        scaling w/pb, 1 on the boundary rows, which stay unscaled.  Every
+        Fourier mode k is then a block R + k^2 P on the (y, component)
+        values, where P keeps the interior rows.  The mixed term
+        mean_x(w a12)/pb is dropped; it vanishes for profiles symmetric
+        about a node and otherwise only costs iterations, as the solve
+        gates on the true residual.  Eliminating the 2m boundary rows,
+        which carry no k, leaves the Schur complement S on the interior
+        values, and S = V diag(lam) V^-1 serves every mode.  R is real, and
+        the rfft modes k >= 0 of real data are all the modes.
         """
         ny, m, nym = self.ny, self.m, self.ny * self.m
-        a22b = self._a22.mean(axis=-1)[:, :, 0]      # (ny, m)
-        a2b = self._a2.mean(axis=-1)[:, :, 0]
+        w = 1.0 / self._a22
+        pb = w.mean(axis=-1, keepdims=True)          # (ny, m, 1, 1)
+        self._rowscale = w / pb
+        self._rowscale[[0, -1]] = 1.0
+        a22b = 1.0 / pb[:, :, 0, 0]                  # (ny, m)
+        a2b = (w * self._a2).mean(axis=-1)[:, :, 0] / pb[:, :, 0, 0]
         b21b = self._b21.mean(axis=-1)[:, 0]         # (m,)
         R = np.zeros((ny, m, ny, m))
         for comp in range(m):
@@ -338,7 +357,7 @@ class DiscreteStripOperator:
 
         def fail(what):
             return SolverError(
-                f"x-averaged preconditioner is singular: {what} "
+                f"row-scaled x-averaged preconditioner is singular: {what} "
                 f"(mu={self.mu}, bc0={self.bc0})", iterations=0)
 
         R_bb = R[np.ix_(bnd, bnd)]
@@ -366,12 +385,14 @@ class DiscreteStripOperator:
         self._minv = _FastDiagonalisation(to_eig, scale, from_eig)
 
     def _precond(self, v):
-        """The fast-diagonalised inverse of the x-averaged operator on
-        real y-major samples v of shape (ny, m, s, nx)."""
+        """The preconditioner on real y-major samples v of shape
+        (ny, m, s, nx): the row scaling w/pb, then the fast-diagonalised
+        inverse of the row-scaled x-averaged operator."""
         if self._minv is None:
             self._build_preconditioner()
         fd = self._minv
-        rhat = rfft(v, axis=-1).reshape(self.ny * self.m, v.shape[2], -1)
+        rhat = rfft(v * self._rowscale, axis=-1).reshape(
+            self.ny * self.m, v.shape[2], -1)
         z = cheb_apply(fd.to_eig, rhat)
         z *= fd.scale[:, None, :]
         u = cheb_apply(fd.from_eig, z)
@@ -417,9 +438,16 @@ class DiscreteStripOperator:
         self.last_residual = res
         self.last_iterations = its
         if not res <= max(100.0 * rtol, 1e-9):     # NaN-safe comparison
+            # a22 ~ 1/h^2 sets the round-off floor of the apply, so the
+            # refusal names the node where the height h = nu + g is least
+            heights = (self.profile.nu + self.profile.g).min(axis=1)
+            node = np.argmin(heights)
             raise SolverError(
                 f"strip solve stalled at relative residual {res:.3e} after "
-                f"{its} GMRES iterations (mu={self.mu}, bc0={self.bc0})",
+                f"{its} GMRES iterations; the smallest height is "
+                f"min(nu + g) = {heights[node]:.3g} at x = "
+                f"{self.profile.x[node]:.4g}, and the round-off floor rises "
+                f"as it falls (mu={self.mu}, bc0={self.bc0})",
                 residual=res, iterations=its)
         values = sols[0] if len(sols) == 1 else sols[0] + 1j * sols[1]
         values = np.ascontiguousarray(values.transpose(2, 0, 1))

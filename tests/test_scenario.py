@@ -251,6 +251,24 @@ def test_alpha_range_enforced(tmp_path):
         load_scenario(write_scn(tmp_path, text))
 
 
+@pytest.mark.parametrize("old, new, section, key, match", [
+    ("A = 1.0", "A = 1.0\nphi = 1", "space", "phi", r"phi must be in \(pi/2"),
+    ("A = 1.0", "A = 1.0\nM = 0", "space", "M", "M must be positive"),
+    ("dt = 0.02", "dt = 0.02\nnorm_cap = -1", "time", "norm_cap",
+     "norm_cap must be positive"),
+    ("dt = 0.02", "dt = 0.02\nmargin_floor = 0", "time", "margin_floor",
+     "margin_floor must be positive"),
+])
+def test_out_of_range_refusal_names_the_scenario_key(tmp_path, old, new,
+                                                     section, key, match):
+    """phi, M, norm_cap and margin_floor are refused under their own key,
+    not under the name of the constructor parameter that takes them."""
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ScenarioError, match=match) as exc:
+        load_scenario(write_scn(tmp_path, text))
+    assert (exc.value.section, exc.value.key) == (section, key)
+
+
 def test_matrix_shape_enforced(tmp_path):
     text = MINIMAL.replace("m = 1", "m = 2")
     with pytest.raises(ScenarioError):

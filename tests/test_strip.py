@@ -190,14 +190,51 @@ def test_solve_past_the_floor_fails_fast():
     p, op = _wall_dip_operator(0.94)
     with pytest.raises(SolverError, match="stalled") as info:
         op.solve(psi0=p.g)
+    # the refusal names the smallest height of the profile, 1 - 0.94, and
+    # its node x = 0
+    assert "min(nu + g) = 0.06 at x = 0," in str(info.value)
     assert info.value.iterations <= 400
     assert info.value.residual > 1e-9
 
 
-def test_small_amplitude_solve_takes_four_iterations():
+def test_small_amplitude_solve_takes_three_iterations():
     p, op = _wall_dip_operator(1e-3)
     op.solve(psi0=p.g)
-    assert op.last_iterations == 4
+    assert op.last_iterations == 3
+    assert op.last_residual <= 1e-9
+
+
+def _asymmetric_profile(a, x):
+    """A dip with no node of symmetry: the row-scaled mixed coefficient
+    that the preconditioner drops has a nonzero x-average."""
+    kx = 2 * np.pi * x / L
+    return (-a * np.exp(np.cos(kx) - 1.0) * (1.0 + 0.3 * np.sin(kx)) / 1.3
+            + 0.1 * a * np.sin(2 * kx))
+
+
+def test_asymmetric_large_amplitude_solve_converges_quickly():
+    """The row-scaled preconditioner takes the asymmetric K(g)g solve at
+    a = 0.85 in at most 20 iterations (35 with the unscaled average)."""
+    p = InterfaceProfile(1.0, L, _asymmetric_profile(0.85, torus_x(128)))
+    op = DiscreteStripOperator(p, SectorialOperator(np.array([[1.0]])), 0.0,
+                               ny=33)
+    op.solve(psi0=p.g)
+    assert op.last_iterations <= 20
+    assert op.last_residual <= 1e-9
+
+
+def test_asymmetric_coupled_solve_converges_quickly():
+    """m = 2 with unequal components, the second at half the amplitude
+    and shifted by L/4: the K(g)g solve at a = 0.85 takes at most 25
+    iterations (36 with the unscaled average)."""
+    x = torus_x(128)
+    g = np.stack([_asymmetric_profile(0.85, x),
+                  0.5 * _asymmetric_profile(0.85, x - L / 4)], axis=1)
+    p = InterfaceProfile(1.0, L, g)
+    op = DiscreteStripOperator(
+        p, SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])), 0.0, ny=33)
+    op.solve(psi0=p.g)
+    assert op.last_iterations <= 25
     assert op.last_residual <= 1e-9
 
 
@@ -231,19 +268,26 @@ PRECOND_CASES = ("m1-large-amplitude", "m2-unequal", "m2-rotation")
 
 
 def _dense_frozen_inverse(op):
-    """Per-mode dense inverses of the x-averaged operator, mixed term
-    included, applied to flat (nx*ny*m) vectors."""
+    """Per-mode dense inverses of the row-scaled x-averaged operator, mixed
+    term included, applied to flat (nx*ny*m) vectors after the row scaling.
+
+    Each interior row is multiplied by w = 1/a22, x-averaged and divided by
+    pb = mean_x w; boundary rows are x-averaged unscaled."""
     c = op.coeffs
     nx, ny, m = op.nx, op.ny, op.m
     k = 2 * np.pi * np.fft.fftfreq(nx, d=op.L / nx)
     k_odd = k.copy()
     k_odd[nx // 2] = 0.0
-    a12, a22, a2 = (f.mean(axis=0) for f in (c.a12, c.a22, c.a2))
+    w = 1.0 / c.a22                                   # (nx, ny, m)
+    pb = w.mean(axis=0)
+    a12, a2 = ((w * f).mean(axis=0) / pb for f in (c.a12, c.a2))
     b21 = c.b21.mean(axis=0)
+    rowscale = (w / pb).transpose(1, 2, 0)[:, :, None, :]
+    rowscale[[0, -1]] = 1.0
     blocks = np.zeros((nx, ny, m, ny, m), dtype=complex)
     for comp in range(m):
         for j in range(nx):
-            blk = (-a22[:, comp, None] * op.Dy2 + a2[:, comp, None] * op.Dy
+            blk = (-op.Dy2 / pb[:, comp, None] + a2[:, comp, None] * op.Dy
                    - 2j * k_odd[j] * a12[:, comp, None] * op.Dy
                    + k[j] ** 2 * np.eye(ny))
             blocks[j, :, comp, :, comp] = blk
@@ -258,7 +302,7 @@ def _dense_frozen_inverse(op):
 
     def apply(v):
         """v is y-major, (ny, m, s, nx)."""
-        rhat = fft(v, axis=-1).reshape(ny * m, -1, nx)
+        rhat = fft(v * rowscale, axis=-1).reshape(ny * m, -1, nx)
         z = np.einsum("kab,bsk->ask", inv, rhat)
         return ifft(z, axis=-1).reshape(v.shape)
     return apply
@@ -282,10 +326,15 @@ def test_precond_matches_dense_mode_inverse(case, ny):
 @pytest.mark.parametrize("case", PRECOND_CASES)
 def test_x_averaged_mixed_coefficient_vanishes(case):
     """mean_x a12 = beta mean_x d/dx log w is round-off for a periodic w
-    with Re w > 0, which is why the preconditioner leaves it out."""
+    with Re w > 0.  The row-scaled average mean_x(a12/a22) that the
+    preconditioner drops is not an exact derivative, but it vanishes for
+    profiles symmetric about a node, as every case here is: so the dense
+    reference that keeps it matches the preconditioner."""
     p, _, _ = _precond_case(case)
-    a12 = coefficients(p, np.linspace(0.0, 1.0, 17)).a12
-    assert np.max(np.abs(a12.mean(axis=0))) <= 1e-14 * np.max(np.abs(a12))
+    c = coefficients(p, np.linspace(0.0, 1.0, 17))
+    scale = np.max(np.abs(c.a12))
+    assert np.max(np.abs(c.a12.mean(axis=0))) <= 1e-14 * scale
+    assert np.max(np.abs((c.a12 / c.a22).mean(axis=0))) <= 1e-14 * scale
 
 
 def test_precond_stores_no_per_mode_matrices():
