@@ -14,6 +14,16 @@ square root and the division by d_s^gamma.  On the non-periodic y axis of
 a strip field the pairs i < j are taken row by row, each with its own
 distance.
 
+The x-lines of a strip field take that pair pass only where it can change
+the norm.  The y-seminorm is computed first and seeds each field's running
+maximum.  Every x-line then gets an O(n) upper bound of its quotient,
+max_s min(s d1, D) / d_s^alpha, from its largest neighbour step d1 (the
+seam step from node n-1 to node 0 included) and D = 2 max_i ||f_i - mean||,
+widened by the margin 1 + 1e-12 that covers the rounding of both passes
+(and by the smallest normal float on its square, which covers squares that
+underflow).  A line whose bound is at most its field's running maximum is
+skipped, and the norms are those of the pass over every line, bit for bit.
+
 The coercivity probes of model and strip share their report types and the
 two graded norms they compare, which sit here beside the norms they
 combine.
@@ -112,6 +122,41 @@ def _torus_pair_sq(lines):
         yield _pair_sq(zip(windows[:, rows], lines[:, rows, :, None]))
 
 
+def _torus_line_bound(lines, dist):
+    """An upper bound of each periodic line's Hölder quotient, in O(n).
+
+    lines is (C, R, n) real as in _torus_pair_sq, dist the (n/2,) weights
+    d_s^alpha of the shift classes.  With d1 the line's largest neighbour
+    step, the seam step from node n-1 to node 0 included, and D = 2
+    max_i ||f_i - mean||, every pair of class s has ||f(i+s) - f(i)|| <=
+    min(s d1, D).  Returns (R,) max_s min(s d1, D) / d_s times (1 + 1e-12).
+    The bound is formed from squares, as the exact pass forms its pairs, so
+    a pair square that overflows has an infinite bound, and the margin goes
+    on the square so that this holds within rounding too.  The square also
+    gets the smallest normal float, which covers the pair squares that
+    underflow: differences near 1e-162 keep only a few bits when squared.
+    A line whose bound is at most a value therefore has every computed
+    quotient at most that value.
+    """
+    n = lines.shape[-1]
+    step_sq = np.max(_pair_sq(zip(np.roll(lines, -1, axis=-1), lines)),
+                     axis=-1)
+    mean = np.mean(lines, axis=-1, keepdims=True)
+    radius_sq = np.max(_pair_sq(zip(lines, mean)), axis=-1)
+    s = np.arange(1, n // 2 + 1)
+    bound_sq = np.minimum(step_sq[:, None] * s ** 2, 4.0 * radius_sq[:, None])
+    bound_sq = bound_sq * (1.0 + 1e-12) ** 2 + np.finfo(float).tiny
+    return np.max(np.sqrt(bound_sq) / dist, axis=-1)
+
+
+def _torus_line_quotient(lines, dist):
+    """(R,) exact Hölder quotient of each periodic line: the largest
+    sqrt(pair square) / d_s over its shift classes s."""
+    cls_sq = np.concatenate([np.max(block, axis=-2)
+                             for block in _torus_pair_sq(lines)])
+    return np.max(np.sqrt(cls_sq) / dist, axis=-1)
+
+
 def _shift_distance(L, n):
     """Periodic distance of the shift classes s = 1..n/2 of torus_nodes."""
     return np.arange(1, n // 2 + 1) * (L / n)
@@ -200,28 +245,45 @@ def scaled_field_norm(values, y, L, alpha, mu):
     mu weight makes the family of norms uniform in the zeroth-order
     parameter: a bare seminorm would let smooth-but-large-gradient fields
     dominate as mu grows even though the elliptic estimates hold uniformly.
+
+    The y-seminorm goes first and seeds each field's running maximum.  Every
+    x-line then gets the O(nx) bound of _torus_line_bound, max_s min(s d1,
+    D) / d_s^alpha with the margin 1 + 1e-12, and only a line whose bound
+    exceeds its field's running maximum takes the exact pair pass.  The
+    pass goes in rounds, one batched call each: the top-bound live line of
+    every field that has one, after which each maximum is raised and every
+    line whose bound it reaches drops out.  A skipped line cannot raise the
+    maximum, so the norms are exactly those of the pass over every line.
     """
     values = as_inexact(values)
     batch, (nx, ny) = values.shape[:-3], values.shape[-3:-1]
     sup = np.max(np.linalg.norm(values, axis=-1), axis=(-2, -1))
     comps = _components(values, -3)                # (C, ..., ny, nx)
-    # x: every (field, y) line reduced to its per-class maxima
-    lines = comps.reshape(comps.shape[0], -1, nx)
-    cls_sq = np.concatenate([np.max(block, axis=-2)
-                             for block in _torus_pair_sq(lines)])
-    cls_sq = np.max(cls_sq.reshape(batch + (ny, nx // 2)), axis=-2)
-    semi_x = np.max(np.sqrt(cls_sq) / _shift_distance(L, nx) ** alpha,
-                    axis=-1)
     # y: upper triangle row by row, pairs (i, j > i) in triu_indices order,
     # each maximised over x
     pair_sq = np.concatenate(
         [np.max(_pair_sq(zip(comps[..., i + 1:, :], comps[..., i:i + 1, :])),
                 axis=-1) for i in range(ny - 1)], axis=-1)
     ii, jj = np.triu_indices(ny, 1)
-    semi_y = np.max(np.sqrt(pair_sq) / np.abs(y[jj] - y[ii]) ** alpha,
-                    axis=-1)
+    semi = np.max(np.sqrt(pair_sq) / np.abs(y[jj] - y[ii]) ** alpha,
+                  axis=-1).reshape(-1)
+    # x: the (field, y) lines, visited only where the bound can still reach
+    # the field's running maximum
+    lines = comps.reshape(comps.shape[0], -1, nx)
+    dist = _shift_distance(L, nx) ** alpha
+    bound = _torus_line_bound(lines, dist).reshape(-1, ny)
+    # not bound > semi: a NaN bound or maximum keeps its lines live
+    live = ~(bound <= semi[:, None])
+    while live.any():
+        # one round: the top-bound live line of every field with one left
+        rows = np.flatnonzero(live.any(axis=-1))
+        cols = np.argmax(np.where(live[rows], bound[rows], -np.inf), axis=-1)
+        semi[rows] = np.maximum(semi[rows], _torus_line_quotient(
+            lines[:, rows * ny + cols], dist))
+        live[rows, cols] = False
+        live &= ~(bound <= semi[:, None])
     mu_eff = max(float(mu), 1.0)
-    return sup + np.maximum(semi_x, semi_y) / mu_eff ** alpha
+    return sup + semi.reshape(batch) / mu_eff ** alpha
 
 
 @dataclass

@@ -206,7 +206,7 @@ def _parse_matrix(raw, path, section, key):
 # that the checksum covers.  A rule (requirement, predicate) holds the
 # admissible values of a key, and an "auto" value passes it.  A key without
 # a rule is checked by the constructor that takes it: SectorialOperator for
-# A, EvolutionConfig for the other [time] keys.
+# A, EvolutionConfig for t_end, whose rule relates it to dt.
 _POSITIVE = ("positive", lambda v: v > 0)
 FIELDS = {
     ("space", "m"): ("int", None, ("at least 1", lambda v: v >= 1)),
@@ -229,12 +229,13 @@ FIELDS = {
     # from rtol = 0.01 on that admits the zero solution
     ("solve", "rtol"): ("real", "1e-11", ("in (0, 0.01)",
                                           lambda v: 0.0 < v < 0.01)),
-    ("time", "dt"): ("real", None, None),
+    ("time", "dt"): ("real", None, _POSITIVE),
     ("time", "t_end"): ("real", None, None),
-    ("time", "scheme"): ("text", "semi_implicit_euler", None),
+    ("time", "scheme"): ("text", "semi_implicit_euler", (
+        "semi_implicit_euler", lambda v: v == "semi_implicit_euler")),
     ("time", "norm_cap"): ("auto", "auto", _POSITIVE),
     ("time", "margin_floor"): ("auto", "auto", _POSITIVE),
-    ("time", "output_stride"): ("int", "1", None),
+    ("time", "output_stride"): ("int", "1", ("at least 1", lambda v: v >= 1)),
     ("output", "directory"): ("text", None, ("not empty", bool)),
     ("output", "formats"): ("list", "csv,json", (
         "a subset of csv,json", lambda v: set(v) <= {"csv", "json"})),
@@ -314,9 +315,6 @@ class Scenario:
     L: float
     nx: int
     ny: int
-    alpha: float
-    mu_solve: float
-    rtol: float
     config: EvolutionConfig
     out_dir: str
     sectorial_report: object
@@ -335,8 +333,9 @@ class Scenario:
     def dtn(self):
         """The DtNOperator of the initial profile, with the load's K(g)g
         solve in its cache."""
-        return DtNOperator(self.p0, self.A, self.mu_solve, ny=self.ny,
-                           rtol=self.rtol, upsilon=self.upsilon0)
+        cfg = self.config
+        return DtNOperator(self.p0, self.A, cfg.mu_solve, ny=self.ny,
+                           rtol=cfg.rtol, upsilon=self.upsilon0)
 
 
 def _eval_field(expr, path, section, key, variables=None):
@@ -476,8 +475,7 @@ def load_scenario(path):
         serialize(values, g0_source).encode("utf-8")).hexdigest()
     return Scenario(
         name=os.path.splitext(os.path.basename(path))[0], path=path,
-        checksum=checksum, m=m, A=A, L=L, nx=nx, ny=ny, alpha=alpha,
-        mu_solve=mu_solve, rtol=rtol, config=config,
+        checksum=checksum, m=m, A=A, L=L, nx=nx, ny=ny, config=config,
         out_dir=values["output", "directory"], sectorial_report=sec_report,
         ellipticity_report=ell_report, admissibility_report=adm_report,
         p0=profile, upsilon0=dtn.upsilon())
@@ -627,11 +625,11 @@ def _run_evolve(scn, tmp, seed):
 
 
 def _run_frozen(scn, tmp, seed):
-    profile = scn.profile()
+    profile, cfg = scn.profile(), scn.config
     x0 = scn.admissibility_report.margin_argmin
-    fset = frozen_set(profile, scn.A, x0, scn.mu_solve, ny=scn.ny,
-                      rtol=scn.rtol, dtn=scn.dtn())
-    report = sector_report(fset, scn.A, alpha=scn.alpha)
+    fset = frozen_set(profile, scn.A, x0, cfg.mu_solve, ny=scn.ny,
+                      rtol=cfg.rtol, dtn=scn.dtn())
+    report = sector_report(fset, scn.A, alpha=cfg.alpha)
     payload = {
         "x0": fset.x0,
         "mu0": report.mu0,
@@ -648,18 +646,18 @@ def _run_frozen(scn, tmp, seed):
 
 
 def _run_coercivity(scn, tmp, seed):
-    profile = scn.profile()
+    profile, cfg = scn.profile(), scn.config
     rng = np.random.default_rng(seed + 7)
     psis = [random_trace(rng, scn.nx, scn.m) for _ in range(3)]
     mu_list = (1.0, 2.0, 4.0, 8.0)
     fc = scn.dtn().frozen_coefficients(scn.admissibility_report.margin_argmin)
     half = coercivity_probe_59(fc,
                                [SampledFunction(profile.L, p) for p in psis],
-                               mu_list, alpha=scn.alpha)
+                               mu_list, alpha=cfg.alpha)
     ensemble = [(None, p, None) for p in psis]
     interior = coercivity_probe_33(profile, scn.A, mu_list, ensemble,
-                                   alpha=scn.alpha, ny=min(scn.ny, 17),
-                                   rtol=max(scn.rtol, 1e-10))
+                                   alpha=cfg.alpha, ny=min(scn.ny, 17),
+                                   rtol=max(cfg.rtol, 1e-10))
     payload = {
         "halfplane": {"rows": [dataclasses.asdict(r) for r in half.rows],
                       "max_ratio": half.max_ratio,
@@ -676,7 +674,7 @@ def _run_coercivity(scn, tmp, seed):
 
 
 def _run_localization(scn, tmp, seed):
-    profile = scn.profile()
+    profile, cfg = scn.profile(), scn.config
     x = profile.x
     direction = np.stack(
         [np.cos(2 * np.pi * x / scn.L) for _ in range(scn.m)], axis=1)
@@ -684,8 +682,8 @@ def _run_localization(scn, tmp, seed):
     dtn = scn.dtn()
     d_op = dtn.derivative(direction)
     reports = [localization_residual(profile, scn.A, d, direction,
-                                     mu=scn.mu_solve, ny=scn.ny,
-                                     alpha=scn.alpha, rtol=scn.rtol, dtn=dtn,
+                                     mu=cfg.mu_solve, ny=scn.ny,
+                                     alpha=cfg.alpha, rtol=cfg.rtol, dtn=dtn,
                                      d_op=d_op)
                for d in deltas]
     residuals = [r.max_residual for r in reports]

@@ -6,6 +6,10 @@ import pytest
 from stripflow.grids import torus_nodes
 from stripflow.holder import (
     SampledFunction,
+    _components,
+    _pair_sq,
+    _shift_distance,
+    _torus_pair_sq,
     h1alpha_norm,
     h2alpha_norm,
     holder_seminorm,
@@ -313,3 +317,107 @@ def test_real_samples_measure_as_their_complex_cast(m, graded):
     assert np.array_equal(scaled_field_norm(fields, y, L, 0.5, 4.0),
                           scaled_field_norm(fields.astype(complex), y, L,
                                             0.5, 4.0))
+
+
+NX, NY = 32, 9
+
+
+def _exhaustive_field_parts(values, y, alpha):
+    """sup, the per-class x-quotients (..., NX/2) and the y-seminorm of
+    strip fields, with _torus_pair_sq taken over every x-line."""
+    batch, (nx, ny) = values.shape[:-3], values.shape[-3:-1]
+    sup = np.max(np.linalg.norm(values, axis=-1), axis=(-2, -1))
+    comps = _components(values, -3)
+    lines = comps.reshape(comps.shape[0], -1, nx)
+    cls_sq = np.concatenate([np.max(block, axis=-2)
+                             for block in _torus_pair_sq(lines)])
+    cls_sq = np.max(cls_sq.reshape(batch + (ny, nx // 2)), axis=-2)
+    cls = np.sqrt(cls_sq) / _shift_distance(L, nx) ** alpha
+    ii, jj = np.triu_indices(ny, 1)
+    pair_sq = np.max(_pair_sq(zip(comps[..., jj, :], comps[..., ii, :])),
+                     axis=-1)
+    semi_y = np.max(np.sqrt(pair_sq) / np.abs(y[jj] - y[ii]) ** alpha,
+                    axis=-1)
+    return sup, cls, semi_y
+
+
+def _pruning_case(name):
+    """(fields, y, alpha) of one case: (B, NX, NY, m) fields."""
+    rng = np.random.default_rng(17)
+    x = torus_nodes(L, NX)
+    y = np.linspace(0.0, 4.0, NY)
+    cos1 = np.cos(2 * np.pi * x / L)
+    if name == "largest shift class":
+        # a dipole, +c at node 0 and -c at node NX/2, with c growing along
+        # y: at alpha = 0.1 each line's largest quotient is its pair across
+        # half the period, and the bound skips only some of the lines
+        dipole = np.zeros(NX)
+        dipole[0], dipole[NX // 2] = 1.0, -1.0
+        return np.outer(dipole, 1.0 + y)[None, :, :, None], y, 0.1
+    if name == "spike line":
+        # one node of one line spikes, abruptly in y in the first field and
+        # under a smooth y-envelope in the second
+        spike = np.zeros((NX, NY))
+        spike[7, 4] = 3.0
+        smooth = np.outer(np.eye(NX)[7], 3.0 * np.exp(-(y - 2.0) ** 2))
+        fields = np.stack([spike, smooth])[..., None]
+        return fields + 1e-3 * rng.standard_normal(fields.shape), y, 0.5
+    if name == "ties":
+        # one complex line on every y, so every line ties, in two fields
+        line = (rng.standard_normal((NX, 2))
+                + 1j * rng.standard_normal((NX, 2)))
+        field = np.repeat(line[:, None, :], NY, axis=1)
+        return np.stack([field, -field]), y, 0.5
+    if name == "constant":
+        return np.full((2, NX, NY, 2), 2.0), y, 0.5
+    if name == "seam jump":
+        # a sawtooth: neighbour steps of 1/NX inside the line and a jump of
+        # 31/32 from node NX-1 back to node 0; the bound must see the jump
+        saw = np.arange(NX) / NX
+        return np.outer(saw, 1.0 + y / 4.0)[None, :, :, None], y, 0.5
+    if name in ("x just above y", "x just below y"):
+        # cos(2 pi x / L) + b y: every x-line has the same quotient, and
+        # b puts the y-seminorm (2b) within 1e-13 of it, inside the margin
+        _, cls, _ = _exhaustive_field_parts(
+            np.repeat(cos1[None, :, None, None], NY, axis=2), y, 0.5)
+        rel = -1e-13 if name == "x just above y" else 1e-13
+        b = 0.5 * np.max(cls) * (1.0 + rel)
+        field = cos1[:, None] + b * y[None, :]
+        return field[None, :, :, None], y, 0.5
+    if name == "non-finite":
+        fields = rng.standard_normal((2, NX, NY, 2))
+        fields[0, 5, 3, 1] = np.nan
+        return fields, y, 0.5
+    assert name == "subnormal squares"
+    # differences of about 1e-162, whose squares lose bits in the
+    # subnormal range
+    amp = 1e-162 * rng.uniform(0.5, 1.0, (4, 1, NY, 1))
+    fields = amp * (np.cos(2 * np.pi * 3 * x / L)[None, :, None, None]
+                    + 1e-3 * rng.standard_normal((4, NX, NY, 1)))
+    return fields, y, 0.5
+
+
+@pytest.mark.parametrize("name", [
+    "largest shift class", "spike line", "ties", "constant", "seam jump",
+    "x just above y", "x just below y", "non-finite", "subnormal squares"])
+def test_pruned_field_norm_equals_every_line_pass(name):
+    """scaled_field_norm skips the x-lines its bound rules out; the norms
+    equal, bit for bit, those with the exact pair pass over every line."""
+    fields, y, alpha = _pruning_case(name)
+    mu = 3.0
+    sup, cls, semi_y = _exhaustive_field_parts(fields, y, alpha)
+    semi_x = np.max(cls, axis=-1)
+    want = sup + np.maximum(semi_x, semi_y) / mu ** alpha
+    got = scaled_field_norm(fields, y, L, alpha, mu)
+    assert np.array_equal(got, want, equal_nan=True)
+    # each case is what its name says
+    if name == "largest shift class":
+        assert np.argmax(cls[0]) == NX // 2 - 1 and semi_x[0] > semi_y[0]
+    elif name == "seam jump":
+        assert np.argmax(cls[0]) == 0 and semi_x[0] > semi_y[0]
+    elif name == "x just above y":
+        assert 1.0 < semi_x[0] / semi_y[0] < 1.0 + 1e-12
+    elif name == "x just below y":
+        assert 1.0 - 1e-12 < semi_x[0] / semi_y[0] < 1.0
+    elif name == "non-finite":
+        assert np.isnan(got[0]) and np.isfinite(got[1])

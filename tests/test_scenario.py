@@ -258,11 +258,17 @@ def test_alpha_range_enforced(tmp_path):
      "norm_cap must be positive"),
     ("dt = 0.02", "dt = 0.02\nmargin_floor = 0", "time", "margin_floor",
      "margin_floor must be positive"),
+    ("dt = 0.02", "dt = -1", "time", "dt", "dt must be positive"),
+    ("dt = 0.02", "dt = 0.02\noutput_stride = 0", "time", "output_stride",
+     "output_stride must be at least 1"),
+    ("dt = 0.02", "dt = 0.02\nscheme = rk4", "time", "scheme",
+     "scheme must be semi_implicit_euler"),
 ])
 def test_out_of_range_refusal_names_the_scenario_key(tmp_path, old, new,
                                                      section, key, match):
-    """phi, M, norm_cap and margin_floor are refused under their own key,
-    not under the name of the constructor parameter that takes them."""
+    """phi, M, norm_cap, margin_floor, dt, output_stride and scheme are
+    refused under their own key, not under the name of the constructor
+    parameter that takes them."""
     text = MINIMAL.replace(old, new)
     with pytest.raises(ScenarioError, match=match) as exc:
         load_scenario(write_scn(tmp_path, text))
