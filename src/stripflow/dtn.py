@@ -25,7 +25,8 @@ from numpy.fft import fft, ifft
 from .errors import FreezePointError
 from .geometry import coefficient_derivatives
 from .grids import (as_inexact, partition_of_unity, random_trace,
-                    spectral_derivative, torus_wavenumbers)
+                    rfft_wavenumbers, spectral_derivative,
+                    torus_wavenumbers)
 from .holder import SampledFunction, h1alpha_norm, h2alpha_norm
 from .model import (FrozenCoefficients, strip_profile_response,
                     strip_trace_gradient_map)
@@ -232,10 +233,20 @@ class DtNOperator:
         return self._frozen[i0]
 
     def _build_frozen_set(self, i0):
+        """The FrozenOperatorSet of the node i0, built at the nx/2 + 1
+        wavenumbers k >= 0 of rfft_wavenumbers and unfolded into
+        torus_wavenumbers order by _unfold.
+
+        The profile is real, so the frozen coefficients, A and the source
+        symbols are real polynomials in ik, and the principal square root
+        of a real matrix with no eigenvalue on the closed negative axis is
+        real (Higham, Functions of Matrices, SIAM 2008, sec. 1.7): every
+        symbol at -k is the conjugate of the one at k, in exact arithmetic.
+        """
         p = self.profile
         fc = self._frozen_coefficients(i0)
         b10, b20 = self.coeffs.b10[i0, 0], self.coeffs.b20[i0, 0]
-        ks = torus_wavenumbers(p.L, p.nx)
+        ks = rfft_wavenumbers(p.L, p.nx)
         # derivative_sources' chain rule at the freeze node, per component,
         # psi = e^{ikx} entering by its symbols: the interior source keeps
         # its y-profile per wavenumber (the third piece needs it resolved in
@@ -253,8 +264,16 @@ class DtNOperator:
         sym30 = -b20 * strip_profile_response(fc, ks, cols,
                                               self.op.Dy).transpose(0, 2, 1)
         return FrozenOperatorSet(
-            x0=float(p.x[i0]), k_grid=ks, sym10=sym10, sym20=sym20,
-            sym30=sym30, L=p.L, mu=self.mu)
+            x0=float(p.x[i0]), k_grid=torus_wavenumbers(p.L, p.nx),
+            sym10=_unfold(sym10), sym20=_unfold(sym20), sym30=_unfold(sym30),
+            L=p.L, mu=self.mu)
+
+
+def _unfold(half):
+    """A stack over rfft_wavenumbers (k = 0..nx/2, nx even) in
+    torus_wavenumbers order: the entry at -k is the conjugate of the one at
+    k, and the Nyquist entry, at -nx/2 there, that of the one at +nx/2."""
+    return np.concatenate([half[:-1], half[:0:-1].conj()])
 
 
 def operator_for(profile, A, mu, ny=33, rtol=1e-11, dtn=None):

@@ -7,22 +7,39 @@ matrix.  Seminorms are evaluated exactly on the sample set, which is both
 deterministic and an honest lower bound for the continuum seminorm;
 resolution is the caller's responsibility.
 
-Each unordered node pair is visited once.  On the torus the distance of a
+The norms are exact over every node pair.  On the torus the distance of a
 pair depends only on its shift class s = 1..n/2, so the squared E-norms of
 f[(i+s) mod n] - f[i] are reduced to one maximum per class before the
 square root and the division by d_s^gamma.  On the non-periodic y axis of
-a strip field the pairs i < j are taken row by row, each with its own
-distance.
+a strip field each pair i < j has its own distance.
 
-The x-lines of a strip field take that pair pass only where it can change
-the norm.  The y-seminorm is computed first and seeds each field's running
-maximum.  Every x-line then gets an O(n) upper bound of its quotient,
-max_s min(s d1, D) / d_s^alpha, from its largest neighbour step d1 (the
-seam step from node n-1 to node 0 included) and D = 2 max_i ||f_i - mean||,
-widened by the margin 1 + 1e-12 that covers the rounding of both passes
-(and by the smallest normal float on its square, which covers squares that
-underflow).  A line whose bound is at most its field's running maximum is
-skipped, and the norms are those of the pass over every line, bit for bit.
+Three passes take the exact pair arithmetic only where it can change the
+result.  Each has a bound of every candidate's quotient, a running maximum
+per field with its seed, and _prune_rounds: rounds that take the top-bound
+live candidate of every field in one call, until every candidate's bound
+is at most its field's maximum.  Every bound is formed from squares, as
+the exact pass forms its pairs, so a pair square that overflows has an
+infinite bound.  _widened puts the margin (1 + 1e-12)^2 on the square,
+which covers the rounding of both passes, and adds the smallest normal
+float, which covers pair squares that underflow (differences near 1e-162
+keep only a few bits when squared).  A skipped candidate cannot raise the
+maximum, so every norm is that of the pass over every pair, bit for bit.
+
+- The y-pairs of a strip field (_y_seminorm).  With row r_i holding every x
+  and component at y_i, the neighbour steps s_k = max_x ||r_{k+1} - r_k||
+  are exact pair values and seed the maximum.  Every other pair has
+  max_x ||r_j - r_i|| <= min(s_i + ... + s_{j-1}, rho_i + rho_j), with
+  rho_i = max_x ||r_i - mean row||.  The path sum is summed, never taken
+  as a difference of prefix sums, whose cancellation no relative margin
+  covers.
+- The x-lines of a strip field (scaled_field_norm), seeded by the field's
+  y-seminorm.  A periodic line with largest neighbour step d1 (the seam
+  step from node n-1 to node 0 included) and D = 2 max_i ||f_i - mean||
+  has every pair of class s within min(s d1, D), so its quotient is at
+  most max_s min(s d1, D) / d_s^alpha (_torus_line_bound).
+- The weight lines of holder_seminorm, one field seeded by zero, with the
+  x-lines' bound.  A single line (no evaluator) takes the exact pass at
+  once.
 
 The coercivity probes of model and strip share their report types and the
 two graded norms they compare, which sit here beside the norms they
@@ -122,21 +139,20 @@ def _torus_pair_sq(lines):
         yield _pair_sq(zip(windows[:, rows], lines[:, rows, :, None]))
 
 
+def _widened(bound_sq, dist):
+    """sqrt(bound_sq) / dist with the margin of every pruning bound: the
+    square times (1 + 1e-12)^2 plus the smallest normal float."""
+    return np.sqrt(bound_sq * (1.0 + 1e-12) ** 2
+                   + np.finfo(float).tiny) / dist
+
+
 def _torus_line_bound(lines, dist):
-    """An upper bound of each periodic line's Hölder quotient, in O(n).
+    """(R,) upper bounds of the Hölder quotients of periodic lines, in O(n).
 
     lines is (C, R, n) real as in _torus_pair_sq, dist the (n/2,) weights
-    d_s^alpha of the shift classes.  With d1 the line's largest neighbour
-    step, the seam step from node n-1 to node 0 included, and D = 2
-    max_i ||f_i - mean||, every pair of class s has ||f(i+s) - f(i)|| <=
-    min(s d1, D).  Returns (R,) max_s min(s d1, D) / d_s times (1 + 1e-12).
-    The bound is formed from squares, as the exact pass forms its pairs, so
-    a pair square that overflows has an infinite bound, and the margin goes
-    on the square so that this holds within rounding too.  The square also
-    gets the smallest normal float, which covers the pair squares that
-    underflow: differences near 1e-162 keep only a few bits when squared.
-    A line whose bound is at most a value therefore has every computed
-    quotient at most that value.
+    d_s^alpha of the shift classes.  The bound is max_s min(s d1, D) / d_s,
+    with d1 the largest neighbour step (seam step included) and D = 2
+    max_i ||f_i - mean||, formed from squares and widened.
     """
     n = lines.shape[-1]
     step_sq = np.max(_pair_sq(zip(np.roll(lines, -1, axis=-1), lines)),
@@ -145,8 +161,7 @@ def _torus_line_bound(lines, dist):
     radius_sq = np.max(_pair_sq(zip(lines, mean)), axis=-1)
     s = np.arange(1, n // 2 + 1)
     bound_sq = np.minimum(step_sq[:, None] * s ** 2, 4.0 * radius_sq[:, None])
-    bound_sq = bound_sq * (1.0 + 1e-12) ** 2 + np.finfo(float).tiny
-    return np.max(np.sqrt(bound_sq) / dist, axis=-1)
+    return np.max(_widened(bound_sq, dist), axis=-1)
 
 
 def _torus_line_quotient(lines, dist):
@@ -155,6 +170,61 @@ def _torus_line_quotient(lines, dist):
     cls_sq = np.concatenate([np.max(block, axis=-2)
                              for block in _torus_pair_sq(lines)])
     return np.max(np.sqrt(cls_sq) / dist, axis=-1)
+
+
+def _prune_rounds(bound, semi, quotient):
+    """Raise the running maxima semi (F,) in place to the largest exact
+    quotient among each field's candidates, and return semi.
+
+    bound (F, R) holds an upper bound of each candidate's quotient, and
+    quotient(rows, cols) the exact quotients of the candidates (rows[i],
+    cols[i]).  Each round takes, in one call, the top-bound live candidate
+    of every field that has one.  A candidate drops out once its field's
+    maximum reaches its bound (not bound > max, so a NaN bound or maximum
+    keeps it live).  A skipped candidate cannot raise the maximum, so semi
+    ends as it would after visiting every candidate.
+    """
+    live = ~(bound <= semi[:, None])
+    while live.any():
+        rows = np.flatnonzero(live.any(axis=-1))
+        cols = np.argmax(np.where(live[rows], bound[rows], -np.inf), axis=-1)
+        semi[rows] = np.maximum(semi[rows], quotient(rows, cols))
+        live[rows, cols] = False
+        live &= ~(bound <= semi[:, None])
+    return semi
+
+
+def _y_seminorm(rows, y, alpha):
+    """(F,) exact y-seminorms of strip fields: the largest
+    sqrt(pair square) / |y_j - y_i|^alpha over the pairs i < j, a pair
+    square maximised over x.  rows is (C, F, ny, nx) real, row i holding
+    every x and component at y_i.  The neighbour pairs seed the maxima, and
+    the others are bounded by their path and radius sums.
+    """
+    ny = rows.shape[-2]
+    ii, jj = np.triu_indices(ny, 1)
+    dist = np.abs(y[jj] - y[ii]) ** alpha
+    near = jj == ii + 1
+    step = np.sqrt(np.max(_pair_sq(zip(rows[..., 1:, :], rows[..., :-1, :])),
+                          axis=-1))                 # (F, ny - 1)
+    semi = np.max(step / dist[near], axis=-1)
+    ii, jj, dist = ii[~near], jj[~near], dist[~near]
+    # path[f, i, j - 1] = s_i + ... + s_{j-1}, summed from s_i on (the
+    # zeros before it add exactly): a difference of prefix sums could
+    # cancel below the pair it bounds, which no relative margin covers
+    k = np.arange(ny - 1)
+    steps = np.where(k >= k[:, None], step[:, None, :], 0.0)
+    path = np.cumsum(steps, axis=-1)[:, ii, jj - 1]
+    mean = np.mean(rows, axis=-2, keepdims=True)
+    radius = np.sqrt(np.max(_pair_sq(zip(rows, mean)), axis=-1))
+    bound_sq = np.minimum(path ** 2, (radius[:, ii] + radius[:, jj]) ** 2)
+    bound = _widened(bound_sq, dist)
+
+    def quotient(f, p):
+        pair_sq = _pair_sq(zip(rows[:, f, jj[p]], rows[:, f, ii[p]]))
+        return np.sqrt(np.max(pair_sq, axis=-1)) / dist[p]
+
+    return _prune_rounds(bound, semi, quotient)
 
 
 def _shift_distance(L, n):
@@ -166,18 +236,22 @@ def holder_seminorm(f, gamma, evaluator=None):
     """Exact max over node pairs of ||f(x)-f(y)||_E / |x-y|_per^gamma.
 
     Degenerate pairs (coincident nodes) are excluded.  Returns the
-    seminorm as a float.
+    seminorm as a float.  The lines are the weights of the evaluator (one
+    plain line without one), and only the lines whose bound exceeds the
+    running maximum take the exact pass (see the module docstring).
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     vals = f.values
     w = vals[:, None, :] if evaluator is None else evaluator.weighted(vals)
-    # (n/2,): the largest squared E-norm of each shift class, maximised
-    # over the nodes and the weights
-    cls_sq = np.max([np.max(block, axis=(0, 1))
-                     for block in _torus_pair_sq(_components(w, 0))], axis=0)
+    lines = _components(w, 0)                       # (C, weights, n)
     dist = _shift_distance(f.L, f.nx) ** gamma
-    return float(np.max(np.sqrt(cls_sq) / dist))
+    if lines.shape[1] == 1:
+        return float(_torus_line_quotient(lines, dist)[0])
+    semi = _prune_rounds(_torus_line_bound(lines, dist)[None], np.zeros(1),
+                         lambda rows, cols: _torus_line_quotient(
+                             lines[:, cols], dist))
+    return float(semi[0])
 
 
 def _ck_alpha_norm(f, k, alpha, evaluator):
@@ -246,42 +320,23 @@ def scaled_field_norm(values, y, L, alpha, mu):
     parameter: a bare seminorm would let smooth-but-large-gradient fields
     dominate as mu grows even though the elliptic estimates hold uniformly.
 
-    The y-seminorm goes first and seeds each field's running maximum.  Every
-    x-line then gets the O(nx) bound of _torus_line_bound, max_s min(s d1,
-    D) / d_s^alpha with the margin 1 + 1e-12, and only a line whose bound
-    exceeds its field's running maximum takes the exact pair pass.  The
-    pass goes in rounds, one batched call each: the top-bound live line of
-    every field that has one, after which each maximum is raised and every
-    line whose bound it reaches drops out.  A skipped line cannot raise the
-    maximum, so the norms are exactly those of the pass over every line.
+    The y-seminorm goes first (_y_seminorm) and seeds each field's running
+    maximum for the x-lines, and both skip the pairs and lines their bounds
+    rule out (see the module docstring), so the norms are exactly those of
+    the pass over every pair.
     """
     values = as_inexact(values)
     batch, (nx, ny) = values.shape[:-3], values.shape[-3:-1]
     sup = np.max(np.linalg.norm(values, axis=-1), axis=(-2, -1))
     comps = _components(values, -3)                # (C, ..., ny, nx)
-    # y: upper triangle row by row, pairs (i, j > i) in triu_indices order,
-    # each maximised over x
-    pair_sq = np.concatenate(
-        [np.max(_pair_sq(zip(comps[..., i + 1:, :], comps[..., i:i + 1, :])),
-                axis=-1) for i in range(ny - 1)], axis=-1)
-    ii, jj = np.triu_indices(ny, 1)
-    semi = np.max(np.sqrt(pair_sq) / np.abs(y[jj] - y[ii]) ** alpha,
-                  axis=-1).reshape(-1)
+    semi = _y_seminorm(comps.reshape(comps.shape[0], -1, ny, nx), y, alpha)
     # x: the (field, y) lines, visited only where the bound can still reach
     # the field's running maximum
     lines = comps.reshape(comps.shape[0], -1, nx)
     dist = _shift_distance(L, nx) ** alpha
     bound = _torus_line_bound(lines, dist).reshape(-1, ny)
-    # not bound > semi: a NaN bound or maximum keeps its lines live
-    live = ~(bound <= semi[:, None])
-    while live.any():
-        # one round: the top-bound live line of every field with one left
-        rows = np.flatnonzero(live.any(axis=-1))
-        cols = np.argmax(np.where(live[rows], bound[rows], -np.inf), axis=-1)
-        semi[rows] = np.maximum(semi[rows], _torus_line_quotient(
-            lines[:, rows * ny + cols], dist))
-        live[rows, cols] = False
-        live &= ~(bound <= semi[:, None])
+    _prune_rounds(bound, semi, lambda rows, cols: _torus_line_quotient(
+        lines[:, rows * ny + cols], dist))
     mu_eff = max(float(mu), 1.0)
     return sup + semi.reshape(batch) / mu_eff ** alpha
 

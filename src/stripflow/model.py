@@ -200,10 +200,14 @@ def strip_trace_gradient_map(fc, eta):
     eta passed here should already be in library FFT convention (the caller
     does not need the -eta bridge; the formula is written directly for modes
     e^{+i eta x}).  eta is a scalar or an array of wavenumbers; the maps
-    are stacked as eta.shape + (m, m).
+    are stacked as eta.shape + (m, m).  EE is exp(-(rho+ - rho-)) from
+    _ModeExp: the eigendecomposition where it is well conditioned, expm
+    otherwise.  The frozen sets evaluate the map at eta >= 0 only, since
+    the map at -eta is the conjugate of the one at eta (see
+    DtNOperator._build_frozen_set).
     """
     _, rp, rm = _mode_exponents(fc, eta)
-    ee = scipy.linalg.expm(rm - rp)
+    ee = _ModeExp(rp - rm).at(1.0)[..., 0, :, :]
     return rp @ rm @ (np.eye(fc.dim) - ee) @ np.linalg.inv(rp - rm @ ee)
 
 

@@ -107,10 +107,11 @@ def _step_core(dtn, dt):
         return np.zeros_like(o_val), 0.0, 0
     sol, its, res = gmres(lambda v: v + dt * dtn.derivative(v), rhs,
                           _STEP_RTOL, min(rhs.size, 60), 3)
-    if not res <= max(100.0 * _STEP_RTOL, 1e-8):    # NaN-safe comparison
+    gate = max(100.0 * _STEP_RTOL, 1e-8)
+    if not res <= gate:                             # NaN-safe comparison
         raise SolverError(
-            f"implicit step solve did not converge (relative residual {res:.3e})",
-            residual=res, iterations=its)
+            f"implicit step solve did not converge (relative residual "
+            f"{res:.3e}, gate {gate:.3g})", residual=res, iterations=its)
     return sol, res, its
 
 

@@ -437,17 +437,18 @@ class DiscreteStripOperator:
         res = float(res_norm / b_norm) if b_norm > 0 else 0.0
         self.last_residual = res
         self.last_iterations = its
-        if not res <= max(100.0 * rtol, 1e-9):     # NaN-safe comparison
+        gate = max(100.0 * rtol, 1e-9)
+        if not res <= gate:                         # NaN-safe comparison
             # a22 ~ 1/h^2 sets the round-off floor of the apply, so the
             # refusal names the node where the height h = nu + g is least
             heights = (self.profile.nu + self.profile.g).min(axis=1)
             node = np.argmin(heights)
             raise SolverError(
-                f"strip solve stalled at relative residual {res:.3e} after "
-                f"{its} GMRES iterations; the smallest height is "
-                f"min(nu + g) = {heights[node]:.3g} at x = "
-                f"{self.profile.x[node]:.4g}, and the round-off floor rises "
-                f"as it falls (mu={self.mu}, bc0={self.bc0})",
+                f"strip solve stalled at relative residual {res:.3e} "
+                f"(gate {gate:.3g}) after {its} GMRES iterations; the "
+                f"smallest height is min(nu + g) = {heights[node]:.3g} at "
+                f"x = {self.profile.x[node]:.4g}, and the round-off floor "
+                f"rises as it falls (mu={self.mu}, bc0={self.bc0})",
                 residual=res, iterations=its)
         values = sols[0] if len(sols) == 1 else sols[0] + 1j * sols[1]
         values = np.ascontiguousarray(values.transpose(2, 0, 1))

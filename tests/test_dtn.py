@@ -17,7 +17,7 @@ from stripflow.dtn import (
     localization_residual,
     sector_report,
 )
-from stripflow.model import strip_profile_response
+from stripflow.model import strip_profile_response, strip_trace_gradient_map
 from stripflow.operator_core import SectorialOperator
 from stripflow.scenario import load_scenario
 from stripflow.strip import DiscreteStripOperator, b0_trace
@@ -82,11 +82,23 @@ def assert_frozen_pieces_are_live(dtn, x0):
     own pieces divided by e^{ikx0}: the boundary piece of derivative_sources
     is the diagonal of sym20, and its interior source, each component's
     column answered by the frozen profile response, gives sym30 (the
-    Nyquist mode, whose odd derivative the grid zeroes, is left out)."""
+    Nyquist mode, whose odd derivative the grid zeroes, is left out).
+    sym10 is 1j b10 k + b20 times the trace-gradient map on the whole
+    k_grid, Nyquist included.  The set is built at k >= 0, and every
+    symbol at -k is exactly the conjugate of the one at k."""
     fset = dtn.frozen_set(x0)
     p = dtn.profile
     i0 = int(np.argmin(np.abs(p.x - fset.x0)))
-    keep = np.arange(p.nx) != p.nx // 2
+    half = p.nx // 2
+    for sym in (fset.sym10, fset.sym20, fset.sym30, fset.sym0):
+        assert np.array_equal(sym[:half:-1], sym[1:half].conj())
+    b10, b20 = dtn.coeffs.b10[i0, 0], dtn.coeffs.b20[i0, 0]
+    want = ((1j * b10 * fset.k_grid)[:, None, None] * np.eye(p.m)
+            + b20 * strip_trace_gradient_map(dtn.frozen_coefficients(x0),
+                                             fset.k_grid))
+    got = fset.sym10
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    keep = np.arange(p.nx) != half
     sources = []
     for j in np.flatnonzero(keep):
         k = fset.k_grid[j]

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from stripflow.grids import torus_nodes
+from stripflow.grids import random_trace, torus_nodes
 from stripflow.holder import (
     SampledFunction,
     _components,
     _pair_sq,
     _shift_distance,
+    _torus_line_bound,
     _torus_pair_sq,
     h1alpha_norm,
     h2alpha_norm,
@@ -323,8 +324,9 @@ NX, NY = 32, 9
 
 
 def _exhaustive_field_parts(values, y, alpha):
-    """sup, the per-class x-quotients (..., NX/2) and the y-seminorm of
-    strip fields, with _torus_pair_sq taken over every x-line."""
+    """sup, the per-class x-quotients (..., NX/2) and the y-quotients of
+    every pair i < j in triu_indices order (..., NY (NY - 1) / 2) of strip
+    fields, with _torus_pair_sq taken over every x-line."""
     batch, (nx, ny) = values.shape[:-3], values.shape[-3:-1]
     sup = np.max(np.linalg.norm(values, axis=-1), axis=(-2, -1))
     comps = _components(values, -3)
@@ -336,9 +338,7 @@ def _exhaustive_field_parts(values, y, alpha):
     ii, jj = np.triu_indices(ny, 1)
     pair_sq = np.max(_pair_sq(zip(comps[..., jj, :], comps[..., ii, :])),
                      axis=-1)
-    semi_y = np.max(np.sqrt(pair_sq) / np.abs(y[jj] - y[ii]) ** alpha,
-                    axis=-1)
-    return sup, cls, semi_y
+    return sup, cls, np.sqrt(pair_sq) / np.abs(y[jj] - y[ii]) ** alpha
 
 
 def _pruning_case(name):
@@ -388,25 +388,71 @@ def _pruning_case(name):
         fields = rng.standard_normal((2, NX, NY, 2))
         fields[0, 5, 3, 1] = np.nan
         return fields, y, 0.5
-    assert name == "subnormal squares"
-    # differences of about 1e-162, whose squares lose bits in the
-    # subnormal range
-    amp = 1e-162 * rng.uniform(0.5, 1.0, (4, 1, NY, 1))
-    fields = amp * (np.cos(2 * np.pi * 3 * x / L)[None, :, None, None]
-                    + 1e-3 * rng.standard_normal((4, NX, NY, 1)))
+    if name == "subnormal squares":
+        # differences of about 1e-162, whose squares lose bits in the
+        # subnormal range
+        amp = 1e-162 * rng.uniform(0.5, 1.0, (4, 1, NY, 1))
+        fields = amp * (np.cos(2 * np.pi * 3 * x / L)[None, :, None, None]
+                        + 1e-3 * rng.standard_normal((4, NX, NY, 1)))
+        return fields, y, 0.5
+    # the y cases: fields that vary little or not at all in x, so that the
+    # y-pairs decide the norm
+    flat = 1e-3 * cos1[None, :, None, None]
+    if name == "widest y pair":
+        # a ramp in y: at alpha = 0.5 the quotient grows with the distance,
+        # so the maximum is the pair (0, NY - 1), whose bound is tight
+        return flat + y[None, None, :, None] * np.ones((2, 1, 1, 2)), y, 0.5
+    if name == "spike row":
+        # one row lifted at one node, on a smooth background
+        fields = 0.1 * np.sin(y)[None, None, :, None] + flat
+        fields = np.repeat(fields, 2, axis=0)
+        fields[0, 9, 5, 0] += 3.0
+        return fields, y, 0.5
+    if name == "rise and fall":
+        # up and back down: the path of the pair (0, NY - 1) climbs and
+        # descends, so its path bound is far above the pair itself
+        bump = np.sin(np.pi * y / y[-1]) + 0.01 * y
+        return (bump[None, None, :, None] + flat), y, 0.5
+    if name == "chebyshev y":
+        yc = 4.0 * np.cos(np.pi * np.arange(NY)[::-1] / (NY - 1)) + 4.0
+        fields = (np.exp(-yc)[None, None, :, None]
+                  + 0.01 * rng.standard_normal((3, 1, NY, 2)) + flat)
+        return fields, yc, 0.5
+    if name == "late small steps":
+        # steps of 1e8 over far-apart rows, then two small collinear steps
+        # late in the path: the pair (NY - 3, NY - 1) over them is the
+        # maximum, and the neighbour pair (0, 1) comes within 1e-10 below
+        # it.  The steps before the pair sum to about 8e8, so the pair's
+        # path taken as a difference of prefix sums loses about 3e-10 and
+        # no longer bounds the pair
+        yl = np.array([0.5, 0.5 + 1e-6, 1e12, 2e12, 3e12, 4e12,
+                       0.0, 1e-6, 2e-6])
+        a = 100.0 + np.pi
+        col = np.array([0.0, 0.0, 1e8, -1e8, 1e8, -1e8, 0.0, a, 2.0 * a])
+        top = np.max(_exhaustive_field_parts(
+            col[None, None, :, None] + np.zeros((NX, 1, 1)), yl, 0.5)[2])
+        col[1] = top * (1.0 - 1e-10) * (yl[1] - yl[0]) ** 0.5
+        return col[None, None, :, None] + np.zeros((1, NX, 1, 1)), yl, 0.5
+    assert name == "non-finite y-line"
+    fields = np.repeat(np.sin(y)[None, None, :, None] + flat, 2, axis=0)
+    fields[0, 3, 6, 0] = np.nan
     return fields, y, 0.5
 
 
 @pytest.mark.parametrize("name", [
     "largest shift class", "spike line", "ties", "constant", "seam jump",
-    "x just above y", "x just below y", "non-finite", "subnormal squares"])
+    "x just above y", "x just below y", "non-finite", "subnormal squares",
+    "widest y pair", "spike row", "rise and fall", "chebyshev y",
+    "late small steps", "non-finite y-line"])
 def test_pruned_field_norm_equals_every_line_pass(name):
-    """scaled_field_norm skips the x-lines its bound rules out; the norms
-    equal, bit for bit, those with the exact pair pass over every line."""
+    """scaled_field_norm skips the x-lines and the y-pairs its bounds rule
+    out; the norms equal, bit for bit, those with the exact pair pass over
+    every line and every pair."""
     fields, y, alpha = _pruning_case(name)
     mu = 3.0
-    sup, cls, semi_y = _exhaustive_field_parts(fields, y, alpha)
+    sup, cls, y_pairs = _exhaustive_field_parts(fields, y, alpha)
     semi_x = np.max(cls, axis=-1)
+    semi_y = np.max(y_pairs, axis=-1)
     want = sup + np.maximum(semi_x, semi_y) / mu ** alpha
     got = scaled_field_norm(fields, y, L, alpha, mu)
     assert np.array_equal(got, want, equal_nan=True)
@@ -419,5 +465,89 @@ def test_pruned_field_norm_equals_every_line_pass(name):
         assert 1.0 < semi_x[0] / semi_y[0] < 1.0 + 1e-12
     elif name == "x just below y":
         assert 1.0 - 1e-12 < semi_x[0] / semi_y[0] < 1.0
-    elif name == "non-finite":
+    elif name in ("non-finite", "non-finite y-line"):
         assert np.isnan(got[0]) and np.isfinite(got[1])
+    if name in ("widest y pair", "spike row", "rise and fall", "chebyshev y",
+                "late small steps"):
+        assert np.all(semi_y > semi_x)
+        ii, jj = np.triu_indices(len(y), 1)
+        top = np.argmax(y_pairs, axis=-1)
+        if name == "widest y pair":
+            assert np.all(ii[top] == 0) and np.all(jj[top] == NY - 1)
+        elif name == "late small steps":
+            assert (ii[top], jj[top]) == (NY - 3, NY - 1)
+            near = y_pairs[0, jj == ii + 1]
+            assert 1.0 - 2e-10 < np.max(near) / y_pairs[0, top] < 1.0
+        elif name != "spike row":
+            # the maximum is a pair the neighbour steps do not seed
+            assert np.all(jj[top] > ii[top] + 1)
+    if name == "rise and fall":
+        steps = np.abs(np.diff(fields[0, 0, :, 0]))
+        assert np.sum(steps) > 10 * abs(fields[0, 0, -1, 0]
+                                         - fields[0, 0, 0, 0])
+
+
+def _every_line_seminorm(f, gamma, evaluator):
+    """holder_seminorm with _torus_pair_sq over every weight line: the
+    class maxima over every node and weight, then the largest quotient."""
+    w = (f.values[:, None, :] if evaluator is None
+         else evaluator.weighted(f.values))
+    cls_sq = np.max([np.max(block, axis=(0, 1))
+                     for block in _torus_pair_sq(_components(w, 0))], axis=0)
+    return float(np.max(np.sqrt(cls_sq)
+                        / _shift_distance(f.L, f.nx) ** gamma))
+
+
+def _seminorm_case(name):
+    """(samples, coupling matrix) of one holder_seminorm case."""
+    rng = np.random.default_rng(23)
+    if name == "m = 1":
+        # a scalar A: the 36 weight lines are multiples of one line
+        return random_trace(rng, NX, 1).real, [[2.0]]
+    if name == "jordan":
+        return random_trace(rng, NX, 2), [[1.0, 1.0], [0.0, 1.0]]
+    if name == "spike":
+        vals = np.zeros((NX, 2))
+        vals[7] = [3.0, -1.0]
+        return vals, [[2.0, 0.5], [0.0, 1.0]]
+    assert name == "constant"
+    return np.full((NX, 2), 2.0), [[2.0, 0.5], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("name", ["m = 1", "jordan", "spike", "constant"])
+def test_pruned_seminorm_equals_every_line_pass(name, graded):
+    """holder_seminorm skips the weight lines its bound rules out; the
+    seminorm equals, bit for bit, the class maximum over every line."""
+    vals, A = _seminorm_case(name)
+    evaluator = (InterpNormEvaluator(SectorialOperator(np.array(A)), 0.5)
+                 if graded else None)
+    if graded:
+        assert evaluator.weights.shape[0] == 36
+    f = SampledFunction(L, vals)
+    got = holder_seminorm(f, 0.5, evaluator)
+    assert got == _every_line_seminorm(f, 0.5, evaluator)
+    assert (got == 0.0) == (name == "constant")
+
+
+def test_pruned_seminorm_visits_a_tight_line_after_a_loose_one():
+    """Two weight lines: a sine, whose bound is loose, and a square wave
+    0.5 % above it, whose bound is tight (both reach their jump over one
+    node).  The sine goes first, and the square wave's bound must still
+    exceed the sine's quotient: a bound 1 % low would skip it."""
+    evaluator = InterpNormEvaluator(SectorialOperator(np.eye(2)), 0.5)
+    evaluator.weights = np.array([[[1.0, 0.0], [0.0, 0.0]],
+                                  [[0.0, 0.0], [0.0, 1.0]]])
+    sine = np.sin(2 * np.pi * torus_nodes(L, NX) / L)
+    q_sine = holder_seminorm(SampledFunction(L, sine), 0.5)
+    square = np.where(np.arange(NX) < NX // 2, 1.0, -1.0)
+    square *= 1.005 * q_sine / holder_seminorm(SampledFunction(L, square),
+                                               0.5)
+    f = SampledFunction(L, np.stack([sine, square], axis=1))
+    dist = _shift_distance(L, NX) ** 0.5
+    bound = _torus_line_bound(_components(evaluator.weighted(f.values), 0),
+                              dist)
+    assert bound[0] > bound[1] > 1.005 * q_sine > 0.995 * bound[1]
+    got = holder_seminorm(f, 0.5, evaluator)
+    assert got == _every_line_seminorm(f, 0.5, evaluator)
+    assert got > q_sine

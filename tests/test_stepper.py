@@ -120,8 +120,10 @@ def test_step_gate_refuses_non_finite_derivative(A1, monkeypatch):
     dtn = DtNOperator(p, A1, 0.0, ny=9)
     _counted_derivative(monkeypatch,
                         fake=lambda psi: np.full(psi.shape, np.nan))
-    with pytest.raises(SolverError, match="implicit step"):
+    # the refusal names the gate it missed, max(100 _STEP_RTOL, 1e-8)
+    with pytest.raises(SolverError, match="implicit step") as info:
         _step_core(dtn, 0.02)
+    assert "(relative residual nan, gate 1e-08)" in str(info.value)
 
 
 # ----------------------------------------------------------------- evolve

@@ -190,8 +190,10 @@ def test_solve_past_the_floor_fails_fast():
     p, op = _wall_dip_operator(0.94)
     with pytest.raises(SolverError, match="stalled") as info:
         op.solve(psi0=p.g)
-    # the refusal names the smallest height of the profile, 1 - 0.94, and
-    # its node x = 0
+    # the refusal names the gate it missed, max(100 rtol, 1e-9) at the
+    # default rtol 1e-11, the smallest height of the profile, 1 - 0.94,
+    # and its node x = 0
+    assert "(gate 1e-09)" in str(info.value)
     assert "min(nu + g) = 0.06 at x = 0," in str(info.value)
     assert info.value.iterations <= 400
     assert info.value.residual > 1e-9
