@@ -36,8 +36,6 @@ from .strip import DiscreteStripOperator, b0_trace
 
 def _as_direction(profile, psi):
     psi = as_inexact(psi)
-    if psi.ndim == 1:
-        psi = np.tile(psi[:, None], (1, profile.m)) if profile.m > 1 else psi[:, None]
     if psi.shape != (profile.nx, profile.m):
         raise ValueError(f"direction shape {psi.shape} does not match profile "
                          f"({profile.nx}, {profile.m})")
@@ -336,8 +334,6 @@ class FrozenOperatorSet:
         """Apply one frozen operator to a trace; a real trace gives a real
         result, the rounding-level imaginary part of the ifft dropped."""
         vals = as_inexact(trace)
-        if vals.ndim == 1:
-            vals = vals[:, None]
         vhat = fft(vals, axis=0)
         out = ifft(np.einsum("kij,kj->ki", self.symbols(name), vhat), axis=0)
         return out if np.iscomplexobj(vals) else out.real

@@ -180,18 +180,20 @@ def _prune_rounds(bound, semi, quotient):
     quotient(rows, cols) the exact quotients of the candidates (rows[i],
     cols[i]).  Each round takes, in one call, the top-bound live candidate
     of every field that has one.  A candidate drops out once its field's
-    maximum reaches its bound (not bound > max, so a NaN bound or maximum
-    keeps it live).  A skipped candidate cannot raise the maximum, so semi
-    ends as it would after visiting every candidate.
+    maximum reaches its bound (not bound > max: a NaN bound keeps it live)
+    or is NaN, which np.maximum keeps whatever is visited.  A skipped
+    candidate cannot change the maximum, so semi ends as it would after
+    visiting every candidate.
     """
-    live = ~(bound <= semi[:, None])
-    while live.any():
+    live = np.ones(bound.shape, dtype=bool)
+    while True:
+        live &= ~(bound <= semi[:, None]) & ~np.isnan(semi)[:, None]
         rows = np.flatnonzero(live.any(axis=-1))
+        if rows.size == 0:
+            return semi
         cols = np.argmax(np.where(live[rows], bound[rows], -np.inf), axis=-1)
         semi[rows] = np.maximum(semi[rows], quotient(rows, cols))
         live[rows, cols] = False
-        live &= ~(bound <= semi[:, None])
-    return semi
 
 
 def _y_seminorm(rows, y, alpha):

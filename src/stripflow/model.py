@@ -168,14 +168,12 @@ def transverse_semigroup(fc, eta, y_arr):
 def halfplane_dirichlet_solve(fc, psi, y_grid, L):
     """Multiplier solution of the frozen half-plane Dirichlet problem.
 
-    psi is an (nx,) or (nx, m) array of samples on the x-torus of
-    circumference L.  Per FFT mode k the solution is
-    exp(-Lambda(-k) y) psi_hat(k); the trace at y=0 reproduces psi to
-    transform accuracy.  Returns a StripField.
+    psi is an (nx, m) array of samples on the x-torus of circumference
+    L.  Per FFT mode k the solution is exp(-Lambda(-k) y) psi_hat(k); the
+    trace at y=0 reproduces psi to transform accuracy.  Returns a
+    StripField.
     """
     values = np.asarray(psi, dtype=complex)
-    if values.ndim == 1:
-        values = values[:, None]
     y = np.asarray(y_grid, dtype=float)
     nx, m = values.shape
     ks = torus_wavenumbers(L, nx)

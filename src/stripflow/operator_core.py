@@ -118,6 +118,20 @@ def matrix_sqrt(mat):
 _T_GRID = np.geomspace(1e-4, 10.0, 36)
 
 
+def require_resolved_spectrum(A, theta):
+    """Refuse (ValueError) an A with an eigenvalue lam whose sup of
+    t^(1-theta) |lam e^(-t lam)|, at t* = (1-theta)/|lam|, lies off _T_GRID:
+    the grid's norm then misses that sup, and is zero once e^(-t lam)
+    underflows at every t of the grid."""
+    lo, hi = (1.0 - theta) / _T_GRID[-1], (1.0 - theta) / _T_GRID[0]
+    for lam in np.abs(np.linalg.eigvals(A.entries)):
+        if not lo <= lam <= hi:
+            raise ValueError(
+                f"A has an eigenvalue of modulus {lam:.6g}; at alpha = "
+                f"{theta} the interpolation norm resolves only moduli in "
+                f"[{lo:.6g}, {hi:.6g}]")
+
+
 class InterpNormEvaluator:
     """Precomputed weights for  sup_t  t^(1-theta) ||A exp(-tA) u||.
 

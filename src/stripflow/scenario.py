@@ -30,7 +30,8 @@ from .geometry import InterfaceProfile, ellipticity_floor
 from .grids import random_trace
 from .holder import SampledFunction
 from .model import coercivity_probe_59
-from .operator_core import SectorialOperator, validate_sectorial
+from .operator_core import (SectorialOperator, require_resolved_spectrum,
+                            validate_sectorial)
 from .stepper import STATUS_COMPLETED, EvolutionConfig, evolve
 from .strip import StripField, coercivity_probe_33
 
@@ -457,6 +458,10 @@ def load_scenario(path):
         raise ScenarioError(
             f"coupling operator failed the sectoriality check: "
             f"{sec_report.message}", path=path, section="space", key="A")
+    try:
+        require_resolved_spectrum(A, alpha)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), path=path, section="space", key="A")
     try:
         # the profile refuses a complex g0, and assembling the strip
         # operator refuses coefficients below the ellipticity floor (both

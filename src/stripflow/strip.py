@@ -22,15 +22,15 @@ average took 79; a profile close to flat takes 3.
 
 The operator is real: InterfaceProfile admits only real profiles,
 SectorialOperator only a real A, and the coefficients are stored as real
-(ny, m, 1, nx) arrays.  Its kernels act on y-major real samples of shape
-(ny, m, s, nx), s vectors side by side:
+(ny, m, nx) arrays.  Its kernels act on one y-major real vector of shape
+(ny, m, nx):
   - x is the last, contiguous axis, so u_x and u_xx are one rfft and one
     stacked irfft along it, and the preconditioner acts on the nx/2 + 1
     rfft modes of real data;
   - y is the first axis, so Dy u and Dy^2 u are one real GEMM of the
-    stacked [Dy; Dy^2] against the (ny, m*s*nx) matrix of u, with no copy
+    stacked [Dy; Dy^2] against the (ny, m*nx) matrix of u, with no copy
     (cheb_apply says why the y-contraction must stay a real GEMM).
-The solver is gmres below, in real arithmetic with s = 1.  A complex
+The solver is gmres below, in real arithmetic.  A complex
 right-hand side is the two real solves of its real and imaginary parts.
 StripField.values keeps the (nx, ny, m) layout for callers; a solve
 transposes its solution once.
@@ -133,8 +133,8 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None):
 
 class _FastDiagonalisation(NamedTuple):
     """Inverse of the row-scaled x-averaged operator on the rfft modes r of
-    a y-major vector, r of shape (ny*m, s, nx/2+1):
-    u = from_eig (scale * (to_eig r)), scale broadcast over s.
+    a y-major vector, r of shape (ny*m, nx/2+1):
+    u = from_eig (scale * (to_eig r)).
 
     to_eig maps a mode's data to the eigen-coordinates of the interior
     problem followed by the 2m boundary values, scale holds 1/(lam + k^2)
@@ -185,24 +185,11 @@ class StripField:
 
     def __post_init__(self):
         self.values = as_inexact(self.values)
-        if self.values.ndim == 2:
-            self.values = self.values[:, :, None]
-        if self.values.shape[:2] != (self.x.size, self.y.size):
+        if (self.values.ndim != 3
+                or self.values.shape[:2] != (self.x.size, self.y.size)):
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.x.size}, {self.y.size})")
-
-    @property
-    def nx(self):
-        return self.x.size
-
-    @property
-    def ny(self):
-        return self.y.size
-
-    @property
-    def m(self):
-        return self.values.shape[2]
 
     def _along_y(self, D, values):
         """D contracted with the y axis (axis 1) of (nx, ny, ...) samples."""
@@ -259,17 +246,17 @@ class DiscreteStripOperator:
         self.ny = ny
         self.L = profile.L
         c = self.coeffs
-        # y-major interior coefficients, (ny, m, 1, nx), and the bottom
-        # flux coefficient, (m, 1, nx)
+        # y-major interior coefficients, (ny, m, nx), and the bottom flux
+        # coefficient, (m, nx)
         self._a12x2, self._a22, self._a2 = (
-            np.ascontiguousarray(f.transpose(1, 2, 0)[:, :, None, :])
+            np.ascontiguousarray(f.transpose(1, 2, 0))
             for f in (2.0 * c.a12, c.a22, c.a2))
-        self._b21 = np.ascontiguousarray(c.b21.T[:, None, :])
+        self._b21 = np.ascontiguousarray(c.b21.T)
         self._shift = self.A_mat + self.mu ** 2 * np.eye(self.m)
         k = rfft_wavenumbers(self.L, self.nx)
         self._k2 = k ** 2
         # rfft multipliers of d/dx (Nyquist mode zeroed) and -d^2/dx^2
-        self._xmult = np.stack([1j * k, self._k2])[:, None, None, None, :]
+        self._xmult = np.stack([1j * k, self._k2])[:, None, None, :]
         self._xmult[0, ..., self.nx // 2] = 0.0
         self.shape_full = (self.ny, self.m, self.nx)
         self.n_dof = self.nx * self.ny * self.m
@@ -280,8 +267,8 @@ class DiscreteStripOperator:
     # -- operator action ---------------------------------------------------
 
     def apply_values(self, u):
-        """Apply the boundary-row-replaced operator to real y-major samples
-        u of shape (ny, m, s, nx), s real vectors side by side."""
+        """Apply the boundary-row-replaced operator to the real y-major
+        samples u of shape (ny, m, nx)."""
         ny, nx = self.ny, self.nx
         u_x, out = irfft(rfft(u, axis=-1) * self._xmult, n=nx, axis=-1)
         u_y12 = cheb_apply(self._Dy12, u)
@@ -289,7 +276,7 @@ class DiscreteStripOperator:
         out -= self._a12x2 * cheb_apply(self.Dy, u_x)
         out -= self._a22 * u_yy
         out += self._a2 * u_y
-        out += (self._shift @ u.reshape(ny, self.m, -1)).reshape(u.shape)
+        out += self._shift @ u
         out[0] = u[0]
         out[-1] = self._b21 * u_y[-1]
         return out
@@ -302,13 +289,9 @@ class DiscreteStripOperator:
         data = [np.asarray(d) for d in (F, psi0) if d is not None]
         b = np.zeros(self.shape_full, dtype=np.result_type(float, *data))
         if F is not None:
-            F = np.asarray(F)
-            if F.ndim == 2:
-                F = F[:, :, None]
-            b[1:-1] = F[:, 1:-1, :].transpose(1, 2, 0)
+            b[1:-1] = np.asarray(F)[:, 1:-1].transpose(1, 2, 0)
         if psi0 is not None:
-            psi0 = np.asarray(psi0)
-            b[0] = psi0[None, :] if psi0.ndim == 1 else psi0.T
+            b[0] = np.asarray(psi0).T
         return real_if_exact(b)
 
     # -- preconditioner ----------------------------------------------------
@@ -333,12 +316,12 @@ class DiscreteStripOperator:
         """
         ny, m, nym = self.ny, self.m, self.ny * self.m
         w = 1.0 / self._a22
-        pb = w.mean(axis=-1, keepdims=True)          # (ny, m, 1, 1)
-        self._rowscale = w / pb
+        pb = w.mean(axis=-1)                         # (ny, m)
+        self._rowscale = w / pb[:, :, None]
         self._rowscale[[0, -1]] = 1.0
-        a22b = 1.0 / pb[:, :, 0, 0]                  # (ny, m)
-        a2b = (w * self._a2).mean(axis=-1)[:, :, 0] / pb[:, :, 0, 0]
-        b21b = self._b21.mean(axis=-1)[:, 0]         # (m,)
+        a22b = 1.0 / pb
+        a2b = (w * self._a2).mean(axis=-1) / pb
+        b21b = self._b21.mean(axis=-1)               # (m,)
         R = np.zeros((ny, m, ny, m))
         for comp in range(m):
             R[:, comp, :, comp] = (-a22b[:, comp, None] * self.Dy2
@@ -385,16 +368,15 @@ class DiscreteStripOperator:
         self._minv = _FastDiagonalisation(to_eig, scale, from_eig)
 
     def _precond(self, v):
-        """The preconditioner on real y-major samples v of shape
-        (ny, m, s, nx): the row scaling w/pb, then the fast-diagonalised
+        """The preconditioner on the real y-major samples v of shape
+        (ny, m, nx): the row scaling w/pb, then the fast-diagonalised
         inverse of the row-scaled x-averaged operator."""
         if self._minv is None:
             self._build_preconditioner()
         fd = self._minv
-        rhat = rfft(v * self._rowscale, axis=-1).reshape(
-            self.ny * self.m, v.shape[2], -1)
+        rhat = rfft(v * self._rowscale, axis=-1).reshape(self.ny * self.m, -1)
         z = cheb_apply(fd.to_eig, rhat)
-        z *= fd.scale[:, None, :]
+        z *= fd.scale
         u = cheb_apply(fd.from_eig, z)
         return irfft(u, n=self.nx, axis=-1).reshape(v.shape)
 
@@ -412,11 +394,13 @@ class DiscreteStripOperator:
         and last_residual is ||b - A x|| / ||b|| of the complex solution.
         """
         b = self.rhs(F=F, psi0=psi0)
-        if not np.all(np.isfinite(b)):
+        # GMRES divides by the data norm: it must be finite, and it must not
+        # underflow to 0 (as it does for data below ~1e-154) unless b = 0
+        b_norm = np.linalg.norm(b)
+        if np.any(b) and not 0.0 < b_norm < np.inf:
             raise SolverError(
-                f"strip solve data has {np.count_nonzero(~np.isfinite(b))} "
-                f"non-finite entries (mu={self.mu}, bc0={self.bc0})",
-                iterations=0)
+                f"strip solve data norm {b_norm:.3g} is non-finite or "
+                f"underflows (mu={self.mu}, bc0={self.bc0})", iterations=0)
         # below ~1e-10 the iteration grinds against the round-off floor of
         # the collocation operator (row scales span ~ny^4); ask GMRES only
         # for what is attainable and gate on the true residual instead
@@ -426,14 +410,12 @@ class DiscreteStripOperator:
         for part in parts:
             sol = np.zeros_like(part)
             if np.any(part):
-                sol, n, res = gmres(self.apply_values, part[:, :, None, :],
-                                    rtol_gmres, min(_RESTART, self.n_dof),
-                                    _MAX_CYCLES, precond=self._precond)
-                sol = sol[:, :, 0]
+                sol, n, res = gmres(self.apply_values, part, rtol_gmres,
+                                    min(_RESTART, self.n_dof), _MAX_CYCLES,
+                                    precond=self._precond)
                 its += n
                 res_norm = np.hypot(res_norm, res * np.linalg.norm(part))
             sols.append(sol)
-        b_norm = np.linalg.norm(b)
         res = float(res_norm / b_norm) if b_norm > 0 else 0.0
         self.last_residual = res
         self.last_iterations = its

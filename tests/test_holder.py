@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from stripflow.grids import random_trace, torus_nodes
+import stripflow.holder as holder
+from stripflow.grids import cheb_lobatto_01, random_trace, torus_nodes
 from stripflow.holder import (
     SampledFunction,
     _components,
@@ -551,3 +552,30 @@ def test_pruned_seminorm_visits_a_tight_line_after_a_loose_one():
     got = holder_seminorm(f, 0.5, evaluator)
     assert got == _every_line_seminorm(f, 0.5, evaluator)
     assert got > q_sine
+
+
+def test_nan_field_drops_out_of_the_pruning_rounds(monkeypatch):
+    """A field whose running maximum is NaN keeps it NaN whatever is
+    visited, so its pairs and lines are not visited: one NaN sample in one
+    of six fields adds no pruning round, and the other fields' norms are
+    unchanged."""
+    rounds, prune = [], holder._prune_rounds
+
+    def counted(bound, semi, quotient):
+        def one_round(rows, cols):
+            rounds[-1] += 1
+            return quotient(rows, cols)
+        rounds.append(0)
+        return prune(bound, semi, one_round)
+    monkeypatch.setattr(holder, "_prune_rounds", counted)
+    rng = np.random.default_rng(3)
+    re, im = rng.standard_normal((2, 6, 128, 40, 2))
+    fields = re + 1j * im
+    y = cheb_lobatto_01(40)[0]
+    clean = scaled_field_norm(fields, y, L, 0.5, 3.0)
+    clean_rounds = sum(rounds)
+    fields[2, 17, 11, 1] = np.nan
+    got = scaled_field_norm(fields, y, L, 0.5, 3.0)
+    assert sum(rounds) - clean_rounds <= clean_rounds
+    assert np.isnan(got[2])
+    assert np.array_equal(np.delete(got, 2), np.delete(clean, 2))

@@ -11,6 +11,7 @@ from stripflow.operator_core import (
     InterpNormEvaluator,
     SectorialOperator,
     matrix_sqrt,
+    require_resolved_spectrum,
     validate_sectorial,
 )
 
@@ -100,6 +101,27 @@ def test_interp_norm_scalar_closed_form():
 
 def test_interp_norm_scalar_closed_form_generic():
     _check_scalar_closed_form(2.0, 0.25)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+def test_resolved_spectrum_keeps_the_grid_sup_near_the_true_sup(theta):
+    """Across the moduli require_resolved_spectrum admits, the grid's sup
+    is within 1 % of the continuum sup of t^(1-theta) a e^(-ta); an A with
+    an eigenvalue just outside them, or a pair of complex ones, is
+    refused."""
+    lo, hi = (1 - theta) / _T_GRID[-1], (1 - theta) / _T_GRID[0]
+    for a in np.geomspace(lo, hi, 50):
+        A = SectorialOperator(np.array([[a]]))
+        require_resolved_spectrum(A, theta)
+        sup = a * ((1 - theta) / a) ** (1 - theta) * np.exp(-(1 - theta))
+        val = interp_norm(A, np.array([1.0]), theta)
+        assert 0.99 * sup <= val <= sup * (1 + 1e-13)
+    for entries in ([[0.99 * lo]], [[1.01 * hi]], [[2.0, 0.0], [0.0, 1e7]],
+                    [[0.0, -1.01 * hi], [1.01 * hi, 0.0]]):
+        with pytest.raises(ValueError, match="eigenvalue of modulus"):
+            require_resolved_spectrum(SectorialOperator(entries), theta)
+    require_resolved_spectrum(
+        SectorialOperator([[1.0, -0.8], [0.8, 1.0]]), theta)
 
 
 def test_interp_norm_homogeneous():

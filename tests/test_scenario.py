@@ -263,12 +263,15 @@ def test_alpha_range_enforced(tmp_path):
      "output_stride must be at least 1"),
     ("dt = 0.02", "dt = 0.02\nscheme = rk4", "time", "scheme",
      "scheme must be semi_implicit_euler"),
+    ("A = 1.0", "A = 1e7", "space", "A", r"resolves only moduli in \[0.05, 5000\]"),
+    ("A = 1.0", "A = 1e4", "space", "A", r"resolves only moduli in \[0.05, 5000\]"),
 ])
 def test_out_of_range_refusal_names_the_scenario_key(tmp_path, old, new,
                                                      section, key, match):
     """phi, M, norm_cap, margin_floor, dt, output_stride and scheme are
     refused under their own key, not under the name of the constructor
-    parameter that takes them."""
+    parameter that takes them; an A whose eigenvalues the interpolation
+    norm cannot resolve is refused under A."""
     text = MINIMAL.replace(old, new)
     with pytest.raises(ScenarioError, match=match) as exc:
         load_scenario(write_scn(tmp_path, text))

@@ -21,13 +21,13 @@ def dy_trace1(fld):
 
 
 def y_major(u):
-    """(nx, ny, m) samples as the operator's (ny, m, 1, nx) layout."""
-    return np.ascontiguousarray(u.transpose(1, 2, 0)[:, :, None, :])
+    """(nx, ny, m) samples as the operator's (ny, m, nx) layout."""
+    return np.ascontiguousarray(u.transpose(1, 2, 0))
 
 
 def residual_of(op, u_values, b):
     """||op u - b|| / ||b|| for a real field u, recomputed independently."""
-    r = op.apply_values(y_major(u_values))[:, :, 0] - b
+    r = op.apply_values(y_major(u_values)) - b
     bn = np.linalg.norm(b.ravel())
     return float(np.linalg.norm(r.ravel()) / (bn if bn > 0 else 1.0))
 
@@ -284,7 +284,7 @@ def _dense_frozen_inverse(op):
     pb = w.mean(axis=0)
     a12, a2 = ((w * f).mean(axis=0) / pb for f in (c.a12, c.a2))
     b21 = c.b21.mean(axis=0)
-    rowscale = (w / pb).transpose(1, 2, 0)[:, :, None, :]
+    rowscale = (w / pb).transpose(1, 2, 0)
     rowscale[[0, -1]] = 1.0
     blocks = np.zeros((nx, ny, m, ny, m), dtype=complex)
     for comp in range(m):
@@ -303,9 +303,9 @@ def _dense_frozen_inverse(op):
     inv = np.linalg.inv(blocks.reshape(nx, ny * m, ny * m))
 
     def apply(v):
-        """v is y-major, (ny, m, s, nx)."""
-        rhat = fft(v * rowscale, axis=-1).reshape(ny * m, -1, nx)
-        z = np.einsum("kab,bsk->ask", inv, rhat)
+        """v is y-major, (ny, m, nx)."""
+        rhat = fft(v * rowscale, axis=-1).reshape(ny * m, nx)
+        z = np.einsum("kab,bk->ak", inv, rhat)
         return ifft(z, axis=-1).reshape(v.shape)
     return apply
 
@@ -319,10 +319,11 @@ def test_precond_matches_dense_mode_inverse(case, ny):
     p, A, mu = _precond_case(case)
     op = DiscreteStripOperator(p, A, mu, ny=ny)
     rng = np.random.default_rng(ny)
-    v = rng.standard_normal((ny, op.m, 2, op.nx))
-    want = _dense_frozen_inverse(op)(v)
-    got = op._precond(v)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    dense = _dense_frozen_inverse(op)
+    for v in rng.standard_normal((2, ny, op.m, op.nx)):
+        want = dense(v)
+        got = op._precond(v)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("case", PRECOND_CASES)
@@ -360,8 +361,8 @@ def test_singular_frozen_block_fails_fast():
     # on the flat strip the k = 0 block acts on x-constant fields; a scalar
     # A adds A to its interior rows, so A = -lam for a finite generalized
     # eigenvalue lam of (block, interior rows) makes it singular
-    block = np.stack([op.apply_values(np.broadcast_to(e[:, None, None, None],
-                                                      (ny, 1, 1, nx)))[:, 0, 0, 0]
+    block = np.stack([op.apply_values(np.broadcast_to(e[:, None, None],
+                                                      (ny, 1, nx)))[:, 0, 0]
                       for e in np.eye(ny)], axis=1)
     interior = np.diag(np.r_[0.0, np.ones(ny - 2), 0.0])
     lam = scipy.linalg.eigvals(block, interior)
@@ -371,6 +372,19 @@ def test_singular_frozen_block_fails_fast():
                                 0.0, ny=ny)
     with pytest.raises(SolverError, match="mu=0.0") as info:
         bad.solve(psi0=np.ones((nx, 1)))
+    assert info.value.iterations == 0
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-200, 1e200])
+def test_data_norm_outside_the_double_range_fails_fast(A1, scale):
+    """GMRES divides by the data norm, so nonzero data whose norm
+    underflows to 0 or overflows is refused before it iterates: the Krylov
+    basis would be NaN, and a gate relative to that norm cannot see it."""
+    op = DiscreteStripOperator(make_profile(nx=32, amp=0.0), A1, 1.0, ny=9)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverError, match="non-finite or underflows") \
+                as info:
+            op.solve(psi0=np.full((32, 1), scale))
     assert info.value.iterations == 0
 
 
