@@ -176,16 +176,18 @@ def coefficient_derivatives(beta, w, gx, gxx, ps, ps_x, ps_xx):
     of a Fourier mode); the result is (da12, da22, da2, db10, db20), the
     first-order changes of a12, a22, a2, b10 and b20.  b21 enters no
     derivative piece.  All arguments broadcast against each other; the
-    boundary fields do not depend on beta.
+    boundary fields do not depend on beta.  The interior fields are
+    separable in beta: the factors without it are formed first, on the
+    shapes of w and psi, and each field takes one product with beta (da22
+    one with beta^2).
     """
-    da12 = beta * (ps_x / w - gx * ps / w ** 2)
-    da22 = (2.0 * beta ** 2 * gx * ps_x / w ** 2
-            - 2.0 * (1.0 + beta ** 2 * gx ** 2) * ps / w ** 3)
-    da2 = (4.0 * beta * gx * ps_x / w ** 2
-           - 4.0 * beta * gx ** 2 * ps / w ** 3
-           - beta * ps_xx / w + beta * gxx * ps / w ** 2)
+    r = 1.0 / w
+    slope = (ps_x - gx * ps * r) * r        # the change of gx / w
+    da12 = beta * slope
+    da22 = beta ** 2 * (2.0 * gx * r * slope) - 2.0 * ps * r ** 3
+    da2 = beta * (4.0 * gx * r * slope - ps_xx * r + gxx * ps * r ** 2)
     db10 = -ps_x
-    db20 = (1.0 + gx ** 2) * ps / w ** 2 - 2.0 * gx * ps_x / w
+    db20 = (1.0 + gx ** 2) * ps * r ** 2 - 2.0 * gx * ps_x * r
     return da12, da22, da2, db10, db20
 
 

@@ -520,11 +520,14 @@ def export(traj, out_dir):
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for t, prof in zip(traj.times, traj.profiles):
-            for i, xv in enumerate(prof.x):
-                row = [_fmt(t), _fmt(xv)]
-                for c in range(m):
-                    row += [_fmt(prof.g[i, c].real), _fmt(prof.g[i, c].imag)]
-                fh.write(",".join(row) + "\n")
+            # repr of a Python float is _fmt of the numpy scalar
+            columns = [prof.x.tolist()]
+            for c in range(m):
+                columns += [prof.g[:, c].real.tolist(),
+                            prof.g[:, c].imag.tolist()]
+            t_s = _fmt(t)
+            fh.writelines(",".join([t_s, *map(repr, row)]) + "\n"
+                          for row in zip(*columns))
     diag_path = os.path.join(out_dir, "diagnostics.csv")
     with open(diag_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,h2alpha,margin,residual,iterations,status\n")

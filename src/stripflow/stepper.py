@@ -3,9 +3,18 @@
 dg/dt + O(g) = 0 is advanced by semi-implicit Euler: the increment solves
 (I + dt dO(g_n)) delta = -dt O(g_n) in the trace space, so the stiff
 linearization is treated implicitly while O is evaluated at the current
-profile.  A run ends Completed at t_end, in one of the two breakdown
-flags of the continuous alternative "norm blows up or the profile reaches
-the admissibility boundary" (NormBlowup, BoundaryApproach), or in
+profile.  The step's GMRES is preconditioned on the right by
+(I + dt dO(gbar))^-1, with dO(gbar) the derivative at the flat profile of
+the initial profile's mean height: a Fourier multiplier that an evolve
+builds once, just before its first step (m + 1 strip solves), so a run
+that stops at t = 0 builds none.  On a near-flat profile a step then takes
+2 Krylov iterations instead of 3 or 4; a moderate one (a dip of depth 0.2
+or a sine of amplitude 0.4 at nu = 1) can take one more.  The gate still
+reads the unpreconditioned true residual.
+
+A run ends Completed at t_end, in one of the two breakdown flags of the
+continuous alternative "norm blows up or the profile reaches the
+admissibility boundary" (NormBlowup, BoundaryApproach), or in
 SolverFailure when a solve does not converge: the step's own, or the
 K(g)g solve of the new profile that its margin reads.  A SolverFailure run
 still returns its trajectory, whose last row carries the last good profile
@@ -16,6 +25,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .dtn import DtNOperator, operator_for
 from .errors import AdmissibilityError, SolverError
@@ -93,20 +103,53 @@ class Trajectory:
         return self.profiles[-1]
 
 
-def _step_core(dtn, dt):
+def _flat_preconditioner(dtn, dt):
+    """v -> (I + dt dO(gbar))^-1 v on (nx, m) traces, dO(gbar) the
+    derivative at the flat profile gbar, the x-mean of dtn's profile, with
+    dtn's nu, A, mu, ny and rtol.
+
+    gbar keeps every component above the height floor (a mean is never
+    below the smallest sample) and is closer to the profile than the flat
+    g = 0, which nu <= h_floor would not even admit.  The flat operator is
+    translation invariant, so dO(gbar) is a Fourier multiplier: its symbol
+    is the rfft of its response to a unit impulse in each component, one
+    strip solve each.  Only the inverse symbol of I + dt dO(gbar) is kept.
+    A failing solve is refused as the preconditioner's, not the step's.
+    """
+    p = dtn.profile
+    flat = DtNOperator(p.with_g(np.broadcast_to(p.g.mean(axis=0), p.g.shape)),
+                       dtn.A, dtn.mu, ny=dtn.op.ny, rtol=dtn.rtol)
+    impulses = np.zeros((p.m, p.nx, p.m))
+    impulses[np.arange(p.m), 0, np.arange(p.m)] = 1.0
+    try:
+        # sym[k, :, c] answers a unit impulse in component c
+        sym = np.stack([rfft(flat.derivative(e), axis=0) for e in impulses],
+                       -1)
+    except SolverError as exc:
+        raise SolverError(f"flat preconditioner: {exc}", exc.residual,
+                          exc.iterations) from exc
+    minv, nx = np.linalg.inv(np.eye(p.m) + dt * sym), p.nx
+    return lambda v: irfft(minv @ rfft(v, axis=0)[..., None], n=nx,
+                           axis=0)[..., 0]
+
+
+def _step_core(dtn, dt, precond):
     """Solve (I + dt dO) delta = -dt O(g) matrix-free; return delta + info.
 
-    strip.gmres, unpreconditioned, starts from zero and ends each restart
-    cycle with one application for the true residual, which the gate reads.
-    The returned iteration count is that of the Krylov iterations, one dO
-    application each.
+    strip.gmres starts from zero, preconditioned on the right by precond
+    (_flat_preconditioner's inverse of I + dt dO(gbar), which treats the
+    stiff leading part of the step the way the small-scale decomposition of
+    Hou, Lowengrub & Shelley, J. Comput. Phys. 114, 1994, does), and ends each
+    restart cycle with one application for the unpreconditioned true
+    residual, which the gate reads.  The returned iteration count is that
+    of the preconditioned Krylov iterations, one dO application each.
     """
     o_val = dtn.apply()
     rhs = -dt * o_val
     if np.linalg.norm(rhs) < 1e-300:
         return np.zeros_like(o_val), 0.0, 0
     sol, its, res = gmres(lambda v: v + dt * dtn.derivative(v), rhs,
-                          _STEP_RTOL, min(rhs.size, 60), 3)
+                          _STEP_RTOL, min(rhs.size, 60), 3, precond=precond)
     gate = max(100.0 * _STEP_RTOL, 1e-8)
     if not res <= gate:                             # NaN-safe comparison
         raise SolverError(
@@ -118,7 +161,7 @@ def _step_core(dtn, dt):
 def step(p_n, A, dt, mu_solve=4.0, ny=33):
     """One semi-implicit Euler step; returns the advanced profile."""
     dtn = DtNOperator(p_n, A, mu_solve, ny=ny)
-    delta, _, _ = _step_core(dtn, dt)
+    delta, _, _ = _step_core(dtn, dt, _flat_preconditioner(dtn, dt))
     return p_n.with_g(p_n.g + delta)
 
 
@@ -177,7 +220,7 @@ def evolve(p0, A, cfg, dtn=None):
     n_steps = int(round(cfg.t_end / cfg.dt))
     profiles, rows = [], []
     current, n, residual, iterations = p0, 0, 0.0, 0
-    failure_message = ""
+    failure_message, precond = "", None
 
     def record(status):
         profiles.append(current)
@@ -195,7 +238,9 @@ def evolve(p0, A, cfg, dtn=None):
             break
         n += 1
         try:
-            delta, residual, iterations = _step_core(dtn, cfg.dt)
+            if precond is None:     # a run that stops at t = 0 builds none
+                precond = _flat_preconditioner(dtn, cfg.dt)
+            delta, residual, iterations = _step_core(dtn, cfg.dt, precond)
             # rebinding dtn frees the old operator before the new margin solve
             dtn = DtNOperator(current.with_g(current.g + delta), A,
                               cfg.mu_solve, ny=cfg.ny, rtol=cfg.rtol)

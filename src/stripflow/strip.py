@@ -42,12 +42,12 @@ cycles cannot reach it.  The solve is accepted or refused on the
 true-residual gate instead, after those two cycles.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.linalg import solve_triangular
 
 from .errors import SolverError
 from .geometry import coefficients, require_elliptic
@@ -82,42 +82,53 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None):
     after restart iterations.  One more apply gives the true residual
     ||b - A x|| / ||b||; while that is above rtol a new cycle restarts from
     it, up to max_cycles.  Each iteration is one apply and one precond.
+    The Arnoldi basis is kept flat, and the Hessenberg columns, the
+    rotations and the rotated right-hand side g are Python floats: a cycle
+    of a few iterations would otherwise spend more on the bookkeeping of
+    restart columns than on its dots.  A zero or NaN pivot of the
+    triangular factor gives a NaN coefficient, so the caller's gate reads
+    the NaN residual of a NaN iterate instead of an exception.
     """
     b_norm = np.linalg.norm(b)
     eps = np.finfo(b.dtype).eps
     x = np.zeros_like(b)
     r, iterations = b, 0
     for _ in range(max_cycles):
-        beta = np.linalg.norm(r)
-        V, Z = [r / beta], []
-        H = np.zeros((restart + 1, restart))
-        rotations = np.zeros((restart, 2))
-        g = np.zeros(restart + 1)
-        g[0] = beta
+        beta = float(np.linalg.norm(r))
+        V, Z, H, rotations, g = [(r / beta).reshape(-1)], [], [], [], [beta]
         for j in range(restart):
-            Z.append(V[j] if precond is None else precond(V[j]))
-            w = apply(Z[j])
+            v_j = V[j].reshape(b.shape)
+            Z.append(v_j if precond is None else precond(v_j))
+            w = apply(Z[j]).reshape(-1)
             iterations += 1
-            w_norm = np.linalg.norm(w)
-            for i, v in enumerate(V):
-                H[i, j] = np.vdot(v, w)
-                w -= H[i, j] * v
-            H[j + 1, j] = np.linalg.norm(w)
+            w_norm = math.sqrt(w @ w)
+            col = []                                # column j of H
+            for v in V:
+                col.append(float(v @ w))
+                w -= col[-1] * v
+            h_next = math.sqrt(w @ w)
             # scipy's exact-breakdown test: w lies in the Krylov space
-            breakdown = H[j + 1, j] <= eps * w_norm
+            breakdown = h_next <= eps * w_norm
             if not breakdown:
-                V.append(w / H[j + 1, j])
-            for i, (c, s) in enumerate(rotations[:j]):
-                H[i, j], H[i + 1, j] = (c * H[i, j] + s * H[i + 1, j],
-                                        c * H[i + 1, j] - s * H[i, j])
-            h = np.hypot(H[j, j], H[j + 1, j])
-            c, s = rotations[j] = H[j, j] / h, H[j + 1, j] / h
-            H[j, j], H[j + 1, j] = h, 0.0
-            g[j], g[j + 1] = c * g[j], -s * g[j]
-            if abs(g[j + 1]) <= rtol * b_norm or breakdown:
+                V.append(w / h_next)
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s * col[i])
+            h = math.hypot(col[j], h_next)
+            c, s = (col[j] / h, h_next / h) if h else (1.0, 0.0)
+            rotations.append((c, s))
+            col[j] = h
+            H.append(col)
+            g[j], g_next = c * g[j], -s * g[j]
+            g.append(g_next)
+            if abs(g_next) <= rtol * b_norm or breakdown:
                 break
-        # check_finite=False lets a NaN iterate through to the caller's gate
-        y = solve_triangular(H[:j + 1, :j + 1], g[:j + 1], check_finite=False)
+        # back-substitution on the columns of the triangular factor
+        y = g[:j + 1]
+        for i in range(j, -1, -1):
+            y[i] = y[i] / H[i][i] if H[i][i] else math.nan
+            for k in range(i):
+                y[k] -= y[i] * H[i][k]
         # summed apart from x: added to x one by one, a second cycle's small
         # terms lose their low bits (twice the final near-wall residual)
         dx = np.zeros_like(b)

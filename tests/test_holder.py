@@ -511,12 +511,21 @@ def _seminorm_case(name):
         vals = np.zeros((NX, 2))
         vals[7] = [3.0, -1.0]
         return vals, [[2.0, 0.5], [0.0, 1.0]]
+    if name == "near constant":
+        # within two ulps of a constant: the weighted samples' rounding
+        # sets the seminorm of every weight line
+        rng = np.random.default_rng(4)
+        c = rng.uniform(0.5, 2.0, 2)
+        eps = np.finfo(float).eps
+        return (c * (1.0 + eps * rng.integers(-2, 3, (NX, 2))),
+                [[2.0, 0.5], [0.0, 1.0]])
     assert name == "constant"
     return np.full((NX, 2), 2.0), [[2.0, 0.5], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("graded", [False, True])
-@pytest.mark.parametrize("name", ["m = 1", "jordan", "spike", "constant"])
+@pytest.mark.parametrize("name", ["m = 1", "jordan", "spike", "constant",
+                                  "near constant"])
 def test_pruned_seminorm_equals_every_line_pass(name, graded):
     """holder_seminorm skips the weight lines its bound rules out; the
     seminorm equals, bit for bit, the class maximum over every line."""

@@ -19,6 +19,7 @@ from stripflow.stepper import (
     EvolutionConfig,
     Trajectory,
     _STEP_RTOL,
+    _flat_preconditioner,
     _step_core,
     detect_breakdown,
     evolve,
@@ -103,8 +104,9 @@ def test_step_gate_reuses_the_closing_gmres_residual(A1, monkeypatch):
     p = make_profile(nx=64, amp=1e-3, mode=1)
     dt = 0.02
     dtn = DtNOperator(p, A1, 0.0, ny=17)
+    precond = _flat_preconditioner(dtn, dt)
     calls = _counted_derivative(monkeypatch)
-    sol, res, its = _step_core(dtn, dt)
+    sol, res, its = _step_core(dtn, dt, precond)
     assert its > 0
     assert len(calls) == its + 1
     rhs = -dt * dtn.apply()
@@ -118,12 +120,47 @@ def test_step_gate_reuses_the_closing_gmres_residual(A1, monkeypatch):
 def test_step_gate_refuses_non_finite_derivative(A1, monkeypatch):
     p = make_profile(nx=32, amp=1e-3, mode=1)
     dtn = DtNOperator(p, A1, 0.0, ny=9)
+    precond = _flat_preconditioner(dtn, 0.02)
     _counted_derivative(monkeypatch,
                         fake=lambda psi: np.full(psi.shape, np.nan))
     # the refusal names the gate it missed, max(100 _STEP_RTOL, 1e-8)
     with pytest.raises(SolverError, match="implicit step") as info:
-        _step_core(dtn, 0.02)
+        _step_core(dtn, 0.02, precond)
     assert "(relative residual nan, gate 1e-08)" in str(info.value)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_flat_preconditioner_inverts_the_flat_step(A1, A2, coupled):
+    """The multiplier is the discrete I + dt dO(gbar) inverted, gbar the
+    profile's mean: on random data, with a non-normal A for m = 2,
+    applying I + dt dO(gbar) after the preconditioner gives the data back
+    to round-off."""
+    A, m = (A2, 2) if coupled else (A1, 1)
+    dt = 0.02
+    p = make_profile(nx=32, amp=0.2, mode=1, m=m)
+    p = p.with_g(p.g + [0.3, -0.1][:m])
+    precond = _flat_preconditioner(DtNOperator(p, A, 4.0, ny=17), dt)
+    gbar = np.broadcast_to(p.g.mean(axis=0), p.g.shape)
+    flat = DtNOperator(p.with_g(gbar), A, 4.0, ny=17)
+    v = np.random.default_rng(7).standard_normal((32, m))
+    x = precond(v)
+    assert x.shape == v.shape and x.dtype == float
+    back = x + dt * flat.derivative(x)
+    assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_preconditioned_step_takes_fewer_iterations(A1):
+    """On a near-flat profile the multiplier of I + dt dO(0) leaves the
+    step fewer Krylov iterations than the same gmres unpreconditioned, to
+    the same solution."""
+    p = make_profile(nx=64, amp=1e-3, mode=1)
+    dt = 0.02
+    dtn = DtNOperator(p, A1, 0.0, ny=17)
+    sol, res, its = _step_core(dtn, dt, _flat_preconditioner(dtn, dt))
+    plain, _, plain_its = _step_core(dtn, dt, None)
+    assert 0 < its < plain_its
+    assert res <= 100.0 * _STEP_RTOL
+    assert np.linalg.norm(sol - plain) <= 1e-8 * np.linalg.norm(plain)
 
 
 # ----------------------------------------------------------------- evolve
@@ -242,7 +279,7 @@ def test_evolve_solver_failure_records_the_failing_solve(A1,
 def test_evolve_solver_failure_without_residual_records_nan(A1, monkeypatch):
     """A solve that refuses its data before iterating carries no residual;
     its row records NaN."""
-    def refuse(dtn, dt):
+    def refuse(dtn, dt, precond):
         raise SolverError("non-finite data", iterations=0)
 
     monkeypatch.setattr(stepper, "_step_core", refuse)
@@ -250,6 +287,33 @@ def test_evolve_solver_failure_without_residual_records_nan(A1, monkeypatch):
     assert traj.failure_message == "step 1 (t=0.02): non-finite data"
     last = traj.diagnostics[-1]
     assert np.isnan(last.residual) and last.iterations == 0
+
+
+def test_evolve_runs_with_the_offset_at_the_height_floor(A1):
+    """nu at or below h_floor is admitted when nu + g stays above it; the
+    preconditioner's flat profile sits at the mean height, so such a run
+    steps as any other."""
+    g = 0.6 + 1e-3 * np.sin(2 * np.pi * torus_x(32) / L)
+    p0 = InterfaceProfile(0.5, L, g, h_floor=0.6)
+    traj = evolve(p0, A1, small_cfg(ny=9))
+    assert traj.status == STATUS_COMPLETED
+    assert traj.times[-1] == pytest.approx(0.1)
+
+
+def test_evolve_names_a_failing_preconditioner_solve(A1, monkeypatch):
+    """A strip solve of the preconditioner's build that fails ends the run
+    as SolverFailure under its own name, with that solve's numbers."""
+    def refuse(psi):
+        raise SolverError("strip solve did not converge", residual=2e-4,
+                          iterations=7)
+
+    calls = _counted_derivative(monkeypatch, fake=refuse)
+    traj = evolve(make_profile(nx=32, amp=1e-3, mode=1), A1, small_cfg(ny=9))
+    assert traj.status == STATUS_SOLVER_FAILURE
+    assert traj.failure_message == ("step 1 (t=0.02): flat preconditioner: "
+                                    "strip solve did not converge")
+    last = traj.diagnostics[-1]
+    assert (last.residual, last.iterations, len(calls)) == (2e-4, 7, 1)
 
 
 # ------------------------------------------------------------ reconstruct

@@ -458,6 +458,18 @@ def test_gmres_matches_a_dense_solve(preconditioned):
     assert counts["precond"] == (its if preconditioned else 0)
 
 
+@pytest.mark.parametrize("apply", [lambda v: 0.0 * v,
+                                   lambda v: np.full(v.shape, np.nan)],
+                         ids=["zero-pivot", "nan-pivot"])
+def test_gmres_hands_a_singular_cycle_to_the_gate(apply):
+    """An operator that maps the data to zero leaves a zero pivot in the
+    triangular factor, and a NaN apply a NaN one: either gives a NaN
+    iterate and a NaN true residual, which the caller's gate refuses, and
+    neither raises (nor warns)."""
+    x, its, res = strip.gmres(apply, np.ones(8), 1e-10, 5, 2)
+    assert its > 0 and np.isnan(res) and np.all(np.isnan(x))
+
+
 def test_coercivity_probe_refuses_source_and_flux(A1):
     """The interior probe measures Dirichlet data only: an entry with an
     interior source F or a bottom flux psi1 is refused before any solve."""
