@@ -31,7 +31,7 @@ from .holder import SampledFunction, h1alpha_norm, h2alpha_norm
 from .model import (FrozenCoefficients, strip_profile_response,
                     strip_trace_gradient_map)
 from .operator_core import InterpNormEvaluator
-from .strip import DiscreteStripOperator, b0_trace
+from .strip import DiscreteStripOperator, b0_trace, cheb_apply
 
 
 def _as_direction(profile, psi):
@@ -61,10 +61,14 @@ class DtNOperator:
     read-outs combine into that of one solve.
     upsilon, when given, is K(g) g already solved for this profile with the
     same A, mu, ny and rtol (a loaded Scenario keeps its t = 0 solve); it
-    seeds the cache.
+    seeds the cache.  start, when given, is an (nx, ny, m) guess of K(g) g
+    that its solve starts from (the stepper passes the previous profile's
+    first-order one, see upsilon_along); a poor guess costs iterations,
+    never accuracy.
     """
 
-    def __init__(self, profile, A, mu, ny=33, rtol=1e-11, upsilon=None):
+    def __init__(self, profile, A, mu, ny=33, rtol=1e-11, upsilon=None,
+                 start=None):
         self.profile = profile
         self.mu = float(mu)
         self.rtol = rtol
@@ -72,15 +76,27 @@ class DtNOperator:
         self.A = A
         self.coeffs = self.op.coeffs
         self._upsilon = upsilon
+        self._start = start
         self._v_derivatives = None
+        self._last_derivative = (None, None)    # (direction, its field)
         self._frozen = {}       # node index -> FrozenOperatorSet
         self._evaluators = {}   # alpha -> InterpNormEvaluator of A
 
     def upsilon(self):
         """K(g) g, cached across calls."""
         if self._upsilon is None:
-            self._upsilon = self.op.solve(psi0=self.profile.g, rtol=self.rtol)
+            self._upsilon = self.op.solve(psi0=self.profile.g, rtol=self.rtol,
+                                          start=self._start)
         return self._upsilon
+
+    def upsilon_along(self, psi):
+        """v + dv[psi], the first-order K(g + psi)(g + psi), when the last
+        derivative was taken along psi: its strip solve, with data
+        (-dB[psi, v], psi), is the derivative dv[psi] of v = K(g) g.  None
+        otherwise."""
+        direction, fld = self._last_derivative
+        return (self.upsilon().values + fld.values
+                if np.array_equal(direction, psi) else None)
 
     def apply(self):
         """O(g) = B0(g) K(g) g, the (nx, m) trace."""
@@ -100,43 +116,51 @@ class DtNOperator:
 
         The first is the interior source produced by perturbing B along psi
         (the coupling operator A is constant, so it contributes no term),
-        the second the perturbation of the oblique boundary read-out.
+        the second the perturbation of the oblique boundary read-out.  Both
+        are formed in the solver's y-major layout and returned as
+        (nx, ny, m) and (nx, m) views.
         """
         p = self.profile
-        return self._pieces(
-            slice(None), (p.nu + p.g)[:, None, :], p.g_x[:, None, :],
-            p.g_xx[:, None, :], psi[:, None, :],
-            spectral_derivative(psi, p.L, 1)[:, None, :],
-            spectral_derivative(psi, p.L, 2)[:, None, :])
+        interior, boundary = self._pieces(
+            slice(None), (p.nu + p.g).T, p.g_x.T, p.g_xx.T, psi.T,
+            spectral_derivative(psi, p.L, 1).T,
+            spectral_derivative(psi, p.L, 2).T)
+        return interior.transpose(2, 0, 1), boundary.T
 
     def _pieces(self, at, w, gx, gxx, ps, ps_x, ps_xx):
         """The chain rule along psi at the x-nodes at, with v = K(g) g: the
         interior source -2 da12 v_xy - da22 v_yy + da2 v_y and the boundary
-        piece db10 v_x + db20 v_y at y = 0.  Each argument after at has a
-        length-1 middle axis, to broadcast against the y axis of beta."""
-        v_xy, v_yy, v_y, tr_x, tr_y = (
-            d[at] for d in self._upsilon_derivatives())
-        da12, da22, da2, db10, db20 = coefficient_derivatives(
-            self.coeffs.beta[None, :, None], w, gx, gxx, ps, ps_x, ps_xx)
-        interior = -2.0 * da12 * v_xy - da22 * v_yy + da2 * v_y
-        return interior, db10[:, 0] * tr_x + db20[:, 0] * tr_y
+        piece db10 v_x + db20 v_y at y = 0.  The arguments after at
+        broadcast against the (m,) or (m, nx) values of one y; beta enters
+        through the fields of _upsilon_derivatives, so that the interior
+        source of a direction is four products with them."""
+        bv_xy, bv_y, b2v_yy, v_yy, tr_x, tr_y = (
+            d[..., at] for d in self._upsilon_derivatives())
+        d12, d22, e22, d2, db10, db20 = coefficient_derivatives(
+            w, gx, gxx, ps, ps_x, ps_xx)
+        interior = d2 * bv_y - 2.0 * d12 * bv_xy - d22 * b2v_yy + e22 * v_yy
+        return interior, db10 * tr_x + db20 * tr_y
 
     def _upsilon_derivatives(self):
-        """v_xy, v_yy, v_y and the y = 0 traces of v_x, v_y; cached."""
+        """beta v_xy, beta v_y, beta^2 v_yy, v_yy (y-major, (ny, m, nx))
+        and the y = 0 traces of v_x, v_y ((m, nx)); cached."""
         if self._v_derivatives is None:
             ups = self.upsilon()
+            v_y, v_yy = np.split(cheb_apply(
+                self.op._Dy12, ups.values.transpose(1, 2, 0)), 2)
+            v_x = ups.dx(1).transpose(1, 2, 0)
+            beta = self.coeffs.beta[:, None, None]
             self._v_derivatives = (
-                ups.dxy(), ups.dy(2), ups.dy(1),
-                spectral_derivative(ups.trace0(), self.profile.L, 1),
-                ups.dy_trace0())
+                beta * cheb_apply(self.op.Dy, v_x), beta * v_y,
+                beta ** 2 * v_yy, v_yy, v_x[0], v_y[0])
         return self._v_derivatives
-
     def derivative(self, psi):
         """dO(g) psi: B0 K psi - B0 S dB read off one strip solve with data
         (F, psi0) = (-dB, psi), plus dB0."""
         psi = _as_direction(self.profile, psi)
         src, b0_piece = self.derivative_sources(psi)
         fld = self.op.solve(F=-src, psi0=psi, rtol=self.rtol)
+        self._last_derivative = (psi, fld)
         return b0_trace(self.coeffs, fld) + b0_piece
 
     # -- reports on the solved field -----------------------------------------
@@ -256,7 +280,7 @@ class DtNOperator:
         eyem = np.eye(p.m)
         sym10 = ((1j * b10 * ks)[:, None, None] * eyem
                  + b20 * strip_trace_gradient_map(fc, ks))
-        sym20 = sym20_diag[:, :, None] * eyem
+        sym20 = sym20_diag[:, 0, :, None] * eyem
         # column c of each symbol answers a source in component c alone
         cols = np.einsum("kyc,cd->kcyd", src, eyem)
         sym30 = -b20 * strip_profile_response(fc, ks, cols,

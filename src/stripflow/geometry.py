@@ -168,27 +168,24 @@ def coefficients(profile, y_nodes):
         alpha_floor=alpha, beta=(1.0 - y))
 
 
-def coefficient_derivatives(beta, w, gx, gxx, ps, ps_x, ps_xx):
+def coefficient_derivatives(w, gx, gxx, ps, ps_x, ps_xx):
     """Directional derivatives of the coefficients built by coefficients().
 
     Perturbing g along psi moves the height w = nu + g by ps, its slope gx
     by ps_x and its curvature gxx by ps_xx (samples of psi or the symbols
-    of a Fourier mode); the result is (da12, da22, da2, db10, db20), the
-    first-order changes of a12, a22, a2, b10 and b20.  b21 enters no
-    derivative piece.  All arguments broadcast against each other; the
-    boundary fields do not depend on beta.  The interior fields are
-    separable in beta: the factors without it are formed first, on the
-    shapes of w and psi, and each field takes one product with beta (da22
-    one with beta^2).
+    of a Fourier mode).  The interior fields are separable in beta: the
+    result is (d12, d22, e22, d2, db10, db20), with first-order changes
+    beta d12 of a12, beta^2 d22 - e22 of a22 and beta d2 of a2, and db10
+    and db20 those of b10 and b20.  b21 enters no derivative piece.  All
+    arguments broadcast against each other, and no result depends on beta.
     """
     r = 1.0 / w
     slope = (ps_x - gx * ps * r) * r        # the change of gx / w
-    da12 = beta * slope
-    da22 = beta ** 2 * (2.0 * gx * r * slope) - 2.0 * ps * r ** 3
-    da2 = beta * (4.0 * gx * r * slope - ps_xx * r + gxx * ps * r ** 2)
+    d22 = 2.0 * gx * r * slope
+    d2 = 2.0 * d22 - ps_xx * r + gxx * ps * r ** 2
     db10 = -ps_x
     db20 = (1.0 + gx ** 2) * ps * r ** 2 - 2.0 * gx * ps_x * r
-    return da12, da22, da2, db10, db20
+    return slope, d22, 2.0 * ps * r ** 3, d2, db10, db20
 
 
 @dataclass

@@ -7,6 +7,8 @@ used everywhere else, so they live in one small module with no dependencies
 on the rest of the package.
 """
 
+import functools
+
 import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 
@@ -43,6 +45,18 @@ def rfft_wavenumbers(L, nx):
     return 2.0 * np.pi * np.fft.rfftfreq(nx, d=L / nx)
 
 
+@functools.lru_cache(maxsize=32)
+def _derivative_multiplier(L, nx, order, real):
+    """(ik)^order on the rfft (real) or fft wavenumbers, the Nyquist mode
+    zeroed for odd orders; read-only, built once per (L, nx, order)."""
+    k = rfft_wavenumbers(L, nx) if real else torus_wavenumbers(L, nx)
+    mult = (1j * k) ** order
+    if order % 2 == 1:
+        mult[nx // 2] = 0.0
+    mult.flags.writeable = False
+    return mult
+
+
 def spectral_derivative(values, L, order):
     """Differentiate periodic samples along axis 0 by FFT.
 
@@ -54,10 +68,7 @@ def spectral_derivative(values, L, order):
     values = np.asarray(values)
     nx = values.shape[0]
     real = not np.iscomplexobj(values)
-    k = rfft_wavenumbers(L, nx) if real else torus_wavenumbers(L, nx)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[nx // 2] = 0.0
+    mult = _derivative_multiplier(L, nx, order, real)
     mult = mult.reshape((-1,) + (1,) * (values.ndim - 1))
     if real:
         return irfft(rfft(values, axis=0) * mult, n=nx, axis=0)

@@ -38,8 +38,10 @@ maximum, so every norm is that of the pass over every pair, bit for bit.
   has every pair of class s within min(s d1, D), so its quotient is at
   most max_s min(s d1, D) / d_s^alpha (_torus_line_bound).
 - The weight lines of holder_seminorm, one field seeded by zero, with the
-  x-lines' bound.  A single line (no evaluator) takes the exact pass at
-  once.
+  smaller of the x-lines' bound and ||W_t||_2 times the unweighted line's
+  class maxima plus a rounding term (_weight_line_bound), which one exact
+  pass over the unweighted line gives for every weight.  A single line (no
+  evaluator) takes the exact pass at once.
 
 The coercivity probes of model and strip share their report types and the
 two graded norms they compare, which sit here beside the norms they
@@ -69,9 +71,12 @@ class SampledFunction:
     values : (nx, m) array_like
         Samples at ``torus_nodes(L, nx)``.  A flat (nx,) array is promoted
         to a single component.
+    derivatives : sequence of (nx, m) arrays
+        The derivatives of orders 1, 2, ... when already computed, as
+        spectral_derivative gives them (an InterfaceProfile's g_x and g_xx).
     """
 
-    def __init__(self, L, values):
+    def __init__(self, L, values, derivatives=()):
         values = as_inexact(values)
         if values.ndim == 1:
             values = values[:, None]
@@ -84,7 +89,7 @@ class SampledFunction:
         self.nx = values.shape[0]
         self.m = values.shape[1]
         self.grid = torus_nodes(self.L, self.nx)
-        self._derivs = {0: values}
+        self._derivs = dict(enumerate([values, *derivatives]))
 
     def deriv(self, order):
         if order not in self._derivs:
@@ -164,12 +169,37 @@ def _torus_line_bound(lines, dist):
     return np.max(_widened(bound_sq, dist), axis=-1)
 
 
+def _torus_class_sq(lines):
+    """(R, n/2) largest pair square of each shift class of each periodic
+    line; lines as in _torus_pair_sq."""
+    return np.concatenate([np.max(block, axis=-2)
+                           for block in _torus_pair_sq(lines)])
+
+
 def _torus_line_quotient(lines, dist):
     """(R,) exact Hölder quotient of each periodic line: the largest
     sqrt(pair square) / d_s over its shift classes s."""
-    cls_sq = np.concatenate([np.max(block, axis=-2)
-                             for block in _torus_pair_sq(lines)])
-    return np.max(np.sqrt(cls_sq) / dist, axis=-1)
+    return np.max(np.sqrt(_torus_class_sq(lines)) / dist, axis=-1)
+
+
+def _weight_line_bound(vals, dist, evaluator):
+    """(T,) upper bounds of the Hölder quotients of the weight lines
+    W_t u_i of the (n, m) samples u, from one exact pass over u.
+
+    ||W_t (u_j - u_i)|| <= ||W_t||_2 ||u_j - u_i||, so weight line t has
+    every pair of class s within ||W_t||_2 D_s, D_s the largest pair
+    distance of u in that class.  The weighted samples are rounded: each
+    entry of W_t u_i is a dot of length m, off by at most
+    m eps |W_t| |u_i|, so R_t = 4 (m + 2) eps ||W_t||_F max_i ||u_i||
+    covers both ends of a pair.  Formed as a square and widened.
+    """
+    spec, frob = evaluator.weight_norms()
+    u = _components(vals[:, None, :], 0)                # (C, 1, n)
+    cls = np.sqrt(_torus_class_sq(u))                   # (1, n/2)
+    radius = np.max(np.linalg.norm(vals, axis=-1))
+    rounding = 4 * (vals.shape[-1] + 2) * np.finfo(float).eps * frob * radius
+    bound_sq = (spec[:, None] * cls + rounding[:, None]) ** 2
+    return np.max(_widened(bound_sq, dist), axis=-1)
 
 
 def _prune_rounds(bound, semi, quotient):
@@ -250,7 +280,9 @@ def holder_seminorm(f, gamma, evaluator=None):
     dist = _shift_distance(f.L, f.nx) ** gamma
     if lines.shape[1] == 1:
         return float(_torus_line_quotient(lines, dist)[0])
-    semi = _prune_rounds(_torus_line_bound(lines, dist)[None], np.zeros(1),
+    bound = np.minimum(_torus_line_bound(lines, dist),
+                       _weight_line_bound(vals, dist, evaluator))
+    semi = _prune_rounds(bound[None], np.zeros(1),
                          lambda rows, cols: _torus_line_quotient(
                              lines[:, cols], dist))
     return float(semi[0])
@@ -259,13 +291,11 @@ def holder_seminorm(f, gamma, evaluator=None):
 def _ck_alpha_norm(f, k, alpha, evaluator):
     """C^{k+alpha} norm: the sups of the derivatives 0..k, summed in that
     order, plus the alpha-seminorm of the k-th derivative."""
-    total = 0.0
-    for order in range(k + 1):
-        vals = f.deriv(order)
-        # per-node E-norms: Euclidean, or the interpolation norm if given
-        norms = (np.linalg.norm(vals, axis=-1) if evaluator is None
-                 else evaluator.of_values(vals))
-        total += float(np.max(norms))
+    derivs = np.stack([f.deriv(order) for order in range(k + 1)])
+    # per-node E-norms: Euclidean, or the interpolation norm if given
+    norms = (np.linalg.norm(derivs, axis=-1) if evaluator is None
+             else evaluator.of_values(derivs))
+    total = sum(map(float, np.max(norms, axis=-1)))
     dk = SampledFunction(f.L, f.deriv(k))
     return total + holder_seminorm(dk, alpha, evaluator)
 

@@ -151,6 +151,16 @@ class InterpNormEvaluator:
         T = _T_GRID[:, None, None]
         self.weights = np.ascontiguousarray(
             (T ** (1.0 - theta) * (mat @ scipy.linalg.expm(-T * mat))).real)
+        self._norms = (None,)       # the weights, then their two norms
+
+    def weight_norms(self):
+        """(spectral, Frobenius) norms of the weight matrices, (T,) each;
+        computed once for the weights array in place, again if a caller
+        replaces it."""
+        if self._norms[0] is not self.weights:
+            self._norms = (self.weights, *(np.linalg.norm(
+                self.weights, p, axis=(-2, -1)) for p in (2, "fro")))
+        return self._norms[1:]
 
     def weighted(self, values):
         """Every weight matrix applied to every vector of an (..., m) array.

@@ -26,7 +26,9 @@ SectorialOperator only a real A, and the coefficients are stored as real
 (ny, m, nx):
   - x is the last, contiguous axis, so u_x and u_xx are one rfft and one
     stacked irfft along it, and the preconditioner acts on the nx/2 + 1
-    rfft modes of real data;
+    rfft modes of real data (a Krylov direction, the preconditioner's
+    output, enters the apply with the spectrum it was made from, so it
+    takes no rfft);
   - y is the first axis, so Dy u and Dy^2 u are one real GEMM of the
     stacked [Dy; Dy^2] against the (ny, m*nx) matrix of u, with no copy
     (cheb_apply says why the y-contraction must stay a real GEMM).
@@ -40,6 +42,16 @@ below the round-off floor of the double-precision apply (interior rows
 carry a22 Dy^2 ~ 1e7 near the wall, the Dirichlet rows 1), so further
 cycles cannot reach it.  The solve is accepted or refused on the
 true-residual gate instead, after those two cycles.
+
+Every solve starts from what is already solved.  An operator remembers
+each GMRES run's solution with its image A x, the output of the closing
+true-residual apply, and starts a new run from the combination whose image
+projects the data, when that leaves a residual of at most rtol_gmres
+(Fischer 1998).  The implicit step's closing dO application is such a
+combination of its Krylov directions: its solve takes no Krylov iteration,
+only the apply that confirms the start.  A caller may give the start
+instead (the stepper's first-order guess of the next K(g)g).  Either start
+is confirmed or refused by its true residual, as a zero start is.
 """
 
 import math
@@ -48,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import SolverError
 from .geometry import coefficients, require_elliptic
@@ -60,6 +73,7 @@ from .holder import CoercivityReport, CoercivityRow, _graded_probe_norms
 # as singular: its inverse keeps fewer than two correct digits
 _SINGULAR_COND = 1e14
 
+
 # restart length and cycle cap of the strip solve's GMRES.  On the dip at
 # a = 0.85 the first cycle stops on its Arnoldi residual after 15
 # iterations with a true one of 1.1e-9, the second reaches the round-off
@@ -69,30 +83,42 @@ _RESTART = 160
 _MAX_CYCLES = 2
 
 
-def gmres(apply, b, rtol, restart, max_cycles, precond=None):
-    """Solve apply(x) = b by restarted GMRES from x0 = 0, preconditioned on
-    the right by precond; return (x, iterations, true_residual).
+def gmres(apply, b, rtol, restart, max_cycles, precond=None, x0=None):
+    """Solve apply(x) = b by restarted GMRES, preconditioned on the right by
+    precond; return (x, iterations, true_residual, image), image = apply(x)
+    the closing application.
 
-    b is a nonzero real array of any shape that apply and precond keep.  A
-    cycle runs modified Gram-Schmidt Arnoldi on A M, keeps the directions
-    z_j = M v_j, and solves its least-squares problem by Givens rotations.
-    With M on the right the Arnoldi residual is the unpreconditioned one
-    (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 9.3): the
-    cycle stops once it is at most rtol ||b||, on an exact breakdown or
-    after restart iterations.  One more apply gives the true residual
-    ||b - A x|| / ||b||; while that is above rtol a new cycle restarts from
-    it, up to max_cycles.  Each iteration is one apply and one precond.
-    The Arnoldi basis is kept flat, and the Hessenberg columns, the
-    rotations and the rotated right-hand side g are Python floats: a cycle
-    of a few iterations would otherwise spend more on the bookkeeping of
-    restart columns than on its dots.  A zero or NaN pivot of the
-    triangular factor gives a NaN coefficient, so the caller's gate reads
-    the NaN residual of a NaN iterate instead of an exception.
+    b is a nonzero real array of any shape that apply and precond keep.
+    The start is x0 = 0, or the given x0: then one apply gives its true
+    residual b - A x0, a start that meets rtol is returned with 0
+    iterations, and the first cycle begins from that residual.  A NaN start
+    is returned at once with its NaN residual.  A cycle runs modified
+    Gram-Schmidt Arnoldi on A M, keeps the directions z_j = M v_j, and
+    solves its least-squares problem by Givens rotations.  With M on the
+    right the Arnoldi residual is the unpreconditioned one (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 9.3): the cycle stops once
+    it is at most rtol ||b||, on an exact breakdown or after restart
+    iterations.  One more apply gives the true residual ||b - A x|| / ||b||;
+    while that is above rtol a new cycle restarts from it, up to
+    max_cycles.  Each iteration is one apply and one precond.  The Arnoldi
+    basis is kept flat, the Gram-Schmidt steps and the update of x are BLAS
+    level-1 calls in place, and the Hessenberg columns, the rotations and
+    the rotated right-hand side g are Python floats: a cycle of a few
+    iterations would otherwise spend more on temporaries and on the
+    bookkeeping of restart columns than on its dots.  A zero or NaN pivot
+    of the triangular factor gives a NaN coefficient, so the caller's gate
+    reads the NaN residual of a NaN iterate instead of an exception.
     """
     b_norm = np.linalg.norm(b)
     eps = np.finfo(b.dtype).eps
-    x = np.zeros_like(b)
-    r, iterations = b, 0
+    iterations, x, r = 0, np.zeros_like(b), b
+    if x0 is not None:
+        x = np.array(x0, dtype=b.dtype)         # a copy: x is updated in place
+        image = apply(x)
+        r = b - image
+        residual = float(np.linalg.norm(r) / b_norm)
+        if not residual > rtol:                 # met, or NaN: the gate decides
+            return x, iterations, residual, image
     for _ in range(max_cycles):
         beta = float(np.linalg.norm(r))
         V, Z, H, rotations, g = [(r / beta).reshape(-1)], [], [], [], [beta]
@@ -104,8 +130,8 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None):
             w_norm = math.sqrt(w @ w)
             col = []                                # column j of H
             for v in V:
-                col.append(float(v @ w))
-                w -= col[-1] * v
+                col.append(ddot(v, w))
+                w = daxpy(v, w, a=-col[-1])
             h_next = math.sqrt(w @ w)
             # scipy's exact-breakdown test: w lies in the Krylov space
             breakdown = h_next <= eps * w_norm
@@ -131,15 +157,16 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None):
                 y[k] -= y[i] * H[i][k]
         # summed apart from x: added to x one by one, a second cycle's small
         # terms lose their low bits (twice the final near-wall residual)
-        dx = np.zeros_like(b)
+        dx = np.zeros(b.size)
         for y_i, z in zip(y, Z):
-            dx += y_i * z
-        x += dx
-        r = b - apply(x)
+            dx = daxpy(z.reshape(-1), dx, a=y_i)
+        x += dx.reshape(b.shape)
+        image = apply(x)
+        r = b - image
         residual = float(np.linalg.norm(r) / b_norm)
         if residual <= rtol or breakdown:
             break
-    return x, iterations, residual
+    return x, iterations, residual, image
 
 
 class _FastDiagonalisation(NamedTuple):
@@ -203,10 +230,11 @@ class StripField:
                 f"({self.x.size}, {self.y.size})")
 
     def _along_y(self, D, values):
-        """D contracted with the y axis (axis 1) of (nx, ny, ...) samples."""
+        """D contracted with the y axis (axis 1) of (nx, ny, m) samples, as
+        a matmul over x (one row of D is a matvec per x, with no copy)."""
         if self.Dy is None:
             raise ValueError("no differentiation matrix attached to this field")
-        return np.moveaxis(cheb_apply(D, np.moveaxis(values, 1, 0)), 0, 1)
+        return D @ values
 
     def dx(self, order):
         return spectral_derivative(self.values, self.L, order)
@@ -266,12 +294,21 @@ class DiscreteStripOperator:
         self._shift = self.A_mat + self.mu ** 2 * np.eye(self.m)
         k = rfft_wavenumbers(self.L, self.nx)
         self._k2 = k ** 2
-        # rfft multipliers of d/dx (Nyquist mode zeroed) and -d^2/dx^2
-        self._xmult = np.stack([1j * k, self._k2])[:, None, None, :]
+        # rfft multipliers of d/dx (Nyquist mode zeroed) and of -d^2/dx^2
+        # plus the diagonal of the shift, per component: the apply adds only
+        # the off-diagonal part of the shift, which m = 1 does not have
+        diag = np.diag(self._shift)
+        self._xmult = np.stack(np.broadcast_arrays(
+            1j * k, self._k2 + diag[:, None]))[:, None]
         self._xmult[0, ..., self.nx // 2] = 0.0
+        self._off_shift = self._shift - np.diag(diag)
         self.shape_full = (self.ny, self.m, self.nx)
         self.n_dof = self.nx * self.ny * self.m
         self._minv = None
+        # the last preconditioner output and its rfft spectrum
+        self._z = self._z_hat = None
+        # remembered (solution, image A x) pairs, the images orthonormal
+        self._memory = []
         self.last_residual = None
         self.last_iterations = None
 
@@ -279,15 +316,18 @@ class DiscreteStripOperator:
 
     def apply_values(self, u):
         """Apply the boundary-row-replaced operator to the real y-major
-        samples u of shape (ny, m, nx)."""
+        samples u of shape (ny, m, nx).  When u is the last preconditioner
+        output, the spectrum _precond made it from replaces its rfft."""
         ny, nx = self.ny, self.nx
-        u_x, out = irfft(rfft(u, axis=-1) * self._xmult, n=nx, axis=-1)
-        u_y12 = cheb_apply(self._Dy12, u)
-        u_y, u_yy = u_y12[:ny], u_y12[ny:]
-        out -= self._a12x2 * cheb_apply(self.Dy, u_x)
+        u_hat = self._z_hat if u is self._z else rfft(u, axis=-1)
+        u_x, out = irfft(u_hat * self._xmult, n=nx, axis=-1)
+        # u is real: each y-contraction is one GEMM on (ny, m*nx) matrices
+        u_y, u_yy = (self._Dy12 @ u.reshape(ny, -1)).reshape((2,) + u.shape)
+        out -= self._a12x2 * (self.Dy @ u_x.reshape(ny, -1)).reshape(u.shape)
         out -= self._a22 * u_yy
         out += self._a2 * u_y
-        out += self._shift @ u
+        if self.m > 1:
+            out += self._off_shift @ u
         out[0] = u[0]
         out[-1] = self._b21 * u_y[-1]
         return out
@@ -363,7 +403,14 @@ class DiscreteStripOperator:
         if not np.all(np.isfinite(schur)):
             raise fail("non-finite Schur complement")
         lam, V = np.linalg.eig(schur)
-        if not np.linalg.cond(V, 1) < _SINGULAR_COND:
+        # one inverse serves the condition number, cond(V, 1), and to_eig
+        with np.errstate(all="ignore"):
+            try:
+                V_inv = np.linalg.inv(V)
+                cond = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+            except np.linalg.LinAlgError:
+                cond = np.inf
+        if not cond < _SINGULAR_COND:
             raise fail("eigenvectors of the Schur complement")
         denom = lam[:, None] + self._k2[None, :]          # lam + k^2
         if not np.all(np.abs(denom) * _SINGULAR_COND > np.max(np.abs(lam))):
@@ -373,7 +420,7 @@ class DiscreteStripOperator:
         eye = np.eye(nym)
         lift = eye[inner] - R[inner, bnd] @ bnd_inv @ eye[bnd]
         back = (eye[:, inner] - eye[:, bnd] @ elim) @ V
-        to_eig = np.vstack([np.linalg.solve(V, lift), eye[bnd]])
+        to_eig = np.vstack([V_inv @ lift, eye[bnd]])
         from_eig = np.hstack([back, eye[:, bnd] @ bnd_inv])
         scale = np.vstack([1.0 / denom, np.ones((2 * m, self._k2.size))])
         self._minv = _FastDiagonalisation(to_eig, scale, from_eig)
@@ -381,19 +428,53 @@ class DiscreteStripOperator:
     def _precond(self, v):
         """The preconditioner on the real y-major samples v of shape
         (ny, m, nx): the row scaling w/pb, then the fast-diagonalised
-        inverse of the row-scaled x-averaged operator."""
+        inverse of the row-scaled x-averaged operator.  The output is
+        read-only, so that it keeps the spectrum apply_values reuses."""
         if self._minv is None:
             self._build_preconditioner()
         fd = self._minv
         rhat = rfft(v * self._rowscale, axis=-1).reshape(self.ny * self.m, -1)
         z = cheb_apply(fd.to_eig, rhat)
         z *= fd.scale
-        u = cheb_apply(fd.from_eig, z)
-        return irfft(u, n=self.nx, axis=-1).reshape(v.shape)
+        u_hat = cheb_apply(fd.from_eig, z).reshape(v.shape[:-1] + (-1,))
+        self._z, self._z_hat = irfft(u_hat, n=self.nx, axis=-1), u_hat
+        self._z.flags.writeable = False
+        return self._z
 
     # -- solve ---------------------------------------------------------------
 
-    def solve(self, F=None, psi0=None, rtol=1e-11):
+    def _recall(self, b, rtol):
+        """The remembered solutions combined as the images are in the
+        orthogonal projection of b onto them, when that projection leaves a
+        residual of at most rtol ||b||; else None (Fischer, Comput. Methods
+        Appl. Mech. Engrg. 163, 1998)."""
+        r, x0 = b.flatten(), np.zeros(b.size)
+        for x, q in self._memory:               # modified Gram-Schmidt
+            c = ddot(q, r)
+            r = daxpy(q, r, a=-c)
+            x0 = daxpy(x, x0, a=c)
+        return (x0.reshape(b.shape)
+                if math.sqrt(ddot(r, r)) <= rtol * np.linalg.norm(b) else None)
+
+    def _remember(self, x, image):
+        """Keep the solution x of one GMRES run with its image A x: the
+        image orthogonalised against the kept ones (Gram-Schmidt, twice)
+        and normalised, the same combination applied to x.  An image the
+        kept ones span to sqrt(eps) adds nothing a recall could use.  An
+        operator keeps a few (the implicit step makes three solves on one),
+        so they are a list of pairs of flat rows, combined by BLAS level 1
+        in place."""
+        x, w = x.flatten(), image.flatten()
+        for _ in range(2):
+            for x_kept, q in self._memory:
+                d = ddot(q, w)
+                w = daxpy(q, w, a=-d)
+                x = daxpy(x_kept, x, a=-d)
+        w_norm = math.sqrt(ddot(w, w))
+        if w_norm > math.sqrt(np.finfo(float).eps) * np.linalg.norm(image):
+            self._memory.append((x / w_norm, w / w_norm))
+
+    def solve(self, F=None, psi0=None, rtol=1e-11, start=None):
         """Solve with interior source F, trace psi0 at y=0 and zero flux at
         y=1.
 
@@ -403,6 +484,15 @@ class DiscreteStripOperator:
         a real field.  Complex data are solved as their real and imaginary
         parts, an all-zero part skipped: last_iterations sums the two runs,
         and last_residual is ||b - A x|| / ||b|| of the complex solution.
+
+        Each run starts from what is already solved.  start, a real
+        (nx, ny, m) guess of the field of real data, is the start when
+        given.  Otherwise the operator recalls the solutions of its earlier
+        runs: when their images span the data to rtol_gmres, their
+        combination is the start (a dO direction that combines earlier ones
+        then takes no Krylov iteration).  A start costs one apply and never
+        decides acceptance, which reads the true residual as before; a run
+        that iterates is remembered with the image of its closing apply.
         """
         b = self.rhs(F=F, psi0=psi0)
         # GMRES divides by the data norm: it must be finite, and it must not
@@ -421,9 +511,14 @@ class DiscreteStripOperator:
         for part in parts:
             sol = np.zeros_like(part)
             if np.any(part):
-                sol, n, res = gmres(self.apply_values, part, rtol_gmres,
-                                    min(_RESTART, self.n_dof), _MAX_CYCLES,
-                                    precond=self._precond)
+                x0 = (self._recall(part, rtol_gmres) if start is None
+                      else np.transpose(start, (1, 2, 0)))
+                sol, n, res, image = gmres(
+                    self.apply_values, part, rtol_gmres,
+                    min(_RESTART, self.n_dof), _MAX_CYCLES,
+                    precond=self._precond, x0=x0)
+                if n:
+                    self._remember(sol, image)
                 its += n
                 res_norm = np.hypot(res_norm, res * np.linalg.norm(part))
             sols.append(sol)

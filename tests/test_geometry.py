@@ -143,10 +143,12 @@ def test_coefficient_derivatives_match_central_difference(m):
     for part in (psi.real, psi.imag):
         plus = coefficients(p.with_g(g + eps * part), y)
         minus = coefficients(p.with_g(g - eps * part), y)
-        exact = coefficient_derivatives(
-            (1.0 - y)[None, :, None], col(1.0 + g), col(p.g_x), col(p.g_xx),
-            col(part), col(spectral_derivative(part, L, 1)),
+        d12, d22, e22, d2, db10, db20 = coefficient_derivatives(
+            col(1.0 + g), col(p.g_x), col(p.g_xx), col(part),
+            col(spectral_derivative(part, L, 1)),
             col(spectral_derivative(part, L, 2)))
+        beta = (1.0 - y)[None, :, None]
+        exact = (beta * d12, beta ** 2 * d22 - e22, beta * d2, db10, db20)
         for name, d in zip(("a12", "a22", "a2", "b10", "b20"), exact):
             fd = (getattr(plus, name) - getattr(minus, name)) / (2.0 * eps)
             d = np.broadcast_to(d if name[0] == "a" else d[:, 0], fd.shape)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stripflow.holder as holder
+from stripflow.geometry import InterfaceProfile
 from stripflow.grids import cheb_lobatto_01, random_trace, torus_nodes
 from stripflow.holder import (
     SampledFunction,
@@ -278,9 +279,12 @@ def test_ck_alpha_norms_are_the_explicit_sums(real, m, graded):
         assert norm(f, 0.5, evaluator=evaluator) == expected
 
 
-def test_h2alpha_norm_measures_each_derivative_once():
+def test_h2alpha_norm_measures_each_derivative_once(monkeypatch):
     """With an evaluator, h2alpha_norm takes the interpolation norms of g,
-    g' and g'' once each: three of_values calls."""
+    g' and g'' in one of_values call.  A function given the derivatives
+    of a profile (InterfaceProfile computes g_x and g_xx by the same
+    spectral_derivative call) takes none of its own and has the same norm
+    bit for bit."""
     evaluator = InterpNormEvaluator(
         SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])), 0.5)
     of_values, calls = evaluator.of_values, []
@@ -290,10 +294,13 @@ def test_h2alpha_norm_measures_each_derivative_once():
         return of_values(values)
 
     evaluator.of_values = counted
-    f = SampledFunction(L, np.stack([cos_mode(32, 1), cos_mode(32, 3)],
-                                    axis=1))
-    h2alpha_norm(f, 0.5, evaluator=evaluator)
-    assert len(calls) == 3
+    p = InterfaceProfile(1.0, L, np.stack([0.1 * cos_mode(32, 1),
+                                           0.2 * cos_mode(32, 3)], axis=1))
+    want = h2alpha_norm(SampledFunction(L, p.g), 0.5, evaluator=evaluator)
+    assert calls == [(3, 32, 2)]
+    monkeypatch.setattr(holder, "spectral_derivative", None)
+    f = SampledFunction(L, p.g, derivatives=(p.g_x, p.g_xx))
+    assert h2alpha_norm(f, 0.5, evaluator=evaluator) == want
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -523,21 +530,37 @@ def _seminorm_case(name):
     return np.full((NX, 2), 2.0), [[2.0, 0.5], [0.0, 1.0]]
 
 
+def _near_constant_lines(m, A, count=100):
+    """count seeded (samples, coupling matrix) cases within two ulps of a
+    constant of magnitude 1e-3 to 1e3: every weight line's seminorm is set
+    by the rounding of the weighted samples, which the bound from the
+    unweighted line must cover."""
+    rng = np.random.default_rng(m)
+    eps = np.finfo(float).eps
+    for _ in range(count):
+        c = rng.uniform(0.5, 2.0, m) * 10.0 ** rng.uniform(-3, 3)
+        yield c * (1.0 + eps * rng.integers(-2, 3, (NX, m))), A
+
+
 @pytest.mark.parametrize("graded", [False, True])
 @pytest.mark.parametrize("name", ["m = 1", "jordan", "spike", "constant",
-                                  "near constant"])
+                                  "near constant", "near constant lines"])
 def test_pruned_seminorm_equals_every_line_pass(name, graded):
-    """holder_seminorm skips the weight lines its bound rules out; the
-    seminorm equals, bit for bit, the class maximum over every line."""
-    vals, A = _seminorm_case(name)
-    evaluator = (InterpNormEvaluator(SectorialOperator(np.array(A)), 0.5)
-                 if graded else None)
-    if graded:
-        assert evaluator.weights.shape[0] == 36
-    f = SampledFunction(L, vals)
-    got = holder_seminorm(f, 0.5, evaluator)
-    assert got == _every_line_seminorm(f, 0.5, evaluator)
-    assert (got == 0.0) == (name == "constant")
+    """holder_seminorm skips the weight lines its bounds rule out; the
+    seminorm equals, bit for bit, the class maximum over every line,
+    with an m = 1 and an m = 2 evaluator on the near-constant lines."""
+    cases = ([*_near_constant_lines(1, [[2.0]]),
+              *_near_constant_lines(2, [[2.0, 0.5], [0.0, 1.0]])]
+             if name == "near constant lines" else [_seminorm_case(name)])
+    for vals, A in cases:
+        evaluator = (InterpNormEvaluator(SectorialOperator(np.array(A)), 0.5)
+                     if graded else None)
+        if graded:
+            assert evaluator.weights.shape[0] == 36
+        f = SampledFunction(L, vals)
+        got = holder_seminorm(f, 0.5, evaluator)
+        assert got == _every_line_seminorm(f, 0.5, evaluator)
+        assert (got == 0.0) == (name == "constant")
 
 
 def test_pruned_seminorm_visits_a_tight_line_after_a_loose_one():
@@ -546,9 +569,14 @@ def test_pruned_seminorm_visits_a_tight_line_after_a_loose_one():
     node).  The sine goes first, and the square wave's bound must still
     exceed the sine's quotient: a bound 1 % low would skip it."""
     evaluator = InterpNormEvaluator(SectorialOperator(np.eye(2)), 0.5)
+    sine = np.sin(2 * np.pi * torus_nodes(L, NX) / L)
+    # a call before the weights are replaced keeps the old weights' norms;
+    # the bound must follow the new weights
+    holder_seminorm(SampledFunction(L, np.stack([sine, sine], axis=1)), 0.5,
+                    evaluator)
     evaluator.weights = np.array([[[1.0, 0.0], [0.0, 0.0]],
                                   [[0.0, 0.0], [0.0, 1.0]]])
-    sine = np.sin(2 * np.pi * torus_nodes(L, NX) / L)
+    assert np.array_equal(evaluator.weight_norms()[0], [1.0, 1.0])
     q_sine = holder_seminorm(SampledFunction(L, sine), 0.5)
     square = np.where(np.arange(NX) < NX // 2, 1.0, -1.0)
     square *= 1.005 * q_sine / holder_seminorm(SampledFunction(L, square),

@@ -430,9 +430,10 @@ def ref_frozen_symbols(dtn, i0):
     for k in torus_wavenumbers(p.L, p.nx):
         sym10.append(1j * b10 * k * eyem + b20 * ref_trace_gradient_map(fc, k))
         sym20.append(np.diag(-1j * k * c1 + (fc.a22 - 2j * k * gx0 / h0) * c2))
-        da12, da22, da2, _, _ = coefficient_derivatives(
-            (1.0 - ups.y)[:, None], h0, gx0, complex(p.g_xx[i0, 0]), 1.0,
-            1j * k, (1j * k) ** 2)
+        d12, d22, e22, d2, _, _ = coefficient_derivatives(
+            h0, gx0, complex(p.g_xx[i0, 0]), 1.0, 1j * k, (1j * k) ** 2)
+        beta = (1.0 - ups.y)[:, None]
+        da12, da22, da2 = beta * d12, beta ** 2 * d22 - e22, beta * d2
         src = -2.0 * da12 * vxy - da22 * vyy + da2 * vy          # (ny, m)
         cols = np.stack([src[:, [c]] * eyem[c] for c in range(p.m)])
         sym30.append(-b20 * ref_profile_response(fc, k, cols, Dy).T)

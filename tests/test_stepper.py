@@ -163,6 +163,56 @@ def test_preconditioned_step_takes_fewer_iterations(A1):
     assert np.linalg.norm(sol - plain) <= 1e-8 * np.linalg.norm(plain)
 
 
+def test_next_profile_solve_starts_from_the_linearised_field(A1):
+    """On the evolve-m1 profile (two modes of 1e-3, nx = 128, ny = 33,
+    mu = 0), the step's closing dO solve is recalled without a Krylov
+    iteration, and its field dv[delta] with v gives the next profile's
+    K(g)g solve a start that it finishes in at most 2 iterations (4 from
+    zero).  A zero or a random start still passes the gate, to the same
+    field (the random one, its residual far above the data, in the two
+    restart cycles); a direction other than the step's gives no start."""
+    x = torus_x(128)
+    g = (1e-3 * np.sin(2 * np.pi * x / L)
+         + 5e-4 * np.sin(4 * np.pi * x / L + 1.0))
+    p = InterfaceProfile(1.0, L, g)
+    dt = 0.02
+    dtn = DtNOperator(p, A1, 0.0, ny=33)
+    delta, _, _ = _step_core(dtn, dt, _flat_preconditioner(dtn, dt))
+    assert dtn.op.last_iterations == 0
+    start = dtn.upsilon_along(delta)
+    assert dtn.upsilon_along(2.0 * delta) is None
+    nxt = p.with_g(p.g + delta)
+    fresh = DtNOperator(nxt, A1, 0.0, ny=33)
+    want = fresh.upsilon().values
+    assert fresh.op.last_iterations == 4
+    rng = np.random.default_rng(2)
+    for guess, most in ((start, 2), (np.zeros_like(start), 4),
+                        (rng.standard_normal(start.shape), 2 * 160)):
+        warm = DtNOperator(nxt, A1, 0.0, ny=33, start=guess)
+        got = warm.upsilon().values
+        assert warm.op.last_iterations <= most
+        assert warm.op.last_residual <= 1e-9
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_evolve_starts_each_new_profile_from_its_step(A1, monkeypatch):
+    """evolve builds the operator of every stepped profile with the start
+    its step left (the operator at t = 0 and the flat preconditioner's
+    have none)."""
+    starts = []
+    init = DtNOperator.__init__
+
+    def spy(self, *args, start=None, **kwargs):
+        starts.append(start is not None)
+        init(self, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(DtNOperator, "__init__", spy)
+    traj = evolve(make_profile(nx=64, amp=1e-3, mode=1), A1,
+                  small_cfg(t_end=0.06))
+    assert traj.status == STATUS_COMPLETED
+    assert starts == [False, False, True, True, True]
+
+
 # ----------------------------------------------------------------- evolve
 
 def test_evolve_decay_monotone(A1):

@@ -109,17 +109,20 @@ def test_real_data_give_a_real_field(A1):
 @pytest.mark.parametrize("m", [1, 2])
 def test_complex_data_solve_as_the_pair_of_real_solves(m):
     """A complex right-hand side is solved as its real and imaginary
-    parts: its solution equals the real solves of the two parts."""
+    parts: its solution equals the real solves of the two parts, each on a
+    fresh operator (the complex solve's operator would recall them)."""
     p = make_profile(nx=64, amp=0.15, mode=2, m=m)
     A = SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])[:m, :m])
-    op = DiscreteStripOperator(p, A, 4.0, ny=17)
     rng = np.random.default_rng(m)
     psi_re, psi_im = rng.standard_normal((2, 64, m))
     F_re, F_im = rng.standard_normal((2, 64, 17, m))
-    both = op.solve(F=F_re + 1j * F_im, psi0=psi_re + 1j * psi_im)
+    both = DiscreteStripOperator(p, A, 4.0, ny=17).solve(
+        F=F_re + 1j * F_im, psi0=psi_re + 1j * psi_im)
     assert both.values.dtype == np.complex128
-    want = (op.solve(F=F_re, psi0=psi_re).values
-            + 1j * op.solve(F=F_im, psi0=psi_im).values)
+    want = (DiscreteStripOperator(p, A, 4.0, ny=17).solve(
+        F=F_re, psi0=psi_re).values
+            + 1j * DiscreteStripOperator(p, A, 4.0, ny=17).solve(
+                F=F_im, psi0=psi_im).values)
     assert (np.linalg.norm(both.values - want)
             <= 1e-12 * np.linalg.norm(want))
 
@@ -448,8 +451,8 @@ def test_gmres_matches_a_dense_solve(preconditioned):
         counts["precond"] += 1
         return M @ v
 
-    x, its, res = strip.gmres(apply, b, 1e-12, 5, 50,
-                              precond=precond if preconditioned else None)
+    x, its, res, _ = strip.gmres(apply, b, 1e-12, 5, 50,
+                                 precond=precond if preconditioned else None)
     want = np.linalg.solve(A, b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
@@ -466,7 +469,7 @@ def test_gmres_hands_a_singular_cycle_to_the_gate(apply):
     triangular factor, and a NaN apply a NaN one: either gives a NaN
     iterate and a NaN true residual, which the caller's gate refuses, and
     neither raises (nor warns)."""
-    x, its, res = strip.gmres(apply, np.ones(8), 1e-10, 5, 2)
+    x, its, res, _ = strip.gmres(apply, np.ones(8), 1e-10, 5, 2)
     assert its > 0 and np.isnan(res) and np.all(np.isnan(x))
 
 
@@ -478,3 +481,94 @@ def test_coercivity_probe_refuses_source_and_flux(A1):
     for entry in ((np.ones((32, 9, 1)), psi, None), (None, psi, psi)):
         with pytest.raises(ValueError, match="Dirichlet data only"):
             strip.coercivity_probe_33(p, A1, (1.0,), [entry], ny=9)
+
+
+def _counted_kernels(monkeypatch, op):
+    """Count the operator's apply_values and _precond calls."""
+    counts = {"apply_values": 0, "_precond": 0}
+    for name in counts:
+        def counted(u, name=name, kernel=getattr(op, name)):
+            counts[name] += 1
+            return kernel(u)
+        monkeypatch.setattr(op, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solve_of_combined_data_is_recalled_without_iterating(
+        A1, A2, monkeypatch, m):
+    """Data that combine two earlier solves on the same operator are
+    started from the same combination of their solutions: no Krylov
+    iteration, one apply for the true residual, which meets the gate, and
+    the field of a fresh operator's solve to within the gate.  Data outside
+    the span take the iterations they take on a fresh operator."""
+    p = make_profile(nx=64, amp=0.15, mode=2, m=m)
+    A = A1 if m == 1 else A2
+
+    def fresh():
+        return DiscreteStripOperator(p, A, 4.0, ny=17)
+
+    rng = np.random.default_rng(m)
+    F1, F2, F3 = rng.standard_normal((3, 64, 17, m))
+    psi1, psi2, psi3 = rng.standard_normal((3, 64, m))
+    op = fresh()
+    op.solve(F=F1, psi0=psi1)
+    op.solve(F=F2, psi0=psi2)
+    counts = _counted_kernels(monkeypatch, op)
+    F, psi = 0.7 * F1 - 1.3 * F2, 0.7 * psi1 - 1.3 * psi2
+    got = op.solve(F=F, psi0=psi)
+    assert op.last_iterations == 0
+    assert counts == {"apply_values": 1, "_precond": 0}
+    gate = 1e-9
+    assert op.last_residual <= gate
+    assert op.last_residual == pytest.approx(
+        residual_of(op, got.values, op.rhs(F=F, psi0=psi)), rel=1e-12)
+    ref = fresh()
+    want = ref.solve(F=F, psi0=psi).values
+    assert ref.last_iterations > 0
+    assert np.linalg.norm(got.values - want) <= gate * np.linalg.norm(want)
+    op.solve(F=F3, psi0=psi3)
+    ref.solve(F=F3, psi0=psi3)
+    assert op.last_iterations == ref.last_iterations > 0
+
+
+def test_gmres_from_a_start_reaches_the_same_gate():
+    """A start that misses rtol is iterated on to the same rtol, at one
+    more apply for its residual; one that meets it is returned after that
+    apply with 0 iterations; a NaN start is returned with its NaN residual
+    and raises nothing."""
+    rng = np.random.default_rng(3)
+    n = 40
+    A = 4.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    want = np.linalg.solve(A, b)
+    applies = []
+
+    def apply(v):
+        applies.append(1)
+        return A @ v
+
+    x, its0, res, image = strip.gmres(apply, b, 1e-12, 50, 2)
+    assert res <= 1e-12 and np.array_equal(image, A @ x)
+    start = want + 1e-4 * rng.standard_normal(n)
+    applies.clear()
+    x, its, res, _ = strip.gmres(apply, b, 1e-12, 50, 2, x0=start)
+    assert 0 < its < its0 and len(applies) == its + 2
+    assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    applies.clear()
+    x, its, res, _ = strip.gmres(apply, b, 1e-3, 50, 2, x0=start)
+    assert its == 0 and len(applies) == 1 and np.array_equal(x, start)
+    x, its, res, _ = strip.gmres(apply, b, 1e-12, 50, 2,
+                                 x0=np.full(n, np.nan))
+    assert its == 0 and np.isnan(res)
+
+
+def test_nan_start_is_refused_by_the_solve_gate(A1):
+    """A NaN start reaches the caller's gate as a NaN residual, which the
+    solve refuses like any stalled solve."""
+    p = make_profile(nx=32, amp=0.1)
+    op = DiscreteStripOperator(p, A1, 1.0, ny=9)
+    with pytest.raises(SolverError, match="stalled") as info:
+        op.solve(psi0=p.g, start=np.full((32, 9, 1), np.nan))
+    assert np.isnan(info.value.residual) and info.value.iterations == 0
