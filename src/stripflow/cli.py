@@ -14,8 +14,8 @@ import sys
 import traceback
 
 from ._version import __version__
-from .errors import (AdmissibilityError, FreezePointError, ScenarioError,
-                     StripflowError)
+from .errors import (AdmissibilityError, EllipticityError, FreezePointError,
+                     ScenarioError, StripflowError)
 from .scenario import MODES, load_scenario, output_dir, run
 from .stepper import STATUS_BOUNDARY, STATUS_COMPLETED, STATUS_NORM_BLOWUP
 
@@ -104,8 +104,10 @@ def main(argv=None):
         manifest, status = run(scn, mode=args.mode, out_dir=args.out,
                                deterministic=args.deterministic,
                                seed=args.seed)
-    except (AdmissibilityError, FreezePointError, ScenarioError) as exc:
-        # a diagnose mode refuses a freeze node whose components differ
+    except (AdmissibilityError, EllipticityError, FreezePointError,
+            ScenarioError) as exc:
+        # a diagnose mode refuses a freeze node whose components differ, or
+        # whose frozen coefficients fall below the ellipticity floor
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception:

@@ -64,15 +64,18 @@ class DtNOperator:
     seeds the cache.  start, when given, is an (nx, ny, m) guess of K(g) g
     that its solve starts from (the stepper passes the previous profile's
     first-order one, see upsilon_along); a poor guess costs iterations,
-    never accuracy.
+    never accuracy.  factor, when given, is the fast diagonalisation of
+    another operator with the same A, mu and grid (the stepper passes the
+    previous profile's op.factor); the strip operator keeps it while its
+    averages are close enough and builds its own otherwise.
     """
 
     def __init__(self, profile, A, mu, ny=33, rtol=1e-11, upsilon=None,
-                 start=None):
+                 start=None, factor=None):
         self.profile = profile
         self.mu = float(mu)
         self.rtol = rtol
-        self.op = DiscreteStripOperator(profile, A, mu, ny=ny)
+        self.op = DiscreteStripOperator(profile, A, mu, ny=ny, factor=factor)
         self.A = A
         self.coeffs = self.op.coeffs
         self._upsilon = upsilon

@@ -15,7 +15,11 @@ application is a combination of its Krylov directions, so its strip solve
 is recalled from theirs without a Krylov iteration (strip), and its field
 is dv[delta], the derivative of v = K(g)g: the new profile's K(g)g solve
 starts from v + dv[delta] and takes 2 iterations where a zero start takes 4
-on a near-flat profile.
+on a near-flat profile.  It is also handed the last operator's fast
+diagonalisation of the strip preconditioner, which it keeps while the
+profile's x-averages have moved by less than their own x-variation
+(strip): a near-flat evolve builds one for all its steps, not one per step.
+step() and the flat multiplier build their own.
 
 A run ends Completed at t_end, in one of the two breakdown flags of the
 continuous alternative "norm blows up or the profile reaches the
@@ -248,10 +252,13 @@ def evolve(p0, A, cfg, dtn=None):
                 precond = _flat_preconditioner(dtn, cfg.dt)
             delta, residual, iterations = _step_core(dtn, cfg.dt, precond)
             # rebinding dtn frees the old operator before the new margin
-            # solve, which starts from the old one's v + dv[delta]
+            # solve, which starts from the old one's v + dv[delta] and is
+            # handed its fast diagonalisation (the record alone: keeping an
+            # operator would keep all its arrays alive for the run)
             dtn = DtNOperator(current.with_g(current.g + delta), A,
                               cfg.mu_solve, ny=cfg.ny, rtol=cfg.rtol,
-                              start=dtn.upsilon_along(delta))
+                              start=dtn.upsilon_along(delta),
+                              factor=dtn.op.factor)
             norms = diagnose(dtn)
         except SolverError as exc:
             # the last profile and its norms, with the failing solve's numbers

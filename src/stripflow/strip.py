@@ -20,6 +20,13 @@ mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  Near the wall, at
 min(nu + g) = 0.15, a K(g)g solve takes 16 iterations where the unscaled
 average took 79; a profile close to flat takes 3.
 
+The row scale is each operator's own, but the fast diagonalisation can be
+another's: an operator handed one (factor=, the stepper hands each step's
+to the next) keeps it while the averages it inverts have moved by no more
+than the operator's own x-variation w/pb - 1, which the average drops
+anyway, and builds its own otherwise.  So an evolve of a near-flat
+profile builds one factor, not one per step.
+
 The operator is real: InterfaceProfile admits only real profiles,
 SectorialOperator only a real A, and the coefficients are stored as real
 (ny, m, nx) arrays.  Its kernels act on one y-major real vector of shape
@@ -91,8 +98,10 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None, x0=None):
     b is a nonzero real array of any shape that apply and precond keep.
     The start is x0 = 0, or the given x0: then one apply gives its true
     residual b - A x0, a start that meets rtol is returned with 0
-    iterations, and the first cycle begins from that residual.  A NaN start
-    is returned at once with its NaN residual.  A cycle runs modified
+    iterations, and the first cycle begins from that residual, or from
+    x = 0 and r = b when ||b - A x0|| exceeds ||b|| (the cycle's stop is
+    relative to ||b||, so a worse start would cost iterations).  A NaN
+    start is returned at once with its NaN residual.  A cycle runs modified
     Gram-Schmidt Arnoldi on A M, keeps the directions z_j = M v_j, and
     solves its least-squares problem by Givens rotations.  With M on the
     right the Arnoldi residual is the unpreconditioned one (Saad, Iterative
@@ -119,6 +128,8 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None, x0=None):
         residual = float(np.linalg.norm(r) / b_norm)
         if not residual > rtol:                 # met, or NaN: the gate decides
             return x, iterations, residual, image
+        if residual > 1.0:                      # worse than the zero start
+            x, r = np.zeros_like(b), b
     for _ in range(max_cycles):
         beta = float(np.linalg.norm(r))
         V, Z, H, rotations, g = [(r / beta).reshape(-1)], [], [], [], [beta]
@@ -178,11 +189,15 @@ class _FastDiagonalisation(NamedTuple):
     problem followed by the 2m boundary values, scale holds 1/(lam + k^2)
     per mode (and 1 for the boundary values), and from_eig rebuilds every
     (y, component) value.  scale is the only array with a mode axis.  All
-    three are real when the eigenvalues lam are.
+    three are real when the eigenvalues lam are.  pb and b21b are the
+    averages the inverse was built from, which an operator handed the
+    record compares with its own.
     """
     to_eig: np.ndarray      # (ny*m, ny*m)
     scale: np.ndarray       # (ny*m, nx/2+1)
     from_eig: np.ndarray    # (ny*m, ny*m)
+    pb: np.ndarray          # (ny, m), mean_x(1/a22)
+    b21b: np.ndarray        # (m,), mean_x b21
 
 
 def cheb_apply(D, u):
@@ -268,7 +283,7 @@ class DiscreteStripOperator:
     # benchmark's solve keys name it
     bc0 = "dirichlet"
 
-    def __init__(self, profile, A, mu, ny=33):
+    def __init__(self, profile, A, mu, ny=33, factor=None):
         self.profile = profile
         self.A_mat = A.entries
         self.mu = float(mu)
@@ -304,7 +319,10 @@ class DiscreteStripOperator:
         self._off_shift = self._shift - np.diag(diag)
         self.shape_full = (self.ny, self.m, self.nx)
         self.n_dof = self.nx * self.ny * self.m
-        self._minv = None
+        # the fast diagonalisation _precond inverts: until its first use,
+        # the one handed in (another operator's on the same grid, A and mu)
+        self.factor = factor
+        self._rowscale = None
         # the last preconditioner output and its rfft spectrum
         self._z = self._z_hat = None
         # remembered (solution, image A x) pairs, the images orthonormal
@@ -347,32 +365,57 @@ class DiscreteStripOperator:
 
     # -- preconditioner ----------------------------------------------------
 
-    def _build_preconditioner(self):
-        """Fast-diagonalise the row-scaled x-averaged operator (Lynch, Rice
-        & Thomas).
+    def _row_scale(self):
+        """Set the row scaling w/pb of _precond, w = 1/a22 and pb = mean_x w
+        (1 on the boundary rows, which stay unscaled), and the factor it
+        inverts.
 
-        Each interior row is multiplied by w = 1/a22, averaged over x and
-        divided by pb = mean_x w: -Dy^2 gets the coefficient 1/pb, the
-        harmonic mean of a22, and Dy the w-weighted mean of a2, while -Dx^2
-        and the shift A + mu^2 keep theirs.  _rowscale holds the row
-        scaling w/pb, 1 on the boundary rows, which stay unscaled.  Every
-        Fourier mode k is then a block R + k^2 P on the (y, component)
-        values, where P keeps the interior rows.  The mixed term
-        mean_x(w a12)/pb is dropped; it vanishes for profiles symmetric
-        about a node and otherwise only costs iterations, as the solve
-        gates on the true residual.  Eliminating the 2m boundary rows,
-        which carry no k, leaves the Schur complement S on the interior
-        values, and S = V diag(lam) V^-1 serves every mode.  R is real, and
-        the rfft modes k >= 0 of real data are all the modes.
+        A factor handed in is kept while its averages are no farther from
+        this operator's than the x-variation the average already drops:
+        stale <= var, with var = max |w/pb - 1| over the interior rows and
+        stale the larger of max |pb_kept/pb - 1| over the interior rows and
+        max |b21b/b21b_kept - 1|.  An evolve's step moves the averages by
+        O(delta), so its operators share one factor while the profile's own
+        x-variation dominates, as Newton-Krylov codes lag a preconditioner
+        across steps (Knoll & Keyes, J. Comput. Phys. 193, 2004, 3.1).
+        Otherwise, and when none is handed in, the operator builds its own.
+        Either way the choice costs iterations, not accuracy, as every solve
+        gates on its true residual.
         """
-        ny, m, nym = self.ny, self.m, self.ny * self.m
         w = 1.0 / self._a22
         pb = w.mean(axis=-1)                         # (ny, m)
+        b21b = self._b21.mean(axis=-1)               # (m,)
         self._rowscale = w / pb[:, :, None]
+        kept = self.factor
+        if kept is not None:
+            var = np.max(np.abs(self._rowscale[1:-1] - 1.0))
+            stale = np.max(np.abs(np.r_[(kept.pb[1:-1] / pb[1:-1]).ravel(),
+                                        b21b / kept.b21b] - 1.0))
+        if kept is None or not stale <= var:        # NaN-safe comparison
+            self.factor = self._build_preconditioner(w, pb, b21b)
         self._rowscale[[0, -1]] = 1.0
+
+    def _build_preconditioner(self, w, pb, b21b):
+        """Fast-diagonalise the row-scaled x-averaged operator (Lynch, Rice
+        & Thomas) of the row weights w = 1/a22, their x-average pb and the
+        x-average b21b of the bottom flux coefficient.
+
+        Each interior row is multiplied by w, averaged over x and divided by
+        pb: -Dy^2 gets the coefficient 1/pb, the harmonic mean of a22, and
+        Dy the w-weighted mean of a2, while -Dx^2 and the shift A + mu^2
+        keep theirs.  Every Fourier mode k is then a block R + k^2 P on the
+        (y, component) values, where P keeps the interior rows.  The mixed
+        term mean_x(w a12)/pb is dropped; it vanishes for profiles
+        symmetric about a node and otherwise only costs iterations, as the
+        solve gates on the true residual.  Eliminating the 2m boundary
+        rows, which carry no k, leaves the Schur complement S on the
+        interior values, and S = V diag(lam) V^-1 serves every mode.  R is
+        real, and the rfft modes k >= 0 of real data are all the modes.
+        Returns the _FastDiagonalisation, with pb and b21b.
+        """
+        ny, m, nym = self.ny, self.m, self.ny * self.m
         a22b = 1.0 / pb
         a2b = (w * self._a2).mean(axis=-1) / pb
-        b21b = self._b21.mean(axis=-1)               # (m,)
         R = np.zeros((ny, m, ny, m))
         for comp in range(m):
             R[:, comp, :, comp] = (-a22b[:, comp, None] * self.Dy2
@@ -423,16 +466,16 @@ class DiscreteStripOperator:
         to_eig = np.vstack([V_inv @ lift, eye[bnd]])
         from_eig = np.hstack([back, eye[:, bnd] @ bnd_inv])
         scale = np.vstack([1.0 / denom, np.ones((2 * m, self._k2.size))])
-        self._minv = _FastDiagonalisation(to_eig, scale, from_eig)
+        return _FastDiagonalisation(to_eig, scale, from_eig, pb, b21b)
 
     def _precond(self, v):
         """The preconditioner on the real y-major samples v of shape
         (ny, m, nx): the row scaling w/pb, then the fast-diagonalised
         inverse of the row-scaled x-averaged operator.  The output is
         read-only, so that it keeps the spectrum apply_values reuses."""
-        if self._minv is None:
-            self._build_preconditioner()
-        fd = self._minv
+        if self._rowscale is None:
+            self._row_scale()
+        fd = self.factor
         rhat = rfft(v * self._rowscale, axis=-1).reshape(self.ny * self.m, -1)
         z = cheb_apply(fd.to_eig, rhat)
         z *= fd.scale
@@ -527,8 +570,9 @@ class DiscreteStripOperator:
         self.last_iterations = its
         gate = max(100.0 * rtol, 1e-9)
         if not res <= gate:                         # NaN-safe comparison
-            # a22 ~ 1/h^2 sets the round-off floor of the apply, so the
-            # refusal names the node where the height h = nu + g is least
+            # a22 Dy^2 ~ ny^4/h^2 sets the round-off floor of the apply, so
+            # the refusal names ny and the node where the height h = nu + g
+            # is least
             heights = (self.profile.nu + self.profile.g).min(axis=1)
             node = np.argmin(heights)
             raise SolverError(
@@ -536,7 +580,8 @@ class DiscreteStripOperator:
                 f"(gate {gate:.3g}) after {its} GMRES iterations; the "
                 f"smallest height is min(nu + g) = {heights[node]:.3g} at "
                 f"x = {self.profile.x[node]:.4g}, and the round-off floor "
-                f"rises as it falls (mu={self.mu}, bc0={self.bc0})",
+                f"rises as it falls and as ny = {self.ny} grows "
+                f"(mu={self.mu}, bc0={self.bc0})",
                 residual=res, iterations=its)
         values = sols[0] if len(sols) == 1 else sols[0] + 1j * sols[1]
         values = np.ascontiguousarray(values.transpose(2, 0, 1))

@@ -354,9 +354,6 @@ SWEEP = [
 SWEEP_XFAIL = {
     ("ny", "1e308"): "grid sizes are unbounded: numpy refuses the node "
                      "array (ROADMAP 4(c))",
-    ("nu", "1e9"): "the frozen form's absolute ellipticity floor 1e-12 "
-                   "refuses a22 ~ 1/h^2 = 1e-18, which the load accepted",
-    ("g0", "1e9"): "as nu = 1e9",
 }
 
 

@@ -163,18 +163,24 @@ def test_preconditioned_step_takes_fewer_iterations(A1):
     assert np.linalg.norm(sol - plain) <= 1e-8 * np.linalg.norm(plain)
 
 
+def _evolve_m1_profile():
+    """The evolve-m1 benchmark profile: two modes of 1e-3, nx = 128."""
+    x = torus_x(128)
+    g = (1e-3 * np.sin(2 * np.pi * x / L)
+         + 5e-4 * np.sin(4 * np.pi * x / L + 1.0))
+    return InterfaceProfile(1.0, L, g)
+
+
 def test_next_profile_solve_starts_from_the_linearised_field(A1):
     """On the evolve-m1 profile (two modes of 1e-3, nx = 128, ny = 33,
     mu = 0), the step's closing dO solve is recalled without a Krylov
     iteration, and its field dv[delta] with v gives the next profile's
     K(g)g solve a start that it finishes in at most 2 iterations (4 from
     zero).  A zero or a random start still passes the gate, to the same
-    field (the random one, its residual far above the data, in the two
-    restart cycles); a direction other than the step's gives no start."""
-    x = torus_x(128)
-    g = (1e-3 * np.sin(2 * np.pi * x / L)
-         + 5e-4 * np.sin(4 * np.pi * x / L + 1.0))
-    p = InterfaceProfile(1.0, L, g)
+    field (the random one, its residual far above the data, in the zero
+    start's 4 iterations); a direction other than the step's gives no
+    start."""
+    p = _evolve_m1_profile()
     dt = 0.02
     dtn = DtNOperator(p, A1, 0.0, ny=33)
     delta, _, _ = _step_core(dtn, dt, _flat_preconditioner(dtn, dt))
@@ -187,7 +193,7 @@ def test_next_profile_solve_starts_from_the_linearised_field(A1):
     assert fresh.op.last_iterations == 4
     rng = np.random.default_rng(2)
     for guess, most in ((start, 2), (np.zeros_like(start), 4),
-                        (rng.standard_normal(start.shape), 2 * 160)):
+                        (rng.standard_normal(start.shape), 4)):
         warm = DtNOperator(nxt, A1, 0.0, ny=33, start=guess)
         got = warm.upsilon().values
         assert warm.op.last_iterations <= most
@@ -211,6 +217,47 @@ def test_evolve_starts_each_new_profile_from_its_step(A1, monkeypatch):
                   small_cfg(t_end=0.06))
     assert traj.status == STATUS_COMPLETED
     assert starts == [False, False, True, True, True]
+
+
+def test_evolve_builds_one_strip_factor_for_its_profiles(A1, monkeypatch):
+    """A 10-step evolve of the evolve-m1 profile fast-diagonalises the strip
+    preconditioner once for its eleven profiles, at t = 0, and hands that
+    factor from step to step; the flat multiplier builds its own."""
+    built = []
+    build = DiscreteStripOperator._build_preconditioner
+
+    def spy(self, *args):
+        built.append(bool(np.ptp(self.profile.g) > 0))
+        return build(self, *args)
+
+    monkeypatch.setattr(DiscreteStripOperator, "_build_preconditioner", spy)
+    traj = evolve(_evolve_m1_profile(), A1, small_cfg(t_end=0.2, ny=33))
+    assert traj.status == STATUS_COMPLETED
+    assert len(traj.times) == 11
+    assert built == [True, False]       # the t = 0 operator, the flat one
+
+
+def test_kept_factor_solves_match_fresh_operators(A1):
+    """On the factor kept from t = 0, every new profile's K(g)g solve of a
+    10-step evolve passes the gate and lies within 1e-9 of the solve of a
+    fresh operator, which builds its own factor."""
+    dt = 0.02
+    dtn = DtNOperator(_evolve_m1_profile(), A1, 0.0, ny=33)
+    precond = _flat_preconditioner(dtn, dt)
+    dtn.upsilon()
+    factor = dtn.op.factor
+    for _ in range(10):
+        delta, _, _ = _step_core(dtn, dt, precond)
+        dtn = DtNOperator(dtn.profile.with_g(dtn.profile.g + delta), A1, 0.0,
+                          ny=33, start=dtn.upsilon_along(delta),
+                          factor=dtn.op.factor)
+        got = dtn.upsilon().values
+        assert dtn.op.factor is factor
+        assert dtn.op.last_residual <= 1e-9
+        fresh = DtNOperator(dtn.profile, A1, 0.0, ny=33)
+        want = fresh.upsilon().values
+        assert fresh.op.factor is not factor
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 # ----------------------------------------------------------------- evolve

@@ -344,14 +344,38 @@ def test_x_averaged_mixed_coefficient_vanishes(case):
 
 
 def test_precond_stores_no_per_mode_matrices():
-    """Only the 1/(lam + k^2) table has an axis of rfft modes."""
+    """Only the 1/(lam + k^2) table has an axis of rfft modes; the record
+    keeps the averages it inverts, per (y, component) row and per
+    component."""
     p, A, mu = _precond_case("m2-unequal")
     op = DiscreteStripOperator(p, A, mu, ny=33)
-    op._build_preconditioner()
-    stored = op._minv._asdict()
+    op._precond(np.zeros(op.shape_full))
+    stored = op.factor._asdict()
     assert stored.pop("scale").shape == (op.ny * op.m, op.nx // 2 + 1)
+    assert stored.pop("pb").shape == (op.ny, op.m)
+    assert stored.pop("b21b").shape == (op.m,)
     for name, arr in stored.items():
         assert op.nx // 2 + 1 not in np.shape(arr), name
+
+
+def test_handed_factor_is_kept_only_while_its_averages_are_close(A1):
+    """An operator handed the fast diagonalisation of a sine of amplitude
+    0.6 builds its own for its sine of amplitude 0.02: the averages moved
+    beyond the profile's own x-variation.  Handed the factor of its own
+    profile, it keeps it.  Either solve passes the gate."""
+    x = torus_x(128)
+
+    def solved(amp, factor=None):
+        op = DiscreteStripOperator(
+            InterfaceProfile(1.0, L, amp * np.sin(2 * np.pi * x / L)), A1,
+            0.0, ny=33, factor=factor)
+        op.solve(psi0=op.profile.g)
+        assert op.last_iterations > 0 and op.last_residual <= 1e-9
+        return op
+
+    far, own = solved(0.6).factor, solved(0.02).factor
+    assert solved(0.02, factor=far).factor is not far
+    assert solved(0.02, factor=own).factor is own
 
 
 def test_singular_frozen_block_fails_fast():
