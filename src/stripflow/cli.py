@@ -15,7 +15,7 @@ import traceback
 
 from ._version import __version__
 from .errors import (AdmissibilityError, EllipticityError, FreezePointError,
-                     ScenarioError, StripflowError)
+                     ScenarioError, SpectralValidationError, StripflowError)
 from .scenario import MODES, load_scenario, output_dir, run
 from .stepper import STATUS_BOUNDARY, STATUS_COMPLETED, STATUS_NORM_BLOWUP
 
@@ -105,9 +105,10 @@ def main(argv=None):
                                deterministic=args.deterministic,
                                seed=args.seed)
     except (AdmissibilityError, EllipticityError, FreezePointError,
-            ScenarioError) as exc:
-        # a diagnose mode refuses a freeze node whose components differ, or
-        # whose frozen coefficients fall below the ellipticity floor
+            ScenarioError, SpectralValidationError) as exc:
+        # a diagnose mode refuses a freeze node whose components differ,
+        # whose frozen coefficients fall below the ellipticity floor, or
+        # whose graded norms vanish
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .errors import FreezePointError
+from .errors import FreezePointError, SpectralValidationError
 from .geometry import coefficient_derivatives
 from .grids import (as_inexact, partition_of_unity, random_trace,
                     rfft_wavenumbers, spectral_derivative,
@@ -58,7 +58,13 @@ class DtNOperator:
     derivative() makes one strip solve per direction: K psi and S dB solve
     the same discrete problem, whose right-hand side is linear in the
     Dirichlet data and the interior source, and B0 is linear, so their
-    read-outs combine into that of one solve.
+    read-outs combine into that of one solve.  Its data (-dB[psi, v], psi)
+    are linear in psi too, so the operator keeps every direction with its
+    field, and a direction that earlier ones combine to by least squares,
+    to rtol, starts its solve from the same combination of their fields:
+    the implicit step's closing dO(delta) combines the step's Krylov
+    directions and takes no Krylov iteration, only the apply that
+    confirms its start.
     upsilon, when given, is K(g) g already solved for this profile with the
     same A, mu, ny and rtol (a loaded Scenario keeps its t = 0 solve); it
     seeds the cache.  start, when given, is an (nx, ny, m) guess of K(g) g
@@ -81,7 +87,7 @@ class DtNOperator:
         self._upsilon = upsilon
         self._start = start
         self._v_derivatives = None
-        self._last_derivative = (None, None)    # (direction, its field)
+        self._derivatives = []  # (direction, its field), oldest first
         self._frozen = {}       # node index -> FrozenOperatorSet
         self._evaluators = {}   # alpha -> InterpNormEvaluator of A
 
@@ -97,7 +103,7 @@ class DtNOperator:
         derivative was taken along psi: its strip solve, with data
         (-dB[psi, v], psi), is the derivative dv[psi] of v = K(g) g.  None
         otherwise."""
-        direction, fld = self._last_derivative
+        direction, fld = (self._derivatives or [(None, None)])[-1]
         return (self.upsilon().values + fld.values
                 if np.array_equal(direction, psi) else None)
 
@@ -157,14 +163,30 @@ class DtNOperator:
                 beta * cheb_apply(self.op.Dy, v_x), beta * v_y,
                 beta ** 2 * v_yy, v_yy, v_x[0], v_y[0])
         return self._v_derivatives
+
     def derivative(self, psi):
         """dO(g) psi: B0 K psi - B0 S dB read off one strip solve with data
         (F, psi0) = (-dB, psi), plus dB0."""
         psi = _as_direction(self.profile, psi)
         src, b0_piece = self.derivative_sources(psi)
-        fld = self.op.solve(F=-src, psi0=psi, rtol=self.rtol)
-        self._last_derivative = (psi, fld)
+        fld = self.op.solve(F=-src, psi0=psi, rtol=self.rtol,
+                            start=self._recall(psi))
+        # a copy: a caller may update psi in place (gmres updates its x)
+        self._derivatives.append((psi.copy(), fld))
         return b0_trace(self.coeffs, fld) + b0_piece
+
+    def _recall(self, psi):
+        """The fields of the earlier directions combined as the least-squares
+        fit of psi by those directions combines them, when the fit leaves at
+        most rtol ||psi|| (a NaN fit never does); else None."""
+        if not self._derivatives:
+            return None
+        dirs = np.stack([d.ravel() for d, _ in self._derivatives], axis=-1)
+        c = np.linalg.lstsq(dirs, psi.ravel(), rcond=None)[0]
+        fit = np.linalg.norm(dirs @ c - psi.ravel())
+        if not fit <= self.rtol * np.linalg.norm(psi):
+            return None
+        return sum(c_j * f.values for c_j, (_, f) in zip(c, self._derivatives))
 
     # -- reports on the solved field -----------------------------------------
 
@@ -410,7 +432,9 @@ def sector_report(fset, A, alpha=0.5):
     the profile, and the generation statement for them is inherently a
     shifted one).  Raw minima are reported alongside so nothing is hidden.
     Also evaluates the two-sided norm ratio of (O0 + mu0^2) between the
-    graded trace spaces.
+    graded trace spaces; a graded norm of a sample that is not positive
+    (an A whose spectrum the interpolation norms do not resolve) raises
+    SpectralValidationError.
     """
     mu0 = fset.mu
     shift_table = {"O10": 0.0, "O20": mu0 ** 2, "O30": mu0 ** 2, "O0": 0.0}
@@ -453,6 +477,11 @@ def sector_report(fset, A, alpha=0.5):
         fout = SampledFunction(fset.L, out)
         denom = h2alpha_norm(fu, alpha, evaluator=evaluator)
         numer = h1alpha_norm(fout, alpha, evaluator=evaluator)
+        if not (denom > 0 and numer > 0):           # NaN-safe comparison
+            raise SpectralValidationError(
+                f"sector_report: graded norms |u|_(2+alpha) = {denom:.3g} "
+                f"and |(O0 + mu0^2) u|_(1+alpha) = {numer:.3g} of a sample "
+                f"trace must be positive (alpha = {alpha})")
         ratios.append(numer / denom)
     c1, c2 = float(min(ratios)), float(max(ratios))
     all_pass = all(e.passed for e in entries.values())

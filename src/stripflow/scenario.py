@@ -321,22 +321,25 @@ class Scenario:
     sectorial_report: object
     ellipticity_report: object
     admissibility_report: object
-    # the initial profile and the K(g)g solve behind admissibility_report;
-    # dtn() rebuilds the cheap operator around them for each run.  Keeping
-    # the operator (~1 MB at m = 2) on every loaded Scenario raised peak RSS
-    # by ~4 MB when several scenarios were alive at once
+    # the initial profile, the K(g)g solve behind admissibility_report and
+    # its operator's fast diagonalisation; dtn() rebuilds the cheap operator
+    # around them for each run.  Keeping the operator (~1 MB at m = 2) on
+    # every loaded Scenario raised peak RSS by ~4 MB when several scenarios
+    # were alive at once
     p0: InterfaceProfile = field(repr=False, compare=False)
     upsilon0: StripField = field(repr=False, compare=False)
+    factor0: object = field(repr=False, compare=False)
 
     def profile(self):
         return self.p0
 
     def dtn(self):
         """The DtNOperator of the initial profile, with the load's K(g)g
-        solve in its cache."""
+        solve in its cache and the load's fast diagonalisation handed on."""
         cfg = self.config
         return DtNOperator(self.p0, self.A, cfg.mu_solve, ny=self.ny,
-                           rtol=cfg.rtol, upsilon=self.upsilon0)
+                           rtol=cfg.rtol, upsilon=self.upsilon0,
+                           factor=self.factor0)
 
 
 def _eval_field(expr, path, section, key, variables=None):
@@ -483,7 +486,7 @@ def load_scenario(path):
         checksum=checksum, m=m, A=A, L=L, nx=nx, ny=ny, config=config,
         out_dir=values["output", "directory"], sectorial_report=sec_report,
         ellipticity_report=ell_report, admissibility_report=adm_report,
-        p0=profile, upsilon0=dtn.upsilon())
+        p0=profile, upsilon0=dtn.upsilon(), factor0=dtn.op.factor)
 
 
 # -- persistence ---------------------------------------------------------------

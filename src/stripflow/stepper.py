@@ -7,15 +7,13 @@ profile.  The step's GMRES is preconditioned on the right by
 (I + dt dO(gbar))^-1, with dO(gbar) the derivative at the flat profile of
 the initial profile's mean height: a Fourier multiplier that an evolve
 builds once, just before its first step (m + 1 strip solves), so a run
-that stops at t = 0 builds none.  On a near-flat profile a step then takes
-2 Krylov iterations instead of 3 or 4; a moderate one (a dip of depth 0.2
-or a sine of amplitude 0.4 at nu = 1) can take one more.  The gate still
-reads the unpreconditioned true residual.  The step's closing dO
-application is a combination of its Krylov directions, so its strip solve
-is recalled from theirs without a Krylov iteration (strip), and its field
-is dv[delta], the derivative of v = K(g)g: the new profile's K(g)g solve
-starts from v + dv[delta] and takes 2 iterations where a zero start takes 4
-on a near-flat profile.  It is also handed the last operator's fast
+that stops at t = 0 builds none.  The multiplier treats the stiff leading
+part of the step; the gate still reads the unpreconditioned true residual.
+The step's closing dO application is a combination of its Krylov
+directions, so its strip solve starts from the same combination of their
+fields (dtn) and takes no Krylov iteration, and its field is dv[delta],
+the derivative of v = K(g)g: the new profile's K(g)g solve starts from
+v + dv[delta].  It is also handed the last operator's fast
 diagonalisation of the strip preconditioner, which it keeps while the
 profile's x-averages have moved by less than their own x-variation
 (strip): a near-flat evolve builds one for all its steps, not one per step.
@@ -157,8 +155,8 @@ def _step_core(dtn, dt, precond):
     rhs = -dt * o_val
     if np.linalg.norm(rhs) < 1e-300:
         return np.zeros_like(o_val), 0.0, 0
-    sol, its, res, _ = gmres(lambda v: v + dt * dtn.derivative(v), rhs,
-                             _STEP_RTOL, min(rhs.size, 60), 3, precond=precond)
+    sol, its, res = gmres(lambda v: v + dt * dtn.derivative(v), rhs,
+                          _STEP_RTOL, min(rhs.size, 60), 3, precond=precond)
     gate = max(100.0 * _STEP_RTOL, 1e-8)
     if not res <= gate:                             # NaN-safe comparison
         raise SolverError(

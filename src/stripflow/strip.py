@@ -16,9 +16,7 @@ so dropping it is an approximation.  It costs iterations, not accuracy,
 since every solve is gated on its true residual.  Each mode block is then
 R + k^2 P with one k-independent R: after the boundary rows are eliminated,
 a single eigendecomposition of the interior Schur complement inverts every
-mode (fast diagonalisation; Lynch, Rice & Thomas 1964).  Near the wall, at
-min(nu + g) = 0.15, a K(g)g solve takes 16 iterations where the unscaled
-average took 79; a profile close to flat takes 3.
+mode (fast diagonalisation; Lynch, Rice & Thomas 1964).
 
 The row scale is each operator's own, but the fast diagonalisation can be
 another's: an operator handed one (factor=, the stepper hands each step's
@@ -50,15 +48,10 @@ carry a22 Dy^2 ~ 1e7 near the wall, the Dirichlet rows 1), so further
 cycles cannot reach it.  The solve is accepted or refused on the
 true-residual gate instead, after those two cycles.
 
-Every solve starts from what is already solved.  An operator remembers
-each GMRES run's solution with its image A x, the output of the closing
-true-residual apply, and starts a new run from the combination whose image
-projects the data, when that leaves a residual of at most rtol_gmres
-(Fischer 1998).  The implicit step's closing dO application is such a
-combination of its Krylov directions: its solve takes no Krylov iteration,
-only the apply that confirms the start.  A caller may give the start
-instead (the stepper's first-order guess of the next K(g)g).  Either start
-is confirmed or refused by its true residual, as a zero start is.
+A solve starts from zero or from a start its caller gives (the stepper's
+first-order guess of the next K(g)g, dtn's combination of earlier dO
+fields).  The start is confirmed or refused by its true residual, as a
+zero start is.
 """
 
 import math
@@ -92,8 +85,7 @@ _MAX_CYCLES = 2
 
 def gmres(apply, b, rtol, restart, max_cycles, precond=None, x0=None):
     """Solve apply(x) = b by restarted GMRES, preconditioned on the right by
-    precond; return (x, iterations, true_residual, image), image = apply(x)
-    the closing application.
+    precond; return (x, iterations, true_residual).
 
     b is a nonzero real array of any shape that apply and precond keep.
     The start is x0 = 0, or the given x0: then one apply gives its true
@@ -123,11 +115,10 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None, x0=None):
     iterations, x, r = 0, np.zeros_like(b), b
     if x0 is not None:
         x = np.array(x0, dtype=b.dtype)         # a copy: x is updated in place
-        image = apply(x)
-        r = b - image
+        r = b - apply(x)
         residual = float(np.linalg.norm(r) / b_norm)
         if not residual > rtol:                 # met, or NaN: the gate decides
-            return x, iterations, residual, image
+            return x, iterations, residual
         if residual > 1.0:                      # worse than the zero start
             x, r = np.zeros_like(b), b
     for _ in range(max_cycles):
@@ -172,12 +163,11 @@ def gmres(apply, b, rtol, restart, max_cycles, precond=None, x0=None):
         for y_i, z in zip(y, Z):
             dx = daxpy(z.reshape(-1), dx, a=y_i)
         x += dx.reshape(b.shape)
-        image = apply(x)
-        r = b - image
+        r = b - apply(x)
         residual = float(np.linalg.norm(r) / b_norm)
         if residual <= rtol or breakdown:
             break
-    return x, iterations, residual, image
+    return x, iterations, residual
 
 
 class _FastDiagonalisation(NamedTuple):
@@ -325,8 +315,6 @@ class DiscreteStripOperator:
         self._rowscale = None
         # the last preconditioner output and its rfft spectrum
         self._z = self._z_hat = None
-        # remembered (solution, image A x) pairs, the images orthonormal
-        self._memory = []
         self.last_residual = None
         self.last_iterations = None
 
@@ -486,37 +474,6 @@ class DiscreteStripOperator:
 
     # -- solve ---------------------------------------------------------------
 
-    def _recall(self, b, rtol):
-        """The remembered solutions combined as the images are in the
-        orthogonal projection of b onto them, when that projection leaves a
-        residual of at most rtol ||b||; else None (Fischer, Comput. Methods
-        Appl. Mech. Engrg. 163, 1998)."""
-        r, x0 = b.flatten(), np.zeros(b.size)
-        for x, q in self._memory:               # modified Gram-Schmidt
-            c = ddot(q, r)
-            r = daxpy(q, r, a=-c)
-            x0 = daxpy(x, x0, a=c)
-        return (x0.reshape(b.shape)
-                if math.sqrt(ddot(r, r)) <= rtol * np.linalg.norm(b) else None)
-
-    def _remember(self, x, image):
-        """Keep the solution x of one GMRES run with its image A x: the
-        image orthogonalised against the kept ones (Gram-Schmidt, twice)
-        and normalised, the same combination applied to x.  An image the
-        kept ones span to sqrt(eps) adds nothing a recall could use.  An
-        operator keeps a few (the implicit step makes three solves on one),
-        so they are a list of pairs of flat rows, combined by BLAS level 1
-        in place."""
-        x, w = x.flatten(), image.flatten()
-        for _ in range(2):
-            for x_kept, q in self._memory:
-                d = ddot(q, w)
-                w = daxpy(q, w, a=-d)
-                x = daxpy(x_kept, x, a=-d)
-        w_norm = math.sqrt(ddot(w, w))
-        if w_norm > math.sqrt(np.finfo(float).eps) * np.linalg.norm(image):
-            self._memory.append((x / w_norm, w / w_norm))
-
     def solve(self, F=None, psi0=None, rtol=1e-11, start=None):
         """Solve with interior source F, trace psi0 at y=0 and zero flux at
         y=1.
@@ -528,14 +485,10 @@ class DiscreteStripOperator:
         parts, an all-zero part skipped: last_iterations sums the two runs,
         and last_residual is ||b - A x|| / ||b|| of the complex solution.
 
-        Each run starts from what is already solved.  start, a real
-        (nx, ny, m) guess of the field of real data, is the start when
-        given.  Otherwise the operator recalls the solutions of its earlier
-        runs: when their images span the data to rtol_gmres, their
-        combination is the start (a dO direction that combines earlier ones
-        then takes no Krylov iteration).  A start costs one apply and never
-        decides acceptance, which reads the true residual as before; a run
-        that iterates is remembered with the image of its closing apply.
+        start, when given, is an (nx, ny, m) guess of the field: its real
+        part starts the run of the real data and its imaginary part that of
+        the imaginary data.  A start costs one apply and never decides
+        acceptance, which reads the true residual as a zero start's does.
         """
         b = self.rhs(F=F, psi0=psi0)
         # GMRES divides by the data norm: it must be finite, and it must not
@@ -550,18 +503,17 @@ class DiscreteStripOperator:
         # for what is attainable and gate on the true residual instead
         rtol_gmres = max(rtol, 1e-10)
         parts = (b.real, b.imag) if np.iscomplexobj(b) else (b,)
+        starts = (None, None) if start is None else (
+            np.transpose(start.real, (1, 2, 0)),
+            np.transpose(start.imag, (1, 2, 0)))
         sols, its, res_norm = [], 0, 0.0
-        for part in parts:
+        for part, x0 in zip(parts, starts):
             sol = np.zeros_like(part)
             if np.any(part):
-                x0 = (self._recall(part, rtol_gmres) if start is None
-                      else np.transpose(start, (1, 2, 0)))
-                sol, n, res, image = gmres(
+                sol, n, res = gmres(
                     self.apply_values, part, rtol_gmres,
                     min(_RESTART, self.n_dof), _MAX_CYCLES,
                     precond=self._precond, x0=x0)
-                if n:
-                    self._remember(sol, image)
                 its += n
                 res_norm = np.hypot(res_norm, res * np.linalg.norm(part))
             sols.append(sol)

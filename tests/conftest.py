@@ -46,6 +46,17 @@ def tail_ratios(report):
     return out
 
 
+def counted_kernels(monkeypatch, op):
+    """Count the strip operator's apply_values and _precond calls."""
+    counts = {"apply_values": 0, "_precond": 0}
+    for name in counts:
+        def counted(u, name=name, kernel=getattr(op, name)):
+            counts[name] += 1
+            return kernel(u)
+        monkeypatch.setattr(op, name, counted)
+    return counts
+
+
 @pytest.fixture
 def A1():
     return SectorialOperator(np.array([[1.0]]))

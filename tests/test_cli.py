@@ -319,6 +319,20 @@ def test_diagnose_unequal_components_is_validation_failure(tmp_path, capsys,
     assert not (tmp_path / "result").exists()
 
 
+def test_diagnose_zero_graded_norm_is_validation_failure(tmp_path, capsys,
+                                                        monkeypatch):
+    """A SpectralValidationError raised by a run is bad input (exit 2):
+    with the load's spectrum check bypassed, A = 1e7 reaches sector_report,
+    whose graded norms are 0."""
+    from stripflow import cli, scenario
+    monkeypatch.setattr(scenario, "require_resolved_spectrum",
+                        lambda A, alpha: None)
+    path = write(tmp_path, FAST.replace("A = 1.0", "A = 1e7"))
+    assert cli.main(["run", path, "--mode", "diagnose-frozen"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: sector_report: graded norms")
+
+
 def test_deterministic_repeat_is_byte_identical(tmp_path):
     path = write(tmp_path, FAST)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.fft import fft, ifft
 
-from conftest import SCENARIO_DIR, make_profile, torus_x
+from conftest import SCENARIO_DIR, counted_kernels, make_profile, torus_x
 from stripflow.dtn import (
     DtNOperator,
     admissibility,
@@ -17,6 +17,8 @@ from stripflow.dtn import (
     localization_residual,
     sector_report,
 )
+from stripflow.errors import SolverError, SpectralValidationError
+from stripflow.grids import random_trace
 from stripflow.model import strip_profile_response, strip_trace_gradient_map
 from stripflow.operator_core import SectorialOperator
 from stripflow.scenario import load_scenario
@@ -196,6 +198,70 @@ def test_derivative_is_one_solve_of_the_summed_pieces(A1, A2, monkeypatch, m):
     assert np.max(np.abs(d - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
+def _recall_case(A1, A2, m, complex_directions=False):
+    """A profile, its coupling and three smooth directions: real, or with
+    imaginary parts too."""
+    p = make_profile(nx=64, amp=0.15, mode=2, m=m)
+    rng = np.random.default_rng(m)
+    psis = [random_trace(rng, 64, m) for _ in range(3)]
+    if not complex_directions:
+        psis = [psi.real for psi in psis]
+    return p, (A1 if m == 1 else A2), psis
+
+
+@pytest.mark.parametrize("m, complex_directions",
+                         [(1, False), (2, False), (2, True)],
+                         ids=["m1", "m2", "m2-complex"])
+def test_derivative_along_combined_directions_is_recalled(
+        A1, A2, monkeypatch, m, complex_directions):
+    """dO's strip data (-dB[psi, v], psi) are linear in psi, so a direction
+    that two earlier ones combine to starts its solve from the same
+    combination of their fields: no Krylov iteration, one strip apply per
+    real part for the true residual, and dO and v + dv[psi] within the 1e-9
+    gate of a fresh operator's.  A direction outside their span takes a
+    fresh operator's iterations."""
+    p, A, (psi1, psi2, psi3) = _recall_case(A1, A2, m, complex_directions)
+
+    def fresh():
+        return DtNOperator(p, A, 4.0, ny=17)
+
+    dtn = fresh()
+    dtn.derivative(psi1)
+    dtn.derivative(psi2)
+    counts = counted_kernels(monkeypatch, dtn.op)
+    c1, c2 = (0.7 + 0.2j, -1.3j) if complex_directions else (0.7, -1.3)
+    psi = c1 * psi1 + c2 * psi2
+    got = dtn.derivative(psi)
+    parts = 2 if complex_directions else 1
+    assert dtn.op.last_iterations == 0
+    assert counts == {"apply_values": parts, "_precond": 0}
+    gate = 1e-9
+    assert dtn.op.last_residual <= gate
+    ref = fresh()
+    want = ref.derivative(psi)
+    assert ref.op.last_iterations > 0
+    assert np.linalg.norm(got - want) <= gate * np.linalg.norm(want)
+    field, want_field = dtn.upsilon_along(psi), ref.upsilon_along(psi)
+    assert (np.linalg.norm(field - want_field)
+            <= gate * np.linalg.norm(want_field))
+    dtn.derivative(psi3)
+    ref = fresh()
+    ref.derivative(psi3)
+    assert dtn.op.last_iterations == ref.op.last_iterations > 0
+
+
+def test_nan_direction_after_a_history_is_refused(A1, A2):
+    """A NaN direction fits no earlier one, and its solve refuses its data
+    norm as on a fresh operator."""
+    p, A, (psi1, psi2, _) = _recall_case(A1, A2, 1)
+    dtn = DtNOperator(p, A, 4.0, ny=17)
+    dtn.derivative(psi1)
+    dtn.derivative(psi2)
+    with pytest.raises(SolverError, match="non-finite") as info:
+        dtn.derivative(np.full((64, 1), np.nan))
+    assert info.value.iterations == 0
+
+
 def test_derivative_finite_difference_convergence(A1):
     """Second-order agreement between the analytic derivative and centered
     differences of the nonlinear operator."""
@@ -238,6 +304,17 @@ def test_sector_report_coupled(A2):
     fset = frozen_set(p, A2, 0.0, 4.0, ny=17)
     rep = sector_report(fset, A2)
     assert rep.passed
+
+
+def test_sector_report_refuses_a_zero_graded_norm():
+    """At A = 1e7 the interpolation norms' t-grid sees e^(-tA) underflow,
+    so every A-graded norm is 0: the report refuses it by name instead of
+    dividing by it."""
+    A = SectorialOperator(np.array([[1e7]]))
+    fset = frozen_set(make_profile(nx=32, amp=0.1), A, 0.0, 4.0, ny=9)
+    with pytest.raises(SpectralValidationError,
+                       match=r"graded norms \|u\|_\(2\+alpha\) = 0 "):
+        sector_report(fset, A)
 
 
 def test_frozen_set_requires_grid_node(A1):

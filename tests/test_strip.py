@@ -6,7 +6,7 @@ import scipy.linalg
 from numpy.fft import fft, ifft
 
 import stripflow.strip as strip
-from conftest import make_profile, torus_x
+from conftest import counted_kernels, make_profile, torus_x
 from stripflow.errors import EllipticityError, SolverError
 from stripflow.geometry import InterfaceProfile, coefficients
 from stripflow.operator_core import SectorialOperator
@@ -422,12 +422,7 @@ def test_solve_gate_reuses_the_closing_gmres_residual(A1, monkeypatch):
     ||b - A x|| / ||b|| of the returned solution."""
     p = make_profile(nx=64, amp=0.15, mode=2)
     op = DiscreteStripOperator(p, A1, 4.0, ny=17)
-    counts = {"apply_values": 0, "_precond": 0}
-    for name in counts:
-        def counted(u, name=name, kernel=getattr(op, name)):
-            counts[name] += 1
-            return kernel(u)
-        monkeypatch.setattr(op, name, counted)
+    counts = counted_kernels(monkeypatch, op)
     psi = (0.3 * np.cos(2 * np.pi * torus_x(64) / L)).astype(complex)[:, None]
     fld = op.solve(psi0=psi)
     assert counts["_precond"] == op.last_iterations > 0
@@ -475,8 +470,8 @@ def test_gmres_matches_a_dense_solve(preconditioned):
         counts["precond"] += 1
         return M @ v
 
-    x, its, res, _ = strip.gmres(apply, b, 1e-12, 5, 50,
-                                 precond=precond if preconditioned else None)
+    x, its, res = strip.gmres(apply, b, 1e-12, 5, 50,
+                              precond=precond if preconditioned else None)
     want = np.linalg.solve(A, b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
@@ -493,7 +488,7 @@ def test_gmres_hands_a_singular_cycle_to_the_gate(apply):
     triangular factor, and a NaN apply a NaN one: either gives a NaN
     iterate and a NaN true residual, which the caller's gate refuses, and
     neither raises (nor warns)."""
-    x, its, res, _ = strip.gmres(apply, np.ones(8), 1e-10, 5, 2)
+    x, its, res = strip.gmres(apply, np.ones(8), 1e-10, 5, 2)
     assert its > 0 and np.isnan(res) and np.all(np.isnan(x))
 
 
@@ -507,53 +502,17 @@ def test_coercivity_probe_refuses_source_and_flux(A1):
             strip.coercivity_probe_33(p, A1, (1.0,), [entry], ny=9)
 
 
-def _counted_kernels(monkeypatch, op):
-    """Count the operator's apply_values and _precond calls."""
-    counts = {"apply_values": 0, "_precond": 0}
-    for name in counts:
-        def counted(u, name=name, kernel=getattr(op, name)):
-            counts[name] += 1
-            return kernel(u)
-        monkeypatch.setattr(op, name, counted)
-    return counts
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_solve_of_combined_data_is_recalled_without_iterating(
-        A1, A2, monkeypatch, m):
-    """Data that combine two earlier solves on the same operator are
-    started from the same combination of their solutions: no Krylov
-    iteration, one apply for the true residual, which meets the gate, and
-    the field of a fresh operator's solve to within the gate.  Data outside
-    the span take the iterations they take on a fresh operator."""
-    p = make_profile(nx=64, amp=0.15, mode=2, m=m)
-    A = A1 if m == 1 else A2
-
-    def fresh():
-        return DiscreteStripOperator(p, A, 4.0, ny=17)
-
-    rng = np.random.default_rng(m)
-    F1, F2, F3 = rng.standard_normal((3, 64, 17, m))
-    psi1, psi2, psi3 = rng.standard_normal((3, 64, m))
-    op = fresh()
-    op.solve(F=F1, psi0=psi1)
-    op.solve(F=F2, psi0=psi2)
-    counts = _counted_kernels(monkeypatch, op)
-    F, psi = 0.7 * F1 - 1.3 * F2, 0.7 * psi1 - 1.3 * psi2
-    got = op.solve(F=F, psi0=psi)
-    assert op.last_iterations == 0
-    assert counts == {"apply_values": 1, "_precond": 0}
-    gate = 1e-9
-    assert op.last_residual <= gate
-    assert op.last_residual == pytest.approx(
-        residual_of(op, got.values, op.rhs(F=F, psi0=psi)), rel=1e-12)
-    ref = fresh()
-    want = ref.solve(F=F, psi0=psi).values
-    assert ref.last_iterations > 0
-    assert np.linalg.norm(got.values - want) <= gate * np.linalg.norm(want)
-    op.solve(F=F3, psi0=psi3)
-    ref.solve(F=F3, psi0=psi3)
-    assert op.last_iterations == ref.last_iterations > 0
+def test_repeated_solve_keeps_its_iterations(A1):
+    """An operator keeps no earlier solve for a later one: the same data
+    solved twice on one operator take the same Krylov iterations."""
+    op = DiscreteStripOperator(make_profile(nx=64, amp=0.15, mode=2), A1,
+                               4.0, ny=17)
+    rng = np.random.default_rng(1)
+    F, psi = rng.standard_normal((64, 17, 1)), rng.standard_normal((64, 1))
+    op.solve(F=F, psi0=psi)
+    first = op.last_iterations
+    op.solve(F=F, psi0=psi)
+    assert op.last_iterations == first > 0
 
 
 def test_gmres_from_a_start_reaches_the_same_gate():
@@ -572,19 +531,19 @@ def test_gmres_from_a_start_reaches_the_same_gate():
         applies.append(1)
         return A @ v
 
-    x, its0, res, image = strip.gmres(apply, b, 1e-12, 50, 2)
-    assert res <= 1e-12 and np.array_equal(image, A @ x)
+    x, its0, res = strip.gmres(apply, b, 1e-12, 50, 2)
+    assert res <= 1e-12
     start = want + 1e-4 * rng.standard_normal(n)
     applies.clear()
-    x, its, res, _ = strip.gmres(apply, b, 1e-12, 50, 2, x0=start)
+    x, its, res = strip.gmres(apply, b, 1e-12, 50, 2, x0=start)
     assert 0 < its < its0 and len(applies) == its + 2
     assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     applies.clear()
-    x, its, res, _ = strip.gmres(apply, b, 1e-3, 50, 2, x0=start)
+    x, its, res = strip.gmres(apply, b, 1e-3, 50, 2, x0=start)
     assert its == 0 and len(applies) == 1 and np.array_equal(x, start)
-    x, its, res, _ = strip.gmres(apply, b, 1e-12, 50, 2,
-                                 x0=np.full(n, np.nan))
+    x, its, res = strip.gmres(apply, b, 1e-12, 50, 2,
+                              x0=np.full(n, np.nan))
     assert its == 0 and np.isnan(res)
 
 
