@@ -131,7 +131,7 @@ class DtNOperator:
         """
         p = self.profile
         interior, boundary = self._pieces(
-            slice(None), (p.nu + p.g).T, p.g_x.T, p.g_xx.T, psi.T,
+            slice(None), p.w.T, p.g_x.T, p.g_xx.T, psi.T,
             spectral_derivative(psi, p.L, 1).T,
             spectral_derivative(psi, p.L, 2).T)
         return interior.transpose(2, 0, 1), boundary.T
@@ -198,7 +198,7 @@ class DtNOperator:
         for parabolic well-posedness of the interface motion.
         """
         p = self.profile
-        w_g = self.upsilon().dy_trace0() / (p.nu + p.g)
+        w_g = self.upsilon().dy_trace0() / p.w
         c = self.coeffs
         k_g = c.alpha_floor[:, 0, :] / c.a22[:, 0, :]
         return w_g + k_g
@@ -226,7 +226,7 @@ class DtNOperator:
         # the plain problem)
         op0 = (self.op if self.mu == 0.0
                else DiscreteStripOperator(p, self.A, 0.0, ny=self.op.ny))
-        u_f = op0.solve(psi0=(p.nu + p.g), rtol=self.rtol)
+        u_f = op0.solve(psi0=p.w, rtol=self.rtol)
         dyu_phys = -u_f.dy_trace0() / p.h[:, None]
         k_f = p.h ** 2 / ((1.0 + p.h + p.h_x ** 2) * (1.0 + p.h_x ** 2))
         vnu_gap = float(np.min(k_f[:, None] - dyu_phys))
@@ -248,7 +248,7 @@ class DtNOperator:
         if abs(p.x[i0] - x0) > 1e-9 * p.L:
             raise FreezePointError(f"freeze point {x0} is not a grid node "
                                    f"(nearest: {p.x[i0]:.12g})")
-        for name, vec in (("nu+g", p.nu + p.g[i0]), ("g_x", p.g_x[i0])):
+        for name, vec in (("nu+g", p.w[i0]), ("g_x", p.g_x[i0])):
             spread = np.max(np.abs(vec - vec[0]))
             if spread > 1e-10 * (1.0 + np.max(np.abs(vec))):
                 raise FreezePointError(
@@ -300,8 +300,8 @@ class DtNOperator:
         # depth, or the cancellation against the boundary piece is lost),
         # and the boundary piece is O20's diagonal
         ik = 1j * ks[:, None, None]
-        src, sym20_diag = self._pieces(i0, p.nu + p.g[i0], p.g_x[i0],
-                                       p.g_xx[i0], 1.0, ik, ik ** 2)
+        src, sym20_diag = self._pieces(i0, p.w[i0], p.g_x[i0], p.g_xx[i0],
+                                       1.0, ik, ik ** 2)
         eyem = np.eye(p.m)
         sym10 = ((1j * b10 * ks)[:, None, None] * eyem
                  + b20 * strip_trace_gradient_map(fc, ks))
@@ -380,8 +380,9 @@ class FrozenOperatorSet:
                 "O30": self.sym30, "O0": self.sym0}[name]
 
     def apply(self, name, trace):
-        """Apply one frozen operator to a trace; a real trace gives a real
-        result, the rounding-level imaginary part of the ifft dropped."""
+        """Apply one frozen operator to a trace; a real trace, or a complex
+        one whose imaginary parts are all exactly zero, gives a real result,
+        the rounding-level imaginary part of the ifft dropped."""
         vals = as_inexact(trace)
         vhat = fft(vals, axis=0)
         out = ifft(np.einsum("kij,kj->ki", self.symbols(name), vhat), axis=0)

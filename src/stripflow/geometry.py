@@ -16,17 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDomainError, EllipticityError
-from .grids import (real_if_exact, spectral_derivative, torus_nodes,
-                    trig_interp)
+from .grids import as_inexact, spectral_derivative, torus_nodes, trig_interp
 
 
 class InterfaceProfile:
     """Periodic interface state: offset nu plus perturbation g.
 
-    The physical height is the normalized Euclidean length of the value
-    vector,  h(x) = ||nu * ones + g(x)|| / ||ones||,  which reduces to
-    nu + g for a single component.  Profiles are real, so the coefficients
-    and the strip solves built from them run in real arithmetic.
+    The per-component interface height is w = nu + g, an (nx, m) float64
+    attribute that the flattening's coefficients, the boundary weight and
+    the admissibility datum read.  The physical height is the normalized
+    Euclidean length of that value vector,  h(x) = ||w(x)|| / ||ones||,
+    which reduces to w for a single component.  Profiles are real, so the
+    coefficients and the strip solves built from them run in real
+    arithmetic.
 
     Parameters
     ----------
@@ -35,15 +37,16 @@ class InterfaceProfile:
     L : float
         Torus circumference.
     g : (nx, m) array_like
-        Perturbation samples on ``torus_nodes(L, nx)``, stored as float64;
-        a nonzero imaginary sample raises EllipticityError.
+        Perturbation samples on ``torus_nodes(L, nx)``, stored as float64:
+        complex samples whose imaginary parts are all exactly zero are real
+        input, and a nonzero imaginary part raises EllipticityError.
     h_floor : float
         Degeneracy guard; construction fails if some component of nu + g
         is at or below h_floor.
     """
 
     def __init__(self, nu, L, g, h_floor=1e-8):
-        g = real_if_exact(g)
+        g = as_inexact(g)
         if g.ndim == 1:
             g = g[:, None]
         if g.ndim != 2:
@@ -64,15 +67,15 @@ class InterfaceProfile:
         self.g_x = spectral_derivative(self.g, self.L, 1)
         self.g_xx = spectral_derivative(self.g, self.L, 2)
 
-        f = self.nu + self.g  # value vector of the interface
+        self.w = self.nu + self.g  # value vector of the interface
         scale = np.sqrt(self.m)
-        self.h = np.linalg.norm(f, axis=1) / scale
+        self.h = np.linalg.norm(self.w, axis=1) / scale
         self.h_floor = float(h_floor)
         # the flattening needs the value vector to stay on the positive
         # side of the reference offset: a component that crosses zero folds
-        # the domain onto itself even though the Euclidean height |f| stays
-        # away from zero
-        row_min = f.min(axis=1)   # h, a root mean square, is never below it
+        # the domain onto itself even though the Euclidean height |w| stays
+        # away from zero; h, a root mean square, is never below row_min
+        row_min = self.w.min(axis=1)
         j = int(np.argmin(row_min))
         if row_min[j] <= self.h_floor:
             raise DegenerateDomainError(
@@ -149,7 +152,7 @@ def coefficients(profile, y_nodes):
     """
     y = np.asarray(y_nodes, dtype=float)
     beta = (1.0 - y)[None, :, None]                      # (1, ny, 1)
-    w = (profile.nu + profile.g)[:, None, :]             # (nx, 1, m)
+    w = profile.w[:, None, :]                            # (nx, 1, m)
     wx = profile.g_x[:, None, :]
     wxx = profile.g_xx[:, None, :]
 
@@ -159,8 +162,8 @@ def coefficients(profile, y_nodes):
     alpha = 1.0 / (1.0 + w ** 2 + beta ** 2 * wx ** 2)
 
     b10 = -profile.g_x
-    b20 = -(1.0 + profile.g_x ** 2) / (profile.nu + profile.g)
-    b21 = 1.0 / (profile.nu + profile.g)
+    b20 = -(1.0 + profile.g_x ** 2) / profile.w
+    b21 = 1.0 / profile.w
 
     return TransformedCoefficients(
         a12=a12, a22=a22, a2=a2,

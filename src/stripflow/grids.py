@@ -14,18 +14,13 @@ from numpy.fft import fft, ifft, irfft, rfft
 
 
 def as_inexact(values):
-    """values as a float64 array, or as a complex128 one when complex."""
-    values = np.asarray(values)
-    return values.astype(np.result_type(values, float), copy=False)
-
-
-def real_if_exact(values):
-    """values as a real array when every imaginary part is exactly zero,
-    else unchanged."""
+    """values as a float64 array, or as a complex128 one when some imaginary
+    part is nonzero: complex input whose imaginary parts are all exactly
+    zero is real input."""
     values = np.asarray(values)
     if np.iscomplexobj(values) and not np.any(values.imag):
-        return np.ascontiguousarray(values.real)
-    return values
+        values = np.ascontiguousarray(values.real)
+    return values.astype(np.result_type(values, float), copy=False)
 
 
 def torus_nodes(L, nx):

@@ -28,20 +28,19 @@ maximum, so every norm is that of the pass over every pair, bit for bit.
 - The y-pairs of a strip field (_y_seminorm).  With row r_i holding every x
   and component at y_i, the neighbour steps s_k = max_x ||r_{k+1} - r_k||
   are exact pair values and seed the maximum.  Every other pair has
-  max_x ||r_j - r_i|| <= min(s_i + ... + s_{j-1}, rho_i + rho_j), with
-  rho_i = max_x ||r_i - mean row||.  The path sum is summed, never taken
-  as a difference of prefix sums, whose cancellation no relative margin
-  covers.
+  max_x ||r_j - r_i|| <= s_i + ... + s_{j-1}, its path sum.  The path sum
+  is summed, never taken as a difference of prefix sums, whose
+  cancellation no relative margin covers.
 - The x-lines of a strip field (scaled_field_norm), seeded by the field's
   y-seminorm.  A periodic line with largest neighbour step d1 (the seam
   step from node n-1 to node 0 included) and D = 2 max_i ||f_i - mean||
   has every pair of class s within min(s d1, D), so its quotient is at
   most max_s min(s d1, D) / d_s^alpha (_torus_line_bound).
-- The weight lines of holder_seminorm, one field seeded by zero, with the
-  smaller of the x-lines' bound and ||W_t||_2 times the unweighted line's
-  class maxima plus a rounding term (_weight_line_bound), which one exact
-  pass over the unweighted line gives for every weight.  A single line (no
-  evaluator) takes the exact pass at once.
+- The weight lines of holder_seminorm, one field seeded by zero, with
+  ||W_t||_2 times the unweighted line's class maxima plus a rounding term
+  (_weight_line_bound), which one exact pass over the unweighted line
+  gives for every weight.  A single line (no evaluator) takes the exact
+  pass at once.
 
 The coercivity probes of model and strip share their report types and the
 two graded norms they compare, which sit here beside the norms they
@@ -231,7 +230,7 @@ def _y_seminorm(rows, y, alpha):
     sqrt(pair square) / |y_j - y_i|^alpha over the pairs i < j, a pair
     square maximised over x.  rows is (C, F, ny, nx) real, row i holding
     every x and component at y_i.  The neighbour pairs seed the maxima, and
-    the others are bounded by their path and radius sums.
+    the others are bounded by their path sums.
     """
     ny = rows.shape[-2]
     ii, jj = np.triu_indices(ny, 1)
@@ -247,10 +246,7 @@ def _y_seminorm(rows, y, alpha):
     k = np.arange(ny - 1)
     steps = np.where(k >= k[:, None], step[:, None, :], 0.0)
     path = np.cumsum(steps, axis=-1)[:, ii, jj - 1]
-    mean = np.mean(rows, axis=-2, keepdims=True)
-    radius = np.sqrt(np.max(_pair_sq(zip(rows, mean)), axis=-1))
-    bound_sq = np.minimum(path ** 2, (radius[:, ii] + radius[:, jj]) ** 2)
-    bound = _widened(bound_sq, dist)
+    bound = _widened(path ** 2, dist)
 
     def quotient(f, p):
         pair_sq = _pair_sq(zip(rows[:, f, jj[p]], rows[:, f, ii[p]]))
@@ -280,8 +276,7 @@ def holder_seminorm(f, gamma, evaluator=None):
     dist = _shift_distance(f.L, f.nx) ** gamma
     if lines.shape[1] == 1:
         return float(_torus_line_quotient(lines, dist)[0])
-    bound = np.minimum(_torus_line_bound(lines, dist),
-                       _weight_line_bound(vals, dist, evaluator))
+    bound = _weight_line_bound(vals, dist, evaluator)
     semi = _prune_rounds(bound[None], np.zeros(1),
                          lambda rows, cols: _torus_line_quotient(
                              lines[:, cols], dist))
@@ -390,6 +385,9 @@ class CoercivityReport:
 
     @classmethod
     def from_rows(cls, rows):
+        """The report of rows, kept in data-major order: each datum's mu
+        sweep together, in the order it was measured."""
+        rows = sorted(rows, key=lambda r: r.data_index)
         max_ratio = max(r.ratio for r in rows)
         spread = 0.0
         for idx in {r.data_index for r in rows}:

@@ -331,9 +331,9 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):
     A = fc.A.entries
     ks = torus_wavenumbers(L, nx)
     ik = 1j * ks[:, None, None]
-    rows = {}
+    rows = []
     # the mode stacks of one mu at a time, shared by every datum
-    for mu_index, mu in enumerate(mu_list):
+    for mu in mu_list:
         fcm = fc.with_mu(mu)
         y = np.linspace(0.0, default_depth(fcm), 40)
         lam = decay_generator(fcm, -ks).Lambda               # (nx, m, m)
@@ -354,8 +354,7 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):
                 fields[name] = ifft(fields[name], axis=0)
             lhs, rhs = _graded_probe_norms(fields, psi.values, A, y, L, alpha,
                                            mu)
-            rows[data_index, mu_index] = CoercivityRow(
+            rows.append(CoercivityRow(
                 mu=float(mu), data_index=data_index, lhs=float(lhs),
-                rhs=float(rhs), ratio=float(lhs / rhs))
-    # rows in data-major order: each datum's mu sweep together
-    return CoercivityReport.from_rows([rows[key] for key in sorted(rows)])
+                rhs=float(rhs), ratio=float(lhs / rhs)))
+    return CoercivityReport.from_rows(rows)

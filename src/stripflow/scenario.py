@@ -32,7 +32,7 @@ from .holder import SampledFunction
 from .model import coercivity_probe_59
 from .operator_core import (SectorialOperator, require_resolved_spectrum,
                             validate_sectorial)
-from .stepper import STATUS_COMPLETED, EvolutionConfig, evolve
+from .stepper import STATUS_COMPLETED, DiagnosticsRow, EvolutionConfig, evolve
 from .strip import StripField, coercivity_probe_33
 
 SECTION_ORDER = ("space", "geometry", "initial", "solve", "time", "output")
@@ -531,13 +531,14 @@ def export(traj, out_dir):
             t_s = _fmt(t)
             fh.writelines(",".join([t_s, *map(repr, row)]) + "\n"
                           for row in zip(*columns))
+    # one column per DiagnosticsRow field, formatted by its declared type
     diag_path = os.path.join(out_dir, "diagnostics.csv")
+    fields = dataclasses.fields(DiagnosticsRow)
     with open(diag_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,h2alpha,margin,residual,iterations,status\n")
+        fh.write(",".join(f.name for f in fields) + "\n")
         for row in traj.diagnostics:
-            fh.write(",".join([_fmt(row.t), _fmt(row.h2alpha),
-                               _fmt(row.margin), _fmt(row.residual),
-                               str(row.iterations), row.status]) + "\n")
+            fh.write(",".join((_fmt if f.type is float else str)(
+                getattr(row, f.name)) for f in fields) + "\n")
     return [traj_path, diag_path]
 
 
@@ -641,17 +642,8 @@ def _run_frozen(scn, tmp, seed):
     fset = frozen_set(profile, scn.A, x0, cfg.mu_solve, ny=scn.ny,
                       rtol=cfg.rtol, dtn=scn.dtn())
     report = sector_report(fset, scn.A, alpha=cfg.alpha)
-    payload = {
-        "x0": fset.x0,
-        "mu0": report.mu0,
-        "entries": {name: dataclasses.asdict(entry)
-                    for name, entry in report.entries.items()},
-        "c1": report.c1, "c2": report.c2,
-        "ratio_spread": report.ratio_spread,
-        "generates_analytic_semigroup": report.generates_analytic_semigroup,
-        "passed": report.passed,
-    }
-    _write_json(os.path.join(tmp, "frozen_report.json"), payload)
+    _write_json(os.path.join(tmp, "frozen_report.json"),
+                {"x0": fset.x0, **dataclasses.asdict(report)})
     return STATUS_COMPLETED, {"frozen_passed": bool(report.passed),
                               "frozen_ratio_spread": report.ratio_spread}
 
@@ -669,15 +661,9 @@ def _run_coercivity(scn, tmp, seed):
     interior = coercivity_probe_33(profile, scn.A, mu_list, ensemble,
                                    alpha=cfg.alpha, ny=min(scn.ny, 17),
                                    rtol=max(cfg.rtol, 1e-10))
-    payload = {
-        "halfplane": {"rows": [dataclasses.asdict(r) for r in half.rows],
-                      "max_ratio": half.max_ratio,
-                      "mu_spread": half.mu_spread},
-        "interior": {"rows": [dataclasses.asdict(r) for r in interior.rows],
-                     "max_ratio": interior.max_ratio,
-                     "mu_spread": interior.mu_spread},
-    }
-    _write_json(os.path.join(tmp, "coercivity.json"), payload)
+    _write_json(os.path.join(tmp, "coercivity.json"),
+                {"halfplane": dataclasses.asdict(half),
+                 "interior": dataclasses.asdict(interior)})
     return STATUS_COMPLETED, {
         "coercivity_halfplane_spread": half.mu_spread,
         "coercivity_interior_spread": interior.mu_spread,

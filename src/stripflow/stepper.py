@@ -82,6 +82,8 @@ class EvolutionConfig:
 
 @dataclass
 class DiagnosticsRow:
+    """One row of diagnostics.csv: the fields are its columns, in order,
+    and each value is written by its field's type."""
     t: float
     h2alpha: float
     margin: float

@@ -64,8 +64,8 @@ from scipy.linalg.blas import daxpy, ddot
 
 from .errors import SolverError
 from .geometry import coefficients, require_elliptic
-from .grids import (as_inexact, cheb_lobatto_01, real_if_exact,
-                    rfft_wavenumbers, spectral_derivative)
+from .grids import (as_inexact, cheb_lobatto_01, rfft_wavenumbers,
+                    spectral_derivative)
 from .holder import CoercivityReport, CoercivityRow, _graded_probe_norms
 
 
@@ -349,7 +349,7 @@ class DiscreteStripOperator:
             b[1:-1] = np.asarray(F)[:, 1:-1].transpose(1, 2, 0)
         if psi0 is not None:
             b[0] = np.asarray(psi0).T
-        return real_if_exact(b)
+        return as_inexact(b)
 
     # -- preconditioner ----------------------------------------------------
 
@@ -525,7 +525,7 @@ class DiscreteStripOperator:
             # a22 Dy^2 ~ ny^4/h^2 sets the round-off floor of the apply, so
             # the refusal names ny and the node where the height h = nu + g
             # is least
-            heights = (self.profile.nu + self.profile.g).min(axis=1)
+            heights = self.profile.w.min(axis=1)
             node = np.argmin(heights)
             raise SolverError(
                 f"strip solve stalled at relative residual {res:.3e} "

@@ -358,3 +358,26 @@ def test_localization_residual_shrinks_with_patch_size(A1):
         assert rep.residuals.shape[0] == int(round(1.0 / delta))
         maxes.append(rep.max_residual)
     assert maxes[0] > maxes[1] > maxes[2]
+
+
+def test_complex_typed_real_direction_is_a_real_direction(A1, monkeypatch):
+    """A direction of complex dtype whose imaginary parts are all zero is
+    real input: dO(g) along it makes the real direction's GMRES runs (its
+    K(g)g and one real run for the direction), and its float64 result is
+    that of the real direction, bit for bit."""
+    import stripflow.strip as strip
+    nx = 128
+    x = torus_x(nx)
+    p = make_profile(nx=nx, amp=0.25, mode=2)
+    psi = np.cos(2 * np.pi * x / L)[:, None]
+    runs = []
+    real_gmres = strip.gmres
+    monkeypatch.setattr(strip, "gmres", lambda apply, b, *a, **k:
+                        runs.append(b.dtype) or real_gmres(apply, b, *a, **k))
+    want = dtn_derivative(p, A1, psi, mu_solve=0.0)
+    assert runs == [np.float64] * 2
+    runs.clear()
+    got = dtn_derivative(p, A1, psi.astype(complex), mu_solve=0.0)
+    assert runs == [np.float64] * 2
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)

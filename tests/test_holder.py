@@ -11,8 +11,8 @@ from stripflow.holder import (
     _components,
     _pair_sq,
     _shift_distance,
-    _torus_line_bound,
     _torus_pair_sq,
+    _weight_line_bound,
     h1alpha_norm,
     h2alpha_norm,
     holder_seminorm,
@@ -564,10 +564,13 @@ def test_pruned_seminorm_equals_every_line_pass(name, graded):
 
 
 def test_pruned_seminorm_visits_a_tight_line_after_a_loose_one():
-    """Two weight lines: a sine, whose bound is loose, and a square wave
-    0.5 % above it, whose bound is tight (both reach their jump over one
-    node).  The sine goes first, and the square wave's bound must still
-    exceed the sine's quotient: a bound 1 % low would skip it."""
+    """Two weight lines: a sine and a square wave 0.5 % above it (both
+    reach their jump over one node).  Both weights have norm 1, so both
+    bounds are the class maxima of the unweighted samples.  The square
+    wave jumps where the sine is flat, so it sets them: the bound is loose
+    for the sine and tight for the square wave.  The sine goes first, and
+    the square wave's bound must still exceed the sine's quotient: a bound
+    1 % low would skip it."""
     evaluator = InterpNormEvaluator(SectorialOperator(np.eye(2)), 0.5)
     sine = np.sin(2 * np.pi * torus_nodes(L, NX) / L)
     # a call before the weights are replaced keeps the old weights' norms;
@@ -578,14 +581,14 @@ def test_pruned_seminorm_visits_a_tight_line_after_a_loose_one():
                                   [[0.0, 0.0], [0.0, 1.0]]])
     assert np.array_equal(evaluator.weight_norms()[0], [1.0, 1.0])
     q_sine = holder_seminorm(SampledFunction(L, sine), 0.5)
-    square = np.where(np.arange(NX) < NX // 2, 1.0, -1.0)
+    # jumps at the sine's extrema, x = L/4 and 3L/4
+    square = np.where((np.arange(NX) - NX // 4) % NX < NX // 2, 1.0, -1.0)
     square *= 1.005 * q_sine / holder_seminorm(SampledFunction(L, square),
                                                0.5)
     f = SampledFunction(L, np.stack([sine, square], axis=1))
     dist = _shift_distance(L, NX) ** 0.5
-    bound = _torus_line_bound(_components(evaluator.weighted(f.values), 0),
-                              dist)
-    assert bound[0] > bound[1] > 1.005 * q_sine > 0.995 * bound[1]
+    bound = _weight_line_bound(f.values, dist, evaluator)
+    assert bound[0] == bound[1] > 1.005 * q_sine > 0.995 * bound[1]
     got = holder_seminorm(f, 0.5, evaluator)
     assert got == _every_line_seminorm(f, 0.5, evaluator)
     assert got > q_sine

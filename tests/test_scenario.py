@@ -518,3 +518,67 @@ def test_reload_same_file_same_g0(tmp_path):
     a = load_scenario(path)
     b = load_scenario(path)
     assert np.array_equal(a.profile().g, b.profile().g)
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("decay_sine", ["g0_table"]),
+    ("coupled_pair", ["g0_table_1", "g0_table_2"])])
+def test_tabulated_profile_loads_as_its_expression(tmp_path, name, keys):
+    """A table of the samples the g0 expression gives loads to the same
+    profile and the same admissibility margin: g0_table for m = 1, one
+    g0_table_<c> per component for m = 2."""
+    path = os.path.join(SCENARIO_DIR, name + ".scn")
+    expr = load_scenario(path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    g0 = next(line for line in text.splitlines() if line.startswith("g0 ="))
+    tables = "\n".join(
+        f"{key} = " + " ".join(map(repr, expr.p0.g[:, c].tolist()))
+        for c, key in enumerate(keys))
+    table = load_scenario(write_scn(tmp_path, text.replace(g0, tables)))
+    assert np.array_equal(table.p0.g, expr.p0.g)
+    assert (table.admissibility_report.margin
+            == expr.admissibility_report.margin)
+
+
+def test_second_run_replaces_the_first(tmp_path):
+    """A second run into the same directory leaves only its own files:
+    no file of the first run, staging directory or -previous sibling."""
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    out = tmp_path / "run_out"
+    run(scn, out_dir=str(out))
+    (out / "notes.txt").write_text("first run", encoding="utf-8")
+    run(scn, mode="diagnose-frozen", out_dir=str(out))
+    assert sorted(os.listdir(out)) == ["frozen_report.json", "manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["mode"] == \
+        "diagnose-frozen"
+    assert sorted(os.listdir(tmp_path)) == ["case.scn", "run_out"]
+
+
+def test_run_file_formats(tmp_path):
+    """The keys of frozen_report.json and coercivity.json and the columns
+    of diagnostics.csv, which come from their report records; coercivity
+    rows are data-major, each datum's mu sweep together."""
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    run(scn, out_dir=str(tmp_path / "evolve"))
+    with open(tmp_path / "evolve" / "diagnostics.csv", encoding="utf-8") as fh:
+        assert fh.readline() == "t,h2alpha,margin,residual,iterations,status\n"
+    run(scn, mode="diagnose-frozen", out_dir=str(tmp_path / "frozen"))
+    frozen = json.loads((tmp_path / "frozen" / "frozen_report.json")
+                        .read_text())
+    assert set(frozen) == {"x0", "mu0", "entries", "c1", "c2",
+                           "ratio_spread", "generates_analytic_semigroup",
+                           "passed"}
+    assert set(frozen["entries"]) == {"O10", "O20", "O30", "O0"}
+    for entry in frozen["entries"].values():
+        assert set(entry) == {"name", "shift", "min_re_raw",
+                              "min_re_shifted", "half_angle", "passed"}
+    run(scn, mode="diagnose-coercivity", out_dir=str(tmp_path / "coer"))
+    coer = json.loads((tmp_path / "coer" / "coercivity.json").read_text())
+    assert set(coer) == {"halfplane", "interior"}
+    for probe in coer.values():
+        assert set(probe) == {"rows", "max_ratio", "mu_spread"}
+        for row in probe["rows"]:
+            assert set(row) == {"mu", "data_index", "lhs", "rhs", "ratio"}
+        assert [(r["data_index"], r["mu"]) for r in probe["rows"]] == [
+            (d, mu) for d in range(3) for mu in (1.0, 2.0, 4.0, 8.0)]
