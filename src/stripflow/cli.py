@@ -5,8 +5,8 @@ the diagnostic modes) and writes an output directory with a manifest;
 `validate` loads a scenario, runs the embedded validation reports and
 prints them without executing anything.
 
-Exit codes: 0 completed, 2 validation failure, 3 breakdown (outputs are
-still written), 4 internal error.
+Exit codes: 0 completed, 2 validation failure or a refused argument, 3
+breakdown (outputs are still written), 4 internal error.
 """
 
 import argparse
@@ -39,6 +39,14 @@ def _apply_thread_cap(deterministic):
     threadpoolctl.threadpool_limits(limits=1)
 
 
+def seed(text):
+    """The --seed argument: a non-negative int (argparse names the type)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stripflow",
@@ -58,7 +66,7 @@ def _build_parser():
                             "BLAS capped to one thread through threadpoolctl "
                             "if installed, else set OMP_NUM_THREADS=1 "
                             "OPENBLAS_NUM_THREADS=1 before the run")
-    run_p.add_argument("--seed", type=int, default=0,
+    run_p.add_argument("--seed", type=seed, default=0,
                        help="seed for randomized diagnostic ensembles")
 
     val_p = sub.add_parser("validate",

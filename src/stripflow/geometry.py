@@ -16,19 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDomainError, EllipticityError
-from .grids import as_inexact, spectral_derivative, torus_nodes, trig_interp
+from .grids import spectral_derivative, trig_interp
+from .holder import SampledFunction
 
 
-class InterfaceProfile:
+class InterfaceProfile(SampledFunction):
     """Periodic interface state: offset nu plus perturbation g.
 
-    The per-component interface height is w = nu + g, an (nx, m) float64
-    attribute that the flattening's coefficients, the boundary weight and
-    the admissibility datum read.  The physical height is the normalized
-    Euclidean length of that value vector,  h(x) = ||w(x)|| / ||ones||,
-    which reduces to w for a single component.  Profiles are real, so the
-    coefficients and the strip solves built from them run in real
-    arithmetic.
+    A profile is the SampledFunction of g, with g_x and g_xx its first two
+    derivatives.  The per-component interface height is w = nu + g, an
+    (nx, m) float64 attribute that the flattening's coefficients, the
+    boundary weight and the admissibility datum read.  The physical height
+    is the normalized Euclidean length of that value vector,
+    h(x) = ||w(x)|| / ||ones||,  which reduces to w for a single component.
+    Profiles are real, so the coefficients and the strip solves built from
+    them run in real arithmetic.
 
     Parameters
     ----------
@@ -37,7 +39,7 @@ class InterfaceProfile:
     L : float
         Torus circumference.
     g : (nx, m) array_like
-        Perturbation samples on ``torus_nodes(L, nx)``, stored as float64:
+        Perturbation samples on ``torus_nodes(L, nx)``, kept as a copy:
         complex samples whose imaginary parts are all exactly zero are real
         input, and a nonzero imaginary part raises EllipticityError.
     h_floor : float
@@ -46,26 +48,16 @@ class InterfaceProfile:
     """
 
     def __init__(self, nu, L, g, h_floor=1e-8):
-        g = as_inexact(g)
-        if g.ndim == 1:
-            g = g[:, None]
-        if g.ndim != 2:
-            raise ValueError(f"g must be (nx,) or (nx, m), got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("profile contains non-finite samples")
-        if np.iscomplexobj(g):
+        # a copy: the caller's array may change after construction
+        super().__init__(L, np.array(g))
+        if np.iscomplexobj(self.values):
             raise EllipticityError(
                 "the strip flattening needs a real profile, and g has "
                 "samples with nonzero imaginary parts")
         if nu <= 0:
             raise ValueError(f"offset nu must be positive, got {nu}")
         self.nu = float(nu)
-        self.L = float(L)
-        self.g = np.array(g, dtype=float)
-        self.nx, self.m = g.shape
-        self.x = torus_nodes(self.L, self.nx)
-        self.g_x = spectral_derivative(self.g, self.L, 1)
-        self.g_xx = spectral_derivative(self.g, self.L, 2)
+        self.g, self.g_x, self.g_xx = map(self.deriv, range(3))
 
         self.w = self.nu + self.g  # value vector of the interface
         scale = np.sqrt(self.m)

@@ -68,14 +68,11 @@ class SampledFunction:
     L : float
         Period of the underlying torus.
     values : (nx, m) array_like
-        Samples at ``torus_nodes(L, nx)``.  A flat (nx,) array is promoted
-        to a single component.
-    derivatives : sequence of (nx, m) arrays
-        The derivatives of orders 1, 2, ... when already computed, as
-        spectral_derivative gives them (an InterfaceProfile's g_x and g_xx).
+        Samples at the nodes ``x = torus_nodes(L, nx)``.  A flat (nx,)
+        array is promoted to a single component.
     """
 
-    def __init__(self, L, values, derivatives=()):
+    def __init__(self, L, values):
         values = as_inexact(values)
         if values.ndim == 1:
             values = values[:, None]
@@ -85,10 +82,9 @@ class SampledFunction:
             raise ValueError("samples contain non-finite entries")
         self.L = float(L)
         self.values = values
-        self.nx = values.shape[0]
-        self.m = values.shape[1]
-        self.grid = torus_nodes(self.L, self.nx)
-        self._derivs = dict(enumerate([values, *derivatives]))
+        self.nx, self.m = values.shape
+        self.x = torus_nodes(self.L, self.nx)
+        self._derivs = {0: values}
 
     def deriv(self, order):
         if order not in self._derivs:
@@ -328,12 +324,9 @@ def graded_trace_norm(values, L, alpha, mu, order):
     The grading matches the solution-side weights of the coercive
     estimates, which is what keeps probe ratios flat in mu.
     """
-    values = as_inexact(values)
-    total = 0.0
-    for j in range(order + 1):
-        dj = spectral_derivative(values, L, j) if j else values
-        total += float(mu) ** (order - j) * trace_xnorm(dj, L, alpha, mu)
-    return total
+    f = SampledFunction(L, values)
+    return sum(float(mu) ** (order - j) * trace_xnorm(f.deriv(j), L, alpha, mu)
+               for j in range(order + 1))
 
 
 def scaled_field_norm(values, y, L, alpha, mu):
@@ -384,10 +377,14 @@ class CoercivityReport:
     mu_spread: float     # max over data of (max ratio over mu)/(min ratio over mu)
 
     @classmethod
-    def from_rows(cls, rows):
-        """The report of rows, kept in data-major order: each datum's mu
+    def from_norms(cls, entries):
+        """The report of (mu, data_index, lhs, rhs) entries, one row each
+        with its ratio lhs / rhs, kept in data-major order: each datum's mu
         sweep together, in the order it was measured."""
-        rows = sorted(rows, key=lambda r: r.data_index)
+        rows = sorted((CoercivityRow(float(mu), data_index, float(lhs),
+                                     float(rhs), float(lhs / rhs))
+                       for mu, data_index, lhs, rhs in entries),
+                      key=lambda r: r.data_index)
         max_ratio = max(r.ratio for r in rows)
         spread = 0.0
         for idx in {r.data_index for r in rows}:

@@ -22,8 +22,8 @@ import scipy.linalg
 from numpy.fft import fft, ifft
 
 from .errors import EllipticityError, SpectralValidationError
-from .grids import torus_wavenumbers
-from .holder import CoercivityReport, CoercivityRow, _graded_probe_norms
+from .grids import torus_nodes, torus_wavenumbers
+from .holder import CoercivityReport, _graded_probe_norms
 from .operator_core import SectorialOperator, matrix_sqrt
 from .strip import StripField
 
@@ -179,7 +179,7 @@ def halfplane_dirichlet_solve(fc, psi, y_grid, L):
     ks = torus_wavenumbers(L, nx)
     stack = transverse_semigroup(fc, -ks, y)                # (nx, ny, m, m)
     u = ifft(np.einsum("kyij,kj->kyi", stack, fft(values, axis=0)), axis=0)
-    return StripField(x=np.arange(nx) * (L / nx), y=y, L=L, values=u)
+    return StripField(x=torus_nodes(L, nx), y=y, L=L, values=u)
 
 
 def strip_trace_gradient_map(fc, eta):
@@ -352,9 +352,6 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):
                       "au": np.einsum("ij,kyj->kyi", A, uh)}
             for name in fields:
                 fields[name] = ifft(fields[name], axis=0)
-            lhs, rhs = _graded_probe_norms(fields, psi.values, A, y, L, alpha,
-                                           mu)
-            rows.append(CoercivityRow(
-                mu=float(mu), data_index=data_index, lhs=float(lhs),
-                rhs=float(rhs), ratio=float(lhs / rhs)))
-    return CoercivityReport.from_rows(rows)
+            rows.append((mu, data_index, *_graded_probe_norms(
+                fields, psi.values, A, y, L, alpha, mu)))
+    return CoercivityReport.from_norms(rows)

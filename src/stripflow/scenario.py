@@ -27,7 +27,7 @@ from .dtn import (DtNOperator, admissibility, frozen_set,
                   localization_residual, sector_report)
 from .errors import (DegenerateDomainError, EllipticityError, ScenarioError)
 from .geometry import InterfaceProfile, ellipticity_floor
-from .grids import random_trace
+from .grids import random_trace, torus_nodes
 from .holder import SampledFunction
 from .model import coercivity_probe_59
 from .operator_core import (SectorialOperator, require_resolved_spectrum,
@@ -226,8 +226,8 @@ FIELDS = {
     # the strip operator squares mu
     ("solve", "mu"): ("real", None, ("nonnegative with a finite square",
                                      lambda v: v >= 0 and np.isfinite(v * v))),
-    # the strip solve accepts a relative residual up to max(100 rtol, 1e-9);
-    # from rtol = 0.01 on that admits the zero solution
+    # the strip solve accepts a relative residual up to strip.gate(rtol) =
+    # max(100 rtol, 1e-9); from rtol = 0.01 on that admits the zero solution
     ("solve", "rtol"): ("real", "1e-11", ("in (0, 0.01)",
                                           lambda v: 0.0 < v < 0.01)),
     ("time", "dt"): ("real", None, _POSITIVE),
@@ -447,7 +447,7 @@ def load_scenario(path):
     except ValueError as exc:
         raise ScenarioError(str(exc), path=path, section="time")
 
-    x = np.arange(nx) * (L / nx)
+    x = torus_nodes(L, nx)
     g0, g0_source = _initial_values(sections["initial"], path, m, nx, L, nu,
                                     x)
 
@@ -575,11 +575,14 @@ def run(scn, mode="evolve", out_dir=None, deterministic=False, seed=0):
     mid-run never leaves a partial result at the advertised path.  The
     target replaces only an earlier run's output: the working directory,
     its ancestors and an existing path with no manifest.json at its top
-    level are refused (ScenarioError) before anything runs.
+    level are refused (ScenarioError) before anything runs, as are an
+    unknown mode and a negative seed (ValueError).
     """
     runner = _RUNNERS.get(mode)
     if runner is None:
         raise ValueError(f"unknown mode {mode!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     target = output_dir(scn, out_dir)
     real = os.path.realpath(target)
     if os.path.commonpath([real, os.getcwd()]) == real:

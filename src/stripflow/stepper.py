@@ -36,9 +36,9 @@ from numpy.fft import irfft, rfft
 
 from .dtn import DtNOperator, operator_for
 from .errors import AdmissibilityError, SolverError
-from .holder import SampledFunction, h2alpha_norm
+from .holder import h2alpha_norm
 from .operator_core import InterpNormEvaluator
-from .strip import gmres
+from .strip import gate, gmres
 
 STATUS_COMPLETED = "Completed"
 STATUS_NORM_BLOWUP = "NormBlowup"
@@ -159,11 +159,11 @@ def _step_core(dtn, dt, precond):
         return np.zeros_like(o_val), 0.0, 0
     sol, its, res = gmres(lambda v: v + dt * dtn.derivative(v), rhs,
                           _STEP_RTOL, min(rhs.size, 60), 3, precond=precond)
-    gate = max(100.0 * _STEP_RTOL, 1e-8)
-    if not res <= gate:                             # NaN-safe comparison
+    limit = gate(_STEP_RTOL)
+    if not res <= limit:                            # NaN-safe comparison
         raise SolverError(
             f"implicit step solve did not converge (relative residual "
-            f"{res:.3e}, gate {gate:.3g})", residual=res, iterations=its)
+            f"{res:.3e}, gate {limit:.3g})", residual=res, iterations=its)
     return sol, res, its
 
 
@@ -209,9 +209,8 @@ def evolve(p0, A, cfg, dtn=None):
         # the norm goes before the margin's K(g)g solve: taken after it,
         # the peak RSS of the near-breakdown benchmark rose from 94 to 98 MB
         # (numpy 2.4, one BLAS thread)
-        p = dtn.profile
-        g = SampledFunction(p.L, p.g, derivatives=(p.g_x, p.g_xx))
-        return {"h2alpha": h2alpha_norm(g, cfg.alpha, evaluator=evaluator),
+        return {"h2alpha": h2alpha_norm(dtn.profile, cfg.alpha,
+                                        evaluator=evaluator),
                 "margin": float(np.min(dtn.margin()))}
 
     norms = diagnose(dtn)

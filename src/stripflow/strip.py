@@ -66,7 +66,7 @@ from .errors import SolverError
 from .geometry import coefficients, require_elliptic
 from .grids import (as_inexact, cheb_lobatto_01, rfft_wavenumbers,
                     spectral_derivative)
-from .holder import CoercivityReport, CoercivityRow, _graded_probe_norms
+from .holder import CoercivityReport, _graded_probe_norms
 
 
 # a factor of the preconditioner whose condition number exceeds this counts
@@ -81,6 +81,11 @@ _SINGULAR_COND = 1e14
 # (3.3e-10 to 4.2e-10)
 _RESTART = 160
 _MAX_CYCLES = 2
+
+
+def gate(rtol):
+    """The largest true relative residual a solve asked for rtol accepts."""
+    return max(100.0 * rtol, 1e-9)
 
 
 def gmres(apply, b, rtol, restart, max_cycles, precond=None, x0=None):
@@ -480,10 +485,11 @@ class DiscreteStripOperator:
 
         One preconditioned gmres of at most _MAX_CYCLES restart cycles asks
         for rtol_gmres = max(rtol, 1e-10); a true residual above
-        max(100 rtol, 1e-9) then raises SolverError at once.  Real data give
-        a real field.  Complex data are solved as their real and imaginary
-        parts, an all-zero part skipped: last_iterations sums the two runs,
-        and last_residual is ||b - A x|| / ||b|| of the complex solution.
+        gate(rtol) = max(100 rtol, 1e-9) then raises SolverError at once.
+        Real data give a real field.  Complex data are solved as their real
+        and imaginary parts, an all-zero part skipped: last_iterations sums
+        the two runs, and last_residual is ||b - A x|| / ||b|| of the
+        complex solution.
 
         start, when given, is an (nx, ny, m) guess of the field: its real
         part starts the run of the real data and its imaginary part that of
@@ -520,8 +526,8 @@ class DiscreteStripOperator:
         res = float(res_norm / b_norm) if b_norm > 0 else 0.0
         self.last_residual = res
         self.last_iterations = its
-        gate = max(100.0 * rtol, 1e-9)
-        if not res <= gate:                         # NaN-safe comparison
+        limit = gate(rtol)
+        if not res <= limit:                        # NaN-safe comparison
             # a22 Dy^2 ~ ny^4/h^2 sets the round-off floor of the apply, so
             # the refusal names ny and the node where the height h = nu + g
             # is least
@@ -529,7 +535,7 @@ class DiscreteStripOperator:
             node = np.argmin(heights)
             raise SolverError(
                 f"strip solve stalled at relative residual {res:.3e} "
-                f"(gate {gate:.3g}) after {its} GMRES iterations; the "
+                f"(gate {limit:.3g}) after {its} GMRES iterations; the "
                 f"smallest height is min(nu + g) = {heights[node]:.3g} at "
                 f"x = {self.profile.x[node]:.4g}, and the round-off floor "
                 f"rises as it falls and as ny = {self.ny} grows "
@@ -571,9 +577,6 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
             fields = {"u": fld.values, "ux": fld.dx(1), "uxx": fld.dx(2),
                       "uxy": fld.dxy(),
                       "uyy": fld.dy(2), "au": fld.values @ op.A_mat.T}
-            lhs, rhs = _graded_probe_norms(fields, psi0, op.A_mat, fld.y,
-                                           fld.L, alpha, mu)
-            rows.append(CoercivityRow(mu=float(mu), data_index=data_index,
-                                      lhs=float(lhs), rhs=float(rhs),
-                                      ratio=float(lhs / rhs)))
-    return CoercivityReport.from_rows(rows)
+            rows.append((mu, data_index, *_graded_probe_norms(
+                fields, psi0, op.A_mat, fld.y, fld.L, alpha, mu)))
+    return CoercivityReport.from_norms(rows)

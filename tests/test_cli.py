@@ -294,6 +294,16 @@ def test_unknown_mode_rejected(tmp_path):
     assert res.returncode == 2
 
 
+def test_negative_seed_is_a_usage_error(tmp_path):
+    """A negative --seed is refused by the argument parser with exit 2,
+    before the scenario is loaded, and nothing is written."""
+    path = write(tmp_path, FAST)
+    res = invoke("run", path, "--mode", "diagnose-coercivity", "--seed", "-10")
+    assert res.returncode == 2, res.stderr
+    assert "--seed: must be non-negative" in res.stderr
+    assert os.listdir(tmp_path) == ["case.scn"]
+
+
 def test_diagnose_frozen_mode(tmp_path):
     path = write(tmp_path, FAST)
     res = invoke("run", path, "--mode", "diagnose-frozen")

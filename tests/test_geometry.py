@@ -15,6 +15,7 @@ from stripflow.geometry import (
 )
 from stripflow.grids import (cheb_lobatto_01, partition_of_unity,
                              spectral_derivative)
+from stripflow.holder import SampledFunction
 
 L = 16 * np.pi
 
@@ -73,6 +74,22 @@ def test_with_g_replaces_profile():
     q = p.with_g(np.zeros_like(p.g))
     assert np.allclose(q.h, 1.0)
     assert q.L == p.L and q.nu == p.nu
+
+
+@pytest.mark.parametrize("m", [None, 1, 2])
+def test_profile_keeps_its_own_copy_of_g(m):
+    """A profile is the SampledFunction of a copy of g: changing the
+    caller's float64 array afterwards changes neither p.g nor p.g_x, the
+    profile's samples and first derivative."""
+    g = 0.1 * np.sin(2 * np.pi * torus_x(32) / L)
+    if m is not None:
+        g = np.tile(g[:, None], (1, m))
+    p = InterfaceProfile(1.0, L, g)
+    assert isinstance(p, SampledFunction)
+    assert p.values is p.g and p.deriv(1) is p.g_x
+    g_was, g_x_was = p.g.copy(), p.g_x.copy()
+    g += 0.5
+    assert np.array_equal(p.g, g_was) and np.array_equal(p.g_x, g_x_was)
 
 
 # ------------------------------------------------------------- coordinate map

@@ -191,7 +191,7 @@ def _check_pair_kernels(nx, ny, m, graded, wave=0.0):
     vals = (rng.standard_normal((nx, m)) + 1j * rng.standard_normal((nx, m))
             + wave * cos_mode(nx)[:, None])
     f = sampled(vals)
-    x = f.grid
+    x = f.x
     d = np.abs(x[:, None] - x[None, :])
     semi = _brute_seminorm(vals, np.minimum(d, L - d), 0.5, evaluator)
     assert holder_seminorm(f, 0.5, evaluator) == pytest.approx(semi, rel=1e-14)
@@ -281,10 +281,10 @@ def test_ck_alpha_norms_are_the_explicit_sums(real, m, graded):
 
 def test_h2alpha_norm_measures_each_derivative_once(monkeypatch):
     """With an evaluator, h2alpha_norm takes the interpolation norms of g,
-    g' and g'' in one of_values call.  A function given the derivatives
-    of a profile (InterfaceProfile computes g_x and g_xx by the same
-    spectral_derivative call) takes none of its own and has the same norm
-    bit for bit."""
+    g' and g'' in one of_values call.  A profile, the SampledFunction of
+    its g whose g_x and g_xx are computed at construction, is measured
+    with no spectral_derivative call of its own and has the norm of a
+    fresh SampledFunction of g bit for bit."""
     evaluator = InterpNormEvaluator(
         SectorialOperator(np.array([[2.0, 0.5], [0.0, 1.0]])), 0.5)
     of_values, calls = evaluator.of_values, []
@@ -299,8 +299,7 @@ def test_h2alpha_norm_measures_each_derivative_once(monkeypatch):
     want = h2alpha_norm(SampledFunction(L, p.g), 0.5, evaluator=evaluator)
     assert calls == [(3, 32, 2)]
     monkeypatch.setattr(holder, "spectral_derivative", None)
-    f = SampledFunction(L, p.g, derivatives=(p.g_x, p.g_xx))
-    assert h2alpha_norm(f, 0.5, evaluator=evaluator) == want
+    assert h2alpha_norm(p, 0.5, evaluator=evaluator) == want
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -414,6 +414,16 @@ def test_run_refuses_a_directory_it_did_not_write(tmp_path):
     assert not [n for n in os.listdir(tmp_path) if n.startswith(".stripflow-")]
 
 
+def test_run_refuses_a_negative_seed(tmp_path):
+    """A negative seed is refused, as an unknown mode is, before any
+    directory is made."""
+    scn = load_scenario(write_scn(tmp_path, MINIMAL))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        run(scn, mode="diagnose-coercivity",
+            out_dir=str(tmp_path / "new" / "out"), seed=-1)
+    assert os.listdir(tmp_path) == ["case.scn"]
+
+
 def test_run_refuses_an_ancestor_of_the_working_directory(tmp_path,
                                                           monkeypatch):
     """The working directory and its ancestors are refused even when they

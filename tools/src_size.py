@@ -7,6 +7,9 @@ line that holds any token besides comments and layout is code, one with only
 a comment is a comment line.  Blank lines inside docstrings count as blank.
 
     python tools/src_size.py [directory]      (default: src)
+
+A path that is not a directory, or one that holds no .py file, is refused
+with exit status 1.
 """
 
 import ast
@@ -56,12 +59,16 @@ def count_file(path):
 
 def main(argv):
     root = argv[1] if len(argv) > 1 else "src"
+    paths = [os.path.join(folder, name)
+             for folder, _, files in sorted(os.walk(root))
+             for name in sorted(files) if name.endswith(".py")]
+    if not paths:
+        # os.walk yields nothing for a file or a missing path
+        sys.exit(f"src_size: {root} is not a directory that holds .py files")
     total = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
-    for folder, _, files in sorted(os.walk(root)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                for kind, n in count_file(os.path.join(folder, name)).items():
-                    total[kind] += n
+    for path in paths:
+        for kind, n in count_file(path).items():
+            total[kind] += n
     print(" ".join(f"{kind}={n}" for kind, n in total.items())
           + f" total={sum(total.values())}")
 
