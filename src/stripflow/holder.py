@@ -44,7 +44,12 @@ maximum, so every norm is that of the pass over every pair, bit for bit.
 
 The coercivity probes of model and strip share their report types and the
 two graded norms they compare, which sit here beside the norms they
-combine.
+combine.  mu enters a datum's norm only through its grading, so each probe
+measures the four (sup, seminorm) pairs of a datum once, before its mu
+sweep (_graded_data_norms), and grades them per mu.  The sup of a strip
+field adds the squares of one component at a time and takes one square
+root (_sup_norm), where a reduction over the short component axis cost
+far more.
 """
 
 from dataclasses import dataclass
@@ -52,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import SpectralValidationError
 from .grids import as_inexact, spectral_derivative, torus_nodes
 
 # torus pair temporaries are built about this many elements (256 KB) at a
@@ -307,26 +313,32 @@ def h1alpha_norm(f, alpha, evaluator=None):
     return _ck_alpha_norm(f, 1, alpha, evaluator)
 
 
-def trace_xnorm(values, L, alpha, mu):
-    """mu-scaled Hölder norm of a periodic trace: sup + mu^(-alpha) seminorm."""
+def trace_parts(values, L, alpha):
+    """(sup, alpha-seminorm) of a periodic trace: the two measurements its
+    mu-scaled norm trace_xnorm combines."""
     f = SampledFunction(L, values)
-    sup = float(np.max(np.linalg.norm(f.values, axis=-1)))
-    mu_eff = max(float(mu), 1.0)
-    return sup + holder_seminorm(f, alpha) / mu_eff ** alpha
+    return (float(np.max(np.linalg.norm(f.values, axis=-1))),
+            holder_seminorm(f, alpha))
 
 
-def graded_trace_norm(values, L, alpha, mu, order):
-    """Parameter-graded data norm: sum of mu^(order-j) weighted derivative norms.
+def trace_xnorm(parts, alpha, mu):
+    """mu-scaled Hölder norm of a periodic trace from its trace_parts:
+    sup + mu^(-alpha) seminorm, mu below 1 taken as 1."""
+    sup, semi = parts
+    return sup + semi / max(float(mu), 1.0) ** alpha
 
-    For Dirichlet data (order 2) this is
-        mu^2 |psi|_{alpha,mu} + mu |psi'|_{alpha,mu} + |psi''|_{alpha,mu},
-    each factor a trace_xnorm; first-order boundary data take order 1.
-    The grading matches the solution-side weights of the coercive
-    estimates, which is what keeps probe ratios flat in mu.
+
+def _sup_norm(field):
+    """Largest Euclidean norm of the (..., m) samples of one field.
+
+    The squares of one component at a time are summed, and one square
+    root is taken, of their maximum: sqrt is monotone and correctly
+    rounded, so this is bit for bit the maximum of np.linalg.norm over the
+    last axis, whose reduction over the short component axis cost most of
+    its time (0.7 against 0.3 ms on six complex 128 x 40 fields at m = 2).
     """
-    f = SampledFunction(L, values)
-    return sum(float(mu) ** (order - j) * trace_xnorm(f.deriv(j), L, alpha, mu)
-               for j in range(order + 1))
+    sq = sum((v.conj() * v).real for v in np.moveaxis(field, -1, 0))
+    return np.sqrt(np.max(sq))
 
 
 def scaled_field_norm(values, y, L, alpha, mu):
@@ -347,7 +359,9 @@ def scaled_field_norm(values, y, L, alpha, mu):
     """
     values = as_inexact(values)
     batch, (nx, ny) = values.shape[:-3], values.shape[-3:-1]
-    sup = np.max(np.linalg.norm(values, axis=-1), axis=(-2, -1))
+    sup = np.reshape([_sup_norm(f) for f in values.reshape(-1, nx, ny,
+                                                           values.shape[-1])],
+                     batch)
     comps = _components(values, -3)                # (C, ..., ny, nx)
     semi = _y_seminorm(comps.reshape(comps.shape[0], -1, ny, nx), y, alpha)
     # x: the (field, y) lines, visited only where the bound can still reach
@@ -380,32 +394,61 @@ class CoercivityReport:
     def from_norms(cls, entries):
         """The report of (mu, data_index, lhs, rhs) entries, one row each
         with its ratio lhs / rhs, kept in data-major order: each datum's mu
-        sweep together, in the order it was measured."""
+        sweep together, in the order it was measured.  A NaN ratio makes
+        max_ratio and mu_spread NaN."""
         rows = sorted((CoercivityRow(float(mu), data_index, float(lhs),
                                      float(rhs), float(lhs / rhs))
                        for mu, data_index, lhs, rhs in entries),
                       key=lambda r: r.data_index)
-        max_ratio = max(r.ratio for r in rows)
-        spread = 0.0
+        spreads = []
         for idx in {r.data_index for r in rows}:
             rs = [r.ratio for r in rows if r.data_index == idx]
-            spread = max(spread, max(rs) / min(rs))
-        return cls(rows=rows, max_ratio=float(max_ratio), mu_spread=float(spread))
+            spreads.append(np.max(rs) / np.min(rs))
+        return cls(rows=rows, max_ratio=float(np.max([r.ratio for r in rows])),
+                   mu_spread=float(np.max(spreads)))
 
 
-def _graded_probe_norms(fields, psi, A, y, L, alpha, mu):
-    """The two sides shared by the coercivity probes.
+def _graded_data_norms(ensemble, A, L, alpha, mu_list):
+    """The mu-graded norms of the Dirichlet data of a coercivity probe,
+    one list per datum with one norm per mu.
 
-    Returns the six-term mu-graded solution norm of the derivative fields
-    (keys u, ux, uxx, uxy, uyy, au) and the norm of the Dirichlet datum
-    psi: Dirichlet data live in the A-graded second-order trace space,
-    mu-graded x-derivatives plus the coupling-operator part, so the ratio
-    carries the same currencies on both sides.
+    Dirichlet data live in the A-graded second-order trace space:
+        mu^2 |psi|_{alpha,mu} + mu |psi'|_{alpha,mu} + |psi''|_{alpha,mu}
+            + |psi A^T|_{alpha,mu},
+    each term a trace_xnorm, mu-graded x-derivatives plus the
+    coupling-operator part, so the probe ratio carries the same currencies
+    on both sides.  The grading matches the solution-side weights of the
+    coercive estimates, which is what keeps probe ratios flat in mu.  mu
+    enters only through the grading, so each datum's four (sup, seminorm)
+    pairs are measured once, before the sweep.  A datum whose norm is not
+    positive and finite at some mu (a zero datum, say) has no ratio, and
+    raises SpectralValidationError naming its index.
     """
+    norms = []
+    for index, psi in enumerate(ensemble):
+        f = SampledFunction(L, psi)
+        parts = [trace_parts(f.deriv(j), L, alpha) for j in range(3)]
+        coupled = trace_parts(psi @ A.T, L, alpha)
+        row = []
+        for mu in mu_list:
+            norm = (sum(float(mu) ** (2 - j) * trace_xnorm(p, alpha, mu)
+                        for j, p in enumerate(parts))
+                    + trace_xnorm(coupled, alpha, mu))
+            if not 0.0 < norm < np.inf:             # NaN-safe comparison
+                raise SpectralValidationError(
+                    f"coercivity probe datum {index} has graded norm "
+                    f"{norm:.3g} at mu = {mu}: the ratio needs a positive, "
+                    f"finite data norm (alpha = {alpha})")
+            row.append(norm)
+        norms.append(row)
+    return norms
+
+
+def _graded_probe_norms(fields, y, L, alpha, mu):
+    """The six-term mu-graded solution norm of the coercivity probes: the
+    derivative fields (keys u, ux, uxx, uxy, uyy, au) measured in one
+    batched scaled_field_norm call and weighted mu^2, mu, 2, 2, 1, 1."""
     names = ("u", "ux", "uxx", "uxy", "uyy", "au")
     norms = scaled_field_norm(np.stack([fields[k] for k in names]), y, L,
                               alpha, mu)
-    lhs = sum(w * n for w, n in zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), norms))
-    data = (graded_trace_norm(psi, L, alpha, mu, order=2)
-            + trace_xnorm(psi @ A.T, L, alpha, mu))
-    return lhs, data
+    return sum(w * n for w, n in zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), norms))

@@ -23,7 +23,8 @@ from numpy.fft import fft, ifft
 
 from .errors import EllipticityError, SpectralValidationError
 from .grids import torus_nodes, torus_wavenumbers
-from .holder import CoercivityReport, _graded_probe_norms
+from .holder import (CoercivityReport, _graded_data_norms,
+                     _graded_probe_norms)
 from .operator_core import SectorialOperator, matrix_sqrt
 from .strip import StripField
 
@@ -209,9 +210,10 @@ def strip_trace_gradient_map(fc, eta):
     return rp @ rm @ (np.eye(fc.dim) - ee) @ np.linalg.inv(rp - rm @ ee)
 
 
-# wavenumbers per stacked solve in strip_profile_response: at m = 2,
-# ny = 33 a block is a 1.1 MB complex stack, where all 128 wavenumbers of
-# the grid at once would hold 8.9 MB
+# wavenumbers per stacked solve in strip_profile_response: a block holds
+# one component's (ny, ny) systems, 0.28 MB complex at ny = 33, where the
+# 65 wavenumbers of a frozen build at nx = 128 would hold 1.1 MB at once;
+# blocks of 16 ran faster than blocks of 33, 64 or 128
 _K_BLOCK = 16
 
 
@@ -222,36 +224,43 @@ def strip_profile_response(fc, eta, sources, Dy):
     at y=0): solves  -a22 u'' - 2i a12 eta u' + A_mu u = s(y)  for each
     source column and returns the stack of u'(0).  For a scalar eta, sources has shape
     (ncols, ny, m) and the result (ncols, m); for an array of wavenumbers
-    both gain the leading shape of eta.  The (ny m)-square systems of
-    _K_BLOCK wavenumbers at a time are stacked and solved together, each
-    factored once for all its columns.
+    both gain the leading shape of eta.
+
+    a12 and a22 are scalars, so the system is kron(P, I_m) + kron(I_ny, A_mu)
+    with P = -a22 Dy^2 - 2i a12 eta Dy, and its boundary rows act per
+    component.  With A = Q T Q^H in complex Schur form (Bartels and
+    Stewart, Comm. ACM 15, 1972) the components of Q^H u decouple into ny-square
+    systems, solved from the last component up:
+        (P + t_cc + mu^2 + eta^2) (Q^H u)_c
+            = (Q^H s)_c - sum_{d > c} t_cd (Q^H u)_d.
+    The systems of _K_BLOCK wavenumbers at a time are stacked and solved
+    together, each factored once for all its columns.  At m = 1, Q = 1 and
+    T = A.
     """
     eta = np.asarray(eta, dtype=float)
     etas = eta.reshape(-1)
-    sources = np.asarray(sources, dtype=complex)
+    T, Q = scipy.linalg.schur(fc.A.entries, output="complex")
+    sources = np.asarray(sources, dtype=complex) @ Q.conj()
     ncols, ny, m = sources.shape[-3:]
-    rhs_all = sources.reshape(etas.size, ncols, ny * m).transpose(0, 2, 1)
-    eyem = np.eye(m)
+    rhs_all = sources.reshape(etas.size, ncols, ny, m).transpose(0, 2, 3, 1)
     d2 = -fc.a22 * (Dy @ Dy)
-    neumann = np.kron(Dy[-1], eyem)
-    nodes = np.arange(ny)
+    inner = np.arange(1, ny - 1)
     out = np.empty((etas.size, ncols, m), dtype=complex)
     for s in range(0, etas.size, _K_BLOCK):
         e = etas[s:s + _K_BLOCK]
-        # kron(d2 - 2i a12 eta Dy, I_m) + kron(I_ny, A_mu), filled in place
-        big = np.zeros((e.size, ny, m, ny, m), dtype=complex)
-        for c in range(m):
-            big[:, :, c, :, c] = d2 - (2j * fc.a12 * e)[:, None, None] * Dy
-        big[:, nodes, :, nodes, :] += fc.a_mu(e)
-        big = big.reshape(e.size, ny * m, ny * m)
-        big[:, :m] = 0.0
-        big[:, :m, :m] = eyem                # Dirichlet at the interface node
-        big[:, -m:] = neumann                # Neumann at the bottom node
-        rhs = rhs_all[s:s + _K_BLOCK].copy()
-        rhs[:, :m] = 0.0
-        rhs[:, -m:] = 0.0
-        w = np.linalg.solve(big, rhs).reshape(e.size, ny, m, ncols)
-        out[s:s + _K_BLOCK] = np.einsum("l,blcn->bnc", Dy[0], w)
+        p = d2 - (2j * fc.a12 * e)[:, None, None] * Dy
+        p[:, 0] = 0.0
+        p[:, 0, 0] = 1.0                     # Dirichlet at the interface node
+        p[:, -1] = Dy[-1]                    # Neumann at the bottom node
+        w = rhs_all[s:s + _K_BLOCK].copy()   # (block, ny, m, ncols)
+        w[:, [0, -1]] = 0.0
+        for c in reversed(range(m)):
+            for d in range(c + 1, m):
+                w[:, 1:-1, c] -= T[c, d] * w[:, 1:-1, d]
+            big = p.copy()
+            big[:, inner, inner] += (T[c, c] + (fc.mu ** 2 + e ** 2))[:, None]
+            w[:, :, c] = np.linalg.solve(big, w[:, :, c])
+        out[s:s + _K_BLOCK] = np.einsum("l,blcn->bnc", Dy[0], w) @ Q.T
     return out.reshape(eta.shape + (ncols, m))
 
 
@@ -329,11 +338,13 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):
     if any(psi.L != L or psi.values.shape[0] != nx for psi in psi_ensemble):
         raise ValueError("coercivity probe data must share one torus grid")
     A = fc.A.entries
+    data_norms = _graded_data_norms([psi.values for psi in psi_ensemble], A,
+                                    L, alpha, mu_list)
     ks = torus_wavenumbers(L, nx)
     ik = 1j * ks[:, None, None]
     rows = []
     # the mode stacks of one mu at a time, shared by every datum
-    for mu in mu_list:
+    for mu_index, mu in enumerate(mu_list):
         fcm = fc.with_mu(mu)
         y = np.linspace(0.0, default_depth(fcm), 40)
         lam = decay_generator(fcm, -ks).Lambda               # (nx, m, m)
@@ -352,6 +363,7 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):
                       "au": np.einsum("ij,kyj->kyi", A, uh)}
             for name in fields:
                 fields[name] = ifft(fields[name], axis=0)
-            rows.append((mu, data_index, *_graded_probe_norms(
-                fields, psi.values, A, y, L, alpha, mu)))
+            rows.append((mu, data_index,
+                         _graded_probe_norms(fields, y, L, alpha, mu),
+                         data_norms[data_index][mu_index]))
     return CoercivityReport.from_norms(rows)

@@ -522,14 +522,24 @@ def export(traj, out_dir):
         cols += [f"g{c + 1}_re", f"g{c + 1}_im"]
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
+        # the x column and the all-zero imaginary parts repeat from row to
+        # row of a profile and from profile to profile: each distinct
+        # column is formatted once, kept under its bytes for the next
+        # profile only
+        previous = {}
         for t, prof in zip(traj.times, traj.profiles):
-            # repr of a Python float is _fmt of the numpy scalar
-            columns = [prof.x.tolist()]
-            for c in range(m):
-                columns += [prof.g[:, c].real.tolist(),
-                            prof.g[:, c].imag.tolist()]
+            current, columns = {}, []
+            for col in (prof.x, *(part for c in range(m) for part in
+                                  (prof.g[:, c].real, prof.g[:, c].imag))):
+                key = col.tobytes()
+                if key not in current:
+                    # repr of a Python float is _fmt of the numpy scalar
+                    current[key] = (previous.get(key)
+                                    or list(map(repr, col.tolist())))
+                columns.append(current[key])
+            previous = current
             t_s = _fmt(t)
-            fh.writelines(",".join([t_s, *map(repr, row)]) + "\n"
+            fh.writelines(",".join([t_s, *row]) + "\n"
                           for row in zip(*columns))
     # one column per DiagnosticsRow field, formatted by its declared type
     diag_path = os.path.join(out_dir, "diagnostics.csv")

@@ -7,6 +7,7 @@ import stripflow.holder as holder
 from stripflow.geometry import InterfaceProfile
 from stripflow.grids import cheb_lobatto_01, random_trace, torus_nodes
 from stripflow.holder import (
+    CoercivityReport,
     SampledFunction,
     _components,
     _pair_sq,
@@ -18,7 +19,7 @@ from stripflow.holder import (
     holder_seminorm,
     scaled_field_norm,
     spectral_derivative,
-    trace_xnorm,
+    trace_parts,
 )
 from stripflow.operator_core import InterpNormEvaluator, SectorialOperator
 
@@ -318,8 +319,8 @@ def test_real_samples_measure_as_their_complex_cast(m, graded):
     fc = SampledFunction(L, vals.astype(complex))
     fc._derivs = {k: f.deriv(k).astype(complex) for k in range(3)}
     assert h2alpha_norm(f, 0.5, evaluator) == h2alpha_norm(fc, 0.5, evaluator)
-    assert (trace_xnorm(vals, L, 0.5, 4.0)
-            == trace_xnorm(vals.astype(complex), L, 0.5, 4.0))
+    assert (trace_parts(vals, L, 0.5)
+            == trace_parts(vals.astype(complex), L, 0.5))
     fields = rng.standard_normal((2, 32, 9, m))
     y = np.linspace(0.0, 1.0, 9)
     assert np.array_equal(scaled_field_norm(fields, y, L, 0.5, 4.0),
@@ -618,3 +619,29 @@ def test_nan_field_drops_out_of_the_pruning_rounds(monkeypatch):
     assert sum(rounds) - clean_rounds <= clean_rounds
     assert np.isnan(got[2])
     assert np.array_equal(np.delete(got, 2), np.delete(clean, 2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_sup_norm_is_the_largest_euclidean_norm(m, real):
+    """The sup of scaled_field_norm, one component square at a time and one
+    square root, equals the largest np.linalg.norm bit for bit, over
+    samples spanning many binades."""
+    rng = np.random.default_rng(40 + m)
+    shape = (6, 32, 9, m)
+    fields = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    if not real:
+        fields = fields + 1j * rng.standard_normal(shape)
+    for f in fields:
+        assert holder._sup_norm(f) == np.max(np.linalg.norm(f, axis=-1))
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_nan_ratio_makes_the_report_nan(nan_first):
+    """A NaN ratio, wherever it sits in its datum's sweep, makes max_ratio
+    and mu_spread NaN instead of dropping out of a Python max."""
+    nan_row, row = (1.0, 1, np.nan, 1.0), (2.0, 1, 1.0, 1.0)
+    entries = [(1.0, 0, 1.0, 1.0), (2.0, 0, 1.2, 1.0),
+               *((nan_row, row) if nan_first else (row, nan_row))]
+    rep = CoercivityReport.from_norms(entries)
+    assert np.isnan(rep.max_ratio) and np.isnan(rep.mu_spread)

@@ -8,6 +8,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from numpy.fft import fft, ifft
 
+import stripflow.holder as holder
 import stripflow.model as model
 from conftest import make_profile, tail_ratios
 from stripflow.dtn import DtNOperator
@@ -16,7 +17,7 @@ from stripflow.geometry import coefficient_derivatives
 from stripflow.grids import (cheb_lobatto_01, spectral_derivative,
                              torus_wavenumbers)
 from stripflow.holder import (SampledFunction, _graded_probe_norms,
-                              scaled_field_norm)
+                              holder_seminorm, scaled_field_norm)
 from stripflow.model import (
     FrozenCoefficients,
     _mode_exponents,
@@ -32,6 +33,7 @@ from stripflow.model import (
     transverse_semigroup,
 )
 from stripflow.operator_core import SectorialOperator
+from stripflow.strip import DiscreteStripOperator, coercivity_probe_33
 
 L = 16 * np.pi
 
@@ -258,9 +260,7 @@ def test_graded_probe_norms_batch_matches_single_fields(rng):
     names = ("u", "ux", "uxx", "uxy", "uyy", "au")
     fields = {k: rng.standard_normal((nx, ny, m))
               + 1j * rng.standard_normal((nx, ny, m)) for k in names}
-    psi = rng.standard_normal((nx, m)).astype(complex)
-    A = np.array([[2.0, 0.5], [0.0, 1.0]])
-    lhs, _ = _graded_probe_norms(fields, psi, A, y, L, alpha, mu)
+    lhs = _graded_probe_norms(fields, y, L, alpha, mu)
     single = [scaled_field_norm(fields[k], y, L, alpha, mu) for k in names]
     expected = sum(w * n for w, n in
                    zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), single))
@@ -358,6 +358,20 @@ def test_batched_mode_kernels_match_per_k_formulas(name, rng):
     assert_rel_close(strip_profile_response(fc, ks, sources, Dy), expected)
 
 
+def ref_data_norm(psi, A, L, alpha, mu):
+    """The graded norm of the Dirichlet datum psi at one mu, its four
+    mu-scaled trace norms (sup + mu^(-alpha) seminorm) measured afresh."""
+    f = SampledFunction(L, psi)
+
+    def xnorm(values):
+        sup = float(np.max(np.linalg.norm(values, axis=-1)))
+        semi = holder_seminorm(SampledFunction(L, values), alpha)
+        return sup + semi / max(float(mu), 1.0) ** alpha
+
+    return (sum(float(mu) ** (2 - j) * xnorm(f.deriv(j)) for j in range(3))
+            + xnorm(psi @ A.T))
+
+
 def ref_probe_59_rows(fc, ensemble, mu_list, alpha=0.5, ny=40):
     """coercivity_probe_59 one datum, one mu and one wavenumber at a time."""
     A = fc.A.entries
@@ -382,8 +396,9 @@ def ref_probe_59_rows(fc, ensemble, mu_list, alpha=0.5, ny=40):
                 fields["uyy"][i] = stack @ lam @ lam @ psi_hat[i]
                 fields["au"][i] = uh @ A.T
             fields = {name: ifft(v, axis=0) for name, v in fields.items()}
-            rows.append((mu, data_index) + _graded_probe_norms(
-                fields, psi.values, A, y, psi.L, alpha, mu))
+            rows.append((mu, data_index,
+                         _graded_probe_norms(fields, y, psi.L, alpha, mu),
+                         ref_data_norm(psi.values, A, psi.L, alpha, mu)))
     return rows
 
 
@@ -408,6 +423,112 @@ def test_batched_probe_59_matches_per_k_loop(name, rng):
     for r, (_, _, lhs, rhs) in zip(rep.rows, expected):
         assert r.lhs == pytest.approx(lhs, rel=1e-12)
         assert r.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def smooth_data(rng, nx, m, real):
+    """Band-limited samples on the torus grid, real or complex."""
+    hat = np.zeros((nx, m), dtype=complex)
+    hat[1:6] = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+    vals = 0.2 * ifft(hat, axis=0)
+    return vals.real.copy() if real else vals
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_probe_data_norms_are_measured_once_per_datum(m, real, monkeypatch):
+    """Each probe measures a datum's four (sup, seminorm) pairs once, in 4
+    holder_seminorm calls, and grades them per mu: every row's data norm
+    equals, bit for bit, the norm measured afresh at its mu."""
+    rng = np.random.default_rng(20 + m)
+    nx, mu_list = 32, (0.5, 1.0, 3.0)
+    A = SectorialOperator(np.array(COUPLINGS["coupled" if m == 2 else "m1"]))
+    data = [smooth_data(rng, nx, m, real) for _ in range(3)]
+    calls = []
+    seminorm = holder.holder_seminorm
+    monkeypatch.setattr(holder, "holder_seminorm",
+                        lambda *args: calls.append(args) or seminorm(*args))
+    reports = [
+        coercivity_probe_59(FrozenCoefficients(0.12, 1.3, A, 0.0),
+                            [SampledFunction(L, v) for v in data], mu_list),
+        coercivity_probe_33(make_profile(nx=nx, m=m), A, mu_list,
+                            [(None, v, None) for v in data], ny=9)]
+    assert len(calls) == 2 * 4 * len(data)
+    for rep in reports:
+        assert len(rep.rows) == len(mu_list) * len(data)
+        for r in rep.rows:
+            assert r.rhs == ref_data_norm(data[r.data_index], A.entries, L,
+                                          0.5, r.mu)
+
+
+def test_probes_refuse_a_zero_datum(monkeypatch):
+    """A zero datum has no ratio: both probes refuse it, naming its index,
+    before any solve."""
+    nx = 32
+    A = SectorialOperator(np.array([[1.0]]))
+    smooth = smooth_data(np.random.default_rng(2), nx, 1, False)
+    zero = np.zeros((nx, 1))
+    with pytest.raises(SpectralValidationError, match="datum 0"):
+        coercivity_probe_59(FrozenCoefficients(0.12, 1.3, A, 0.0),
+                            [SampledFunction(L, zero),
+                             SampledFunction(L, smooth)], (1.0, 2.0))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the data were measured")
+
+    monkeypatch.setattr(DiscreteStripOperator, "solve", no_solve)
+    with pytest.raises(SpectralValidationError, match="datum 1"):
+        coercivity_probe_33(make_profile(nx=nx), A, (1.0, 2.0),
+                            [(None, smooth, None), (None, zero, None)], ny=9)
+
+
+def kron_profile_response(fc, eta, sources, Dy, block=16):
+    """strip_profile_response as one coupled (ny m)-square system
+    kron(P, I_m) + kron(I_ny, A_mu) per wavenumber, block wavenumbers
+    stacked at a time: the reference of the Schur components."""
+    eta = np.asarray(eta, dtype=float)
+    etas = eta.reshape(-1)
+    sources = np.asarray(sources, dtype=complex)
+    ncols, ny, m = sources.shape[-3:]
+    rhs_all = sources.reshape(etas.size, ncols, ny * m).transpose(0, 2, 1)
+    eyem = np.eye(m)
+    d2 = -fc.a22 * (Dy @ Dy)
+    neumann = np.kron(Dy[-1], eyem)
+    nodes = np.arange(ny)
+    out = np.empty((etas.size, ncols, m), dtype=complex)
+    for s in range(0, etas.size, block):
+        e = etas[s:s + block]
+        big = np.zeros((e.size, ny, m, ny, m), dtype=complex)
+        for c in range(m):
+            big[:, :, c, :, c] = d2 - (2j * fc.a12 * e)[:, None, None] * Dy
+        big[:, nodes, :, nodes, :] += fc.a_mu(e)
+        big = big.reshape(e.size, ny * m, ny * m)
+        big[:, :m] = 0.0
+        big[:, :m, :m] = eyem
+        big[:, -m:] = neumann
+        rhs = rhs_all[s:s + block].copy()
+        rhs[:, :m] = 0.0
+        rhs[:, -m:] = 0.0
+        w = np.linalg.solve(big, rhs).reshape(e.size, ny, m, ncols)
+        out[s:s + block] = np.einsum("l,blcn->bnc", Dy[0], w)
+    return out.reshape(eta.shape + (ncols, m))
+
+
+@pytest.mark.parametrize("name", sorted(COUPLINGS))
+def test_profile_response_matches_the_kron_systems(name, rng):
+    """The Schur components of strip_profile_response at ny = 33 against
+    the coupled kron systems: bit for bit at m = 1, where Q = 1 and T = A,
+    and within 1e-10 relative for the coupled and the defective A."""
+    fc = coupling_fc(name)
+    ks = torus_wavenumbers(L, 64)
+    _, Dy = cheb_lobatto_01(33)
+    sources = (rng.standard_normal((ks.size, 2, 33, fc.dim))
+               + 1j * rng.standard_normal((ks.size, 2, 33, fc.dim)))
+    got = strip_profile_response(fc, ks, sources, Dy)
+    want = kron_profile_response(fc, ks, sources, Dy)
+    if fc.dim == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert_rel_close(got, want, rel=1e-10)
 
 
 def ref_frozen_symbols(dtn, i0):
