@@ -15,11 +15,11 @@ from .errors import (AdmissibilityError, DegenerateDomainError,
                      SolverError, SpectralValidationError, StripflowError)
 from .operator_core import (PositivityReport, SectorialOperator, matrix_sqrt,
                             validate_sectorial)
-from .holder import (SampledFunction, h1alpha_norm, h2alpha_norm,
-                     holder_seminorm)
+from .holder import (CoercivityReport, SampledFunction, h1alpha_norm,
+                     h2alpha_norm, holder_seminorm)
 from .geometry import (InterfaceProfile, TransformedCoefficients, coefficients,
                        ellipticity_floor, map_forward, map_inverse)
-from .model import (CoercivityReport, DecayGenerator, FrozenCoefficients,
+from .model import (DecayGenerator, FrozenCoefficients,
                     MultiplierDecayReport, coercivity_probe_59,
                     decay_generator, halfplane_dirichlet_solve,
                     multiplier_profiles, transverse_semigroup)

@@ -530,8 +530,11 @@ def localization_residual(profile, A, delta, direction, mu=4.0, ny=33,
     dominated by the commutator with phi_j, which grows as patches shrink).
     dtn is as in operator_for.  d_op, when given, is
     dtn.derivative(direction) already computed; it does not depend on
-    delta, so a sweep over delta solves for it once.
+    delta, so a sweep over delta solves for it once.  A delta that is not
+    positive and finite raises ValueError.
     """
+    if not 0.0 < delta < np.inf:                    # NaN-safe comparison
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     p = profile
     direction = _as_direction(p, direction)
     n_pieces = max(1, int(round(1.0 / delta)))

@@ -42,14 +42,17 @@ maximum, so every norm is that of the pass over every pair, bit for bit.
   gives for every weight.  A single line (no evaluator) takes the exact
   pass at once.
 
-The coercivity probes of model and strip share their report types and the
-two graded norms they compare, which sit here beside the norms they
-combine.  mu enters a datum's norm only through its grading, so each probe
-measures the four (sup, seminorm) pairs of a datum once, before its mu
-sweep (_graded_data_norms), and grades them per mu.  The sup of a strip
-field adds the squares of one component at a time and takes one square
-root (_sup_norm), where a reduction over the short component axis cost
-far more.
+The coercivity probes of model and strip share one sweep (_probe_report),
+which sits here beside the norms it combines: a probe hands it the data
+and a generator of its solution fields, and the sweep holds the input
+rules, the graded data norms, the six field weights and the report.  mu
+enters a datum's norm only through its grading, so the sweep measures the
+four (sup, seminorm) pairs of a datum once, before the first solve, and
+grades them per mu.  The grading sup + seminorm / max(mu, 1)^alpha is
+written once, in trace_xnorm.  The sup of a trace or a strip field adds
+the squares of one component at a time and takes one square root
+(_sup_norm), where a reduction over the short component axis cost far
+more.
 """
 
 from dataclasses import dataclass
@@ -317,13 +320,13 @@ def trace_parts(values, L, alpha):
     """(sup, alpha-seminorm) of a periodic trace: the two measurements its
     mu-scaled norm trace_xnorm combines."""
     f = SampledFunction(L, values)
-    return (float(np.max(np.linalg.norm(f.values, axis=-1))),
-            holder_seminorm(f, alpha))
+    return float(_sup_norm(f.values)), holder_seminorm(f, alpha)
 
 
 def trace_xnorm(parts, alpha, mu):
-    """mu-scaled Hölder norm of a periodic trace from its trace_parts:
-    sup + mu^(-alpha) seminorm, mu below 1 taken as 1."""
+    """mu-scaled Hölder norm sup + mu^(-alpha) seminorm from its parts
+    (sup, seminorm), mu below 1 taken as 1: of a periodic trace from its
+    trace_parts, or of the strip fields of scaled_field_norm."""
     sup, semi = parts
     return sup + semi / max(float(mu), 1.0) ** alpha
 
@@ -371,8 +374,7 @@ def scaled_field_norm(values, y, L, alpha, mu):
     bound = _torus_line_bound(lines, dist).reshape(-1, ny)
     _prune_rounds(bound, semi, lambda rows, cols: _torus_line_quotient(
         lines[:, rows * ny + cols], dist))
-    mu_eff = max(float(mu), 1.0)
-    return sup + semi.reshape(batch) / mu_eff ** alpha
+    return trace_xnorm((sup, semi.reshape(batch)), alpha, mu)
 
 
 @dataclass
@@ -408,9 +410,9 @@ class CoercivityReport:
                    mu_spread=float(np.max(spreads)))
 
 
-def _graded_data_norms(ensemble, A, L, alpha, mu_list):
-    """The mu-graded norms of the Dirichlet data of a coercivity probe,
-    one list per datum with one norm per mu.
+def _probe_report(data, A, L, alpha, mu_list, solutions):
+    """The CoercivityReport of a coercivity probe of the (nx, m) Dirichlet
+    data on the torus of period L.
 
     Dirichlet data live in the A-graded second-order trace space:
         mu^2 |psi|_{alpha,mu} + mu |psi'|_{alpha,mu} + |psi''|_{alpha,mu}
@@ -420,35 +422,45 @@ def _graded_data_norms(ensemble, A, L, alpha, mu_list):
     on both sides.  The grading matches the solution-side weights of the
     coercive estimates, which is what keeps probe ratios flat in mu.  mu
     enters only through the grading, so each datum's four (sup, seminorm)
-    pairs are measured once, before the sweep.  A datum whose norm is not
-    positive and finite at some mu (a zero datum, say) has no ratio, and
-    raises SpectralValidationError naming its index.
+    pairs are measured once and graded per mu.
+
+    solutions yields (y, fields) per (mu, datum), mu-major: fields is the
+    (6, nx, ny, m) stack u, u_x, u_xx, u_xy, u_yy, u A^T of the datum's
+    solution at mu on the depths y, measured in one scaled_field_norm call
+    and weighted mu^2, mu, 2, 2, 1, 1.  It is drawn one (mu, datum) at a
+    time, after every datum is measured.  An empty data or mu_list, or a
+    mu that is not nonnegative and finite, raises ValueError, and a datum
+    whose norm is not positive and finite at some mu (a zero datum, say)
+    has no ratio and raises SpectralValidationError naming its index, both
+    before the first solution is drawn.
     """
-    norms = []
-    for index, psi in enumerate(ensemble):
+    if (len(data) == 0 or len(mu_list) == 0
+            or not all(0.0 <= mu < np.inf for mu in mu_list)):  # NaN-safe
+        raise ValueError(
+            f"a coercivity probe needs a datum and nonnegative, finite mu, "
+            f"got {len(data)} data and mu_list = {mu_list}")
+    data_norms = []
+    for index, psi in enumerate(data):
         f = SampledFunction(L, psi)
-        parts = [trace_parts(f.deriv(j), L, alpha) for j in range(3)]
-        coupled = trace_parts(psi @ A.T, L, alpha)
+        parts = [trace_parts(v, L, alpha)
+                 for v in (f.deriv(0), f.deriv(1), f.deriv(2), psi @ A.T)]
         row = []
         for mu in mu_list:
-            norm = (sum(float(mu) ** (2 - j) * trace_xnorm(p, alpha, mu)
-                        for j, p in enumerate(parts))
-                    + trace_xnorm(coupled, alpha, mu))
+            norm = sum(w * trace_xnorm(p, alpha, mu) for w, p in
+                       zip((float(mu) ** 2, float(mu), 1.0, 1.0), parts))
             if not 0.0 < norm < np.inf:             # NaN-safe comparison
                 raise SpectralValidationError(
                     f"coercivity probe datum {index} has graded norm "
                     f"{norm:.3g} at mu = {mu}: the ratio needs a positive, "
                     f"finite data norm (alpha = {alpha})")
             row.append(norm)
-        norms.append(row)
-    return norms
-
-
-def _graded_probe_norms(fields, y, L, alpha, mu):
-    """The six-term mu-graded solution norm of the coercivity probes: the
-    derivative fields (keys u, ux, uxx, uxy, uyy, au) measured in one
-    batched scaled_field_norm call and weighted mu^2, mu, 2, 2, 1, 1."""
-    names = ("u", "ux", "uxx", "uxy", "uyy", "au")
-    norms = scaled_field_norm(np.stack([fields[k] for k in names]), y, L,
-                              alpha, mu)
-    return sum(w * n for w, n in zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), norms))
+        data_norms.append(row)
+    entries = []
+    for mu, rhs_row in zip(mu_list, zip(*data_norms)):
+        for index, rhs in enumerate(rhs_row):
+            y, fields = next(solutions)
+            norms = scaled_field_norm(fields, y, L, alpha, mu)
+            lhs = sum(w * n for w, n in zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0),
+                                            norms))
+            entries.append((mu, index, lhs, rhs))
+    return CoercivityReport.from_norms(entries)

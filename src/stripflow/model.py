@@ -23,8 +23,7 @@ from numpy.fft import fft, ifft
 
 from .errors import EllipticityError, SpectralValidationError
 from .grids import torus_nodes, torus_wavenumbers
-from .holder import (CoercivityReport, _graded_data_norms,
-                     _graded_probe_norms)
+from .holder import _probe_report
 from .operator_core import SectorialOperator, matrix_sqrt
 from .strip import StripField
 
@@ -133,37 +132,27 @@ def decay_generator(fc, eta):
     return DecayGenerator(lam)
 
 
-class _ModeExp:
-    """Eigendecomposition-backed evaluation of exp(-Lambda y) over many y.
-
-    lam is one matrix or a (..., m, m) stack.  A matrix whose eigenvector
-    matrix has condition 1e10 or more goes through expm instead.
-    """
-
-    def __init__(self, lam):
-        self.shape = lam.shape[:-2]
-        self.lam = lam.reshape(-1, *lam.shape[-2:])
-        w, V = np.linalg.eig(self.lam)
-        self.ok = np.linalg.cond(V) < 1e10
-        self.w, self.V = w[self.ok], V[self.ok]
-        self.Vinv = np.linalg.inv(self.V)
-
-    def at(self, y_arr):
-        """exp(-Lambda y) stacked as lam.shape[:-2] + (ny, m, m)."""
-        y_arr = np.atleast_1d(np.asarray(y_arr, dtype=float))
-        nk, m, _ = self.lam.shape
-        out = np.empty((nk, y_arr.size, m, m), dtype=complex)
-        ex = np.exp(-(y_arr[None, :, None] * self.w[:, None, :]))
-        out[self.ok] = np.einsum("kij,kyj,kjl->kyil", self.V, ex, self.Vinv)
-        if not self.ok.all():
-            out[~self.ok] = scipy.linalg.expm(
-                -y_arr[None, :, None, None] * self.lam[~self.ok][:, None])
-        return out.reshape(self.shape + out.shape[1:])
+def _mode_exp(lam, y):
+    """exp(-Lambda y) over the depths y, for one matrix or a (..., m, m)
+    stack lam, stacked as lam.shape[:-2] + (ny, m, m).  Each matrix goes
+    through its eigendecomposition, or through expm when its eigenvector
+    matrix has condition 1e10 or more."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    flat = lam.reshape(-1, *lam.shape[-2:])
+    w, V = np.linalg.eig(flat)
+    ok = np.linalg.cond(V) < 1e10
+    out = np.empty((flat.shape[0], y.size) + flat.shape[1:], dtype=complex)
+    ex = np.exp(-(y[None, :, None] * w[ok][:, None, :]))
+    out[ok] = np.einsum("kij,kyj,kjl->kyil", V[ok], ex, np.linalg.inv(V[ok]))
+    if not ok.all():
+        out[~ok] = scipy.linalg.expm(
+            -y[None, :, None, None] * flat[~ok][:, None])
+    return out.reshape(lam.shape[:-2] + out.shape[1:])
 
 
 def transverse_semigroup(fc, eta, y_arr):
     """N(eta, y) = exp(-Lambda(eta) y), stacked as eta.shape + (ny, m, m)."""
-    return _ModeExp(decay_generator(fc, eta).Lambda).at(y_arr)
+    return _mode_exp(decay_generator(fc, eta).Lambda, y_arr)
 
 
 def halfplane_dirichlet_solve(fc, psi, y_grid, L):
@@ -200,13 +189,13 @@ def strip_trace_gradient_map(fc, eta):
     does not need the -eta bridge; the formula is written directly for modes
     e^{+i eta x}).  eta is a scalar or an array of wavenumbers; the maps
     are stacked as eta.shape + (m, m).  EE is exp(-(rho+ - rho-)) from
-    _ModeExp: the eigendecomposition where it is well conditioned, expm
+    _mode_exp: the eigendecomposition where it is well conditioned, expm
     otherwise.  The frozen sets evaluate the map at eta >= 0 only, since
     the map at -eta is the conjugate of the one at eta (see
     DtNOperator._build_frozen_set).
     """
     _, rp, rm = _mode_exponents(fc, eta)
-    ee = _ModeExp(rp - rm).at(1.0)[..., 0, :, :]
+    ee = _mode_exp(rp - rm, 1.0)[..., 0, :, :]
     return rp @ rm @ (np.eye(fc.dim) - ee) @ np.linalg.inv(rp - rm @ ee)
 
 
@@ -334,36 +323,32 @@ def coercivity_probe_59(fc, psi_ensemble, mu_list, alpha=0.5):
     flat case, so the graded norms are the meaningful discretization of the
     estimate.
     """
-    L, nx = psi_ensemble[0].L, psi_ensemble[0].values.shape[0]
-    if any(psi.L != L or psi.values.shape[0] != nx for psi in psi_ensemble):
+    L = psi_ensemble[0].L if len(psi_ensemble) else None
+    if any(psi.L != L or psi.nx != psi_ensemble[0].nx for psi in psi_ensemble):
         raise ValueError("coercivity probe data must share one torus grid")
     A = fc.A.entries
-    data_norms = _graded_data_norms([psi.values for psi in psi_ensemble], A,
-                                    L, alpha, mu_list)
-    ks = torus_wavenumbers(L, nx)
-    ik = 1j * ks[:, None, None]
-    rows = []
-    # the mode stacks of one mu at a time, shared by every datum
-    for mu_index, mu in enumerate(mu_list):
-        fcm = fc.with_mu(mu)
-        y = np.linspace(0.0, default_depth(fcm), 40)
-        lam = decay_generator(fcm, -ks).Lambda               # (nx, m, m)
-        stack = _ModeExp(lam).at(y)                          # (nx, ny, m, m)
-        for data_index, psi in enumerate(psi_ensemble):
-            psi_hat = fft(psi.values, axis=0)
-            # d/dy brings down -Lambda: N Lambda psi_hat and N Lambda^2 psi_hat
-            lam_psi = np.einsum("kij,kj->ki", lam, psi_hat)
-            lam2_psi = np.einsum("kij,kj->ki", lam, lam_psi)
-            uh = np.einsum("kyij,kj->kyi", stack, psi_hat)
-            fields = {"u": uh,
-                      "ux": ik * uh,
-                      "uxx": -(ks ** 2)[:, None, None] * uh,
-                      "uxy": -ik * np.einsum("kyij,kj->kyi", stack, lam_psi),
-                      "uyy": np.einsum("kyij,kj->kyi", stack, lam2_psi),
-                      "au": np.einsum("ij,kyj->kyi", A, uh)}
-            for name in fields:
-                fields[name] = ifft(fields[name], axis=0)
-            rows.append((mu, data_index,
-                         _graded_probe_norms(fields, y, L, alpha, mu),
-                         data_norms[data_index][mu_index]))
-    return CoercivityReport.from_norms(rows)
+
+    def solutions():
+        ks = torus_wavenumbers(L, psi_ensemble[0].nx)
+        ik = 1j * ks[:, None, None]
+        psi_hats = [fft(psi.values, axis=0) for psi in psi_ensemble]
+        # the mode stacks of one mu at a time, shared by every datum
+        for mu in mu_list:
+            fcm = fc.with_mu(mu)
+            y = np.linspace(0.0, default_depth(fcm), 40)
+            lam = decay_generator(fcm, -ks).Lambda           # (nx, m, m)
+            stack = _mode_exp(lam, y)                        # (nx, ny, m, m)
+            for psi_hat in psi_hats:
+                # d/dy brings down -Lambda: N Lambda psi_hat and
+                # N Lambda^2 psi_hat
+                lam_psi = np.einsum("kij,kj->ki", lam, psi_hat)
+                lam2_psi = np.einsum("kij,kj->ki", lam, lam_psi)
+                uh = np.einsum("kyij,kj->kyi", stack, psi_hat)
+                fields = (uh, ik * uh, -(ks ** 2)[:, None, None] * uh,
+                          -ik * np.einsum("kyij,kj->kyi", stack, lam_psi),
+                          np.einsum("kyij,kj->kyi", stack, lam2_psi),
+                          np.einsum("ij,kyj->kyi", A, uh))
+                yield y, np.stack([ifft(f, axis=0) for f in fields])
+
+    return _probe_report([psi.values for psi in psi_ensemble], A, L, alpha,
+                         mu_list, solutions())

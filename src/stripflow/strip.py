@@ -66,8 +66,7 @@ from .errors import SolverError
 from .geometry import coefficients, require_elliptic
 from .grids import (as_inexact, cheb_lobatto_01, rfft_wavenumbers,
                     spectral_derivative)
-from .holder import (CoercivityReport, _graded_data_norms,
-                     _graded_probe_norms)
+from .holder import _probe_report
 
 
 # a factor of the preconditioner whose condition number exceeds this counts
@@ -255,9 +254,6 @@ class StripField:
         for _ in range(order):
             out = self._along_y(self.Dy, out)
         return out
-
-    def dxy(self):
-        return self._along_y(self.Dy, self.dx(1))
 
     def trace0(self):
         return self.values[:, 0, :]
@@ -570,17 +566,16 @@ def coercivity_probe_33(profile, A, mu_list, ensemble, alpha=0.5, ny=17,
         raise ValueError(
             "coercivity_probe_33 measures Dirichlet data only: every "
             "ensemble entry needs F = psi1 = None")
-    data_norms = _graded_data_norms([psi0 for _, psi0, _ in ensemble],
-                                    A.entries, profile.L, alpha, mu_list)
-    rows = []
-    for mu_index, mu in enumerate(mu_list):
-        op = DiscreteStripOperator(profile, A, mu, ny=ny)
-        for data_index, (_, psi0, _) in enumerate(ensemble):
-            fld = op.solve(psi0=psi0, rtol=rtol)
-            fields = {"u": fld.values, "ux": fld.dx(1), "uxx": fld.dx(2),
-                      "uxy": fld.dxy(),
-                      "uyy": fld.dy(2), "au": fld.values @ op.A_mat.T}
-            rows.append((mu, data_index,
-                         _graded_probe_norms(fields, fld.y, fld.L, alpha, mu),
-                         data_norms[data_index][mu_index]))
-    return CoercivityReport.from_norms(rows)
+    data = [psi0 for _, psi0, _ in ensemble]
+
+    def solutions():
+        for mu in mu_list:
+            op = DiscreteStripOperator(profile, A, mu, ny=ny)
+            for psi0 in data:
+                fld = op.solve(psi0=psi0, rtol=rtol)
+                ux = fld.dx(1)
+                yield fld.y, np.stack([fld.values, ux, fld.dx(2), fld.Dy @ ux,
+                                       fld.dy(2), fld.values @ op.A_mat.T])
+
+    return _probe_report(data, A.entries, profile.L, alpha, mu_list,
+                         solutions())

@@ -360,6 +360,20 @@ def test_localization_residual_shrinks_with_patch_size(A1):
     assert maxes[0] > maxes[1] > maxes[2]
 
 
+@pytest.mark.parametrize("delta", [-0.5, 0.0, float("nan"), float("inf")])
+def test_localization_residual_refuses_a_bad_delta(A1, delta, monkeypatch):
+    """A delta that is not positive and finite is refused with a ValueError
+    naming it, before the derivative solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before delta was checked")
+
+    monkeypatch.setattr(DiscreteStripOperator, "solve", no_solve)
+    p = make_profile(nx=32, amp=0.25, mode=2)
+    direction = np.cos(2 * np.pi * torus_x(32) / L)[:, None]
+    with pytest.raises(ValueError, match=f"got {delta}"):
+        localization_residual(p, A1, delta, direction, ny=9)
+
+
 def test_complex_typed_real_direction_is_a_real_direction(A1, monkeypatch):
     """A direction of complex dtype whose imaginary parts are all zero is
     real input: dO(g) along it makes the real direction's GMRES runs (its

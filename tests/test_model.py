@@ -1,6 +1,8 @@
 """Frozen-coefficient mode analysis: decay roots, half-plane solves,
 trace-gradient maps, multiplier decay, graded coercivity ratios."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,12 +18,11 @@ from stripflow.errors import EllipticityError, SpectralValidationError
 from stripflow.geometry import coefficient_derivatives
 from stripflow.grids import (cheb_lobatto_01, spectral_derivative,
                              torus_wavenumbers)
-from stripflow.holder import (SampledFunction, _graded_probe_norms,
-                              holder_seminorm, scaled_field_norm)
+from stripflow.holder import (SampledFunction, _probe_report, holder_seminorm,
+                              scaled_field_norm)
 from stripflow.model import (
     FrozenCoefficients,
     _mode_exponents,
-    _ModeExp,
     coercivity_probe_59,
     decay_generator,
     default_depth,
@@ -33,7 +34,8 @@ from stripflow.model import (
     transverse_semigroup,
 )
 from stripflow.operator_core import SectorialOperator
-from stripflow.strip import DiscreteStripOperator, coercivity_probe_33
+from stripflow.strip import (DiscreteStripOperator, StripField,
+                             coercivity_probe_33)
 
 L = 16 * np.pi
 
@@ -252,19 +254,26 @@ def test_multiplier_profiles_decay():
 
 # ------------------------------------------------------ graded coercivity
 
+def ref_solution_norm(fields, y, L, alpha, mu):
+    """The six-term graded solution norm of a probe, from one
+    scaled_field_norm call per field u, u_x, u_xx, u_xy, u_yy, u A^T."""
+    return sum(w * scaled_field_norm(f, y, L, alpha, mu) for w, f in
+               zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), fields))
+
+
 def test_graded_probe_norms_batch_matches_single_fields(rng):
-    """The six fields go through one batched scaled_field_norm call; the
-    solution norm equals the weighted sum of six single-field calls."""
+    """The probe sweep measures a (6, nx, ny, m) stack of fields in one
+    batched scaled_field_norm call; the solution norm equals the weighted
+    sum of six single-field calls."""
     nx, ny, m, mu, alpha = 32, 7, 2, 3.0, 0.5
     y = np.linspace(0.0, 2.0, ny) ** 1.5
-    names = ("u", "ux", "uxx", "uxy", "uyy", "au")
-    fields = {k: rng.standard_normal((nx, ny, m))
-              + 1j * rng.standard_normal((nx, ny, m)) for k in names}
-    lhs = _graded_probe_norms(fields, y, L, alpha, mu)
-    single = [scaled_field_norm(fields[k], y, L, alpha, mu) for k in names]
-    expected = sum(w * n for w, n in
-                   zip((mu ** 2, mu, 2.0, 2.0, 1.0, 1.0), single))
-    assert lhs == pytest.approx(expected, rel=1e-14)
+    fields = (rng.standard_normal((6, nx, ny, m))
+              + 1j * rng.standard_normal((6, nx, ny, m)))
+    A = np.array(COUPLINGS["coupled"])
+    datum = smooth_data(rng, nx, m, False)
+    rep = _probe_report([datum], A, L, alpha, (mu,), iter([(y, fields)]))
+    expected = ref_solution_norm(fields, y, L, alpha, mu)
+    assert rep.rows[0].lhs == pytest.approx(expected, rel=1e-14)
 
 
 def test_probe_59_ratio_flat_across_mu(rng):
@@ -335,20 +344,28 @@ def coupling_fc(name, a12=0.15, a22=1.3, mu=2.0):
 
 
 @pytest.mark.parametrize("name", sorted(COUPLINGS))
-def test_batched_mode_kernels_match_per_k_formulas(name, rng):
+def test_batched_mode_kernels_match_per_k_formulas(name, rng, monkeypatch):
     fc = coupling_fc(name)
     m = fc.dim
     ks = torus_wavenumbers(L, 40)     # two whole k-blocks and a ragged one
     lam = decay_generator(fc, ks).Lambda
     ref_lam = np.stack([ref_exponents(fc, k)[0] for k in ks])
     assert_rel_close(lam, ref_lam)
-    # only the defective coupling leaves the eigendecomposition route
-    assert list(_ModeExp(lam).ok) == [name != "jordan"] * ks.size
     y = np.linspace(0.0, 3.0, 7)
+    expm_args, expm = [], scipy.linalg.expm
+    monkeypatch.setattr(model.scipy.linalg, "expm",
+                        lambda a: expm_args.append(a.shape) or expm(a))
+    semigroup = transverse_semigroup(fc, ks, y)
+    trace_map = strip_trace_gradient_map(fc, ks)
+    monkeypatch.undo()
+    # only the defective coupling leaves the eigendecomposition route, and
+    # it leaves it at every wavenumber
+    assert expm_args == ([(ks.size, y.size, m, m), (ks.size, 1, m, m)]
+                         if name == "jordan" else [])
     assert_rel_close(
-        transverse_semigroup(fc, ks, y),
+        semigroup,
         np.stack([[scipy.linalg.expm(-t * lk) for t in y] for lk in ref_lam]))
-    assert_rel_close(strip_trace_gradient_map(fc, ks),
+    assert_rel_close(trace_map,
                      np.stack([ref_trace_gradient_map(fc, k) for k in ks]))
     _, Dy = cheb_lobatto_01(9)
     sources = (rng.standard_normal((ks.size, 3, 9, m))
@@ -383,21 +400,18 @@ def ref_probe_59_rows(fc, ensemble, mu_list, alpha=0.5, ny=40):
         for mu in mu_list:
             fcm = fc.with_mu(mu)
             y = np.linspace(0.0, default_depth(fcm), ny)
-            fields = {name: np.empty((nx, ny, m), dtype=complex)
-                      for name in ("u", "ux", "uxx", "uxy", "uyy", "au")}
+            # u, u_x, u_xx, u_xy, u_yy and u A^T
+            fields = np.empty((6, nx, ny, m), dtype=complex)
             for i, k in enumerate(ks):
                 lam = ref_exponents(fcm, -k)[0]
                 stack = scipy.linalg.expm(-y[:, None, None] * lam)
                 uh = stack @ psi_hat[i]
-                fields["u"][i] = uh
-                fields["ux"][i] = 1j * k * uh
-                fields["uxx"][i] = -(k ** 2) * uh
-                fields["uxy"][i] = 1j * k * (-(stack @ lam) @ psi_hat[i])
-                fields["uyy"][i] = stack @ lam @ lam @ psi_hat[i]
-                fields["au"][i] = uh @ A.T
-            fields = {name: ifft(v, axis=0) for name, v in fields.items()}
+                fields[:, i] = (uh, 1j * k * uh, -(k ** 2) * uh,
+                                1j * k * (-(stack @ lam) @ psi_hat[i]),
+                                stack @ lam @ lam @ psi_hat[i], uh @ A.T)
             rows.append((mu, data_index,
-                         _graded_probe_norms(fields, y, psi.L, alpha, mu),
+                         ref_solution_norm(ifft(fields, axis=1), y, psi.L,
+                                           alpha, mu),
                          ref_data_norm(psi.values, A, psi.L, alpha, mu)))
     return rows
 
@@ -479,6 +493,62 @@ def test_probes_refuse_a_zero_datum(monkeypatch):
     with pytest.raises(SpectralValidationError, match="datum 1"):
         coercivity_probe_33(make_profile(nx=nx), A, (1.0, 2.0),
                             [(None, smooth, None), (None, zero, None)], ny=9)
+
+
+@pytest.mark.parametrize("mu_list, data_count, names", [
+    ((-1.0, 2.0), 2, "-1.0"),
+    ((1.0, float("nan")), 2, "nan"),
+    ((1.0, float("inf")), 2, "inf"),
+    ((), 2, "mu_list = ()"),
+    ((1.0, 2.0), 0, "got 0 data"),
+])
+def test_probes_refuse_bad_input_before_any_work(mu_list, data_count, names,
+                                                 monkeypatch):
+    """A negative or non-finite mu, an empty mu_list and an empty ensemble
+    are refused by both probes with a ValueError naming the value, before
+    any datum is measured or any solve runs."""
+    nx = 32
+    A = SectorialOperator(np.array([[1.0]]))
+    data = [smooth_data(np.random.default_rng(5 + i), nx, 1, False)
+            for i in range(data_count)]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("measured or solved before the input rules")
+
+    monkeypatch.setattr(holder, "holder_seminorm", no_work)
+    monkeypatch.setattr(DiscreteStripOperator, "solve", no_work)
+    monkeypatch.setattr(model, "decay_generator", no_work)
+    with pytest.raises(ValueError, match=re.escape(names)):
+        coercivity_probe_59(FrozenCoefficients(0.12, 1.3, A, 0.0),
+                            [SampledFunction(L, v) for v in data], mu_list)
+    with pytest.raises(ValueError, match=re.escape(names)):
+        coercivity_probe_33(make_profile(nx=nx), A, mu_list,
+                            [(None, v, None) for v in data], ny=9)
+
+
+def test_probes_derive_each_field_once(monkeypatch):
+    """coercivity_probe_33 takes u_x once per solve (u_xy is Dy u_x), and
+    coercivity_probe_59 transforms each datum once for its whole mu
+    sweep."""
+    nx, mu_list = 32, (1.0, 2.0, 4.0)
+    A = SectorialOperator(np.array(COUPLINGS["coupled"]))
+    data = [smooth_data(np.random.default_rng(30 + i), nx, 2, False)
+            for i in range(3)]
+    orders, solves, transforms = [], [], []
+    dx, solve = StripField.dx, DiscreteStripOperator.solve
+    monkeypatch.setattr(StripField, "dx", lambda self, order:
+                        orders.append(order) or dx(self, order))
+    monkeypatch.setattr(DiscreteStripOperator, "solve", lambda self, **kw:
+                        solves.append(kw) or solve(self, **kw))
+    monkeypatch.setattr(model, "fft", lambda *args, **kwargs:
+                        transforms.append(args) or fft(*args, **kwargs))
+    coercivity_probe_33(make_profile(nx=nx, m=2), A, mu_list,
+                        [(None, v, None) for v in data], ny=9)
+    assert len(solves) == len(mu_list) * len(data)
+    assert orders.count(1) == len(solves)
+    coercivity_probe_59(FrozenCoefficients(0.12, 1.3, A, 0.0),
+                        [SampledFunction(L, v) for v in data], mu_list)
+    assert len(transforms) == len(data)
 
 
 def kron_profile_response(fc, eta, sources, Dy, block=16):
