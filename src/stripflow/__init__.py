@@ -13,7 +13,7 @@ from ._version import __version__
 from .errors import (AdmissibilityError, DegenerateDomainError,
                      EllipticityError, FreezePointError, ScenarioError,
                      SolverError, SpectralValidationError, StripflowError)
-from .operator_core import (PositivityReport, SectorialOperator, matrix_sqrt,
+from .operator_core import (PositivityReport, SectorialOperator,
                             validate_sectorial)
 from .holder import (CoercivityReport, SampledFunction, h1alpha_norm,
                      h2alpha_norm, holder_seminorm)
@@ -40,7 +40,6 @@ __all__ = [
     "AdmissibilityError", "ScenarioError",
     # operator calculus
     "SectorialOperator", "PositivityReport", "validate_sectorial",
-    "matrix_sqrt",
     # trace spaces
     "SampledFunction", "holder_seminorm", "h1alpha_norm", "h2alpha_norm",
     # geometry

@@ -245,7 +245,7 @@ class DtNOperator:
         """
         p = self.profile
         i0 = int(np.argmin(np.abs(p.x - x0)))
-        if abs(p.x[i0] - x0) > 1e-9 * p.L:
+        if not abs(p.x[i0] - x0) <= 1e-9 * p.L:    # NaN-safe
             raise FreezePointError(f"freeze point {x0} is not a grid node "
                                    f"(nearest: {p.x[i0]:.12g})")
         for name, vec in (("nu+g", p.w[i0]), ("g_x", p.g_x[i0])):
@@ -326,14 +326,15 @@ def _unfold(half):
 def operator_for(profile, A, mu, ny=33, rtol=1e-11, dtn=None):
     """The DtNOperator of profile: dtn when given, else a new one.
 
-    A given dtn must have been built for this profile object with the same
-    mu, ny and rtol, so that its cached K(g)g solve is the one asked for.
+    A given dtn must have been built for this profile object and this A
+    object with the same mu, ny and rtol, so that its cached K(g)g solve is
+    the one asked for.
     """
     if dtn is None:
         return DtNOperator(profile, A, mu, ny=ny, rtol=rtol)
-    if dtn.profile is not profile or (dtn.mu, dtn.op.ny, dtn.rtol) != (
-            float(mu), ny, rtol):
-        raise ValueError("dtn was not built for this profile with the "
+    if dtn.profile is not profile or dtn.A is not A or (
+            dtn.mu, dtn.op.ny, dtn.rtol) != (float(mu), ny, rtol):
+        raise ValueError("dtn was not built for this profile and A with the "
                          "given mu, ny and rtol")
     return dtn
 

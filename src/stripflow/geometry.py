@@ -43,8 +43,8 @@ class InterfaceProfile(SampledFunction):
         complex samples whose imaginary parts are all exactly zero are real
         input, and a nonzero imaginary part raises EllipticityError.
     h_floor : float
-        Degeneracy guard; construction fails if some component of nu + g
-        is at or below h_floor.
+        Degeneracy guard (> 0); construction fails if some component of
+        nu + g is at or below h_floor.
     """
 
     def __init__(self, nu, L, g, h_floor=1e-8):
@@ -54,8 +54,11 @@ class InterfaceProfile(SampledFunction):
             raise EllipticityError(
                 "the strip flattening needs a real profile, and g has "
                 "samples with nonzero imaginary parts")
-        if nu <= 0:
+        # NaN-safe: a NaN offset or floor is refused too
+        if not nu > 0:
             raise ValueError(f"offset nu must be positive, got {nu}")
+        if not h_floor > 0:
+            raise ValueError(f"h_floor must be positive, got {h_floor}")
         self.nu = float(nu)
         self.g, self.g_x, self.g_xx = map(self.deriv, range(3))
 

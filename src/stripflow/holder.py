@@ -197,7 +197,7 @@ def _weight_line_bound(vals, dist, evaluator):
     m eps |W_t| |u_i|, so R_t = 4 (m + 2) eps ||W_t||_F max_i ||u_i||
     covers both ends of a pair.  Formed as a square and widened.
     """
-    spec, frob = evaluator.weight_norms()
+    spec, frob = evaluator.weight_norms
     u = _components(vals[:, None, :], 0)                # (C, 1, n)
     cls = np.sqrt(_torus_class_sq(u))                   # (1, n/2)
     radius = np.max(np.linalg.norm(vals, axis=-1))

@@ -24,7 +24,7 @@ from numpy.fft import fft, ifft
 from .errors import EllipticityError, SpectralValidationError
 from .grids import torus_nodes, torus_wavenumbers
 from .holder import _probe_report
-from .operator_core import SectorialOperator, matrix_sqrt
+from .operator_core import SectorialOperator
 from .strip import StripField
 
 
@@ -47,12 +47,13 @@ class FrozenCoefficients:
         self.a12 = float(self.a12)
         self.a22 = float(self.a22)
         self.mu = float(self.mu)
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if self.a22 <= 0:
+        # NaN-safe comparisons: a NaN mu, a22 or a12 is refused too
+        if not self.mu >= 0:
+            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if not self.a22 > 0:
             raise EllipticityError(f"a22 must be positive, got {self.a22}")
         self.alpha_p = self.a22 - self.a12 ** 2
-        if self.alpha_p <= 1e-12:
+        if not self.alpha_p > 1e-12:
             raise EllipticityError(
                 f"frozen form not elliptic: a22 - a12^2 = {self.alpha_p:.3e}")
 
@@ -74,12 +75,14 @@ def _mode_exponents(fc, eta):
 
     arg = a22 (A + mu^2 + eta^2) - a12^2 eta^2 I and
     rho+- = (-i a12 eta I +- arg^1/2) / a22 with the principal root, so
-    rho+ is the decay generator Lambda(eta).
+    rho+ is the decay generator Lambda(eta).  The roots of the real stack
+    arg come from one call of scipy's Schur-based sqrtm (Higham 1987;
+    Deadman, Higham & Ralha 2013), defective couplings included.
     """
     e = np.asarray(eta, dtype=float)[..., None, None]
     eye = np.eye(fc.dim)
     arg = fc.a22 * fc.a_mu(eta) - (fc.a12 * e) ** 2 * eye
-    root = matrix_sqrt(arg)
+    root = scipy.linalg.sqrtm(arg)
     drift = -1j * fc.a12 * e * eye
     return arg, (drift + root) / fc.a22, (drift - root) / fc.a22
 

@@ -1,14 +1,15 @@
-"""Coupling-matrix calculus: sectoriality, square roots, interpolation norms.
+"""Coupling-matrix calculus: sectoriality and interpolation norms.
 
 The component coupling of the elliptic system is a constant, real m-by-m
 matrix A acting on the value index of every field.  This module owns
 everything that touches A alone: the rule that A is real (SectorialOperator
-refuses any other), positivity of its shifted resolvents on a sector, the
-principal matrix square root, and the K-method interpolation norm used to
-grade boundary data between the base space and the domain of A.
+refuses any other), positivity of its shifted resolvents on a sector, and
+the K-method interpolation norm used to grade boundary data between the
+base space and the domain of A.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -46,8 +47,8 @@ class SectorialOperator:
             raise ValueError("coupling matrix has non-finite entries")
         if not (np.pi / 2 < sector_angle < np.pi):
             raise ValueError("sector_angle must lie in (pi/2, pi)")
-        if bound <= 0:
-            raise ValueError("resolvent bound must be positive")
+        if not bound > 0:                   # NaN-safe
+            raise ValueError(f"resolvent bound must be positive, got {bound}")
         self.entries = entries
         self.dim = entries.shape[0]
         self.sector_angle = float(sector_angle)
@@ -96,24 +97,6 @@ def validate_sectorial(A):
     return PositivityReport(bool(passed), float(worst), witness, msg)
 
 
-def matrix_sqrt(mat):
-    """Principal square root of a matrix or of a (..., m, m) stack.
-
-    Shared helper for the half-plane symbols.  Each matrix goes through its
-    eigendecomposition when the eigenvector matrix has condition below 1e8,
-    and through scipy's Schur-based sqrtm otherwise.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    stack = mat.reshape(-1, *mat.shape[-2:])
-    w, V = np.linalg.eig(stack)
-    ok = np.linalg.cond(V) < 1e8
-    out = np.empty_like(stack)
-    out[ok] = (V[ok] * np.sqrt(w[ok])[:, None, :]) @ np.linalg.inv(V[ok])
-    if not ok.all():
-        out[~ok] = [scipy.linalg.sqrtm(a) for a in stack[~ok]]
-    return out.reshape(mat.shape)
-
-
 # abscissae of the sup in the interpolation norm: a 36-point log grid
 _T_GRID = np.geomspace(1e-4, 10.0, 36)
 
@@ -151,16 +134,13 @@ class InterpNormEvaluator:
         T = _T_GRID[:, None, None]
         self.weights = np.ascontiguousarray(
             (T ** (1.0 - theta) * (mat @ scipy.linalg.expm(-T * mat))).real)
-        self._norms = (None,)       # the weights, then their two norms
 
+    @cached_property
     def weight_norms(self):
         """(spectral, Frobenius) norms of the weight matrices, (T,) each;
-        computed once for the weights array in place, again if a caller
-        replaces it."""
-        if self._norms[0] is not self.weights:
-            self._norms = (self.weights, *(np.linalg.norm(
-                self.weights, p, axis=(-2, -1)) for p in (2, "fro")))
-        return self._norms[1:]
+        computed on first use, once per evaluator."""
+        return tuple(np.linalg.norm(self.weights, p, axis=(-2, -1))
+                     for p in (2, "fro"))
 
     def weighted(self, values):
         """Every weight matrix applied to every vector of an (..., m) array.

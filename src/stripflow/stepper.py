@@ -28,7 +28,6 @@ still returns its trajectory, whose last row carries the last good profile
 and the failing solve's numbers.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,19 +63,20 @@ class EvolutionConfig:
     rtol: float = 1e-11
 
     def __post_init__(self):
-        if self.dt <= 0:
+        # NaN-safe comparisons: a NaN value is refused too
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_end <= self.dt:
+        if not self.t_end > self.dt:
             raise ValueError("t_end must exceed dt")
         if not np.isfinite(self.t_end / self.dt):    # evolve's step count
             raise ValueError("t_end / dt must be finite")
         if self.scheme != "semi_implicit_euler":
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.output_stride < 1:
+        if not self.output_stride >= 1:
             raise ValueError("output_stride must be a positive integer")
         for name in ("breakdown_norm_cap", "boundary_margin_floor"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive when given")
 
 
@@ -174,19 +174,18 @@ def step(p_n, A, dt, mu_solve=4.0, ny=33):
     return p_n.with_g(p_n.g + delta)
 
 
-def detect_breakdown(cfg, norms):
+def detect_breakdown(norms, norm_cap, margin_floor):
     """Classify the current diagnostics against the breakdown alternatives.
 
-    norms carries 'h2alpha' and 'margin'.  The boundary test is applied
-    first: when both thresholds are crossed in one step the geometric
-    alternative (distance to the admissible boundary) names the cause, and
-    exactly one flag is ever returned.
+    norms carries 'h2alpha' and 'margin'; norm_cap and margin_floor are the
+    run's resolved thresholds.  The boundary test is applied first: when
+    both thresholds are crossed in one step the geometric alternative
+    (distance to the admissible boundary) names the cause, and exactly one
+    flag is ever returned.
     """
-    if cfg.boundary_margin_floor is None or cfg.breakdown_norm_cap is None:
-        raise ValueError("detect_breakdown needs resolved caps in the config")
-    if norms["margin"] < cfg.boundary_margin_floor:
+    if norms["margin"] < margin_floor:
         return STATUS_BOUNDARY
-    if norms["h2alpha"] > cfg.breakdown_norm_cap:
+    if norms["h2alpha"] > norm_cap:
         return STATUS_NORM_BLOWUP
     return STATUS_OK
 
@@ -223,8 +222,6 @@ def evolve(p0, A, cfg, dtn=None):
     margin_floor = (cfg.boundary_margin_floor
                     if cfg.boundary_margin_floor is not None
                     else 1e-3 * norms["margin"])
-    resolved = dataclasses.replace(cfg, breakdown_norm_cap=norm_cap,
-                                   boundary_margin_floor=margin_floor)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     profiles, rows = [], []
@@ -238,7 +235,7 @@ def evolve(p0, A, cfg, dtn=None):
                                    iterations=iterations, status=status))
 
     while True:
-        status = detect_breakdown(resolved, norms)
+        status = detect_breakdown(norms, norm_cap, margin_floor)
         if status == STATUS_OK and n == n_steps:
             status = STATUS_COMPLETED
         if status != STATUS_OK or n % cfg.output_stride == 0:

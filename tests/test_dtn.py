@@ -17,7 +17,8 @@ from stripflow.dtn import (
     localization_residual,
     sector_report,
 )
-from stripflow.errors import SolverError, SpectralValidationError
+from stripflow.errors import (FreezePointError, SolverError,
+                              SpectralValidationError)
 from stripflow.grids import random_trace
 from stripflow.model import strip_profile_response, strip_trace_gradient_map
 from stripflow.operator_core import SectorialOperator
@@ -77,6 +78,27 @@ def test_frozen_matches_true_derivative_on_constant_profile(A1):
             frozen_d = fset.apply("O0", psi)
             scale = np.max(np.abs(true_d))
             assert np.max(np.abs(true_d - frozen_d)) < 1e-9 * max(scale, 1.0)
+
+
+def test_nan_freeze_point_is_refused(A1):
+    """A NaN point is no grid node: it is refused by name, not frozen at
+    node 0."""
+    p = make_profile(nx=32, amp=0.05)
+    with pytest.raises(FreezePointError,
+                       match="freeze point nan is not a grid node"):
+        frozen_set(p, A1, np.nan, 4.0, ny=9)
+
+
+def test_operator_of_another_coupling_is_refused(A1):
+    """A dtn built for another A would answer with that A's margin."""
+    p = make_profile(nx=32, amp=0.05)
+    dtn = DtNOperator(p, A1, 4.0, ny=9)
+    for other in (SectorialOperator(np.array([[2.0]])),
+                  SectorialOperator(A1.entries)):
+        with pytest.raises(ValueError,
+                           match="not built for this profile and A"):
+            admissibility(p, other, ny=9, dtn=dtn)
+    assert admissibility(p, A1, ny=9, dtn=dtn) == admissibility(p, A1, ny=9)
 
 
 def assert_frozen_pieces_are_live(dtn, x0):

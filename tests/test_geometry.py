@@ -40,6 +40,18 @@ def test_profile_requires_positive_depth():
         InterfaceProfile(-1.0, L, np.zeros((16, 1), dtype=complex))
 
 
+@pytest.mark.parametrize("nu, g0, h_floor", [
+    (np.nan, 0.0, 1e-8),        # every height NaN
+    (1.0, -1.0, np.nan),        # a zero height under a NaN floor
+    (1.0, -1.0, -1.0),          # a zero height under a negative floor
+    (1.0, 0.0, 0.0),
+])
+def test_profile_refuses_a_nan_or_nonpositive_offset_or_floor(nu, g0,
+                                                              h_floor):
+    with pytest.raises(ValueError, match="must be positive, got"):
+        InterfaceProfile(nu, L, np.full((16, 1), g0), h_floor=h_floor)
+
+
 def test_touching_bottom_rejected():
     x = torus_x(64)
     g = (-1.0 + 0.5 * np.cos(2 * np.pi * x / L)).astype(complex)[:, None]

@@ -49,6 +49,17 @@ def fc_coupled(a12=0.1, a22=1.2, mu=0.0):
     return FrozenCoefficients(a12, a22, A, mu)
 
 
+@pytest.mark.parametrize("kw, error", [
+    (dict(a22=np.nan), EllipticityError),
+    (dict(a12=np.nan), EllipticityError),
+    (dict(mu=np.nan), ValueError),
+])
+def test_frozen_coefficients_refuse_nan(kw, error):
+    with pytest.raises(error, match="nan") as err:
+        fc_scalar(**kw)
+    assert type(err.value) is error
+
+
 # -------------------------------------------------------------- decay roots
 
 def test_flat_decay_root_closed_form():
@@ -295,12 +306,12 @@ def test_probe_59_ratio_flat_across_mu(rng):
 # ------------------------------------ batched kernels vs per-k formulas
 # The kernels take the whole wavenumber grid at once; the references below
 # evaluate the same formulas one wavenumber at a time with scipy's
-# Schur-based sqrtm, expm and a dense solve.
+# Schur-based sqrtm and expm of one matrix each, and a dense solve.
 
 COUPLINGS = {
     "m1": [[1.5]],
     "coupled": [[2.0, 0.5], [0.0, 1.0]],
-    "jordan": [[1.0, 1.0], [0.0, 1.0]],     # takes the sqrtm/expm fallbacks
+    "jordan": [[1.0, 1.0], [0.0, 1.0]],     # takes _mode_exp's expm fallback
 }
 
 
@@ -652,13 +663,13 @@ def test_certificate_failure_at_one_k_raises(monkeypatch, change, match):
     fc = FrozenCoefficients(0.15, 1.3, SectorialOperator(np.array([[1.0]])),
                             0.0)
     bad_arg = fc.a22 * fc.a_mu(0.5) - (fc.a12 * 0.5) ** 2   # arg at eta = 0.5
-    real_sqrt = model.matrix_sqrt
+    real_sqrt = scipy.linalg.sqrtm
 
     def faulty_sqrt(arg):
         root = real_sqrt(arg)
         return np.where(np.isclose(arg, bad_arg), change(root), root)
 
-    monkeypatch.setattr(model, "matrix_sqrt", faulty_sqrt)
+    monkeypatch.setattr(model.scipy.linalg, "sqrtm", faulty_sqrt)
     ks = np.array([-2.0, -1.0, 0.5, 3.0])
     for eta in (ks, 0.5):
         with pytest.raises(SpectralValidationError,

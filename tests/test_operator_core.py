@@ -1,5 +1,4 @@
-"""Sectorial-operator calculus: validation, square roots, interpolation
-norms."""
+"""Sectorial-operator calculus: validation and interpolation norms."""
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from stripflow.operator_core import (
     _T_GRID,
     InterpNormEvaluator,
     SectorialOperator,
-    matrix_sqrt,
     require_resolved_spectrum,
     validate_sectorial,
 )
@@ -57,18 +55,15 @@ def test_coupling_is_stored_real(entries):
     assert np.array_equal(A.entries, [[2.0, 1.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("bound", [np.nan, 0.0, -1.0])
+def test_nonpositive_or_nan_bound_refused(bound):
+    with pytest.raises(ValueError, match="resolvent bound must be positive"):
+        SectorialOperator(np.eye(2), bound=bound)
+
+
 def test_complex_coupling_refused():
     with pytest.raises(ValueError, match="coupling matrix A must be real"):
         SectorialOperator(np.array([[1.0, 1e-12j], [0.0, 1.0]]))
-
-
-# ------------------------------------------------------------------- powers
-
-def test_matrix_sqrt_matches_frac_power():
-    """The principal square root is the fractional power M^(1/2); scipy's
-    Schur-based sqrtm is the independent reference."""
-    M = np.array([[2.0, 0.5], [0.5, 3.0]])
-    assert np.allclose(matrix_sqrt(M), scipy.linalg.sqrtm(M), atol=1e-11)
 
 
 # -------------------------------------------------------- interpolation norm

@@ -50,6 +50,14 @@ def test_config_validation():
                         output_stride=0)
 
 
+@pytest.mark.parametrize("name", ["breakdown_norm_cap",
+                                  "boundary_margin_floor", "output_stride"])
+def test_config_refuses_nan(name):
+    """A NaN cap would never fire, and a NaN stride never records."""
+    with pytest.raises(ValueError):
+        small_cfg(**{name: np.nan})
+
+
 # -------------------------------------------------------------- single step
 
 def test_flat_interface_is_a_fixed_point(A1):
@@ -293,29 +301,20 @@ def _norms(h2alpha, margin):
     return {"h2alpha": h2alpha, "margin": margin}
 
 
-def test_detect_breakdown_ok(A1):
-    cfg = small_cfg(breakdown_norm_cap=10.0, boundary_margin_floor=0.01)
-    assert detect_breakdown(cfg, _norms(0.5, 0.4)) == "OK"
+def test_detect_breakdown_ok():
+    assert detect_breakdown(_norms(0.5, 0.4), 10.0, 0.01) == "OK"
 
 
-def test_detect_breakdown_boundary_wins_ties(A1):
+def test_detect_breakdown_boundary_wins_ties():
     """When both caps trip at once the boundary flag is reported, never
     both."""
-    cfg = small_cfg(breakdown_norm_cap=1.0, boundary_margin_floor=0.2)
-    status = detect_breakdown(cfg, _norms(50.0, 0.1))
+    status = detect_breakdown(_norms(50.0, 0.1), 1.0, 0.2)
     assert status == STATUS_BOUNDARY
 
 
-def test_detect_breakdown_norm_only(A1):
-    cfg = small_cfg(breakdown_norm_cap=1.0, boundary_margin_floor=0.2)
-    status = detect_breakdown(cfg, _norms(50.0, 0.5))
+def test_detect_breakdown_norm_only():
+    status = detect_breakdown(_norms(50.0, 0.5), 1.0, 0.2)
     assert status == STATUS_NORM_BLOWUP
-
-
-def test_detect_breakdown_needs_resolved_caps(A1):
-    cfg = small_cfg()        # caps left as None
-    with pytest.raises(ValueError):
-        detect_breakdown(cfg, _norms(0.5, 0.4))
 
 
 def test_evolve_boundary_breakdown_stops_early(A1):
